@@ -1246,11 +1246,13 @@ fn failover_main(opts: &Options) -> ExitCode {
         replays_suppressed += set.conn(i).replays_suppressed();
     }
     for i in f..set.len() {
-        let vals: Vec<u64> = set
-            .samples()
+        let cols = set.samples();
+        let vals: Vec<u64> = cols
+            .daemons()
             .iter()
-            .filter(|s| s.daemon == i)
-            .map(|s| s.value as u64)
+            .zip(cols.values())
+            .filter(|&(&d, _)| d as usize == i)
+            .map(|(_, &v)| v as u64)
             .collect();
         let distinct: std::collections::HashSet<u64> = vals.iter().copied().collect();
         check(
@@ -1364,7 +1366,7 @@ fn health_session(
     conservation_audit(label, &set, HEALTH_N, HEALTH_N, &cov, check);
     check(
         &format!("{label}: every application sample arrived"),
-        set.samples()
+        set.merged_samples()
             .iter()
             .filter(|s| !s.focus.starts_with(paradyn_tool::selfmap::OBS_FOCUS_PREFIX))
             .count()
@@ -1462,7 +1464,7 @@ fn health_main() -> ExitCode {
         overhead_pct < 5.0,
     );
     let telemetry_samples = set
-        .samples()
+        .merged_samples()
         .iter()
         .filter(|s| s.focus.starts_with(selfmap::OBS_FOCUS_PREFIX))
         .count();

@@ -1,5 +1,5 @@
-//! Columnar (structure-of-arrays) sample storage — the hot ingest
-//! representation of the sample spine.
+//! Columnar (structure-of-arrays) sample storage — the tool's one sample
+//! store.
 //!
 //! A [`SampleColumns`] holds parallel `daemon`/`metric`/`focus`/`wall`/
 //! `aligned`/`value` columns instead of a vector of per-sample structs.
@@ -7,10 +7,12 @@
 //! (metric, focus) dictionary is interned to [`Symbol`]s once, then the
 //! sample columns are bulk-appended with skew correction applied as a
 //! column pass — no per-sample string handling, no per-sample `Arc`
-//! refcount traffic. Downstream stages stay columnar: clock re-alignment
-//! ([`SampleColumns::realign`]), shard merge ([`SampleColumns::append`]),
-//! the merge sort ([`SampleColumns::sort_by_aligned`]), and the per-key
-//! fold with histogram fills and coverage interval widening
+//! refcount traffic. A loose sample is a one-row [`SampleColumns::push`].
+//! Downstream stages stay columnar: clock re-alignment
+//! ([`SampleColumns::realign_all`]), the merge of per-worker landings
+//! ([`SampleColumns::append`]), the merge order
+//! ([`SampleColumns::aligned_order`]), and the per-key fold with
+//! histogram fills and coverage interval widening
 //! ([`SampleColumns::fold`]). String names are materialized only at the
 //! render edge, via [`Symbol::as_str`].
 
@@ -80,9 +82,8 @@ impl SampleColumns {
 
     /// Bulk-appends a decoded wire batch from `daemon`, applying the
     /// daemon's clock offset as it lands (`aligned = wall − offset`,
-    /// clamped at zero — the same correction the struct spine applies per
-    /// sample). The batch dictionary is interned once; each sample then
-    /// costs four integer column pushes and one float push.
+    /// clamped at zero). The batch dictionary is interned once; each
+    /// sample then costs four integer column pushes and one float push.
     pub fn extend_batch(&mut self, daemon: u32, offset_ns: i64, batch: &BatchColumns) {
         let dict: Vec<(Symbol, Symbol)> = batch
             .dict
@@ -104,19 +105,9 @@ impl SampleColumns {
         }
     }
 
-    /// Re-applies skew correction for every sample of `daemon` — the
-    /// column-pass twin of the struct spine's post-`clock_sync` rewrite.
-    /// Samples from other daemons are untouched.
-    pub fn realign(&mut self, daemon: u32, offset_ns: i64) {
-        for i in 0..self.len() {
-            if self.daemon[i] == daemon {
-                self.aligned[i] = align(self.wall[i], offset_ns);
-            }
-        }
-    }
-
-    /// One-pass skew correction for every daemon at once: `offsets` is
-    /// indexed by daemon id (daemons beyond the table keep offset 0).
+    /// Re-applies skew correction to every sample in one pass, each under
+    /// its daemon's offset: `offsets` is indexed by daemon id (daemons
+    /// beyond the table keep offset 0).
     pub fn realign_all(&mut self, offsets: &[i64]) {
         for i in 0..self.len() {
             let off = offsets.get(self.daemon[i] as usize).copied().unwrap_or(0);
@@ -124,7 +115,7 @@ impl SampleColumns {
         }
     }
 
-    /// Appends all of `other` — the shard-merge concatenation step.
+    /// Appends all of `other` — how per-worker landings merge.
     pub fn append(&mut self, other: &SampleColumns) {
         self.daemon.extend_from_slice(&other.daemon);
         self.metric.extend_from_slice(&other.metric);
@@ -134,21 +125,13 @@ impl SampleColumns {
         self.value.extend_from_slice(&other.value);
     }
 
-    /// Stable sort of all columns by aligned (tool-clock) time: compute
-    /// the permutation once on the `aligned` column, then apply it to each
-    /// column — same-instant samples keep arrival order, matching the
-    /// struct spine's `merged_samples` contract.
-    pub fn sort_by_aligned(&mut self) {
+    /// The rows' merge order: row indices stably sorted by aligned
+    /// (tool-clock) time, so same-instant samples keep arrival order. The
+    /// columns themselves stay in arrival order.
+    pub fn aligned_order(&self) -> Vec<u32> {
         let mut perm: Vec<u32> = (0..self.len() as u32).collect();
         perm.sort_by_key(|&i| self.aligned[i as usize]);
-        self.daemon = perm.iter().map(|&i| self.daemon[i as usize]).collect();
-        self.metric = perm.iter().map(|&i| self.metric[i as usize]).collect();
-        self.focus = perm.iter().map(|&i| self.focus[i as usize]).collect();
-        self.wall = perm.iter().map(|&i| self.wall[i as usize]).collect();
-        self.value = perm.iter().map(|&i| self.value[i as usize]).collect();
-        let mut aligned = std::mem::take(&mut self.aligned);
-        aligned.sort_unstable(); // the permutation applied to itself
-        self.aligned = aligned;
+        perm
     }
 
     /// The daemon column.
@@ -182,9 +165,9 @@ impl SampleColumns {
     }
 
     /// Folds the columns into one [`KeyFold`] per (metric, focus) key, in
-    /// first-seen order. Call [`SampleColumns::sort_by_aligned`] first if
-    /// "last" must mean "latest on the tool clock" rather than "latest
-    /// delivered". Key comparisons are u32 pairs; no strings are touched.
+    /// first-seen order. "Last" means "latest delivered", not "latest on
+    /// the tool clock". Key comparisons are u32 pairs; no strings are
+    /// touched.
     pub fn fold(&self) -> Vec<((Symbol, Symbol), KeyFold)> {
         // The two u32 symbol ids pack into one u64 hash key, so the
         // per-sample lookup hashes a single integer.
@@ -311,24 +294,26 @@ mod tests {
         // Repeated keys share one symbol pair.
         assert_eq!(cols.metrics()[0], cols.metrics()[2]);
         assert_eq!(cols.foci()[0], cols.foci()[2]);
-        // Negative corrected times clamp at zero, like the struct spine.
+        // Negative corrected times clamp at zero.
         let mut late = SampleColumns::new();
         late.extend_batch(0, 2_000, &batch());
         assert_eq!(late.aligneds()[0], 0);
     }
 
     #[test]
-    fn realign_touches_only_the_given_daemon() {
+    fn realign_all_recorrects_each_daemon_by_its_offset() {
         let mut cols = SampleColumns::new();
         cols.extend_batch(0, 0, &batch());
         cols.extend_batch(1, 0, &batch());
-        cols.realign(1, 500);
-        assert_eq!(cols.aligneds()[0], 1_000, "daemon 0 untouched");
-        assert_eq!(cols.aligneds()[4], 500, "daemon 1 re-corrected");
+        cols.extend_batch(2, 0, &batch());
+        cols.realign_all(&[100, 500]);
+        assert_eq!(cols.aligneds()[0], 900, "daemon 0 by its offset");
+        assert_eq!(cols.aligneds()[4], 500, "daemon 1 by its offset");
+        assert_eq!(cols.aligneds()[8], 1_000, "past the table: offset 0");
     }
 
     #[test]
-    fn append_and_stable_sort_merge_shards() {
+    fn append_and_aligned_order_merge_landings() {
         let m = intern::sym("m");
         let fa = intern::sym("a");
         let fb = intern::sym("b");
@@ -340,11 +325,9 @@ mod tests {
         let mut merged = SampleColumns::new();
         merged.append(&s0);
         merged.append(&s1);
-        merged.sort_by_aligned();
-        assert_eq!(merged.aligneds(), &[10, 10, 30]);
-        // Stable: the tie at t=10 keeps shard order (s0 before s1).
-        assert_eq!(merged.daemons(), &[0, 1, 0]);
-        assert_eq!(merged.values(), &[2.0, 3.0, 1.0]);
+        assert_eq!(merged.daemons(), &[0, 0, 1], "append keeps arrival order");
+        // Stable: the tie at t=10 keeps arrival order (s0 before s1).
+        assert_eq!(merged.aligned_order(), vec![1, 2, 0]);
     }
 
     #[test]

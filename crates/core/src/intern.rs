@@ -35,8 +35,9 @@ impl Symbol {
         self.0 as usize
     }
 
-    /// The interned string. Lock-free after the one read that copies the
-    /// `&'static str` out of the table.
+    /// The interned string. Each call takes the table's read lock to copy
+    /// the `&'static str` out; using the string afterwards needs no lock,
+    /// so hot paths resolve a symbol once per distinct name.
     pub fn as_str(self) -> &'static str {
         table().resolve(self)
     }

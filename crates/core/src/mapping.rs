@@ -122,16 +122,6 @@ impl MappingTable {
             .unwrap_or(&[])
     }
 
-    /// All sentences appearing as a source.
-    pub fn all_sources(&self) -> impl Iterator<Item = SentenceId> + '_ {
-        self.forward.keys().copied()
-    }
-
-    /// All sentences appearing as a destination.
-    pub fn all_destinations(&self) -> impl Iterator<Item = SentenceId> + '_ {
-        self.reverse.keys().copied()
-    }
-
     /// Computes the connected component (over the undirected mapping graph)
     /// containing `start`. Returns `(sources, destinations)` of the
     /// component, each sorted.

@@ -312,11 +312,6 @@ impl Namespace {
         self.inner.read().nouns.len()
     }
 
-    /// Number of verbs defined so far.
-    pub fn num_verbs(&self) -> usize {
-        self.inner.read().verbs.len()
-    }
-
     /// Number of distinct sentences interned so far.
     pub fn num_sentences(&self) -> usize {
         self.inner.read().sentences.len()

@@ -72,7 +72,6 @@ enum QuestionKind {
 
 #[derive(Clone, Debug)]
 struct CompiledQuestion {
-    name: String,
     kind: QuestionKind,
     /// For `Conj`: number of atoms currently inactive. Satisfied iff 0.
     unsatisfied: u32,
@@ -379,7 +378,6 @@ impl LocalSas {
             self.atoms[i].conj_users.push(qid.0);
         }
         self.questions.push(CompiledQuestion {
-            name: q.name.clone(),
             kind: QuestionKind::Conj {
                 atoms: atom_idxs,
                 ordered: q.ordered,
@@ -392,12 +390,13 @@ impl LocalSas {
     }
 
     /// Registers a boolean-expression question (§4.2.2 extension).
-    pub fn register_expr(&mut self, name: &str, expr: &QuestionExpr) -> QuestionId {
+    /// The SAS addresses the question by its id; `_name` is the caller's
+    /// label and is not stored.
+    pub fn register_expr(&mut self, _name: &str, expr: &QuestionExpr) -> QuestionId {
         let (patterns, tree) = expr.compile();
         let leaves: Vec<usize> = patterns.iter().map(|p| self.intern_atom(p)).collect();
         let qid = QuestionId(self.questions.len() as u32);
         self.questions.push(CompiledQuestion {
-            name: name.to_string(),
             kind: QuestionKind::Expr { leaves, tree },
             unsatisfied: 0,
             satisfied_transitions: 0,
@@ -449,11 +448,6 @@ impl LocalSas {
     /// unsatisfied to satisfied. Returns 0 for expression questions.
     pub fn satisfied_transitions(&self, qid: QuestionId) -> u64 {
         self.questions[qid.index()].satisfied_transitions
-    }
-
-    /// Human-readable name a question was registered with.
-    pub fn question_name(&self, qid: QuestionId) -> &str {
-        &self.questions[qid.index()].name
     }
 
     /// Number of registered questions (including removed ones, whose ids

@@ -163,13 +163,6 @@ impl ShardedSas {
         self.shards[node].lock().satisfied(qid)
     }
 
-    /// Enables/disables the uninteresting-sentence filter on every node.
-    pub fn set_filter_uninteresting_all(&self, on: bool) {
-        for shard in &self.shards {
-            shard.lock().set_filter_uninteresting(on);
-        }
-    }
-
     /// Runs `f` with exclusive access to one node's [`LocalSas`].
     pub fn with_node<R>(&self, node: usize, f: impl FnOnce(&mut LocalSas) -> R) -> R {
         f(&mut self.shards[node].lock())

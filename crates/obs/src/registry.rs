@@ -207,11 +207,6 @@ impl ObsSnapshot {
         self.sites.iter().map(|s| s.count).sum()
     }
 
-    /// Sum of all span durations across sites, in ns.
-    pub fn total_span_ns(&self) -> u64 {
-        self.sites.iter().map(|s| s.total_ns).sum()
-    }
-
     /// The aggregate row for one site, if it recorded anything.
     pub fn site(&self, component: &str, verb: &str) -> Option<&SiteSnapshot> {
         self.sites

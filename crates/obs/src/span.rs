@@ -18,7 +18,7 @@
 use crate::clock::now_ns;
 use crate::metrics::{Histogram, HistogramSnapshot};
 use crate::registry;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Default per-thread ring capacity (slots). Must be a power of two.
@@ -143,7 +143,12 @@ impl SpanRing {
     pub fn record(&self, site: SiteId, start_ns: u64, dur_ns: u64) {
         let h = self.head.load(Ordering::Relaxed);
         let slot = &self.slots[(h as usize) & (self.slots.len() - 1)];
-        slot.gen.store(0, Ordering::Release); // invalidate while writing
+        // Invalidate while writing. The fence orders the invalidation
+        // before the payload stores: a reader that loads any of the new
+        // payload also sees `gen == 0` (or later) on its re-check, and
+        // discards the record. Pairs with the reader's acquire fence.
+        slot.gen.store(0, Ordering::Release);
+        fence(Ordering::Release);
         slot.site.store(site.0 as u64, Ordering::Relaxed);
         slot.start.store(start_ns, Ordering::Relaxed);
         slot.dur.store(dur_ns, Ordering::Relaxed);
@@ -163,6 +168,9 @@ impl SpanRing {
             let site = slot.site.load(Ordering::Relaxed);
             let start = slot.start.load(Ordering::Relaxed);
             let dur = slot.dur.load(Ordering::Relaxed);
+            // Orders the payload loads before the re-check of `gen`; pairs
+            // with the writer's release fence.
+            fence(Ordering::Acquire);
             if slot.gen.load(Ordering::Acquire) != g1 {
                 continue; // overwritten while reading
             }
@@ -303,18 +311,26 @@ mod tests {
         // A seeded multi-thread loop: one writer hammers the ring while
         // readers snapshot concurrently. Every accepted record must be
         // internally consistent (the payload encodes its own seq).
+        const N: u64 = 200_000;
         let ring = Arc::new(SpanRing::new(3, 64));
         let writer = {
             let ring = Arc::clone(&ring);
             std::thread::spawn(move || {
-                for i in 0..200_000u64 {
+                for i in 0..N {
                     // start = 3*seq, dur = seq + 1: readable invariants.
                     ring.record(SiteId((i % 5) as u16), i * 3, i + 1);
                 }
             })
         };
+        // A handshake, not a timing guess: snapshot only once the writer
+        // has published a ring's worth of records, so every snapshot holds
+        // at least 63 of them, and keep going until it has published all.
+        while ring.written() < 64 {
+            std::thread::yield_now();
+        }
         let mut checked = 0u64;
-        for _ in 0..200 {
+        loop {
+            let finished = ring.written() == N;
             let mut out = Vec::new();
             ring.snapshot_into(&mut out);
             for e in &out {
@@ -323,6 +339,9 @@ mod tests {
                 assert_eq!(e.site.0 as u64, e.seq % 5);
                 checked += 1;
             }
+            if finished {
+                break;
+            }
         }
         writer.join().unwrap();
         assert!(checked > 0, "snapshots observed live records");
@@ -330,7 +349,7 @@ mod tests {
         let mut out = Vec::new();
         let dropped = ring.snapshot_into(&mut out);
         assert_eq!(out.len(), 64);
-        assert_eq!(dropped, 200_000 - 64);
+        assert_eq!(dropped, N - 64);
     }
 
     #[test]

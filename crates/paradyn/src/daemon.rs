@@ -13,9 +13,7 @@
 //! is a `pdmap-transport` link, so the same endpoint/daemon pair runs over
 //! an in-process bounded queue or a real TCP socket with identical
 //! observable behaviour. Messages ride [`FrameKind::Daemon`] frames as
-//! length-prefixed binary payloads ([`WirePayload`]); the older
-//! line-oriented text rendering is kept as [`DaemonMsg::encode`] /
-//! [`DaemonMsg::decode`] for logs and tooling, and both codecs reject
+//! length-prefixed binary payloads ([`WirePayload`]); the codec rejects
 //! malformed input instead of guessing.
 
 use crate::datamgr::DataManager;
@@ -126,37 +124,19 @@ pub enum DaemonMsg {
 /// bumps the `daemon.error.<kind>` counter in `pdmap-obs`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DaemonError {
-    /// A required field (or message kind) was absent.
-    MissingField(String),
-    /// A numeric field failed to parse.
-    BadNumber(String),
-    /// An unrecognised distribution name.
-    BadDistribution(String),
-    /// An invalid escape sequence inside a text field.
-    BadEscape(String),
-    /// An unknown message kind or payload tag.
-    UnknownKind(String),
-    /// A binary payload codec failure (wrong frame kind, truncation,
-    /// trailing garbage).
+    /// A binary payload codec failure (wrong frame kind, unknown tag,
+    /// truncation, trailing garbage).
     Codec(String),
     /// The transport itself failed while receiving (link closed, I/O
     /// error) — distinct from a bad frame, since the *link* is at fault.
     Recv(String),
 }
 
-/// Source-compatibility alias for the pre-enum error name.
-pub type ProtoError = DaemonError;
-
 impl DaemonError {
     /// Stable lowercase variant name, used to key the per-variant error
     /// counter (`daemon.error.<kind>`).
     pub fn kind(&self) -> &'static str {
         match self {
-            DaemonError::MissingField(_) => "missing_field",
-            DaemonError::BadNumber(_) => "bad_number",
-            DaemonError::BadDistribution(_) => "bad_distribution",
-            DaemonError::BadEscape(_) => "bad_escape",
-            DaemonError::UnknownKind(_) => "unknown_kind",
             DaemonError::Codec(_) => "codec",
             DaemonError::Recv(_) => "recv",
         }
@@ -165,13 +145,7 @@ impl DaemonError {
     /// The human-readable detail carried by the variant.
     pub fn detail(&self) -> &str {
         match self {
-            DaemonError::MissingField(s)
-            | DaemonError::BadNumber(s)
-            | DaemonError::BadDistribution(s)
-            | DaemonError::BadEscape(s)
-            | DaemonError::UnknownKind(s)
-            | DaemonError::Codec(s)
-            | DaemonError::Recv(s) => s,
+            DaemonError::Codec(s) | DaemonError::Recv(s) => s,
         }
     }
 }
@@ -201,180 +175,6 @@ impl fmt::Display for DaemonError {
 }
 
 impl std::error::Error for DaemonError {}
-
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\")
-        .replace('|', "\\p")
-        .replace('\n', "\\n")
-}
-
-/// Inverts [`escape`]. Only `\\`, `\p` and `\n` are valid sequences; any
-/// other escape — including a trailing lone backslash — is corruption and
-/// is rejected rather than passed through.
-fn unescape(s: &str) -> Result<String, ProtoError> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c == '\\' {
-            match chars.next() {
-                Some('p') => out.push('|'),
-                Some('n') => out.push('\n'),
-                Some('\\') => out.push('\\'),
-                Some(other) => {
-                    return Err(track(DaemonError::BadEscape(format!(
-                        "invalid escape sequence '\\{other}'"
-                    ))));
-                }
-                None => {
-                    return Err(track(DaemonError::BadEscape(
-                        "trailing backslash in field".into(),
-                    )));
-                }
-            }
-        } else {
-            out.push(c);
-        }
-    }
-    Ok(out)
-}
-
-impl DaemonMsg {
-    /// Encodes to one wire line (no trailing newline).
-    pub fn encode(&self) -> String {
-        match self {
-            DaemonMsg::ArrayAllocated {
-                id,
-                name,
-                extents,
-                dist,
-                subgrids,
-            } => {
-                let ext: Vec<String> = extents.iter().map(|e| e.to_string()).collect();
-                let subs: Vec<String> = subgrids
-                    .iter()
-                    .map(|(n, r, e)| format!("{n}:{r}:{e}"))
-                    .collect();
-                format!(
-                    "ALLOC|{id}|{}|{}|{}|{}",
-                    escape(name),
-                    ext.join(","),
-                    dist.name(),
-                    subs.join(",")
-                )
-            }
-            DaemonMsg::ArrayFreed { id } => format!("FREE|{id}"),
-            DaemonMsg::Sample {
-                metric,
-                focus,
-                wall,
-                value,
-            } => format!("SAMPLE|{}|{}|{wall}|{value}", escape(metric), escape(focus)),
-            DaemonMsg::ClockProbe { token, t_tool_ns } => {
-                format!("CLOCKP|{token}|{t_tool_ns}")
-            }
-            DaemonMsg::ClockReply {
-                token,
-                t_tool_ns,
-                t_daemon_ns,
-            } => format!("CLOCKR|{token}|{t_tool_ns}|{t_daemon_ns}"),
-            DaemonMsg::Shutdown => "SHUTDOWN".to_string(),
-            DaemonMsg::Goodbye { samples_sent } => format!("GOODBYE|{samples_sent}"),
-            DaemonMsg::SubtreeCoverage {
-                nodes_reporting,
-                nodes_total,
-                samples_lost,
-            } => format!("COVER|{nodes_reporting}|{nodes_total}|{samples_lost}"),
-        }
-    }
-
-    /// Decodes one wire line.
-    pub fn decode(line: &str) -> Result<Self, ProtoError> {
-        let mut parts = split_unescaped(line);
-        let kind = parts
-            .next()
-            .ok_or_else(|| track(DaemonError::MissingField("message kind".into())))?;
-        match kind.as_str() {
-            "ALLOC" => {
-                let id: u32 = next_field(&mut parts, "id")?
-                    .parse()
-                    .map_err(|_| track(DaemonError::BadNumber("id".into())))?;
-                let name = unescape(&next_field(&mut parts, "name")?)?;
-                let extents = parse_list(&next_field(&mut parts, "extents")?, "extent")?;
-                let dist_s = next_field(&mut parts, "dist")?;
-                let dist = Distribution::parse(&dist_s).ok_or_else(|| {
-                    track(DaemonError::BadDistribution(format!(
-                        "bad distribution '{dist_s}'"
-                    )))
-                })?;
-                let subs_s = next_field(&mut parts, "subgrids")?;
-                let mut subgrids = Vec::new();
-                for part in subs_s.split(',').filter(|p| !p.is_empty()) {
-                    let mut it = part.split(':');
-                    let n = parse_sub(it.next(), "node")?;
-                    let r = parse_sub(it.next(), "rows")?;
-                    let e = parse_sub(it.next(), "elems")?;
-                    subgrids.push((n, r, e));
-                }
-                Ok(DaemonMsg::ArrayAllocated {
-                    id,
-                    name,
-                    extents,
-                    dist,
-                    subgrids,
-                })
-            }
-            "FREE" => {
-                let id: u32 = next_field(&mut parts, "id")?
-                    .parse()
-                    .map_err(|_| track(DaemonError::BadNumber("id".into())))?;
-                Ok(DaemonMsg::ArrayFreed { id })
-            }
-            "SAMPLE" => {
-                let metric = unescape(&next_field(&mut parts, "metric")?)?;
-                let focus = unescape(&next_field(&mut parts, "focus")?)?;
-                let wall: u64 = next_field(&mut parts, "wall")?
-                    .parse()
-                    .map_err(|_| track(DaemonError::BadNumber("wall tick".into())))?;
-                let value: f64 = next_field(&mut parts, "value")?
-                    .parse()
-                    .map_err(|_| track(DaemonError::BadNumber("value".into())))?;
-                Ok(DaemonMsg::Sample {
-                    metric,
-                    focus,
-                    wall,
-                    value,
-                })
-            }
-            "CLOCKP" => Ok(DaemonMsg::ClockProbe {
-                token: parse_u64_field(&mut parts, "token")?,
-                t_tool_ns: parse_u64_field(&mut parts, "t_tool_ns")?,
-            }),
-            "CLOCKR" => Ok(DaemonMsg::ClockReply {
-                token: parse_u64_field(&mut parts, "token")?,
-                t_tool_ns: parse_u64_field(&mut parts, "t_tool_ns")?,
-                t_daemon_ns: parse_u64_field(&mut parts, "t_daemon_ns")?,
-            }),
-            "SHUTDOWN" => Ok(DaemonMsg::Shutdown),
-            "GOODBYE" => Ok(DaemonMsg::Goodbye {
-                samples_sent: next_field(&mut parts, "samples_sent")?
-                    .parse()
-                    .map_err(|_| track(DaemonError::BadNumber("samples_sent".into())))?,
-            }),
-            "COVER" => Ok(DaemonMsg::SubtreeCoverage {
-                nodes_reporting: next_field(&mut parts, "nodes_reporting")?
-                    .parse()
-                    .map_err(|_| track(DaemonError::BadNumber("nodes_reporting".into())))?,
-                nodes_total: next_field(&mut parts, "nodes_total")?
-                    .parse()
-                    .map_err(|_| track(DaemonError::BadNumber("nodes_total".into())))?,
-                samples_lost: parse_u64_field(&mut parts, "samples_lost")?,
-            }),
-            other => Err(track(DaemonError::UnknownKind(format!(
-                "unknown message kind '{other}'"
-            )))),
-        }
-    }
-}
 
 impl WirePayload for DaemonMsg {
     const KIND: FrameKind = FrameKind::Daemon;
@@ -505,43 +305,6 @@ impl WirePayload for DaemonMsg {
     }
 }
 
-fn split_unescaped(line: &str) -> impl Iterator<Item = String> + '_ {
-    // '|' separators are escaped as "\p" inside fields, so a plain split is
-    // unambiguous.
-    line.split('|').map(str::to_string)
-}
-
-fn next_field(parts: &mut impl Iterator<Item = String>, what: &str) -> Result<String, DaemonError> {
-    parts
-        .next()
-        .ok_or_else(|| track(DaemonError::MissingField(format!("missing field '{what}'"))))
-}
-
-fn parse_list(s: &str, what: &str) -> Result<Vec<usize>, DaemonError> {
-    s.split(',')
-        .filter(|p| !p.is_empty())
-        .map(|p| {
-            p.parse()
-                .map_err(|_| track(DaemonError::BadNumber(format!("bad {what} '{p}'"))))
-        })
-        .collect()
-}
-
-fn parse_u64_field(
-    parts: &mut impl Iterator<Item = String>,
-    what: &str,
-) -> Result<u64, DaemonError> {
-    next_field(parts, what)?
-        .parse()
-        .map_err(|_| track(DaemonError::BadNumber(what.into())))
-}
-
-fn parse_sub(s: Option<&str>, what: &str) -> Result<usize, DaemonError> {
-    s.ok_or_else(|| track(DaemonError::MissingField(format!("missing subgrid {what}"))))?
-        .parse()
-        .map_err(|_| track(DaemonError::BadNumber(format!("bad subgrid {what}"))))
-}
-
 /// The application side: encodes mapping information onto the wire. Install
 /// as the machine's [`MappingSink`].
 pub struct InstrLibEndpoint {
@@ -610,7 +373,7 @@ pub struct Daemon {
     link: Link,
     data: Arc<DataManager>,
     samples: Vec<DaemonMsg>,
-    decode_errors: Vec<ProtoError>,
+    decode_errors: Vec<DaemonError>,
 }
 
 impl Daemon {
@@ -771,7 +534,7 @@ impl Daemon {
     }
 
     /// Undecodable frames encountered (kept for diagnosis, never fatal).
-    pub fn decode_errors(&self) -> &[ProtoError] {
+    pub fn decode_errors(&self) -> &[DaemonError] {
         &self.decode_errors
     }
 
@@ -800,7 +563,6 @@ mod tests {
             dist: Distribution::Block,
             subgrids: vec![(0, 16, 1024), (1, 16, 1024)],
         };
-        assert_eq!(DaemonMsg::decode(&m.encode()).unwrap(), m);
         assert_eq!(DaemonMsg::from_frame(&m.to_frame()).unwrap(), m);
     }
 
@@ -812,60 +574,47 @@ mod tests {
             wall: 12345,
             value: 0.0625,
         };
-        assert_eq!(DaemonMsg::decode(&m.encode()).unwrap(), m);
         assert_eq!(DaemonMsg::from_frame(&m.to_frame()).unwrap(), m);
     }
 
     #[test]
     fn free_roundtrip_and_errors() {
         let m = DaemonMsg::ArrayFreed { id: 9 };
-        assert_eq!(DaemonMsg::decode(&m.encode()).unwrap(), m);
-        assert!(DaemonMsg::decode("").is_err());
-        assert!(DaemonMsg::decode("BOGUS|1").is_err());
-        assert!(DaemonMsg::decode("ALLOC|x|A|8|block|").is_err());
-        assert!(DaemonMsg::decode("SAMPLE|m|f|notanumber|1").is_err());
+        assert_eq!(DaemonMsg::from_frame(&m.to_frame()).unwrap(), m);
+        let empty = pdmap_transport::Frame::data(FrameKind::Daemon, Vec::new());
+        assert!(DaemonMsg::from_frame(&empty).is_err());
+        let bad_dist = DaemonMsg::ArrayAllocated {
+            id: 1,
+            name: "A".into(),
+            extents: vec![8],
+            dist: Distribution::Block,
+            subgrids: Vec::new(),
+        };
+        let mut frame = bad_dist.to_frame();
+        let at = frame.payload.len() - 9; // the 'b' of "block"
+        frame.payload[at] = b'x';
+        assert!(DaemonMsg::from_frame(&frame).is_err());
     }
 
     #[test]
     fn every_error_variant_bumps_its_counter() {
-        // The registry is global to the test binary, so compare before and
-        // after rather than asserting absolute values.
+        // The registry is global to the test binary and other tests raise
+        // the same errors concurrently, so check that each counter moved.
         let get = |kind: &str| pdmap_obs::counter(&format!("daemon.error.{kind}")).get();
-        let cases: &[(&str, &str)] = &[
-            ("BOGUS|1", "unknown_kind"),
-            ("SAMPLE|m|f|notanumber|1", "bad_number"),
-            ("ALLOC|1|A|8|diagonal|", "bad_distribution"),
-            ("SAMPLE|m\\q|f|1|1", "bad_escape"),
-            ("SAMPLE|m|f", "missing_field"),
-        ];
-        for &(line, kind) in cases {
-            let before = get(kind);
-            let err = DaemonMsg::decode(line).unwrap_err();
-            assert_eq!(err.kind(), kind, "decoding {line:?}");
-            assert_eq!(get(kind), before + 1, "counter for {kind}");
-            assert!(err.to_string().contains(kind), "{err}");
+        let dm = Arc::new(DataManager::new(Namespace::new(), "CM Fortran"));
+        let (endpoint, mut daemon) = Daemon::pair(dm);
+        let (codec, recv) = (get("codec"), get("recv"));
+        endpoint.tx.send(FrameKind::Daemon, vec![77]).unwrap(); // unknown tag
+        daemon.pump();
+        daemon.link.server.close();
+        daemon.pump();
+        let kinds: Vec<&str> = daemon.decode_errors().iter().map(|e| e.kind()).collect();
+        assert_eq!(kinds, ["codec", "recv"]);
+        assert!(get("codec") > codec, "counter for codec");
+        assert!(get("recv") > recv, "counter for recv");
+        for err in daemon.decode_errors() {
+            assert!(err.to_string().contains(err.kind()), "{err}");
         }
-    }
-
-    #[test]
-    fn escape_unescape_roundtrip() {
-        for s in ["plain", "with|pipe", "back\\slash", "new\nline", "\\p", ""] {
-            assert_eq!(unescape(&escape(s)).unwrap(), s);
-        }
-    }
-
-    #[test]
-    fn unescape_rejects_malformed_input() {
-        // Unknown escape sequences are corruption, not literals.
-        assert!(unescape("bad\\q").is_err());
-        assert!(unescape("\\x41").is_err());
-        // A trailing lone backslash can never be produced by `escape`.
-        assert!(unescape("trailing\\").is_err());
-        assert!(unescape("\\").is_err());
-        // And the errors surface through full-message decoding.
-        assert!(DaemonMsg::decode("SAMPLE|bad\\q|f|1|1.0").is_err());
-        assert!(DaemonMsg::decode("SAMPLE|m|trailing\\|1|1.0").is_err());
-        assert!(DaemonMsg::decode("ALLOC|1|bad\\z|8|block|").is_err());
     }
 
     #[test]
@@ -882,7 +631,7 @@ mod tests {
     }
 
     #[test]
-    fn clock_messages_roundtrip_both_codecs() {
+    fn clock_messages_roundtrip() {
         let probe = DaemonMsg::ClockProbe {
             token: 7,
             t_tool_ns: 123,
@@ -893,15 +642,12 @@ mod tests {
             t_daemon_ns: 456,
         };
         for m in [probe, reply] {
-            assert_eq!(DaemonMsg::decode(&m.encode()).unwrap(), m);
             assert_eq!(DaemonMsg::from_frame(&m.to_frame()).unwrap(), m);
         }
-        assert!(DaemonMsg::decode("CLOCKP|x|1").is_err());
-        assert!(DaemonMsg::decode("CLOCKR|1|2").is_err());
     }
 
     #[test]
-    fn lifecycle_messages_roundtrip_both_codecs() {
+    fn lifecycle_messages_roundtrip() {
         for m in [
             DaemonMsg::Shutdown,
             DaemonMsg::Goodbye { samples_sent: 42 },
@@ -911,13 +657,8 @@ mod tests {
                 samples_lost: 12_000,
             },
         ] {
-            assert_eq!(DaemonMsg::decode(&m.encode()).unwrap(), m);
             assert_eq!(DaemonMsg::from_frame(&m.to_frame()).unwrap(), m);
         }
-        assert!(DaemonMsg::decode("GOODBYE|x").is_err());
-        assert!(DaemonMsg::decode("GOODBYE").is_err());
-        assert!(DaemonMsg::decode("COVER|1|2").is_err());
-        assert!(DaemonMsg::decode("COVER|x|2|0").is_err());
     }
 
     #[test]

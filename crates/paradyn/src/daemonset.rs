@@ -32,6 +32,20 @@
 //! daemons import mappings and deliver samples concurrently without
 //! sharing a lock (see `datamgr`'s module docs for the invariants).
 //!
+//! # The sample spine
+//!
+//! Every sample lands in one [`SampleColumns`] the set owns, in arrival
+//! order: a [`SampleBatch`] frame decodes straight to columns and its
+//! dictionary is interned once per frame; a loose [`DaemonMsg::Sample`]
+//! is a one-row push. The pooled drain partitions by owner — each worker
+//! fills its own columns and the set appends them after the pass — so no
+//! sample store is shared while links drain. Readers stay columnar
+//! (re-alignment after [`DaemonSet::clock_sync`], the cost bound, the
+//! per-key streams); [`DaemonSet::merged_samples`] is the render edge
+//! that materializes [`AlignedSample`] rows. `Obs *` telemetry is
+//! classified while a frame's strings still exist and handed to the
+//! fleet-health view as rows.
+//!
 //! # Supervision and partial failure
 //!
 //! §4.2.4 concedes that mapping information can be lost or delayed; a set
@@ -71,14 +85,16 @@ use crate::selfmap;
 use crate::stream::Stream;
 use cmrts_sim::machine::ArrayAllocInfo;
 use cmrts_sim::ArrayId;
-use pdmap::intern::Symbol;
+use pdmap::columns::SampleColumns;
+use pdmap::intern::{self, Symbol};
 use pdmap::interval::Interval;
 use pdmap::model::Namespace;
+use pdmap::util::FxHashMap;
 use pdmap_transport::{
     send_wire, Frame, FrameKind, PifBlob, SampleBatch, TcpClient, TopoChild, TopologyMsg,
     Transport, TransportConfig, WirePayload,
 };
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::net::SocketAddr;
 use std::ops::Deref;
@@ -115,11 +131,13 @@ pub struct ClockEstimate {
     pub rounds: u32,
 }
 
-/// A metric sample stamped onto the tool clock.
+/// A metric sample stamped onto the tool clock, as one row.
 ///
-/// Names are shared `Arc<str>`s: a batched frame's dictionary is decoded
-/// once and every sample in it references the same allocations, so the
-/// root's per-sample drain cost is pointer copies, not string clones.
+/// The session stores samples as columns ([`DaemonSet::samples`]); rows
+/// exist only at the edges: [`DaemonSet::merged_samples`] materializes
+/// them for rendering, and drains hand `Obs *` telemetry to the
+/// fleet-health view as rows. Names are shared `Arc<str>`s, one
+/// allocation per distinct name, so a row costs pointer copies.
 #[derive(Clone, Debug, PartialEq)]
 pub struct AlignedSample {
     /// Index of the daemon connection that delivered it.
@@ -134,6 +152,22 @@ pub struct AlignedSample {
     pub aligned_ns: u64,
     /// Sampled value.
     pub value: f64,
+}
+
+/// What one drain lands: its samples as columns, plus the `Obs *`
+/// telemetry rows among them, classified while the frame's strings still
+/// exist (resolving a [`Symbol`] takes the symbol table's read lock).
+#[derive(Default)]
+struct Landing {
+    cols: SampleColumns,
+    telemetry: Vec<AlignedSample>,
+}
+
+/// True for fleet-health telemetry: an `Obs *` metric under a
+/// [`selfmap::OBS_FOCUS_PREFIX`] focus. Everything else is application
+/// data.
+fn is_telemetry(metric: &str, focus: &str) -> bool {
+    focus.starts_with(selfmap::OBS_FOCUS_PREFIX) && metric.starts_with("Obs ")
 }
 
 /// Clock synchronisation failed for one daemon (no reply within the
@@ -615,12 +649,6 @@ pub struct DaemonConn {
     retry_attempt: u32,
     next_retry: Option<Instant>,
     reconnect: Option<ReconnectFn>,
-    /// Shared `Arc<str>` names for the *unbatched* sample path: a daemon
-    /// that sends loose [`DaemonMsg::Sample`]s repeats the same handful of
-    /// metric/focus strings per sample, so they are interned here and every
-    /// [`AlignedSample`] shares the allocation — the same economy the
-    /// batched path gets from its frame dictionary.
-    interned: HashSet<Arc<str>>,
     /// The latest [`DaemonMsg::SubtreeCoverage`] this peer reported —
     /// present when the peer is a relay aggregating a subtree, absent for
     /// a leaf daemon (which counts as a 1/1 subtree).
@@ -745,28 +773,14 @@ impl DaemonConn {
         (wall as i64 - self.clock.offset_ns).max(0) as u64
     }
 
-    /// The shared `Arc<str>` for `s`, allocated on first sight only — so
-    /// an unbatched sample costs one allocation per *distinct* name, not
-    /// one per sample.
-    fn intern(&mut self, s: String) -> Arc<str> {
-        match self.interned.get(s.as_str()) {
-            Some(shared) => shared.clone(),
-            None => {
-                let shared: Arc<str> = s.into();
-                self.interned.insert(shared.clone());
-                shared
-            }
-        }
-    }
-
-    /// Drains every frame currently queued on this link into `out`,
-    /// forwarding mapping information to `data`'s shard. If `want_token`
-    /// is set, a matching clock reply is returned (and not dispatched).
-    /// Returns `(frames_processed, matched_reply_t_daemon)`.
+    /// Drains every frame currently queued on this link, landing samples
+    /// in `out` and forwarding mapping information to `data`'s shard. If
+    /// `want_token` is set, a matching clock reply is returned (and not
+    /// dispatched). Returns `(frames_processed, matched_reply_t_daemon)`.
     fn drain(
         &mut self,
         data: &DataManager,
-        out: &mut Vec<AlignedSample>,
+        out: &mut Landing,
         index: usize,
         want_token: Option<u64>,
     ) -> (usize, Option<u64>) {
@@ -795,71 +809,63 @@ impl DaemonConn {
         }
     }
 
-    /// Drains this link like [`DaemonConn::drain`], but batched samples
-    /// decode straight to columns and land in the data manager's shard
-    /// buffer — no per-sample structs, no `Arc` refcount traffic. Every
-    /// other frame kind (control frames, loose samples, PIF blobs) takes
-    /// the usual [`DaemonConn::dispatch`] path; those are cold.
-    fn drain_columns(
-        &mut self,
-        data: &DataManager,
-        out: &mut Vec<AlignedSample>,
-        index: usize,
-    ) -> usize {
-        let mut n = 0;
-        loop {
-            match self.tx.try_recv() {
-                Ok(Some(frame)) => {
-                    n += 1;
-                    self.last_frame = Instant::now();
-                    if frame.kind == FrameKind::SampleBatch {
-                        self.fold_batch_columns(&frame, data, index);
-                    } else {
-                        self.dispatch(frame, data, out, index, None);
-                    }
-                }
-                Ok(None) => return n,
-                Err(e) => {
-                    let err = crate::daemon::track_error(DaemonError::Recv(e.to_string()));
-                    if self.decode_errors.last() != Some(&err) {
-                        self.decode_errors.push(err);
-                    }
-                    return n;
-                }
+    /// Lands one [`SampleBatch`] frame: decoded straight to columns, its
+    /// dictionary interned once, telemetry classified per dictionary
+    /// entry, and the frame's samples counted on this link and its shard.
+    fn land_batch(&mut self, frame: &Frame, data: &DataManager, out: &mut Landing, index: usize) {
+        let batch = match SampleBatch::columns_from_frame(frame) {
+            Ok(batch) => batch,
+            Err(e) => {
+                self.decode_errors
+                    .push(crate::daemon::track_error(DaemonError::Codec(e.0)));
+                return;
+            }
+        };
+        // Sequence-watermark dedup: a handover replays the sender's ring
+        // suffix, and anything we already folded in arrives again with a
+        // seq at or below our watermark. Seq 0 is a legacy unsequenced
+        // batch — never deduped.
+        if batch.seq != 0 && batch.seq <= self.last_seq {
+            self.replays_suppressed += 1;
+            return;
+        }
+        if batch.seq != 0 {
+            self.last_seq = batch.seq;
+        }
+        // Cumulative per-grandchild provenance: a mark in this batch
+        // proves everything through its `through_seq` already arrived
+        // here — the exact replay watermark if this relay dies and we
+        // adopt its children.
+        for m in &batch.sources {
+            let e = self.source_marks.entry(m.origin.clone()).or_insert((0, 0));
+            if m.through_seq >= e.0 {
+                *e = (m.through_seq, m.samples);
             }
         }
-    }
-
-    /// The columnar twin of the `SampleBatch` arm of
-    /// [`DaemonConn::dispatch`]: identical sequence-watermark dedup,
-    /// provenance folding, and conservation accounting — only the sample
-    /// payload takes the columnar route into the shard buffer.
-    fn fold_batch_columns(&mut self, frame: &Frame, data: &DataManager, index: usize) {
-        match SampleBatch::columns_from_frame(frame) {
-            Ok(cols) => {
-                if cols.seq != 0 && cols.seq <= self.last_seq {
-                    self.replays_suppressed += 1;
-                    return;
+        let n = batch.len() as u64;
+        self.samples_received += n;
+        self.life_received += n;
+        data.note_samples_on(self.shard, n);
+        out.cols
+            .extend_batch(index as u32, self.clock.offset_ns, &batch);
+        let obs: Vec<Option<(Arc<str>, Arc<str>)>> = batch
+            .dict
+            .iter()
+            .map(|(m, f)| is_telemetry(m, f).then(|| (m.as_str().into(), f.as_str().into())))
+            .collect();
+        if obs.iter().any(Option::is_some) {
+            for (i, &k) in batch.key.iter().enumerate() {
+                if let Some((metric, focus)) = &obs[k as usize] {
+                    out.telemetry.push(AlignedSample {
+                        daemon: index,
+                        metric: metric.clone(),
+                        focus: focus.clone(),
+                        wall: batch.wall[i],
+                        aligned_ns: self.align(batch.wall[i]),
+                        value: batch.value[i],
+                    });
                 }
-                if cols.seq != 0 {
-                    self.last_seq = cols.seq;
-                }
-                for m in &cols.sources {
-                    let e = self.source_marks.entry(m.origin.clone()).or_insert((0, 0));
-                    if m.through_seq >= e.0 {
-                        *e = (m.through_seq, m.samples);
-                    }
-                }
-                let n = cols.len() as u64;
-                self.samples_received += n;
-                self.life_received += n;
-                // `append_columns_on` moves the shard's sample counters
-                // itself — the columnar `note_samples_on`.
-                data.append_columns_on(self.shard, index as u32, self.clock.offset_ns, &cols);
             }
-            Err(e) => self
-                .decode_errors
-                .push(crate::daemon::track_error(DaemonError::Codec(e.0))),
         }
     }
 
@@ -867,7 +873,7 @@ impl DaemonConn {
         &mut self,
         frame: Frame,
         data: &DataManager,
-        out: &mut Vec<AlignedSample>,
+        out: &mut Landing,
         index: usize,
         want_token: Option<u64>,
     ) -> Option<u64> {
@@ -901,14 +907,25 @@ impl DaemonConn {
                     self.samples_received += 1;
                     self.life_received += 1;
                     data.note_samples_on(self.shard, 1);
-                    out.push(AlignedSample {
-                        daemon: index,
-                        metric: self.intern(metric),
-                        focus: self.intern(focus),
+                    let aligned_ns = self.align(wall);
+                    out.cols.push(
+                        index as u32,
+                        intern::sym(&metric),
+                        intern::sym(&focus),
                         wall,
-                        aligned_ns: self.align(wall),
+                        aligned_ns,
                         value,
-                    });
+                    );
+                    if is_telemetry(&metric, &focus) {
+                        out.telemetry.push(AlignedSample {
+                            daemon: index,
+                            metric: metric.into(),
+                            focus: focus.into(),
+                            wall,
+                            aligned_ns,
+                            value,
+                        });
+                    }
                 }
                 Ok(DaemonMsg::ClockReply {
                     token, t_daemon_ns, ..
@@ -942,48 +959,7 @@ impl DaemonConn {
                     .decode_errors
                     .push(crate::daemon::track_error(DaemonError::Codec(e.0))),
             },
-            FrameKind::SampleBatch => match SampleBatch::from_frame(&frame) {
-                Ok(batch) => {
-                    // Sequence-watermark dedup: a handover replays the
-                    // sender's ring suffix, and anything we already folded
-                    // in arrives again with a seq at or below our
-                    // watermark. Seq 0 is a legacy unsequenced batch —
-                    // never deduped.
-                    if batch.seq != 0 && batch.seq <= self.last_seq {
-                        self.replays_suppressed += 1;
-                        return None;
-                    }
-                    if batch.seq != 0 {
-                        self.last_seq = batch.seq;
-                    }
-                    // Cumulative per-grandchild provenance: a mark in this
-                    // batch proves everything through its `through_seq`
-                    // already arrived here — the exact replay watermark if
-                    // this relay dies and we adopt its children.
-                    for m in &batch.sources {
-                        let e = self.source_marks.entry(m.origin.clone()).or_insert((0, 0));
-                        if m.through_seq >= e.0 {
-                            *e = (m.through_seq, m.samples);
-                        }
-                    }
-                    let n = batch.samples.len() as u64;
-                    self.samples_received += n;
-                    self.life_received += n;
-                    data.note_samples_on(self.shard, n);
-                    let offset = self.clock.offset_ns;
-                    out.extend(batch.samples.into_iter().map(|s| AlignedSample {
-                        daemon: index,
-                        aligned_ns: (s.wall as i64 - offset).max(0) as u64,
-                        metric: s.metric,
-                        focus: s.focus,
-                        wall: s.wall,
-                        value: s.value,
-                    }));
-                }
-                Err(e) => self
-                    .decode_errors
-                    .push(crate::daemon::track_error(DaemonError::Codec(e.0))),
-            },
+            FrameKind::SampleBatch => self.land_batch(&frame, data, out, index),
             FrameKind::PifBlob => {
                 match PifBlob::from_frame(&frame) {
                     Ok(blob) => {
@@ -1075,7 +1051,8 @@ struct PoolEpoch {
     /// Workers that have not finished the current epoch.
     active: usize,
     frames: usize,
-    samples: Vec<AlignedSample>,
+    /// Each worker's own landing, appended whole when it finishes.
+    landed: Vec<Landing>,
     data: Option<Arc<DataManager>>,
 }
 
@@ -1106,7 +1083,7 @@ impl DrainPool {
                     cursor: 0,
                     active: 0,
                     frames: 0,
-                    samples: Vec::new(),
+                    landed: Vec::new(),
                     data: None,
                 },
             )),
@@ -1147,7 +1124,7 @@ impl DrainPool {
             seen_epoch = st.0;
             let data = st.2.data.clone();
             let mut local_frames = 0usize;
-            let mut local_samples: Vec<AlignedSample> = Vec::new();
+            let mut local = Landing::default();
             loop {
                 let job = if st.2.cursor < st.2.jobs.len() {
                     let j = st.2.jobs[st.2.cursor].clone();
@@ -1161,7 +1138,7 @@ impl DrainPool {
                         drop(st); // drain off-lock so workers overlap
                         if let Some(data) = data.as_deref() {
                             let mut conn = lock(&cell);
-                            local_frames += conn.drain(data, &mut local_samples, index, None).0;
+                            local_frames += conn.drain(data, &mut local, index, None).0;
                         }
                         st = lock(&shared.state);
                     }
@@ -1169,7 +1146,7 @@ impl DrainPool {
                 }
             }
             st.2.frames += local_frames;
-            st.2.samples.append(&mut local_samples);
+            st.2.landed.push(local);
             st.2.active -= 1;
             if st.2.active == 0 {
                 shared.done_cv.notify_all();
@@ -1178,18 +1155,18 @@ impl DrainPool {
     }
 
     /// Dispatches one drain pass over `jobs` and blocks until every job has
-    /// been drained. Returns `(frames, samples)` merged across workers.
+    /// been drained. Returns the frames drained and each worker's landing.
     fn run(
         &self,
         jobs: Vec<(usize, Arc<Mutex<DaemonConn>>)>,
         data: Arc<DataManager>,
-    ) -> (usize, Vec<AlignedSample>) {
+    ) -> (usize, Vec<Landing>) {
         set_obs().pool_drains.incr();
         let mut st = lock(&self.shared.state);
         st.2.jobs = jobs;
         st.2.cursor = 0;
         st.2.frames = 0;
-        st.2.samples.clear();
+        st.2.landed.clear();
         st.2.data = Some(data);
         st.2.active = self.workers.len();
         st.0 += 1;
@@ -1205,7 +1182,7 @@ impl DrainPool {
         }
         st.2.jobs.clear();
         st.2.data = None;
-        (st.2.frames, std::mem::take(&mut st.2.samples))
+        (st.2.frames, std::mem::take(&mut st.2.landed))
     }
 
     fn size(&self) -> usize {
@@ -1233,7 +1210,7 @@ impl Drop for DrainPool {
 fn sync_conn(
     conn: &mut DaemonConn,
     data: &DataManager,
-    out: &mut Vec<AlignedSample>,
+    out: &mut Landing,
     index: usize,
     rounds: u32,
     timeout: Duration,
@@ -1308,7 +1285,8 @@ fn send_seed(conn: &DaemonConn, epoch: u64, watermark: u64, received: u64) -> bo
 pub struct DaemonSet {
     data: Arc<DataManager>,
     conns: Vec<Arc<Mutex<DaemonConn>>>,
-    samples: Vec<AlignedSample>,
+    /// Every sample landed so far, in arrival order.
+    samples: SampleColumns,
     policy: SupervisorPolicy,
     recoveries: Vec<RecoveryReport>,
     reparents: Vec<ReparentReport>,
@@ -1323,9 +1301,6 @@ pub struct DaemonSet {
     pool: Option<DrainPool>,
     /// Per-node health assembled from streamed `Obs *` telemetry.
     health_view: FleetHealth,
-    /// Index into `samples` up to which telemetry has been folded into
-    /// `health_view`, so each pump scans only the new arrivals.
-    health_cursor: usize,
 }
 
 /// A borrowed view of one connection — a lock guard that derefs to
@@ -1404,7 +1379,6 @@ impl DaemonSet {
                     retry_attempt: 0,
                     next_retry: None,
                     reconnect: None,
-                    interned: HashSet::new(),
                     subtree: None,
                     last_seq: 0,
                     replays_suppressed: 0,
@@ -1419,7 +1393,7 @@ impl DaemonSet {
         Self {
             data,
             conns,
-            samples: Vec::new(),
+            samples: SampleColumns::new(),
             policy: SupervisorPolicy::default(),
             recoveries: Vec::new(),
             reparents: Vec::new(),
@@ -1427,7 +1401,6 @@ impl DaemonSet {
             epoch: 0,
             pool: None,
             health_view: FleetHealth::default(),
-            health_cursor: 0,
         }
     }
 
@@ -1560,12 +1533,13 @@ impl DaemonSet {
         let data = self.data.clone();
         let policy = self.policy;
         let mut first_err: Option<ClockSyncError> = None;
+        let mut landed = Landing::default();
         for (i, cell) in self.conns.iter().enumerate() {
             let mut conn = lock(cell);
             if conn.health == DaemonHealth::Quarantined {
                 continue;
             }
-            match sync_conn(&mut conn, &data, &mut self.samples, i, rounds, timeout) {
+            match sync_conn(&mut conn, &data, &mut landed, i, rounds, timeout) {
                 Some(est) => conn.clock = est,
                 None => {
                     conn.health = DaemonHealth::Quarantined;
@@ -1581,14 +1555,15 @@ impl DaemonSet {
                 }
             }
         }
-        // Re-align anything that arrived before (or during) the handshake —
-        // the struct spine in place, the columnar shard buffers as a
-        // column pass per daemon.
+        // Re-align anything that arrived before (or during) the handshake:
+        // one pass over the columns, and the telemetry rows before they
+        // reach the fleet-health view.
         let offsets: Vec<i64> = self.conns.iter().map(|c| lock(c).clock.offset_ns).collect();
-        for s in &mut self.samples {
-            s.aligned_ns = (s.wall as i64 - offsets[s.daemon]).max(0) as u64;
+        for row in &mut landed.telemetry {
+            row.aligned_ns = (row.wall as i64 - offsets[row.daemon]).max(0) as u64;
         }
-        self.data.realign_columns_all(&offsets);
+        self.absorb(landed);
+        self.samples.realign_all(&offsets);
         match first_err {
             Some(e) => Err(e),
             None => Ok(()),
@@ -1600,10 +1575,10 @@ impl DaemonSet {
     /// the same loop that pumps; it is cheap when nothing is wrong.
     /// Returns the post-pass [`Coverage`].
     pub fn supervise(&mut self) -> Coverage {
-        self.update_fleet_health();
         let now = Instant::now();
         let policy = self.policy;
         let data = self.data.clone();
+        let mut landed = Landing::default();
         // Telemetry staleness per connection: a link whose self-reports
         // all went dark is degraded even while other frames keep its
         // heartbeat fresh — the daemon's watchdog stopped barking.
@@ -1677,7 +1652,7 @@ impl DaemonSet {
                     match sync_conn(
                         &mut conn,
                         &data,
-                        &mut self.samples,
+                        &mut landed,
                         i,
                         policy.retry_sync_rounds,
                         policy.retry_sync_timeout,
@@ -1721,6 +1696,7 @@ impl DaemonSet {
                 }
             }
         }
+        self.absorb(landed);
         if policy.adopt_orphans {
             self.adopt_orphans();
         }
@@ -1759,6 +1735,7 @@ impl DaemonSet {
             work.push((i, c.addr.clone(), topo, marks, gap));
         }
         let shards = data.shard_count();
+        let mut landed = Landing::default();
         for (i, addr, topo, marks, gap) in work {
             self.epoch += 1;
             set_obs().reparent.incr();
@@ -1800,7 +1777,6 @@ impl DaemonSet {
                     retry_attempt: 0,
                     next_retry: None,
                     reconnect: Some(Box::new(move || d(sock))),
-                    interned: HashSet::new(),
                     subtree: None,
                     last_seq: w,
                     replays_suppressed: 0,
@@ -1814,7 +1790,7 @@ impl DaemonSet {
                 match sync_conn(
                     &mut conn,
                     &data,
-                    &mut self.samples,
+                    &mut landed,
                     idx,
                     policy.retry_sync_rounds,
                     policy.retry_sync_timeout,
@@ -1844,6 +1820,7 @@ impl DaemonSet {
                 epoch: self.epoch,
             });
         }
+        self.absorb(landed);
     }
 
     /// Asks daemon `i` to shut down gracefully (drain, then announce its
@@ -1872,7 +1849,7 @@ impl DaemonSet {
         }
         let deadline = Instant::now() + timeout;
         loop {
-            self.pump();
+            self.pump_parallel();
             let all_announced = self.conns.iter().all(|c| {
                 let c = lock(c);
                 c.health == DaemonHealth::Quarantined || c.announced_sent.is_some()
@@ -1885,27 +1862,12 @@ impl DaemonSet {
         self.coverage()
     }
 
-    /// Drains every admitted (non-quarantined) link once, sequentially.
-    /// Returns frames processed.
-    pub fn pump(&mut self) -> usize {
-        let data = self.data.clone();
-        let mut n = 0;
-        for (i, cell) in self.conns.iter().enumerate() {
-            let mut conn = lock(cell);
-            if conn.health == DaemonHealth::Quarantined {
-                continue;
-            }
-            n += conn.drain(&data, &mut self.samples, i, None).0;
-        }
-        self.update_fleet_health();
-        n
-    }
-
     /// Drains every admitted link concurrently through the persistent
     /// drain pool — `min(connections, available_parallelism)` long-lived
     /// workers claim connections off a shared cursor, each feeding its own
     /// data-manager shard (the contention the sharded manager exists to
-    /// absorb). The pool is built at the first call and reused for the
+    /// absorb) and its own landing columns, which the set appends after
+    /// the pass. The pool is built at the first call and reused for the
     /// session: a drain pass costs a condvar wakeup, not one thread spawn
     /// per connection. Quarantined connections are never dispatched.
     /// Returns frames processed.
@@ -1924,9 +1886,10 @@ impl DaemonSet {
             let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
             DrainPool::new(self.conns.len().min(cores))
         });
-        let (frames, samples) = pool.run(jobs, self.data.clone());
-        self.samples.extend(samples);
-        self.update_fleet_health();
+        let (frames, landed) = pool.run(jobs, self.data.clone());
+        for l in landed {
+            self.absorb(l);
+        }
         frames
     }
 
@@ -1935,12 +1898,13 @@ impl DaemonSet {
     /// measured reference: the fleet drill's flat baseline drains through
     /// this path, so its headline ratio compares the relay/batch/pool
     /// subsystem against the architecture it superseded rather than
-    /// against a strawman. Not for production call sites; use
-    /// [`DaemonSet::pump_parallel`].
+    /// against a strawman. Each thread lands through the same
+    /// [`DaemonConn`] drain as the pool. Not for production call sites;
+    /// use [`DaemonSet::pump_parallel`].
     pub fn pump_parallel_unpooled(&mut self) -> usize {
         let data = self.data.clone();
         let mut total = 0;
-        let mut merged: Vec<AlignedSample> = Vec::new();
+        let mut landed: Vec<Landing> = Vec::new();
         std::thread::scope(|s| {
             let handles: Vec<_> = self
                 .conns
@@ -1950,7 +1914,7 @@ impl DaemonSet {
                 .map(|(i, cell)| {
                     let data = &data;
                     s.spawn(move || {
-                        let mut local = Vec::new();
+                        let mut local = Landing::default();
                         let n = lock(cell).drain(data, &mut local, i, None).0;
                         (n, local)
                     })
@@ -1959,12 +1923,22 @@ impl DaemonSet {
             for h in handles {
                 let (n, local) = h.join().expect("pump thread panicked");
                 total += n;
-                merged.extend(local);
+                landed.push(local);
             }
         });
-        self.samples.extend(merged);
-        self.update_fleet_health();
+        for l in landed {
+            self.absorb(l);
+        }
         total
+    }
+
+    /// Appends one drain's landing to the session: its columns to the
+    /// sample store, its telemetry rows to the fleet-health view.
+    fn absorb(&mut self, landed: Landing) {
+        self.samples.append(&landed.cols);
+        for row in &landed.telemetry {
+            self.health_view.observe(row);
+        }
     }
 
     /// Pumps all links until at least `want` samples have been received in
@@ -1990,15 +1964,15 @@ impl DaemonSet {
         }
     }
 
-    /// All samples received so far, in arrival order.
-    pub fn samples(&self) -> &[AlignedSample] {
+    /// All samples received so far, as columns in arrival order.
+    pub fn samples(&self) -> &SampleColumns {
         &self.samples
     }
 
     /// The largest per-sample value received so far — the per-sample cost
     /// bound [`Coverage::bound_mass`] prices lost samples at.
     pub fn max_sample_value(&self) -> f64 {
-        self.samples.iter().map(|s| s.value).fold(0.0, f64::max)
+        self.samples.values().iter().copied().fold(0.0, f64::max)
     }
 
     /// The session label to stamp on a coverage-aware tool
@@ -2015,19 +1989,6 @@ impl DaemonSet {
     /// as of the last pump or supervision pass.
     pub fn fleet_health(&self) -> &FleetHealth {
         &self.health_view
-    }
-
-    /// Folds telemetry samples that arrived since the last call into the
-    /// fleet-health view. A telemetry sample is any sample whose focus
-    /// carries the [`selfmap::OBS_FOCUS_PREFIX`] and whose metric is an
-    /// `Obs *` row; everything else is application data and is skipped.
-    fn update_fleet_health(&mut self) {
-        for s in &self.samples[self.health_cursor..] {
-            if s.focus.starts_with(selfmap::OBS_FOCUS_PREFIX) && s.metric.starts_with("Obs ") {
-                self.health_view.observe(s);
-            }
-        }
-        self.health_cursor = self.samples.len();
     }
 
     /// Asks a span-site question about a *remote* node — "how much time
@@ -2065,75 +2026,48 @@ impl DaemonSet {
 
     /// The merged sample stream, sorted by aligned (tool-clock) time —
     /// the single stream the paper's front end consumes. Stable, so
-    /// same-instant samples keep arrival order. The result carries the
-    /// session's [`Coverage`], so a merge computed over a degraded fleet
-    /// is labeled as such instead of silently reading low.
+    /// same-instant samples keep arrival order. The render edge of the
+    /// sample columns: rows are materialized here, sharing one `Arc<str>`
+    /// per distinct name. The result carries the session's [`Coverage`],
+    /// so a merge computed over a degraded fleet is labeled as such
+    /// instead of silently reading low.
     pub fn merged_samples(&self) -> Merged {
-        let mut out = self.samples.clone();
-        out.sort_by_key(|s| s.aligned_ns);
+        let cols = &self.samples;
+        let mut names: FxHashMap<Symbol, Arc<str>> = FxHashMap::default();
+        let mut name = |s: Symbol| names.entry(s).or_insert_with(|| s.as_str().into()).clone();
+        let samples = cols
+            .aligned_order()
+            .into_iter()
+            .map(|i| {
+                let i = i as usize;
+                AlignedSample {
+                    daemon: cols.daemons()[i] as usize,
+                    metric: name(cols.metrics()[i]),
+                    focus: name(cols.foci()[i]),
+                    wall: cols.walls()[i],
+                    aligned_ns: cols.aligneds()[i],
+                    value: cols.values()[i],
+                }
+            })
+            .collect();
         Merged {
-            samples: out,
+            samples,
             coverage: self.coverage(),
         }
     }
 
     /// Groups the merged stream into one [`Stream`] per (metric, focus)
-    /// pair, with sample times on the tool clock. Units are unknown at
-    /// this layer (the wire protocol does not carry them). Carries the
-    /// same [`Coverage`] label as [`DaemonSet::merged_samples`].
+    /// pair, in first-seen order on the tool clock. Grouping compares
+    /// interned symbol pairs; each key's strings are materialized once,
+    /// when its stream opens. Units are unknown at this layer (the wire
+    /// protocol does not carry them). Carries the same [`Coverage`] label
+    /// as [`DaemonSet::merged_samples`].
     pub fn merged_streams(&self) -> MergedStreams {
+        let cols = &self.samples;
+        let mut index: FxHashMap<(Symbol, Symbol), usize> = FxHashMap::default();
         let mut out: Vec<Stream> = Vec::new();
-        for s in self.merged_samples() {
-            match out
-                .iter_mut()
-                .find(|st| *st.metric == *s.metric && *st.focus == *s.focus)
-            {
-                Some(st) => st.samples.push((s.aligned_ns, s.value)),
-                None => out.push(Stream {
-                    metric: s.metric.to_string(),
-                    focus: s.focus.to_string(),
-                    units: String::new(),
-                    samples: vec![(s.aligned_ns, s.value)],
-                }),
-            }
-        }
-        MergedStreams {
-            streams: out,
-            coverage: self.coverage(),
-        }
-    }
-
-    /// Pumps every admitted link once through the **columnar** ingest
-    /// path: batched samples decode straight to flat columns and land in
-    /// the data manager's per-shard buffers ([`DaemonConn::drain_columns`]);
-    /// control frames and loose samples take the classic dispatch. The
-    /// struct-spine [`DaemonSet::pump`] remains the default path — this is
-    /// its measured fast twin, rendered at [`DaemonSet::columnar_streams`].
-    pub fn pump_columns(&mut self) -> usize {
-        let data = self.data.clone();
-        let mut n = 0;
-        for (i, cell) in self.conns.iter().enumerate() {
-            let mut conn = lock(cell);
-            if conn.health == DaemonHealth::Quarantined {
-                continue;
-            }
-            n += conn.drain_columns(&data, &mut self.samples, i);
-        }
-        self.update_fleet_health();
-        n
-    }
-
-    /// Render edge of the columnar spine: the shard-merged, aligned-sorted
-    /// columns grouped into one [`Stream`] per (metric, focus) key in
-    /// first-seen order — grouping compares interned `u32` pairs, and the
-    /// key strings are materialized exactly once per stream, here. Renders
-    /// byte-identically to [`DaemonSet::merged_streams`] over the same
-    /// frames. Carries the session's [`Coverage`] like every merged view.
-    pub fn columnar_streams(&self) -> MergedStreams {
-        let cols = self.data.merged_sample_columns();
-        let mut index: HashMap<(Symbol, Symbol), usize> = HashMap::new();
-        let mut out: Vec<Stream> = Vec::new();
-        for i in 0..cols.len() {
+        for i in cols.aligned_order() {
+            let i = i as usize;
             let key = (cols.metrics()[i], cols.foci()[i]);
             let slot = *index.entry(key).or_insert_with(|| {
                 out.push(Stream {
@@ -2259,9 +2193,13 @@ mod tests {
         skew_ns: i64,
     }
 
+    /// Origin of every fake daemon's clock, like `pdmapd`'s clock base: a
+    /// negative skew must not clamp at zero in a process younger than it.
+    const FAKE_CLOCK_BASE_NS: i64 = 1_000_000_000;
+
     impl FakeDaemon {
         fn now(&self) -> u64 {
-            (pdmap_obs::now_ns() as i64 + self.skew_ns).max(0) as u64
+            (pdmap_obs::now_ns() as i64 + FAKE_CLOCK_BASE_NS + self.skew_ns) as u64
         }
 
         fn answer_probes(&self) {
@@ -2345,7 +2283,7 @@ mod tests {
         for (i, &skew) in skews.iter().enumerate() {
             let est = set.conn(i).clock();
             assert_eq!(est.rounds, 5);
-            let err = (est.offset_ns - skew).unsigned_abs();
+            let err = (est.offset_ns - (FAKE_CLOCK_BASE_NS + skew)).unsigned_abs();
             // The estimate's error is bounded by rtt/2; allow headroom for
             // a loaded CI box, but ±50 ms skews must be clearly separated.
             assert!(
@@ -2385,9 +2323,10 @@ mod tests {
             "merged stream is nondecreasing in aligned time"
         );
 
-        let mut by_wall = set.samples().to_vec();
-        by_wall.sort_by_key(|s| s.wall);
-        let wall_order: Vec<f64> = by_wall.iter().map(|s| s.value).collect();
+        let cols = set.samples();
+        let mut by_wall: Vec<usize> = (0..cols.len()).collect();
+        by_wall.sort_by_key(|&i| cols.walls()[i]);
+        let wall_order: Vec<f64> = by_wall.iter().map(|&i| cols.values()[i]).collect();
         assert_ne!(
             wall_order, want,
             "raw wall stamps mis-order the merge; alignment is load-bearing"
@@ -2504,7 +2443,7 @@ mod tests {
         let deadline = Instant::now() + Duration::from_secs(5);
         while set.health(0) != DaemonHealth::Quarantined && Instant::now() < deadline {
             daemons[1].send_sample("keepalive", 0.0);
-            set.pump();
+            set.pump_parallel();
             set.supervise();
             std::thread::sleep(Duration::from_millis(2));
         }
@@ -2588,7 +2527,7 @@ mod tests {
         let _ = send_wire(&*daemons[0].tx, &DaemonMsg::Goodbye { samples_sent: 5 });
         let deadline = Instant::now() + Duration::from_secs(5);
         while set.conn(0).announced_sent().is_none() && Instant::now() < deadline {
-            set.pump();
+            set.pump_parallel();
             std::thread::yield_now();
         }
         assert_eq!(set.conn(0).announced_sent(), Some(5));
@@ -2755,45 +2694,93 @@ mod tests {
     }
 
     #[test]
-    fn columnar_streams_render_byte_identically_to_merged_streams() {
-        // Two skewed daemons, each sending the SAME batch twice: once
-        // drained by the classic struct pump, once by the columnar pump.
-        // The two spines store independently, so rendering both and
-        // comparing their Debug text proves byte-identity end to end
-        // (skew correction, merge order, grouping, name materialization).
-        let skews = [40_000_000i64, -25_000_000];
-        let (mut set, daemons) = set_with_skews(&skews);
+    fn batches_loose_samples_and_telemetry_land_on_one_spine() {
+        // One link 40 ms fast: a sequenced batch lands before the clock
+        // sync, then loose samples on the same keys and a batch of `Obs *`
+        // telemetry rows. Walls rise with send order, so the merged order
+        // is the send order.
+        let (mut set, daemons) = set_with_skews(&[40_000_000]);
+        let d = &daemons[0];
+        let base = d.now();
+        let telemetry = obs_focus("daemon", "fake#0");
+        let obs_time = obs_time_metric("daemon", "deliver");
+        let obs_count = obs_count_metric("daemon", "deliver");
+        let sent: Vec<(&str, &str, f64)> = vec![
+            ("CPU time", "/", 1.5),
+            ("Summations", "/CMFarrays/bow.fcm", 2.0),
+            ("CPU time", "/", 2.5),
+            ("Summations", "/CMFarrays/bow.fcm", 96.0),
+            ("CPU time", "/", 0.25),
+            (obs_time.as_str(), telemetry.as_str(), 3.0),
+            (obs_count.as_str(), telemetry.as_str(), 4.0),
+        ];
+        let wall = |k: usize| base + k as u64 * 1_000;
+        let batch = |seq: u64, range: std::ops::Range<usize>| pdmap_transport::SampleBatch {
+            samples: range
+                .map(|k| pdmap_transport::BatchSample {
+                    metric: sent[k].0.into(),
+                    focus: sent[k].1.into(),
+                    wall: wall(k),
+                    value: sent[k].2,
+                })
+                .collect(),
+            seq,
+            ..Default::default()
+        };
+        send_wire(&*d.tx, &batch(1, 0..2)).unwrap();
+        assert_eq!(set.pump_until_samples(2, Duration::from_secs(5)), 2);
+        assert_eq!(
+            set.samples().aligneds(),
+            &[wall(0), wall(1)],
+            "before the sync a sample lands on its own clock"
+        );
+
         sync(&mut set, &daemons);
-        let batches: Vec<pdmap_transport::SampleBatch> = daemons
-            .iter()
-            .enumerate()
-            .map(|(di, d)| pdmap_transport::SampleBatch {
-                samples: (0..6)
-                    .map(|i| pdmap_transport::BatchSample {
-                        metric: if i % 2 == 0 { "CPU time" } else { "Summations" }.into(),
-                        focus: if i < 3 { "/" } else { "/CMFarrays/bow.fcm" }.into(),
-                        wall: d.now() + di as u64 * 100 + i * 1_000,
-                        value: i as f64 * 0.5,
-                    })
-                    .collect(),
-                ..Default::default()
-            })
-            .collect();
-        for (d, b) in daemons.iter().zip(&batches) {
-            send_wire(&*d.tx, b).unwrap();
+        for (k, &(metric, focus, value)) in sent.iter().enumerate().take(5).skip(2) {
+            let msg = DaemonMsg::Sample {
+                metric: metric.into(),
+                focus: focus.into(),
+                wall: wall(k),
+                value,
+            };
+            send_wire(&*d.tx, &msg).unwrap();
         }
-        assert_eq!(set.pump_until_samples(12, Duration::from_secs(5)), 12);
-        for (d, b) in daemons.iter().zip(&batches) {
-            send_wire(&*d.tx, b).unwrap();
-        }
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while set.data().merged_sample_columns().len() < 12 && Instant::now() < deadline {
-            set.pump_columns();
-        }
-        let classic = set.merged_streams();
-        let columnar = set.columnar_streams();
-        assert_eq!(classic.len(), 4);
-        assert_eq!(format!("{classic:?}"), format!("{columnar:?}"));
+        send_wire(&*d.tx, &batch(2, 5..7)).unwrap();
+        assert_eq!(set.pump_until_samples(7, Duration::from_secs(5)), 7);
+
+        let offset = set.conn(0).clock().offset_ns;
+        let skew = FAKE_CLOCK_BASE_NS + 40_000_000;
+        assert!(
+            (offset - skew).abs() < 20_000_000,
+            "the skew was estimated: {offset}"
+        );
+        let tool = |k: usize| (wall(k) as i64 - offset).max(0) as u64;
+        assert_eq!(
+            &set.samples().aligneds()[..2],
+            &[tool(0), tool(1)],
+            "the sync re-aligned the samples that preceded it"
+        );
+
+        // One stream per key, keys in first-seen order, tool-clock times.
+        let stream = |ks: &[usize]| Stream {
+            metric: sent[ks[0]].0.into(),
+            focus: sent[ks[0]].1.into(),
+            samples: ks.iter().map(|&k| (tool(k), sent[k].2)).collect(),
+            ..Stream::default()
+        };
+        let want = vec![
+            stream(&[0, 2, 4]),
+            stream(&[1, 3]),
+            stream(&[5]),
+            stream(&[6]),
+        ];
+        assert_eq!(format!("{:?}", *set.merged_streams()), format!("{want:?}"));
+
+        let node = set.fleet_health().node(&telemetry).expect("batched node");
+        assert_eq!(node.samples, 2);
+        assert_eq!(node.metric(&obs_count), Some(4.0));
+        assert_eq!(set.fleet_health().len(), 1, "app samples are not nodes");
+        assert_eq!(set.session_coverage().max_sample_cost, 96.0);
     }
 
     #[test]
@@ -2813,7 +2800,7 @@ mod tests {
         .unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
         while set.conn(1).subtree_coverage().is_none() && Instant::now() < deadline {
-            set.pump();
+            set.pump_parallel();
         }
         assert_eq!(
             set.conn(1).subtree_coverage(),
@@ -2840,24 +2827,6 @@ mod tests {
             (cov.nodes_reporting, cov.nodes_total),
             (1, 5),
             "a dark relay removes its entire subtree from coverage"
-        );
-    }
-
-    #[test]
-    fn unbatched_samples_intern_metric_and_focus() {
-        let (mut set, daemons) = set_with_skews(&[0]);
-        sync(&mut set, &daemons);
-        daemons[0].send_sample("Computation Time", 1.0);
-        daemons[0].send_sample("Computation Time", 2.0);
-        set.pump_until_samples(2, Duration::from_secs(5));
-        let s = set.samples();
-        assert!(
-            Arc::ptr_eq(&s[0].metric, &s[1].metric),
-            "repeated metric names share one allocation"
-        );
-        assert!(
-            Arc::ptr_eq(&s[0].focus, &s[1].focus),
-            "repeated focus names share one allocation"
         );
     }
 
@@ -2941,7 +2910,7 @@ mod tests {
         // fresh: silence-based degrade must NOT fire, staleness must.
         std::thread::sleep(Duration::from_millis(10));
         daemons[0].send_sample("keepalive", 0.0);
-        set.pump();
+        set.pump_parallel();
         set.supervise();
         assert_eq!(
             set.health(0),
@@ -2995,7 +2964,7 @@ mod tests {
         send_wire(&*daemons[0].tx, &seq_batch(2, 1, 2, wall)).unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
         while set.conn(0).replays_suppressed() == 0 && Instant::now() < deadline {
-            set.pump();
+            set.pump_parallel();
             std::thread::yield_now();
         }
         assert_eq!(set.conn(0).replays_suppressed(), 1);
@@ -3186,7 +3155,7 @@ mod tests {
         send_wire(&*orphan, &seq_batch(3, 1, 4, pdmap_obs::now_ns())).unwrap();
         let deadline = Instant::now() + Duration::from_secs(5);
         while set.conn(1).replays_suppressed() == 0 && Instant::now() < deadline {
-            set.pump();
+            set.pump_parallel();
             std::thread::yield_now();
         }
         assert_eq!(set.conn(1).replays_suppressed(), 1, "replay suppressed");

@@ -46,7 +46,6 @@ use cmrts_sim::machine::{ArrayAllocInfo, MappingSink};
 use cmrts_sim::ArrayId;
 use dyninst_sim::Pred;
 use pdmap::aggregate::{assign_per_source, AssignPolicy, AssignmentResult};
-use pdmap::columns::SampleColumns;
 use pdmap::cost::{Cost, UnitMismatch};
 use pdmap::hierarchy::{Focus, WhereAxis};
 use pdmap::mapping::MappingTable;
@@ -135,11 +134,6 @@ pub struct ShardStats {
 /// registry as `datamgr.shard<K>.{imports,samples,lock_wait_ns}`.
 struct Shard {
     inner: Mutex<ShardInner>,
-    /// The shard's columnar sample buffer: batched samples delivered by
-    /// this shard's daemon land here as flat columns (see
-    /// [`DataManager::append_columns_on`]). Separate from `inner` so the
-    /// sample path never contends with the import path.
-    cols: Mutex<SampleColumns>,
     imports: AtomicU64,
     samples: AtomicU64,
     lock_wait_ns: AtomicU64,
@@ -152,7 +146,6 @@ impl Shard {
     fn new(index: usize) -> Self {
         Self {
             inner: Mutex::new(ShardInner::default()),
-            cols: Mutex::new(SampleColumns::new()),
             imports: AtomicU64::new(0),
             samples: AtomicU64::new(0),
             lock_wait_ns: AtomicU64::new(0),
@@ -318,12 +311,6 @@ impl DataManager {
         }
     }
 
-    /// Runs `f` against the (merged) where axis.
-    pub fn with_axis<R>(&self, f: impl FnOnce(&WhereAxis) -> R) -> R {
-        self.sync_pending();
-        f(&self.shared.read().axis)
-    }
-
     /// Runs `f` against the mapping table.
     pub fn with_mappings<R>(&self, f: impl FnOnce(&MappingTable) -> R) -> R {
         f(&self.shared.read().mappings)
@@ -393,56 +380,6 @@ impl DataManager {
         let s = &self.shards[shard % self.shards.len()];
         s.samples.fetch_add(n, Ordering::Relaxed);
         s.obs_samples.add(n);
-    }
-
-    /// Delivers a decoded wire batch from daemon `daemon` into shard
-    /// `shard`'s columnar buffer, interning the batch dictionary and
-    /// applying the daemon's clock offset as it lands. The columnar twin
-    /// of the struct spine's per-sample delivery: counts move on the same
-    /// relaxed per-shard counters, and no shared lock is taken.
-    pub fn append_columns_on(
-        &self,
-        shard: usize,
-        daemon: u32,
-        offset_ns: i64,
-        batch: &pdmap_transport::BatchColumns,
-    ) {
-        let s = &self.shards[shard % self.shards.len()];
-        s.cols.lock().extend_batch(daemon, offset_ns, batch);
-        let n = batch.len() as u64;
-        s.samples.fetch_add(n, Ordering::Relaxed);
-        s.obs_samples.add(n);
-    }
-
-    /// Re-applies skew correction for `daemon` across every shard's
-    /// columnar buffer — the column-pass rewrite a later clock sync owes
-    /// samples that already landed under a stale offset estimate.
-    pub fn realign_columns(&self, daemon: u32, offset_ns: i64) {
-        for s in self.shards.iter() {
-            s.cols.lock().realign(daemon, offset_ns);
-        }
-    }
-
-    /// One-pass variant of [`DataManager::realign_columns`] covering every
-    /// daemon at once (`offsets` indexed by daemon id) — what the
-    /// post-handshake rewrite uses instead of N full passes.
-    pub fn realign_columns_all(&self, offsets: &[i64]) {
-        for s in self.shards.iter() {
-            s.cols.lock().realign_all(offsets);
-        }
-    }
-
-    /// The shard-merged columnar sample view: every shard's buffer
-    /// concatenated in shard order, then stably sorted by aligned time —
-    /// same-instant samples keep shard-then-arrival order. Names stay
-    /// interned; callers materialize strings only at the render edge.
-    pub fn merged_sample_columns(&self) -> SampleColumns {
-        let mut out = SampleColumns::new();
-        for s in self.shards.iter() {
-            out.append(&s.cols.lock());
-        }
-        out.sort_by_aligned();
-        out
     }
 
     fn array_active_sentence(&self, array: &str) -> Option<SentenceId> {

@@ -53,7 +53,7 @@ pub use consultant::{
     audit, render as render_search, search, search_parallel, ConsultantConfig, ExperimentNode,
     Verdict,
 };
-pub use daemon::{Daemon, DaemonError, DaemonMsg, InstrLibEndpoint, ProtoError};
+pub use daemon::{Daemon, DaemonError, DaemonMsg, InstrLibEndpoint};
 pub use daemonset::{
     AlignedSample, ClockEstimate, ClockSyncError, ConnRef, Coverage, DaemonConn, DaemonHealth,
     DaemonSet, DialFn, FleetHealth, FleetPerturbation, Merged, MergedStreams, NodeHealth,

@@ -39,8 +39,8 @@ use crate::daemon_now;
 use crate::failover::{self, Uplink};
 use paradyn_tool::daemon::DaemonMsg;
 use pdmap_transport::{
-    send_wire, BatchSample, FrameKind, PifBlob, SampleBatch, SourceMark, TcpClient, TcpServer,
-    TopoChild, TopologyMsg, Transport, TransportConfig, WirePayload,
+    send_wire, BatchSample, FrameKind, SampleBatch, SourceMark, TcpClient, TcpServer, TopoChild,
+    TopologyMsg, Transport, TransportConfig, WirePayload,
 };
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
@@ -670,10 +670,9 @@ impl RelaySession<'_> {
                 let mut h = DefaultHasher::new();
                 frame.payload.hash(&mut h);
                 if self.pifs_seen.insert(h.finish()) {
-                    let _ = send_wire(
-                        self.server as &dyn Transport,
-                        &PifBlob(frame.payload.clone()),
-                    );
+                    // The payload is already an encoded `PifBlob`:
+                    // forward it unchanged.
+                    let _ = self.server.send(FrameKind::PifBlob, frame.payload.clone());
                 }
             }
             FrameKind::Daemon => match DaemonMsg::from_frame(frame) {

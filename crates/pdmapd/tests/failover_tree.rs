@@ -270,7 +270,7 @@ fn beaconed_standby_adopts_an_orphaned_leaf() {
     // No duplicates through the handover: the leaf's values are unique
     // (0, 1, 2, …), so any replay the watermark failed to suppress would
     // show up as a repeated value at the tool.
-    let values: Vec<u64> = set.samples().iter().map(|s| s.value as u64).collect();
+    let values: Vec<u64> = set.samples().values().iter().map(|&v| v as u64).collect();
     let distinct: std::collections::HashSet<_> = values.iter().copied().collect();
     assert_eq!(values.len(), distinct.len(), "no duplicate samples at tool");
 
@@ -324,7 +324,7 @@ fn seeded_partition_window_heals_by_replay_without_duplicates() {
         ring.push(batch.clone());
         let _ = send_wire(&*faulty as &dyn Transport, &batch);
     }
-    set.pump();
+    set.pump_parallel();
     let stats = faulty.fault_stats();
     assert!(stats.partition_dropped >= 1, "the window dropped something");
     let delivered_first = total - stats.partition_dropped;
@@ -349,14 +349,14 @@ fn seeded_partition_window_heals_by_replay_without_duplicates() {
             samples_sent: total as u32,
         },
     );
-    set.pump();
+    set.pump_parallel();
 
     assert_eq!(
         set.conn(0).samples_received(),
         total,
         "replay filled every partition-dropped batch — no silent gap"
     );
-    let values: Vec<u64> = set.samples().iter().map(|s| s.value as u64).collect();
+    let values: Vec<u64> = set.samples().values().iter().map(|&v| v as u64).collect();
     let distinct: std::collections::HashSet<_> = values.iter().copied().collect();
     assert_eq!(values.len(), distinct.len(), "no double count");
     assert_eq!(

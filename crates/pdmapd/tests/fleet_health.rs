@@ -155,7 +155,7 @@ fn telemetry_streams_through_the_tree_and_answers_remote_questions() {
     // so the per-leaf ledgers below are exact (telemetry answers arrive
     // well before the 12-sample budget drains).
     pump_until(&mut set, "all 48 application samples", |s| {
-        s.samples()
+        s.merged_samples()
             .iter()
             .filter(|x| !x.focus.starts_with("Tool/"))
             .count()

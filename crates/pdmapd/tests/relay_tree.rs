@@ -148,6 +148,14 @@ fn two_level_tree_conserves_samples_and_chains_clocks() {
         );
     }
 
+    // Mapping information reaches the tool only through the relays: the
+    // leaves' PIF places their arrays under the program, and the arrays'
+    // allocations add one subregion per leaf node.
+    let axis = set.data().render_where_axis();
+    let subs: String = (0..4).map(|n| format!("        sub#{n}\n")).collect();
+    let arrays = format!("CMFarrays\n  hpfex.fcm\n    HPFEX\n      A\n{subs}      B\n{subs}");
+    assert!(axis.contains(&arrays), "where axis:\n{axis}");
+
     // Graceful stop: conservation is exact at the root.
     let cov = set.shutdown_all(Duration::from_secs(15));
     assert_eq!((cov.nodes_reporting, cov.nodes_total), (4, 4));
@@ -162,6 +170,11 @@ fn two_level_tree_conserves_samples_and_chains_clocks() {
             "relay {i}: announced == received + lost with lost == 0"
         );
         forwarded += announced;
+        assert_eq!(
+            set.conn(i).decode_errors(),
+            &[],
+            "relay {i}: every forwarded frame decodes"
+        );
     }
     assert_eq!(forwarded, total as u64, "the tree forwarded every sample");
 

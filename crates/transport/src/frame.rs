@@ -108,14 +108,6 @@ impl FrameKind {
             _ => return None,
         })
     }
-
-    /// True for the control kinds consumed by the transport itself.
-    pub fn is_control(self) -> bool {
-        matches!(
-            self,
-            FrameKind::Heartbeat | FrameKind::Ack | FrameKind::Hello
-        )
-    }
 }
 
 /// A decode failure at the frame layer.

@@ -181,7 +181,7 @@ fn graceful_stop_announces_and_conserves() {
     d.stop();
     let deadline = Instant::now() + Duration::from_secs(10);
     while set.conn(0).announced_sent().is_none() && Instant::now() < deadline {
-        set.pump();
+        set.pump_parallel();
         std::thread::sleep(Duration::from_millis(2));
     }
     let report = d.join().expect("daemon report");
@@ -192,7 +192,7 @@ fn graceful_stop_announces_and_conserves() {
     // Everything announced was delivered over loopback TCP.
     let deadline = Instant::now() + Duration::from_secs(10);
     while set.conn(0).samples_received() < announced && Instant::now() < deadline {
-        set.pump();
+        set.pump_parallel();
         std::thread::sleep(Duration::from_millis(2));
     }
     let cov = set.coverage();

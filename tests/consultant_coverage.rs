@@ -295,7 +295,7 @@ fn faulted_session_coverage(plan: FaultPlan, sent: u32) -> SessionCoverage {
     send_wire(&*injector, &DaemonMsg::Goodbye { samples_sent: sent }).expect("goodbye");
     let deadline = Instant::now() + Duration::from_secs(5);
     while set.conn(0).announced_sent().is_none() && Instant::now() < deadline {
-        set.pump();
+        set.pump_parallel();
         std::thread::yield_now();
     }
     assert_eq!(set.conn(0).announced_sent(), Some(u64::from(sent)));

@@ -208,7 +208,7 @@ fn partition_loss_obeys_the_conservation_law() {
 
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     while set.conn(0).announced_sent().is_none() && std::time::Instant::now() < deadline {
-        set.pump();
+        set.pump_parallel();
         std::thread::yield_now();
     }
     assert_eq!(set.conn(0).announced_sent(), Some(u64::from(SENT)));

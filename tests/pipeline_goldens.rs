@@ -103,6 +103,18 @@ destination = {line1161, Executes}
 #[test]
 fn daemon_wire_format_golden() {
     use paradyn_tool::DaemonMsg;
+    use pdmap_transport::{FrameKind, WirePayload};
+    // The binary `FrameKind::Daemon` payloads, little-endian, one field
+    // per string below.
+    let payload = |msg: &DaemonMsg| {
+        let frame = msg.to_frame();
+        assert_eq!(frame.kind, FrameKind::Daemon);
+        frame
+            .payload
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect::<String>()
+    };
     let msg = DaemonMsg::ArrayAllocated {
         id: 7,
         name: "TOT".into(),
@@ -110,16 +122,43 @@ fn daemon_wire_format_golden() {
         dist: cmrts_sim::Distribution::Block,
         subgrids: vec![(0, 32, 2048), (1, 32, 2048)],
     };
-    assert_eq!(msg.encode(), "ALLOC|7|TOT|64,64|block|0:32:2048,1:32:2048");
+    assert_eq!(
+        payload(&msg),
+        concat!(
+            "00",             // tag: ArrayAllocated
+            "07000000",       // id
+            "03000000544f54", // name "TOT"
+            "02000000",       // extents
+            "4000000000000000",
+            "4000000000000000",
+            "05000000626c6f636b", // dist "block"
+            "02000000",           // subgrids
+            "0000000000000000",   // (0,
+            "2000000000000000",   //  32,
+            "0008000000000000",   //  2048)
+            "0100000000000000",   // (1,
+            "2000000000000000",   //  32,
+            "0008000000000000",   //  2048)
+        )
+    );
     let free = DaemonMsg::ArrayFreed { id: 7 };
-    assert_eq!(free.encode(), "FREE|7");
+    assert_eq!(payload(&free), "0107000000");
     let sample = DaemonMsg::Sample {
         metric: "Idle Time".into(),
         focus: "<whole program>".into(),
         wall: 42,
         value: 0.5,
     };
-    assert_eq!(sample.encode(), "SAMPLE|Idle Time|<whole program>|42|0.5");
+    assert_eq!(
+        payload(&sample),
+        concat!(
+            "02",                                     // tag: Sample
+            "0900000049646c652054696d65",             // metric "Idle Time"
+            "0f0000003c77686f6c652070726f6772616d3e", // focus "<whole program>"
+            "2a00000000000000",                       // wall 42
+            "000000000000e03f",                       // value 0.5
+        )
+    );
 }
 
 #[test]

@@ -104,14 +104,9 @@ fn daemon_tolerates_garbage_on_the_wire() {
     let ns = Namespace::new();
     let dm = Arc::new(paradyn_tool::DataManager::new(ns, "CM Fortran"));
     let (endpoint, mut daemon) = Daemon::pair(dm.clone());
-    // Valid traffic around a bogus line: the sender only emits valid
-    // messages, so inject garbage by reusing the sample channel with a
-    // metric name that decodes fine, then check error accounting via a
-    // direct decode of malformed input.
     endpoint.send_sample("ok", "f", 1, 2.0);
     daemon.pump();
     assert_eq!(daemon.samples().len(), 1);
-    assert!(paradyn_tool::DaemonMsg::decode("GARBAGE|x").is_err());
 
     // Byte-level garbage: run the seeded mangler over many frames and
     // check every mode lands in the decode-error class it aims at —
