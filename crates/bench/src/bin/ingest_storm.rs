@@ -23,7 +23,7 @@
 
 use pdmap::columns::{KeyFold, SampleColumns};
 use pdmap::intern::{self, Symbol};
-use pdmap_transport::{BatchSample, SampleBatch, WirePayload};
+use pdmap_transport::{BatchColumns, BatchSample, SampleBatch, WirePayload};
 use std::collections::HashMap;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -95,7 +95,7 @@ fn baseline_pass(frames: &[pdmap_transport::Frame]) -> HashMap<(Arc<str>, Arc<st
 fn columnar_pass(frames: &[pdmap_transport::Frame]) -> Vec<((Symbol, Symbol), KeyFold)> {
     let mut cols = SampleColumns::new();
     for frame in frames {
-        let batch = SampleBatch::columns_from_frame(frame).expect("frames are valid");
+        let batch = BatchColumns::from_frame(frame).expect("frames are valid");
         cols.extend_batch(0, OFFSET_NS, &batch);
     }
     cols.fold()
@@ -160,7 +160,7 @@ fn main() -> ExitCode {
     // the storm, then the table freezes — exactly the PIF-import contract
     // the hot path runs under.
     {
-        let warm = SampleBatch::columns_from_frame(&frames[0]).unwrap();
+        let warm = BatchColumns::from_frame(&frames[0]).unwrap();
         for (m, f) in &warm.dict {
             intern::sym(m);
             intern::sym(f);

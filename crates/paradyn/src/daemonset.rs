@@ -35,7 +35,7 @@
 //! # The sample spine
 //!
 //! Every sample lands in one [`SampleColumns`] the set owns, in arrival
-//! order: a [`SampleBatch`] frame decodes straight to columns and its
+//! order: a `SampleBatch` frame decodes straight to columns and its
 //! dictionary is interned once per frame; a loose [`DaemonMsg::Sample`]
 //! is a one-row push. The pooled drain partitions by owner — each worker
 //! fills its own columns and the set appends them after the pass — so no
@@ -91,7 +91,7 @@ use pdmap::interval::Interval;
 use pdmap::model::Namespace;
 use pdmap::util::FxHashMap;
 use pdmap_transport::{
-    send_wire, Frame, FrameKind, PifBlob, SampleBatch, TcpClient, TopoChild, TopologyMsg,
+    send_wire, BatchColumns, Frame, FrameKind, PifBlob, TcpClient, TopoChild, TopologyMsg,
     Transport, TransportConfig, WirePayload,
 };
 use std::collections::HashMap;
@@ -653,7 +653,7 @@ pub struct DaemonConn {
     /// present when the peer is a relay aggregating a subtree, absent for
     /// a leaf daemon (which counts as a 1/1 subtree).
     subtree: Option<Coverage>,
-    /// Highest [`SampleBatch::seq`] folded in on this link — the dedup
+    /// Highest [`BatchColumns::seq`] folded in on this link — the dedup
     /// watermark that suppresses replayed batches after a handover.
     last_seq: u64,
     /// Replayed batches suppressed by the sequence watermark.
@@ -809,11 +809,11 @@ impl DaemonConn {
         }
     }
 
-    /// Lands one [`SampleBatch`] frame: decoded straight to columns, its
+    /// Lands one `SampleBatch` frame: decoded straight to columns, its
     /// dictionary interned once, telemetry classified per dictionary
     /// entry, and the frame's samples counted on this link and its shard.
     fn land_batch(&mut self, frame: &Frame, data: &DataManager, out: &mut Landing, index: usize) {
-        let batch = match SampleBatch::columns_from_frame(frame) {
+        let batch = match BatchColumns::from_frame(frame) {
             Ok(batch) => batch,
             Err(e) => {
                 self.decode_errors

@@ -2,7 +2,7 @@
 //!
 //! A node that streams upward (leaf daemon or relay) owns an [`Uplink`]:
 //! the monotonic topology **epoch** and batch **sequence** stamped into
-//! every [`SampleBatch`], plus a bounded **replay ring** of recent
+//! every upward batch, plus a bounded **replay ring** of recent
 //! batches. When the upstream link dies, the node pauses upward sends and
 //! waits to be adopted: a new parent (the tool's supervisor, the dead
 //! parent's parent, or a standby relay from `--parent`) dials the node's
@@ -19,8 +19,7 @@
 //! watermark, inviting the standby to dial back and adopt it.
 
 use pdmap_transport::{
-    send_wire, BatchSample, SampleBatch, SourceMark, TcpClient, TopoChild, TopologyMsg, Transport,
-    TransportConfig,
+    send_wire, BatchColumns, TcpClient, TopoChild, TopologyMsg, Transport, TransportConfig,
 };
 use std::collections::VecDeque;
 use std::net::SocketAddr;
@@ -43,7 +42,7 @@ pub(crate) struct Uplink {
     /// Cumulative samples in batches through `delivered_seq`.
     pub delivered_samples: u64,
     cap: usize,
-    ring: VecDeque<SampleBatch>,
+    ring: VecDeque<BatchColumns>,
 }
 
 impl Uplink {
@@ -58,28 +57,20 @@ impl Uplink {
         }
     }
 
-    /// Stamps, rings, and sends one batch upward. The batch is retained
-    /// in the ring whether or not the send succeeded — a batch that died
-    /// with the old parent is exactly what a handover must replay.
-    pub fn send(
-        &mut self,
-        server: &dyn Transport,
-        samples: Vec<BatchSample>,
-        sources: Vec<SourceMark>,
-    ) -> bool {
+    /// Stamps, sends, and rings one batch upward. The batch itself is
+    /// retained in the ring whether or not the send succeeded — a batch
+    /// that died with the old parent is exactly what a handover must
+    /// replay.
+    pub fn send(&mut self, server: &dyn Transport, mut batch: BatchColumns) -> bool {
         self.seq += 1;
-        let batch = SampleBatch {
-            samples,
-            epoch: self.epoch,
-            seq: self.seq,
-            sources,
-        };
-        let n = batch.samples.len() as u64;
-        self.ring.push_back(batch.clone());
+        batch.epoch = self.epoch;
+        batch.seq = self.seq;
+        let n = batch.len() as u64;
+        let ok = send_wire(server, &batch).is_ok();
+        self.ring.push_back(batch);
         while self.ring.len() > self.cap {
             self.ring.pop_front();
         }
-        let ok = send_wire(server, &batch).is_ok();
         if ok {
             self.delivered_seq = self.seq;
             self.delivered_samples += n;
@@ -88,10 +79,10 @@ impl Uplink {
     }
 
     /// Replays the ring suffix past `watermark` to the (new) parent,
-    /// stamped with a freshly bumped epoch. [`WATERMARK_UNKNOWN`] falls
-    /// back to our own delivered watermark — conservative: never a
-    /// duplicate, at worst a labeled loss of the in-flight window.
-    /// Returns the number of batches replayed.
+    /// re-stamped with a freshly bumped epoch and re-encoded.
+    /// [`WATERMARK_UNKNOWN`] falls back to our own delivered watermark —
+    /// conservative: never a duplicate, at worst a labeled loss of the
+    /// in-flight window. Returns the number of batches replayed.
     pub fn replay(&mut self, server: &dyn Transport, watermark: u64) -> u64 {
         let from = if watermark == WATERMARK_UNKNOWN {
             self.delivered_seq
@@ -100,18 +91,13 @@ impl Uplink {
         };
         self.epoch += 1;
         let mut replayed = 0u64;
-        for b in &self.ring {
-            if b.seq <= from {
-                continue;
-            }
-            let mut again = b.clone();
-            again.epoch = self.epoch;
-            let n = again.samples.len() as u64;
-            if send_wire(server, &again).is_ok() {
+        for b in self.ring.iter_mut().filter(|b| b.seq > from) {
+            b.epoch = self.epoch;
+            if send_wire(server, &*b).is_ok() {
                 replayed += 1;
-                if again.seq > self.delivered_seq {
-                    self.delivered_seq = again.seq;
-                    self.delivered_samples += n;
+                if b.seq > self.delivered_seq {
+                    self.delivered_seq = b.seq;
+                    self.delivered_samples += b.len() as u64;
                 }
             }
         }
@@ -158,33 +144,39 @@ pub(crate) fn send_beacon(standby: SocketAddr, msg: &TopologyMsg, tcfg: Transpor
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdmap_transport::{InProcEnd, WirePayload};
+    use pdmap_transport::{BatchBuilder, InProcEnd, WirePayload};
 
-    fn samples(n: usize, tag: f64) -> Vec<BatchSample> {
-        (0..n)
-            .map(|i| BatchSample {
-                metric: "m".into(),
-                focus: "f".into(),
-                wall: 1_000 + i as u64,
-                value: tag,
-            })
-            .collect()
+    /// `n` one-key rows tagged with `tag`, as the columns a sender builds.
+    fn batch(n: usize, tag: f64) -> BatchColumns {
+        let mut b = BatchBuilder::default();
+        for i in 0..n {
+            b.push("m".into(), "f".into(), 1_000 + i as u64, tag);
+        }
+        b.take()
+    }
+
+    fn recv_all(end: &InProcEnd) -> Vec<BatchColumns> {
+        let mut got = Vec::new();
+        while let Ok(Some(f)) = end.try_recv() {
+            got.push(BatchColumns::from_frame(&f).unwrap());
+        }
+        got
     }
 
     #[test]
     fn uplink_stamps_monotonic_seq_and_rings_failed_sends() {
         let (a, b) = InProcEnd::pair(&TransportConfig::default());
         let mut up = Uplink::new(8);
-        assert!(up.send(&*a, samples(3, 1.0), Vec::new()));
-        assert!(up.send(&*a, samples(2, 2.0), Vec::new()));
-        let f1 = b.try_recv().unwrap().unwrap();
-        let b1 = SampleBatch::from_frame(&f1).unwrap();
-        assert_eq!((b1.epoch, b1.seq), (0, 1));
+        assert!(up.send(&*a, batch(3, 1.0)));
+        assert!(up.send(&*a, batch(2, 2.0)));
+        let got = recv_all(&b);
+        assert_eq!((got[0].epoch, got[0].seq), (0, 1));
+        assert_eq!(got[0].value, vec![1.0; 3]);
         assert_eq!(up.delivered_seq, 2);
         assert_eq!(up.delivered_samples, 5);
         // A dead link: the send fails but the batch stays in the ring.
         a.close();
-        assert!(!up.send(&*a, samples(4, 3.0), Vec::new()));
+        assert!(!up.send(&*a, batch(4, 3.0)));
         assert_eq!(up.seq, 3);
         assert_eq!(up.delivered_seq, 2, "failed send never advances delivery");
         assert_eq!(up.ring.len(), 3);
@@ -195,36 +187,46 @@ mod tests {
         let (a, b) = InProcEnd::pair(&TransportConfig::default());
         let mut up = Uplink::new(8);
         for i in 0..5 {
-            up.send(&*a, samples(2, i as f64), Vec::new());
+            up.send(&*a, batch(2, i as f64));
         }
-        while b.try_recv().unwrap().is_some() {}
-        // The new parent has folded through seq 3: replay 4 and 5 only.
+        let sent = recv_all(&b);
+        // The new parent has folded through seq 3: replay 4 and 5 only,
+        // re-stamped with the bumped epoch and otherwise unchanged.
         let replayed = up.replay(&*a, 3);
         assert_eq!(replayed, 2);
         assert_eq!(up.epoch, 1, "handover bumps the epoch");
-        let mut got = Vec::new();
-        while let Ok(Some(f)) = b.try_recv() {
-            got.push(SampleBatch::from_frame(&f).unwrap());
-        }
+        let mut got = recv_all(&b);
         assert_eq!(
             got.iter().map(|x| (x.epoch, x.seq)).collect::<Vec<_>>(),
             vec![(1, 4), (1, 5)]
         );
+        for (again, first) in got.iter_mut().zip(&sent[3..]) {
+            again.epoch = first.epoch;
+            assert_eq!(
+                again, first,
+                "a replay re-stamps the epoch and nothing else"
+            );
+        }
+        // A second handover re-stamps the same ring entries again.
+        assert_eq!(up.replay(&*a, 4), 1);
+        let got = recv_all(&b);
+        assert_eq!((got[0].epoch, got[0].seq), (2, 5));
     }
 
     #[test]
     fn unknown_watermark_replays_from_own_delivered_mark() {
         let (a, b) = InProcEnd::pair(&TransportConfig::default());
         let mut up = Uplink::new(8);
-        up.send(&*a, samples(1, 0.0), Vec::new());
+        up.send(&*a, batch(1, 0.0));
         a.close();
-        up.send(&*a, samples(1, 1.0), Vec::new()); // undelivered
+        up.send(&*a, batch(1, 1.0)); // undelivered
         drop(b);
         let (c, d) = InProcEnd::pair(&TransportConfig::default());
         let replayed = up.replay(&*c, WATERMARK_UNKNOWN);
         assert_eq!(replayed, 1, "only the undelivered suffix — never a dup");
-        let f = d.try_recv().unwrap().unwrap();
-        assert_eq!(SampleBatch::from_frame(&f).unwrap().seq, 2);
+        let got = recv_all(&d);
+        assert_eq!((got[0].seq, got[0].value[0]), (2, 1.0));
+        assert_eq!(up.delivered_samples, 2);
     }
 
     #[test]
@@ -232,10 +234,11 @@ mod tests {
         let (a, _b) = InProcEnd::pair(&TransportConfig::default());
         let mut up = Uplink::new(4);
         for i in 0..20 {
-            up.send(&*a, samples(1, i as f64), Vec::new());
+            up.send(&*a, batch(1, i as f64));
         }
         assert_eq!(up.ring.len(), 4);
         assert_eq!(up.ring.front().unwrap().seq, 17);
+        assert_eq!(up.ring.front().unwrap().value, vec![16.0]);
     }
 
     #[test]

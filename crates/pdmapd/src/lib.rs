@@ -37,7 +37,7 @@ pub use failover::WATERMARK_UNKNOWN;
 use paradyn_tool::daemon::{DaemonMsg, InstrLibEndpoint};
 use pdmap::model::Namespace;
 use pdmap_transport::{
-    send_wire, BatchSample, FrameKind, PifBlob, TcpServer, TopologyMsg, Transport, WirePayload,
+    send_wire, BatchBuilder, FrameKind, PifBlob, TcpServer, TopologyMsg, Transport, WirePayload,
 };
 pub use relay::{serve_relay_until, spawn_relay, RelayConfig, RelayReport, RunningRelay};
 use std::net::SocketAddr;
@@ -425,21 +425,17 @@ pub fn serve_until(server: Arc<TcpServer>, cfg: &DaemonConfig, stop: &AtomicBool
     // frame each — the leaf's half of the relay tree's frame economy.
     // A stop request (flag or wire Shutdown) breaks out to the drain.
     let endpoint = InstrLibEndpoint::over_transport(server.clone() as Arc<dyn Transport>);
-    let mut pending: Vec<BatchSample> = Vec::new();
+    let mut pending = BatchBuilder::default();
     // Every upward batch is stamped (epoch, seq) and retained in the
     // uplink's replay ring, so a handover can resend exactly what the old
     // parent never passed on.
     let mut up = failover::Uplink::new(cfg.replay_ring);
     let flush_batch =
-        |pending: &mut Vec<BatchSample>, report: &mut ServeReport, up: &mut failover::Uplink| {
+        |pending: &mut BatchBuilder, report: &mut ServeReport, up: &mut failover::Uplink| {
             if pending.is_empty() {
                 return;
             }
-            if up.send(
-                &*server as &dyn Transport,
-                std::mem::take(pending),
-                Vec::new(),
-            ) {
+            if up.send(&*server as &dyn Transport, pending.take()) {
                 report.batches_sent += 1;
             }
         };
@@ -461,18 +457,12 @@ pub fn serve_until(server: Arc<TcpServer>, cfg: &DaemonConfig, stop: &AtomicBool
             return;
         };
         let wall = daemon_now(cfg.skew_ns);
-        let focus: Arc<str> = sampler.focus().into();
-        let samples: Vec<BatchSample> = rows
-            .into_iter()
-            .map(|(metric, value)| BatchSample {
-                metric: metric.into(),
-                focus: focus.clone(),
-                wall,
-                value,
-            })
-            .collect();
-        let n = samples.len() as u32;
-        if up.send(&*server as &dyn Transport, samples, Vec::new()) {
+        let mut batch = BatchBuilder::default();
+        for (metric, value) in rows {
+            batch.push(metric, sampler.focus().to_string(), wall, value);
+        }
+        let n = batch.len() as u32;
+        if up.send(&*server as &dyn Transport, batch.take()) {
             report.batches_sent += 1;
         }
         report.samples_sent += n;
@@ -492,12 +482,12 @@ pub fn serve_until(server: Arc<TcpServer>, cfg: &DaemonConfig, stop: &AtomicBool
             break;
         }
         if cfg.batch > 1 {
-            pending.push(BatchSample {
-                metric: "Computation Time".into(),
-                focus: "<whole program>".into(),
-                wall: daemon_now(cfg.skew_ns),
-                value: i as f64,
-            });
+            pending.push(
+                "Computation Time".into(),
+                "<whole program>".into(),
+                daemon_now(cfg.skew_ns),
+                i as f64,
+            );
             if pending.len() >= cfg.batch as usize {
                 flush_batch(&mut pending, &mut report, &mut up);
             }

@@ -243,7 +243,7 @@ fn run_relay(cfg: RelayConfig) -> ExitCode {
     eprintln!(
         "pdmapd-relay: parent={} synced={}/{} forwarded={} batches={} goodbyes={} lost={} \
          graceful={} skew_ns={} obs_samples={} obs_snapshots={} failovers={} replayed={} \
-         suppressed={} adopted={} epoch={}",
+         suppressed={} adopted={} epoch={} decode_errors={}",
         report.parent_connected,
         report.children_synced,
         cfg.children.len(),
@@ -259,7 +259,8 @@ fn run_relay(cfg: RelayConfig) -> ExitCode {
         report.batches_replayed,
         report.replays_suppressed,
         report.children_adopted,
-        report.epoch
+        report.epoch,
+        report.decode_errors
     );
     if !report.parent_connected {
         eprintln!("pdmapd-relay: no parent connected within the timeout");

@@ -28,7 +28,13 @@
 //! 3. **Batched forwarding.** Samples travel upward in
 //!    [`SampleBatch`] frames (shared metric/focus dictionary,
 //!    delta-encoded stamps), so a relay with `F` children costs the
-//!    parent roughly one frame per flush instead of one per sample.
+//!    parent one frame per flush instead of one per sample. A flush sends
+//!    everything pending as one frame; [`RelayConfig::batch`] is the
+//!    pending count that triggers it, not a cap on the frame. Relayed
+//!    samples stay columns end to end: a child batch decodes to
+//!    [`BatchColumns`], its dictionary is remapped into the pending
+//!    [`BatchBuilder`] once per entry and its walls re-timed in one column
+//!    pass, and the flush encodes the columns directly.
 //!
 //! Mapping information is forwarded too: dynamic allocation messages pass
 //! through verbatim, and PIF blobs are deduplicated by content — a fleet
@@ -39,7 +45,7 @@ use crate::daemon_now;
 use crate::failover::{self, Uplink};
 use paradyn_tool::daemon::DaemonMsg;
 use pdmap_transport::{
-    send_wire, BatchSample, FrameKind, SampleBatch, SourceMark, TcpClient, TcpServer, TopoChild,
+    send_wire, BatchBuilder, BatchColumns, FrameKind, SourceMark, TcpClient, TcpServer, TopoChild,
     TopologyMsg, Transport, TransportConfig, WirePayload,
 };
 use std::collections::hash_map::DefaultHasher;
@@ -61,7 +67,10 @@ pub struct RelayConfig {
     /// Injected skew (ns) on the relay's own reported clock, so tests can
     /// prove the transitive correction does something.
     pub skew_ns: i64,
-    /// Maximum samples per upward [`SampleBatch`] frame.
+    /// Flush threshold: once this many samples are pending, the next
+    /// flush sends them all upward as one [`SampleBatch`] frame (which
+    /// may carry more than `batch` samples when children deliver faster
+    /// than the relay flushes).
     pub batch: u32,
     /// Flush a partial batch after this long, so a trickle of samples
     /// never waits for a full frame.
@@ -163,6 +172,9 @@ pub struct RelayReport {
     pub children_adopted: usize,
     /// Final topology epoch (bumps on every handover and adoption).
     pub epoch: u64,
+    /// Child frames dropped because they failed to decode — samples they
+    /// carried surface as the child's loss, this names the cause.
+    pub decode_errors: u64,
 }
 
 /// One child link and everything the relay knows about its subtree.
@@ -326,7 +338,7 @@ struct RelaySession<'a> {
     report: RelayReport,
     children: Vec<Child>,
     /// Samples rewritten onto the relay clock, awaiting the next flush.
-    pending: Vec<BatchSample>,
+    pending: BatchBuilder,
     last_flush: Instant,
     /// Content hashes of PIF blobs already forwarded.
     pifs_seen: HashSet<u64>,
@@ -350,7 +362,36 @@ struct RelaySession<'a> {
     reseeded: bool,
 }
 
-impl RelaySession<'_> {
+impl<'a> RelaySession<'a> {
+    /// A session with no children yet, serving the parent on `server`.
+    fn new(server: &'a TcpServer, cfg: &'a RelayConfig) -> Self {
+        let mut tcfg = cfg.child_transport;
+        if let Some(secret) = cfg.secret {
+            tcfg = tcfg.with_secret(secret);
+        }
+        RelaySession {
+            server,
+            cfg,
+            report: RelayReport::default(),
+            children: Vec::new(),
+            pending: BatchBuilder::default(),
+            last_flush: Instant::now(),
+            pifs_seen: HashSet::new(),
+            last_coverage: None,
+            shutdown_msg: false,
+            obs: cfg.obs_period.map(|p| {
+                crate::selfobs::SelfSampler::new(
+                    p,
+                    paradyn_tool::selfmap::obs_focus("relay", &server.local_addr().to_string()),
+                )
+            }),
+            uplink: Uplink::new(cfg.replay_ring),
+            tcfg,
+            last_topology: None,
+            reseeded: false,
+        }
+    }
+
     fn now(&self) -> u64 {
         daemon_now(self.cfg.skew_ns)
     }
@@ -626,46 +667,41 @@ impl RelaySession<'_> {
     /// Routes one post-sync child frame: samples are rewritten onto the
     /// relay clock and batched, mapping info is forwarded (PIFs deduped by
     /// content), Goodbye and SubtreeCoverage update the conservation
-    /// ledger.
+    /// ledger. A frame that fails to decode is dropped and counted.
     fn dispatch_child_frame(&mut self, i: usize, frame: &pdmap_transport::Frame) {
         match frame.kind {
             FrameKind::SampleBatch => {
-                if let Ok(batch) = SampleBatch::from_frame(frame) {
-                    // Sequence-watermark dedup: a batch at or below the
-                    // watermark is a handover replay of data already
-                    // folded in. (Seq 0 marks an unsequenced legacy
-                    // batch — never deduped.)
-                    if batch.seq != 0 && batch.seq <= self.children[i].last_seq {
-                        self.report.replays_suppressed += 1;
-                        return;
-                    }
-                    if batch.seq != 0 {
-                        self.children[i].last_seq = batch.seq;
-                    }
-                    for m in &batch.sources {
-                        let e = self.children[i]
-                            .source_marks
-                            .entry(m.origin.clone())
-                            .or_insert((0, 0));
-                        if m.through_seq >= e.0 {
-                            *e = (m.through_seq, m.samples);
-                        }
-                    }
-                    let offset = self.children[i].offset_ns;
-                    self.children[i].samples_received += batch.samples.len() as u64;
-                    for mut s in batch.samples {
-                        s.wall = rewrite(s.wall, offset);
-                        self.pending.push(s);
+                let Ok(batch) = BatchColumns::from_frame(frame) else {
+                    self.report.decode_errors += 1;
+                    return;
+                };
+                // Sequence-watermark dedup: a batch at or below the
+                // watermark is a handover replay of data already folded
+                // in. (Seq 0 marks an unsequenced legacy batch — never
+                // deduped.)
+                let child = &mut self.children[i];
+                if batch.seq != 0 && batch.seq <= child.last_seq {
+                    self.report.replays_suppressed += 1;
+                    return;
+                }
+                if batch.seq != 0 {
+                    child.last_seq = batch.seq;
+                }
+                for m in &batch.sources {
+                    let e = child.source_marks.entry(m.origin.clone()).or_insert((0, 0));
+                    if m.through_seq >= e.0 {
+                        *e = (m.through_seq, m.samples);
                     }
                 }
+                child.samples_received += batch.len() as u64;
+                let offset = child.offset_ns;
+                self.pending.append(batch, |wall| rewrite(wall, offset));
             }
-            FrameKind::Topology => {
-                if let Ok(msg) = TopologyMsg::from_frame(frame) {
-                    if !failover::is_beacon(&msg) {
-                        self.children[i].topo = Some(msg);
-                    }
-                }
-            }
+            FrameKind::Topology => match TopologyMsg::from_frame(frame) {
+                Ok(msg) if !failover::is_beacon(&msg) => self.children[i].topo = Some(msg),
+                Ok(_) => {}
+                Err(_) => self.report.decode_errors += 1,
+            },
             FrameKind::PifBlob => {
                 let mut h = DefaultHasher::new();
                 frame.payload.hash(&mut h);
@@ -683,12 +719,8 @@ impl RelaySession<'_> {
                     value,
                 }) => {
                     self.children[i].samples_received += 1;
-                    self.pending.push(BatchSample {
-                        metric: metric.into(),
-                        focus: focus.into(),
-                        wall: rewrite(wall, self.children[i].offset_ns),
-                        value,
-                    });
+                    let wall = rewrite(wall, self.children[i].offset_ns);
+                    self.pending.push(metric, focus, wall, value);
                 }
                 Ok(DaemonMsg::Goodbye { samples_sent }) => {
                     if self.children[i].announced.is_none() {
@@ -706,7 +738,8 @@ impl RelaySession<'_> {
                 Ok(msg @ (DaemonMsg::ArrayAllocated { .. } | DaemonMsg::ArrayFreed { .. })) => {
                     let _ = send_wire(self.server as &dyn Transport, &msg);
                 }
-                _ => {}
+                Ok(_) => {}
+                Err(_) => self.report.decode_errors += 1,
             },
             _ => {}
         }
@@ -742,12 +775,14 @@ impl RelaySession<'_> {
         self.report.samples_lost = cov.2;
     }
 
-    /// Flushes pending samples upward as one sequenced [`SampleBatch`]
-    /// frame, carrying cumulative per-child source marks so the parent
-    /// can seed exact adoptions if this relay dies. The uplink rings the
-    /// batch for handover replay; `samples_forwarded` counts it as
-    /// announced whether or not this send landed — a failed send is
-    /// either replayed (no loss) or becomes visible loss at the parent.
+    /// Flushes every pending sample upward as one sequenced
+    /// [`SampleBatch`] frame once `batch` samples are pending (or a
+    /// partial batch has waited `flush_interval`, or `force`), stamped
+    /// with cumulative per-child source marks so the parent can seed
+    /// exact adoptions if this relay dies. The uplink rings the columns
+    /// for handover replay; `samples_forwarded` counts them as announced
+    /// whether or not this send landed — a failed send is either replayed
+    /// (no loss) or becomes visible loss at the parent.
     fn flush(&mut self, force: bool) {
         let due = self.pending.len() >= self.cfg.batch.max(1) as usize
             || (!self.pending.is_empty()
@@ -755,9 +790,9 @@ impl RelaySession<'_> {
         if !due {
             return;
         }
-        let samples = std::mem::take(&mut self.pending);
-        let n = samples.len() as u64;
-        let sources = self
+        let mut batch = self.pending.take();
+        let n = batch.len() as u64;
+        batch.sources = self
             .children
             .iter()
             .filter(|c| !c.adopted_away)
@@ -767,10 +802,7 @@ impl RelaySession<'_> {
                 samples: c.samples_received + c.prior_delivered,
             })
             .collect();
-        if self
-            .uplink
-            .send(self.server as &dyn Transport, samples, sources)
-        {
+        if self.uplink.send(self.server as &dyn Transport, batch) {
             self.report.batches_sent += 1;
         }
         self.report.samples_forwarded += n;
@@ -804,16 +836,10 @@ impl RelaySession<'_> {
         ));
         rows.push((paradyn_tool::selfmap::OBS_SUBTREE_LOST.into(), lost as f64));
         let wall = daemon_now(self.cfg.skew_ns);
-        let focus: Arc<str> = focus.into();
-        let n = rows.len() as u64;
-        self.pending
-            .extend(rows.into_iter().map(|(metric, value)| BatchSample {
-                metric: metric.into(),
-                focus: focus.clone(),
-                wall,
-                value,
-            }));
-        self.report.obs_samples_sent += n;
+        self.report.obs_samples_sent += rows.len() as u64;
+        for (metric, value) in rows {
+            self.pending.push(metric, focus.clone(), wall, value);
+        }
     }
 }
 
@@ -849,31 +875,7 @@ pub fn serve_relay_until(
     cfg: &RelayConfig,
     stop: &AtomicBool,
 ) -> RelayReport {
-    let mut tcfg = cfg.child_transport;
-    if let Some(secret) = cfg.secret {
-        tcfg = tcfg.with_secret(secret);
-    }
-    let mut s = RelaySession {
-        server: &server,
-        cfg,
-        report: RelayReport::default(),
-        children: Vec::new(),
-        pending: Vec::new(),
-        last_flush: Instant::now(),
-        pifs_seen: HashSet::new(),
-        last_coverage: None,
-        shutdown_msg: false,
-        obs: cfg.obs_period.map(|p| {
-            crate::selfobs::SelfSampler::new(
-                p,
-                paradyn_tool::selfmap::obs_focus("relay", &server.local_addr().to_string()),
-            )
-        }),
-        uplink: Uplink::new(cfg.replay_ring),
-        tcfg,
-        last_topology: None,
-        reseeded: false,
-    };
+    let mut s = RelaySession::new(&server, cfg);
 
     // Phase 0: wait for the parent, exactly like a leaf waits for its tool.
     let deadline = Instant::now() + cfg.connect_timeout;
@@ -986,6 +988,9 @@ pub fn serve_relay_until(
     for i in 0..s.children.len() {
         s.pump_child(i);
     }
+    // The subtree is done: send the tail now rather than after the
+    // linger, which can be far longer than `flush_interval`.
+    s.flush(true);
 
     // Phase 4: linger so parent probe rounds racing the end still get
     // answers, then the final flush: last batch, final coverage, Goodbye
@@ -1085,6 +1090,39 @@ mod tests {
             "a re-parented subtree re-reports under its new parents"
         );
         assert!(c.done());
+    }
+
+    #[test]
+    fn undecodable_child_frames_are_counted_not_folded() {
+        let server = TcpServer::bind("127.0.0.1:0").expect("bind");
+        let cfg = RelayConfig::default();
+        let mut s = RelaySession::new(&server, &cfg);
+        s.children.push(child_with(None, 5, None, false));
+        let mut rows = BatchBuilder::default();
+        rows.push("m".into(), "f".into(), 10, 1.0);
+        rows.push("m".into(), "f".into(), 20, 2.0);
+        let good = BatchColumns {
+            seq: 1,
+            ..rows.take()
+        }
+        .to_frame();
+        // The count claims more samples than the payload carries.
+        let mut corrupt = good.clone();
+        corrupt.payload[0] = 9;
+        s.dispatch_child_frame(0, &corrupt);
+        assert_eq!(s.report.decode_errors, 1);
+        assert_eq!(s.children[0].samples_received, 5, "nothing folded");
+        assert!(s.pending.is_empty());
+        // An undecodable Daemon frame counts too; a good batch still folds.
+        s.dispatch_child_frame(
+            0,
+            &pdmap_transport::Frame::data(FrameKind::Daemon, vec![0xFF]),
+        );
+        assert_eq!(s.report.decode_errors, 2);
+        s.dispatch_child_frame(0, &good);
+        assert_eq!(s.children[0].samples_received, 7);
+        assert_eq!(s.pending.len(), 2);
+        assert_eq!(s.report.decode_errors, 2);
     }
 
     #[test]

@@ -13,6 +13,8 @@
 //! * **Coverage degradation.** Killing a leaf costs exactly one node of
 //!   `Coverage.nodes_reporting`; killing a relay costs its whole subtree —
 //!   never a silent zero either way.
+//! * **No stranded tail.** A partial batch still pending when the subtree
+//!   finishes is sent at once, not after the relay's linger.
 
 use paradyn_tool::{DaemonSet, DataManager, SupervisorPolicy};
 use pdmap::model::Namespace;
@@ -278,4 +280,51 @@ fn killing_a_relay_darkens_its_whole_subtree() {
         l.stop();
         let _ = l.join();
     }
+}
+
+#[test]
+fn relay_sends_its_tail_before_lingering() {
+    // The leaf's 10 samples never fill the relay's 1000-sample batch, and
+    // its 60 s flush interval never elapses: only the end of the subtree
+    // can send them, and it must do so before the 30 s linger.
+    let leaf = spawn(DaemonConfig {
+        samples: 10,
+        batch: 4,
+        period: Duration::from_millis(1),
+        linger: Duration::from_millis(300),
+        ..DaemonConfig::default()
+    })
+    .expect("bind leaf");
+    let relay = spawn_relay(RelayConfig {
+        children: vec![leaf.addr],
+        batch: 1000,
+        flush_interval: Duration::from_secs(60),
+        linger: Duration::from_secs(30),
+        child_transport: fast_transport(),
+        ..RelayConfig::default()
+    })
+    .expect("bind relay");
+    let data = Arc::new(DataManager::sharded(Namespace::new(), "CM Fortran", 1));
+    let mut set = DaemonSet::connect(&[relay.addr], fast_transport(), data);
+    set.clock_sync(4, Duration::from_secs(15)).expect("sync");
+    assert_eq!(
+        set.pump_until_samples(10, Duration::from_secs(10)),
+        10,
+        "the tail lands within 10 s"
+    );
+    assert_eq!(
+        set.conn(0).announced_sent(),
+        None,
+        "the relay is still lingering: its Goodbye has not been sent"
+    );
+
+    // Cut the linger short; the ledger still closes.
+    let cov = set.shutdown_all(Duration::from_secs(15));
+    assert_eq!(cov.samples_lost, 0);
+    assert_eq!(set.conn(0).announced_sent(), Some(10));
+    let rep = relay.join().expect("relay report");
+    assert!(rep.graceful_shutdown);
+    assert_eq!(rep.samples_forwarded, 10);
+    assert_eq!(rep.decode_errors, 0);
+    assert!(leaf.join().expect("leaf report").graceful_shutdown);
 }

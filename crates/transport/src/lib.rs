@@ -45,8 +45,8 @@ pub use queue::Backpressure;
 pub use stats::{StatsCell, TransportStats};
 pub use tcp::{TcpClient, TcpServer};
 pub use wire::{
-    BatchColumns, BatchSample, CodecError, PayloadReader, PifBlob, SampleBatch, SourceMark,
-    TopoChild, TopologyMsg, WirePayload,
+    BatchBuilder, BatchColumns, BatchSample, CodecError, PayloadReader, PifBlob, SampleBatch,
+    SourceMark, TopoChild, TopologyMsg, WirePayload,
 };
 
 use std::fmt;

@@ -6,6 +6,7 @@
 //! `SasMessage` in `pdmap`) using the little-endian primitives here.
 
 use crate::frame::{Frame, FrameKind};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -236,9 +237,7 @@ impl WirePayload for PifBlob {
 ///
 /// Names are `Arc<str>` so decoding a batch allocates once per *distinct*
 /// (metric, focus) pair in the frame's dictionary; every sample referencing
-/// the pair is a refcount bump. That is where batched drains win at scale —
-/// the per-sample cost at the root drops from two string allocations to two
-/// pointer copies.
+/// the pair is a refcount bump.
 #[derive(Clone, Debug, PartialEq)]
 pub struct BatchSample {
     /// Metric display name (e.g. `"Computation Time"`).
@@ -293,6 +292,8 @@ pub struct SourceMark {
 /// re-parenting handover and `seq` is its own monotonic batch counter, so
 /// a receiver that seeds a watermark from a failed parent's books can
 /// suppress exactly the replayed batches it has already folded in.
+///
+/// This row form and [`BatchColumns`] share one encoder, `write_batch`.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SampleBatch {
     /// The batched samples, in send order.
@@ -313,13 +314,27 @@ impl SampleBatch {
         let head = payload.get(0..4)?;
         Some(u32::from_le_bytes(head.try_into().unwrap()))
     }
+}
 
-    /// Decodes an encoded payload straight into [`BatchColumns`], never
-    /// materializing per-sample structs. Same wire grammar and bounds
-    /// checks as the [`WirePayload`] decode; the payload must be consumed
-    /// exactly.
-    pub fn decode_columns(payload: &[u8]) -> Result<BatchColumns, CodecError> {
-        let mut r = PayloadReader::new(payload);
+impl WirePayload for BatchColumns {
+    const KIND: FrameKind = FrameKind::SampleBatch;
+
+    fn encode_payload(&self, out: &mut Vec<u8>) {
+        write_batch(
+            out,
+            self.epoch,
+            self.seq,
+            &self.sources,
+            &self.dict,
+            &self.key,
+            &self.wall,
+            &self.value,
+        );
+    }
+
+    /// Reads the sample triples straight off the payload slice, never
+    /// materializing per-sample structs.
+    fn decode_payload(r: &mut PayloadReader<'_>) -> Result<Self, CodecError> {
         let count = r.u32()? as usize;
         let epoch = r.varint()?;
         let seq = r.varint()?;
@@ -385,7 +400,6 @@ impl SampleBatch {
             prev = w;
         }
         r.pos = pos;
-        r.finish()?;
         Ok(BatchColumns {
             epoch,
             seq,
@@ -395,18 +409,6 @@ impl SampleBatch {
             wall,
             value,
         })
-    }
-
-    /// Decodes a [`FrameKind::SampleBatch`] frame into columns — the
-    /// columnar twin of [`WirePayload::from_frame`].
-    pub fn columns_from_frame(frame: &Frame) -> Result<BatchColumns, CodecError> {
-        if frame.kind != FrameKind::SampleBatch {
-            return Err(CodecError::new(format!(
-                "expected SampleBatch frame, got {:?}",
-                frame.kind
-            )));
-        }
-        Self::decode_columns(&frame.payload)
     }
 }
 
@@ -429,12 +431,13 @@ fn fast_varint(buf: &[u8], pos: usize) -> Result<(u64, usize), CodecError> {
     }
 }
 
-/// A [`SampleBatch`] decoded as structure-of-arrays: the per-sample
+/// A [`SampleBatch`] as structure-of-arrays: the per-sample
 /// `key`/`wall`/`value` columns plus the (metric, focus) dictionary they
-/// index. This is the hot ingest representation — a receiver interns the
-/// small dictionary once per frame and then bulk-appends three flat
-/// columns, instead of cloning two `Arc<str>`s per sample into an
-/// array-of-structs. Column lengths are always equal.
+/// index. This is the hot representation on both sides of the wire — a
+/// receiver interns the small dictionary once per frame and then
+/// bulk-appends three flat columns, and a relay remaps it and re-encodes
+/// ([`BatchBuilder`]), instead of cloning two `Arc<str>`s per sample into
+/// an array-of-structs. Column lengths are always equal.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct BatchColumns {
     /// Sender's topology epoch (see [`SampleBatch::epoch`]).
@@ -468,44 +471,38 @@ impl BatchColumns {
 impl WirePayload for SampleBatch {
     const KIND: FrameKind = FrameKind::SampleBatch;
 
+    /// The row front end of `write_batch`: each distinct (metric, focus)
+    /// pair gets its first-seen dictionary slot through a hash index over
+    /// the samples' borrowed names — no string copies, no dictionary scan.
+    /// The index is sized for every sample being distinct, so it never
+    /// rehashes.
     fn encode_payload(&self, out: &mut Vec<u8>) {
-        put::u32(out, self.samples.len() as u32);
-        put::varint(out, self.epoch);
-        put::varint(out, self.seq);
-        put::varint(out, self.sources.len() as u64);
-        for m in &self.sources {
-            put::str(out, &m.origin);
-            put::varint(out, m.through_seq);
-            put::varint(out, m.samples);
-        }
-        // Dictionary of distinct (metric, focus) pairs, in first-seen order.
+        let n = self.samples.len();
+        let mut index: HashMap<(&str, &str), u32> = HashMap::with_capacity(n);
         let mut dict: Vec<(&str, &str)> = Vec::new();
-        let mut idxs: Vec<u64> = Vec::with_capacity(self.samples.len());
+        let mut key = Vec::with_capacity(n);
+        let mut wall = Vec::with_capacity(n);
+        let mut value = Vec::with_capacity(n);
         for s in &self.samples {
-            let key = (&*s.metric, &*s.focus);
-            let idx = match dict.iter().position(|&k| k == key) {
-                Some(i) => i,
-                None => {
-                    dict.push(key);
-                    dict.len() - 1
-                }
-            };
-            idxs.push(idx as u64);
+            let pair = (&*s.metric, &*s.focus);
+            let slot = *index.entry(pair).or_insert_with(|| {
+                dict.push(pair);
+                dict.len() as u32 - 1
+            });
+            key.push(slot);
+            wall.push(s.wall);
+            value.push(s.value);
         }
-        put::u32(out, dict.len() as u32);
-        for (metric, focus) in dict {
-            put::str(out, metric);
-            put::str(out, focus);
-        }
-        let base_wall = self.samples.first().map_or(0, |s| s.wall);
-        put::u64(out, base_wall);
-        let mut prev = base_wall;
-        for (s, idx) in self.samples.iter().zip(idxs) {
-            put::varint(out, idx);
-            put::zigzag(out, s.wall.wrapping_sub(prev) as i64);
-            put::f64(out, s.value);
-            prev = s.wall;
-        }
+        write_batch(
+            out,
+            self.epoch,
+            self.seq,
+            &self.sources,
+            &dict,
+            &key,
+            &wall,
+            &value,
+        );
     }
 
     fn decode_payload(r: &mut PayloadReader<'_>) -> Result<Self, CodecError> {
@@ -564,6 +561,120 @@ impl WirePayload for SampleBatch {
             seq,
             sources,
         })
+    }
+}
+
+/// The one writer of the [`SampleBatch`] layout, linear in samples plus
+/// dictionary entries. `key[i]` indexes `dict`; the three columns have
+/// equal length.
+#[allow(clippy::too_many_arguments)]
+fn write_batch<S: AsRef<str>>(
+    out: &mut Vec<u8>,
+    epoch: u64,
+    seq: u64,
+    sources: &[SourceMark],
+    dict: &[(S, S)],
+    key: &[u32],
+    wall: &[u64],
+    value: &[f64],
+) {
+    debug_assert!(key.len() == wall.len() && wall.len() == value.len());
+    put::u32(out, key.len() as u32);
+    put::varint(out, epoch);
+    put::varint(out, seq);
+    put::varint(out, sources.len() as u64);
+    for m in sources {
+        put::str(out, &m.origin);
+        put::varint(out, m.through_seq);
+        put::varint(out, m.samples);
+    }
+    put::u32(out, dict.len() as u32);
+    for (metric, focus) in dict {
+        put::str(out, metric.as_ref());
+        put::str(out, focus.as_ref());
+    }
+    let base_wall = wall.first().copied().unwrap_or(0);
+    put::u64(out, base_wall);
+    let mut prev = base_wall;
+    for ((&k, &w), &v) in key.iter().zip(wall).zip(value) {
+        put::varint(out, u64::from(k));
+        put::zigzag(out, w.wrapping_sub(prev) as i64);
+        put::f64(out, v);
+        prev = w;
+    }
+}
+
+/// A [`BatchColumns`] being assembled from decoded batches and loose rows:
+/// the key/wall/value columns plus a (metric, focus) → slot index that
+/// holds the dictionary's names until [`BatchBuilder::take`]. Appending a
+/// decoded batch remaps its dictionary once per entry and copies its
+/// columns in one pass each — how a relay merges its children's streams
+/// without a per-sample struct. Slots are assigned in first-seen order,
+/// so the built batch encodes exactly as the [`SampleBatch`] of the same
+/// rows would.
+#[derive(Debug, Default)]
+pub struct BatchBuilder {
+    index: HashMap<(String, String), u32>,
+    key: Vec<u32>,
+    wall: Vec<u64>,
+    value: Vec<f64>,
+}
+
+impl BatchBuilder {
+    /// Rows gathered since the last [`BatchBuilder::take`].
+    pub fn len(&self) -> usize {
+        self.key.len()
+    }
+
+    /// True when no row is waiting.
+    pub fn is_empty(&self) -> bool {
+        self.key.is_empty()
+    }
+
+    /// The dictionary slot of `(metric, focus)`, assigned on first sight.
+    fn slot(&mut self, metric: String, focus: String) -> u32 {
+        let next = self.index.len() as u32;
+        *self.index.entry((metric, focus)).or_insert(next)
+    }
+
+    /// Appends one row.
+    pub fn push(&mut self, metric: String, focus: String, wall: u64, value: f64) {
+        let slot = self.slot(metric, focus);
+        self.key.push(slot);
+        self.wall.push(wall);
+        self.value.push(value);
+    }
+
+    /// Appends every row of `batch` in order, each wall mapped through
+    /// `shift` (a relay's rewrite onto its own clock). The batch's epoch,
+    /// sequence and source marks are not carried over.
+    pub fn append(&mut self, batch: BatchColumns, shift: impl Fn(u64) -> u64) {
+        let remap: Vec<u32> = batch
+            .dict
+            .into_iter()
+            .map(|(metric, focus)| self.slot(metric, focus))
+            .collect();
+        self.key
+            .extend(batch.key.iter().map(|&k| remap[k as usize]));
+        self.wall.extend(batch.wall.iter().map(|&w| shift(w)));
+        self.value.extend_from_slice(&batch.value);
+    }
+
+    /// Takes the gathered rows as a [`BatchColumns`] with its dictionary
+    /// in slot order, leaving the builder empty. Epoch, sequence and
+    /// source marks are the sender's to stamp.
+    pub fn take(&mut self) -> BatchColumns {
+        let mut dict = vec![(String::new(), String::new()); self.index.len()];
+        for (pair, slot) in self.index.drain() {
+            dict[slot as usize] = pair;
+        }
+        BatchColumns {
+            dict,
+            key: std::mem::take(&mut self.key),
+            wall: std::mem::take(&mut self.wall),
+            value: std::mem::take(&mut self.value),
+            ..BatchColumns::default()
+        }
     }
 }
 
@@ -825,7 +936,7 @@ mod tests {
             }],
         };
         let frame = batch.to_frame();
-        let cols = SampleBatch::columns_from_frame(&frame).unwrap();
+        let cols = BatchColumns::from_frame(&frame).unwrap();
         assert_eq!(cols.len(), batch.samples.len());
         assert_eq!(cols.epoch, batch.epoch);
         assert_eq!(cols.seq, batch.seq);
@@ -840,13 +951,13 @@ mod tests {
         assert_eq!(cols.dict.len(), 2);
         // An empty batch decodes to empty columns.
         let empty = SampleBatch::default().to_frame();
-        let ec = SampleBatch::columns_from_frame(&empty).unwrap();
+        let ec = BatchColumns::from_frame(&empty).unwrap();
         assert!(ec.is_empty());
         // Kind mismatch and corrupt counts are rejected like the struct path.
-        assert!(SampleBatch::columns_from_frame(&PifBlob(vec![1]).to_frame()).is_err());
+        assert!(BatchColumns::from_frame(&PifBlob(vec![1]).to_frame()).is_err());
         let mut bad = batch.to_frame();
         bad.payload[0] = 9;
-        assert!(SampleBatch::columns_from_frame(&bad).is_err());
+        assert!(BatchColumns::from_frame(&bad).is_err());
     }
 
     #[test]
@@ -892,5 +1003,154 @@ mod tests {
             encoded.len()
         );
         assert_eq!(SampleBatch::from_frame(&many.to_frame()).unwrap(), many);
+    }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    #[test]
+    fn sample_batch_payload_golden() {
+        // Source marks, a repeated key and a negative wall delta, as the
+        // dictionary-scan encoder that `write_batch` replaced wrote them:
+        // the row front end, the columns and the builder must all match.
+        let golden = concat!(
+            "03000000", // count
+            "03",       // epoch
+            "11",       // seq 17
+            "01",       // one source mark
+            "0e000000",
+            "3132372e302e302e313a37303031", // "127.0.0.1:7001"
+            "09",                           // through_seq
+            "ac02",                         // samples 300
+            "02000000",                     // dict_len
+            "10000000",
+            "436f6d7075746174696f6e2054696d65", // "Computation Time"
+            "0f000000",
+            "3c77686f6c652070726f6772616d3e", // "<whole program>"
+            "08000000",
+            "4d65737361676573", // "Messages"
+            "06000000",
+            "6e6f64652033",     // "node 3"
+            "40420f0000000000", // base_wall 1,000,000
+            "00",
+            "00",
+            "000000000000f83f", // slot 0, +0, 1.5
+            "01",
+            "cf0f",
+            "00000000000000c0", // slot 1, -1000, -2.0
+            "00",
+            "c413",
+            "000000000000d03f", // slot 0, +1250, 0.25
+        );
+        let batch = SampleBatch {
+            samples: vec![
+                sample("Computation Time", "<whole program>", 1_000_000, 1.5),
+                sample("Messages", "node 3", 999_000, -2.0),
+                sample("Computation Time", "<whole program>", 1_000_250, 0.25),
+            ],
+            epoch: 3,
+            seq: 17,
+            sources: vec![SourceMark {
+                origin: "127.0.0.1:7001".into(),
+                through_seq: 9,
+                samples: 300,
+            }],
+        };
+        let frame = batch.to_frame();
+        assert_eq!(hex(&frame.payload), golden);
+        let cols = BatchColumns::from_frame(&frame).unwrap();
+        assert_eq!(hex(&cols.to_frame().payload), golden);
+        let mut built = BatchBuilder::default();
+        for s in &batch.samples {
+            built.push(s.metric.to_string(), s.focus.to_string(), s.wall, s.value);
+        }
+        let built = BatchColumns {
+            epoch: 3,
+            seq: 17,
+            sources: batch.sources.clone(),
+            ..built.take()
+        };
+        assert_eq!(built, cols);
+        assert_eq!(hex(&built.to_frame().payload), golden);
+    }
+
+    #[test]
+    fn relay_merge_encodes_like_the_struct_encoder() {
+        // Two children whose dictionaries overlap on "Messages/node 1",
+        // on clocks 300 ns ahead and 700 ns behind, plus one loose row.
+        let shift = |off: i64| move |w: u64| (w as i64 - off).max(0) as u64;
+        let a = SampleBatch {
+            samples: vec![
+                sample("Computation Time", "<whole program>", 10_000, 1.0),
+                sample("Messages", "node 1", 10_200, 2.0),
+                sample("Computation Time", "<whole program>", 10_100, 3.0),
+            ],
+            epoch: 1,
+            seq: 4,
+            sources: vec![SourceMark {
+                origin: "127.0.0.1:7001".into(),
+                through_seq: 2,
+                samples: 9,
+            }],
+        };
+        let b = SampleBatch {
+            samples: vec![
+                sample("Messages", "node 2", 9_000, 4.0),
+                sample("Messages", "node 1", 9_500, 5.0),
+            ],
+            seq: 8,
+            ..SampleBatch::default()
+        };
+        let (off_a, off_b) = (300, -700);
+        let mut pending = BatchBuilder::default();
+        pending.append(
+            BatchColumns::from_frame(&a.to_frame()).unwrap(),
+            shift(off_a),
+        );
+        pending.append(
+            BatchColumns::from_frame(&b.to_frame()).unwrap(),
+            shift(off_b),
+        );
+        pending.push("Messages".into(), "node 2".into(), 9_800, 6.0);
+        assert_eq!(pending.len(), 6);
+        let marks = vec![SourceMark {
+            origin: "127.0.0.1:7002".into(),
+            through_seq: 8,
+            samples: 2,
+        }];
+        let merged = BatchColumns {
+            epoch: 2,
+            seq: 5,
+            sources: marks.clone(),
+            ..pending.take()
+        };
+        assert!(pending.is_empty());
+        assert_eq!(merged.dict.len(), 3, "overlapping keys share one slot");
+
+        // The struct encoder over the same rows, rewritten by hand.
+        let mut rows = Vec::new();
+        for (batch, off) in [(&a, off_a), (&b, off_b)] {
+            for s in &batch.samples {
+                rows.push(BatchSample {
+                    wall: shift(off)(s.wall),
+                    ..s.clone()
+                });
+            }
+        }
+        rows.push(sample("Messages", "node 2", 9_800, 6.0));
+        let expect = SampleBatch {
+            samples: rows,
+            epoch: 2,
+            seq: 5,
+            sources: marks,
+        };
+        assert_eq!(merged.to_frame().payload, expect.to_frame().payload);
+
+        // A taken builder starts over: slots restart at zero.
+        pending.push("Messages".into(), "node 2".into(), 1, 1.0);
+        let again = pending.take();
+        assert_eq!(again.dict, vec![("Messages".into(), "node 2".into())]);
+        assert_eq!(again.key, vec![0]);
     }
 }
