@@ -30,7 +30,8 @@ use std::time::{Duration, Instant};
 
 /// Span sites for the SAS hot operations, interned once (see
 /// `pdmap-obs`). Sentences about the tool's own SAS activity flow from
-/// here into the `OBS_MDL` self-mapping.
+/// here into the "Tool" level that `pdmap-paradyn`'s `selfmap` module
+/// generates from `pdmap_obs::KNOWN_SITES`.
 struct SasObs {
     push: pdmap_obs::SpanSite,
     pop: pdmap_obs::SpanSite,

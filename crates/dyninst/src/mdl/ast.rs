@@ -26,6 +26,19 @@ impl fmt::Display for MdlUnit {
     }
 }
 
+impl MdlUnit {
+    /// The unit named by an MDL `units` keyword (the inverse of `Display`).
+    pub fn from_keyword(keyword: &str) -> Option<Self> {
+        match keyword {
+            "seconds" => Some(Self::Seconds),
+            "operations" => Some(Self::Operations),
+            "bytes" => Some(Self::Bytes),
+            "percent" => Some(Self::Percent),
+            _ => None,
+        }
+    }
+}
+
 /// How samples aggregate.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum MdlAgg {
@@ -181,6 +194,8 @@ mod tests {
     fn displays() {
         assert_eq!(MdlUnit::Seconds.to_string(), "seconds");
         assert_eq!(MdlAgg::Average.to_string(), "average");
+        assert_eq!(MdlUnit::from_keyword("bytes"), Some(MdlUnit::Bytes));
+        assert_eq!(MdlUnit::from_keyword("ns"), None);
     }
 
     #[test]

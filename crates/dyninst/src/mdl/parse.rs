@@ -148,18 +148,10 @@ fn parse_metric(p: &mut Parser) -> Result<MetricDecl, MdlError> {
                 }
                 "units" => {
                     let u = p.expect_ident("unit")?;
-                    decl.units = match u.as_str() {
-                        "seconds" => MdlUnit::Seconds,
-                        "operations" => MdlUnit::Operations,
-                        "bytes" => MdlUnit::Bytes,
-                        "percent" => MdlUnit::Percent,
-                        other => {
-                            return Err(MdlError {
-                                line,
-                                message: format!("unknown unit '{other}'"),
-                            })
-                        }
-                    };
+                    decl.units = MdlUnit::from_keyword(&u).ok_or_else(|| MdlError {
+                        line,
+                        message: format!("unknown unit '{u}'"),
+                    })?;
                     p.expect_kind(TokenKind::Semi)?;
                 }
                 "aggregate" => {

@@ -25,24 +25,95 @@ fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// The span sites the tool stack instruments, as `(component, verb)`
-/// pairs. Components double as NV nouns and verbs as NV verbs in the
-/// `OBS_MDL` self-mapping (see `pdmap-paradyn`'s `selfmap` module).
-pub const KNOWN_SITES: &[(&str, &str)] = &[
-    ("transport/inproc", "send"),
-    ("transport/inproc", "deliver"),
-    ("transport/tcp", "send"),
-    ("transport/tcp", "deliver"),
-    ("transport/tcp", "reconnect"),
-    ("daemon", "send"),
-    ("daemon", "deliver"),
-    ("sas", "push"),
-    ("sas", "pop"),
-    ("sas", "evaluate"),
-    ("sas", "deliver"),
-    ("datamgr", "import"),
-    ("cmrts", "step"),
-    ("consultant", "experiment"),
+/// The span sites the tool stack instruments, as `(component, verb, time
+/// description, count description)`. Components double as NV nouns and
+/// verbs as NV verbs; `pdmap-paradyn`'s `selfmap` module generates the
+/// "Tool" level's Time and Count metric for each site from this table.
+pub const KNOWN_SITES: &[(&str, &str, &str, &str)] = &[
+    (
+        "transport/inproc",
+        "send",
+        "Nanoseconds spent enqueueing frames on the in-process backend.",
+        "Spans recorded enqueueing frames on the in-process backend.",
+    ),
+    (
+        "transport/inproc",
+        "deliver",
+        "Nanoseconds spent delivering frames from the in-process backend.",
+        "Spans recorded delivering frames from the in-process backend.",
+    ),
+    (
+        "transport/tcp",
+        "send",
+        "Nanoseconds spent sending frames on the TCP backend.",
+        "Spans recorded sending frames on the TCP backend.",
+    ),
+    (
+        "transport/tcp",
+        "deliver",
+        "Nanoseconds spent delivering frames from the TCP backend.",
+        "Spans recorded delivering frames from the TCP backend.",
+    ),
+    (
+        "transport/tcp",
+        "reconnect",
+        "Nanoseconds spent re-establishing lost TCP connections.",
+        "Spans recorded re-establishing lost TCP connections.",
+    ),
+    (
+        "daemon",
+        "send",
+        "Nanoseconds the instrumentation library spent encoding and sending daemon messages.",
+        "Spans recorded encoding and sending daemon messages.",
+    ),
+    (
+        "daemon",
+        "deliver",
+        "Nanoseconds the daemon spent pumping and decoding inbound messages.",
+        "Spans recorded pumping and decoding inbound daemon messages.",
+    ),
+    (
+        "sas",
+        "push",
+        "Nanoseconds spent activating sentences, including forwarding.",
+        "Spans recorded activating sentences.",
+    ),
+    (
+        "sas",
+        "pop",
+        "Nanoseconds spent deactivating sentences, including forwarding.",
+        "Spans recorded deactivating sentences.",
+    ),
+    (
+        "sas",
+        "evaluate",
+        "Nanoseconds spent evaluating performance questions.",
+        "Spans recorded evaluating performance questions.",
+    ),
+    (
+        "sas",
+        "deliver",
+        "Nanoseconds spent applying forwarded sentence updates on receiving nodes.",
+        "Spans recorded applying forwarded sentence updates.",
+    ),
+    (
+        "datamgr",
+        "import",
+        "Nanoseconds the Data Manager spent importing mapping information.",
+        "Spans recorded importing mapping information.",
+    ),
+    (
+        "cmrts",
+        "step",
+        "Nanoseconds the simulated CM-5 spent executing control-processor steps.",
+        "Control-processor steps executed by the simulated CM-5.",
+    ),
+    (
+        "consultant",
+        "experiment",
+        "Nanoseconds the consultant spent measuring hypothesis experiments.",
+        "Hypothesis experiments the consultant ran.",
+    ),
 ];
 
 struct Registry {
@@ -360,7 +431,7 @@ mod tests {
     #[test]
     fn known_sites_are_unique() {
         let mut seen = std::collections::HashSet::new();
-        for &(c, v) in KNOWN_SITES {
+        for &(c, v, _, _) in KNOWN_SITES {
             assert!(seen.insert((c, v)), "duplicate site {c}/{v}");
         }
         assert!(KNOWN_SITES.len() >= 12);

@@ -6,8 +6,13 @@
 //! arrays, subsections of arrays, parallel assignment statements, nodes, or
 //! combinations — the constraint arrives as guard predicates at
 //! instantiation time, not here.
+//!
+//! This is the only hand-written catalogue: it is the paper's own, the
+//! metric manager installs it, and its points resolve against the CMRTS
+//! registry. The tool's self-measurement levels are generated in
+//! [`crate::selfmap`].
 
-use dyninst_sim::mdl::{parse_mdl, MdlFile, MetricDecl};
+use dyninst_sim::mdl::{parse_mdl, MdlFile};
 
 /// The MDL source for the full Figure 9 catalogue (plus file-I/O metrics,
 /// which Figure 9's surrounding text mentions as CM Fortran verbs).
@@ -346,187 +351,6 @@ pub fn figure9_catalogue() -> MdlFile {
     parse_mdl(FIGURE9_MDL).expect("embedded Figure 9 MDL must parse")
 }
 
-/// The MDL source for the transport self-metric catalogue.
-///
-/// A measurement tool must be able to measure itself: the daemon links that
-/// carry samples and forwarded sentences are themselves a potential
-/// bottleneck, so every transport backend counts its own traffic and the
-/// tool exports those counters as a "Transport" level beside Figure 9's
-/// "CM Fortran" and "CMRTS" levels. The metric names here match
-/// [`pdmap_transport::TransportStats::rows`] exactly; the point names are
-/// the transport crate's internal events, not CMRTS points.
-pub const TRANSPORT_MDL: &str = r#"
-// ---------------------------- Transport level ----------------------------
-
-metric transport_frames_sent {
-    name "Transport Frames Sent";
-    units operations;
-    aggregate sum;
-    level "Transport";
-    description "Data frames accepted for delivery.";
-    foreach point "transport::send" { incrCounter 1; }
-}
-
-metric transport_bytes_sent {
-    name "Transport Bytes Sent";
-    units bytes;
-    aggregate sum;
-    level "Transport";
-    description "Encoded bytes of frames accepted for delivery.";
-    foreach point "transport::send" { incrCounterArg; }
-}
-
-metric transport_frames_received {
-    name "Transport Frames Received";
-    units operations;
-    aggregate sum;
-    level "Transport";
-    description "Data frames delivered to the receiving application.";
-    foreach point "transport::recv" { incrCounter 1; }
-}
-
-metric transport_bytes_received {
-    name "Transport Bytes Received";
-    units bytes;
-    aggregate sum;
-    level "Transport";
-    description "Encoded bytes of delivered frames.";
-    foreach point "transport::recv" { incrCounterArg; }
-}
-
-metric transport_drops {
-    name "Transport Drops";
-    units operations;
-    aggregate sum;
-    level "Transport";
-    description "Frames discarded by backpressure or link give-up.";
-    foreach point "transport::drop" { incrCounterArg; }
-}
-
-metric transport_duplicates {
-    name "Transport Duplicates";
-    units operations;
-    aggregate sum;
-    level "Transport";
-    description "Redelivered frames suppressed by sequence tracking.";
-    foreach point "transport::duplicate" { incrCounter 1; }
-}
-
-metric transport_retries {
-    name "Transport Retries";
-    units operations;
-    aggregate sum;
-    level "Transport";
-    description "Failed connection attempts.";
-    foreach point "transport::retry" { incrCounter 1; }
-}
-
-metric transport_reconnects {
-    name "Transport Reconnects";
-    units operations;
-    aggregate sum;
-    level "Transport";
-    description "Connections re-established after a loss.";
-    foreach point "transport::reconnect" { incrCounter 1; }
-}
-
-metric transport_heartbeats_sent {
-    name "Transport Heartbeats Sent";
-    units operations;
-    aggregate sum;
-    level "Transport";
-    description "Liveness probes sent on idle links.";
-    foreach point "transport::heartbeat:send" { incrCounter 1; }
-}
-
-metric transport_heartbeats_received {
-    name "Transport Heartbeats Received";
-    units operations;
-    aggregate sum;
-    level "Transport";
-    description "Liveness probes received, including echoes.";
-    foreach point "transport::heartbeat:recv" { incrCounter 1; }
-}
-
-metric transport_acks_sent {
-    name "Transport Acks Sent";
-    units operations;
-    aggregate sum;
-    level "Transport";
-    description "Delivery acknowledgements sent.";
-    foreach point "transport::ack:send" { incrCounter 1; }
-}
-
-metric transport_acks_received {
-    name "Transport Acks Received";
-    units operations;
-    aggregate sum;
-    level "Transport";
-    description "Delivery acknowledgements received.";
-    foreach point "transport::ack:recv" { incrCounter 1; }
-}
-
-metric transport_max_queue_depth {
-    name "Transport Max Queue Depth";
-    units operations;
-    aggregate sum;
-    level "Transport";
-    description "High-water mark of the bounded send queue.";
-    foreach point "transport::queue:observe" { incrCounterArg; }
-}
-
-metric transport_auth_failures {
-    name "Transport Auth Failures";
-    units operations;
-    aggregate sum;
-    level "Transport";
-    description "Peers rejected by the authenticated Hello handshake.";
-    foreach point "transport::auth:reject" { incrCounter 1; }
-}
-
-metric transport_batched_samples_sent {
-    name "Transport Batched Samples Sent";
-    units operations;
-    aggregate sum;
-    level "Transport";
-    description "Samples carried out in SampleBatch frames (per sample, not per frame).";
-    foreach point "transport::batch:send" { incrCounterArg; }
-}
-
-metric transport_batched_samples_received {
-    name "Transport Batched Samples Received";
-    units operations;
-    aggregate sum;
-    level "Transport";
-    description "Samples carried in by SampleBatch frames.";
-    foreach point "transport::batch:recv" { incrCounterArg; }
-}
-"#;
-
-/// Parses the transport catalogue. Panics only if the embedded source is
-/// broken (covered by tests).
-pub fn transport_catalogue() -> MdlFile {
-    parse_mdl(TRANSPORT_MDL).expect("embedded transport MDL must parse")
-}
-
-/// Exports a transport snapshot as `(metric, value)` samples in catalogue
-/// order, pairing each "Transport"-level metric with its counter. Rows whose
-/// name has no catalogue entry are skipped (none exist today; a test pins
-/// the two lists to each other).
-pub fn export_transport_stats(stats: &pdmap_transport::TransportStats) -> Vec<(MetricDecl, u64)> {
-    let catalogue = transport_catalogue();
-    let rows = stats.rows();
-    catalogue
-        .metrics
-        .into_iter()
-        .filter_map(|m| {
-            rows.iter()
-                .find(|&&(name, _)| name == m.name)
-                .map(|&(_, v)| (m, v))
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -590,53 +414,6 @@ mod tests {
     #[test]
     fn catalogue_survives_emit_parse_roundtrip() {
         let f = figure9_catalogue();
-        let reparsed = parse_mdl(&f.emit()).unwrap();
-        assert_eq!(f, reparsed);
-    }
-
-    #[test]
-    fn transport_catalogue_matches_stats_rows_exactly() {
-        // Every TransportStats row must have a catalogue metric of the same
-        // name, in the same order, and vice versa — the exporter relies on
-        // the pairing.
-        let f = transport_catalogue();
-        let stats = pdmap_transport::TransportStats::default();
-        let row_names: Vec<&str> = stats.rows().iter().map(|&(n, _)| n).collect();
-        let metric_names: Vec<&str> = f.metrics.iter().map(|m| m.name.as_str()).collect();
-        assert_eq!(metric_names, row_names);
-        for m in &f.metrics {
-            assert_eq!(m.level, "Transport", "metric {} has wrong level", m.id);
-        }
-    }
-
-    #[test]
-    fn transport_exporter_pairs_every_counter() {
-        let stats = pdmap_transport::TransportStats {
-            frames_sent: 7,
-            bytes_sent: 700,
-            drops: 3,
-            max_queue_depth: 12,
-            ..Default::default()
-        };
-        let samples = export_transport_stats(&stats);
-        assert_eq!(samples.len(), stats.rows().len());
-        let lookup = |name: &str| {
-            samples
-                .iter()
-                .find(|(m, _)| m.name == name)
-                .map(|&(_, v)| v)
-                .unwrap()
-        };
-        assert_eq!(lookup("Transport Frames Sent"), 7);
-        assert_eq!(lookup("Transport Bytes Sent"), 700);
-        assert_eq!(lookup("Transport Drops"), 3);
-        assert_eq!(lookup("Transport Max Queue Depth"), 12);
-        assert_eq!(lookup("Transport Reconnects"), 0);
-    }
-
-    #[test]
-    fn transport_catalogue_survives_emit_parse_roundtrip() {
-        let f = transport_catalogue();
         let reparsed = parse_mdl(&f.emit()).unwrap();
         assert_eq!(f, reparsed);
     }

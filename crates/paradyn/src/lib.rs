@@ -65,9 +65,8 @@ pub use mcache::{McacheStats, Measured, MeasurementCache};
 pub use metrics::{MappingInstrumentation, MetricManager, MetricRequest, RequestError};
 pub use report::{profile, run_report, Profile};
 pub use selfmap::{
-    ask_obs, chaos_catalogue, consultant_catalogue, export_chaos_obs, export_consultant_obs,
-    export_obs, export_shard_obs, obs_catalogue, obs_sentences, shard_obs_catalogue, shard_obs_mdl,
-    CHAOS_MDL, CHAOS_OBS_COUNTERS, CONSULTANT_MDL, CONSULTANT_OBS_COUNTERS, OBS_MDL,
+    ask_obs, counter_catalogue, export_counters, export_obs, export_shard_obs, obs_catalogue,
+    obs_sentences, shard_obs_catalogue, TOOL_COUNTERS,
 };
 pub use stream::{run_sampled, run_sampled_adaptive, Stream};
 pub use tool::{Experiment, LoadError, Paradyn};

@@ -36,7 +36,7 @@
 //! five hypotheses arriving at the same focus at the same time — blocks on
 //! that cell's condvar and shares the one measurement. Hits and misses are
 //! counted under the `consultant.mcache_hit` / `consultant.mcache_miss`
-//! observability counters (self-mapped in `selfmap::CONSULTANT_MDL`).
+//! observability counters (self-mapped through `selfmap::TOOL_COUNTERS`).
 
 use crate::metrics::RequestError;
 use pdmap::util::{FxHasher, RwLock};

@@ -17,6 +17,7 @@
 //! without paying a recalibration per period.
 
 use paradyn_tool::selfmap;
+use pdmap_obs::report::{CALIBRATION_COMPONENT, CALIBRATION_VERB};
 use pdmap_obs::ObsSnapshot;
 use std::time::{Duration, Instant};
 
@@ -80,7 +81,7 @@ pub(crate) fn rows(snap: &ObsSnapshot, null_span_ns: u64) -> Vec<(String, f64)> 
     let mut out = Vec::with_capacity(snap.sites.len() * 2 + snap.counters.len() + 4);
     for s in &snap.sites {
         // The calibration site is measurement scaffolding, not workload.
-        if s.count == 0 || (s.component == "obs" && s.verb == "calibrate") {
+        if s.count == 0 || (s.component == CALIBRATION_COMPONENT && s.verb == CALIBRATION_VERB) {
             continue;
         }
         out.push((

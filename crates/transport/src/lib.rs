@@ -42,7 +42,7 @@ pub use fault::{FaultDecision, FaultInjector, FaultPlan, FaultStats};
 pub use frame::{Frame, FrameError, FrameKind};
 pub use inproc::InProcEnd;
 pub use queue::Backpressure;
-pub use stats::{StatsCell, TransportStats};
+pub use stats::{StatsCell, TransportStats, TRANSPORT_ROWS};
 pub use tcp::{TcpClient, TcpServer};
 pub use wire::{
     BatchBuilder, BatchColumns, BatchSample, CodecError, PayloadReader, PifBlob, SampleBatch,

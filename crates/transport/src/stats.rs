@@ -2,8 +2,8 @@
 //!
 //! A measurement tool must be able to measure itself: every backend keeps a
 //! [`StatsCell`] of atomic counters, snapshotted into the plain
-//! [`TransportStats`] that the tool layer exports through its metric
-//! catalogue (the Figure-9-style "Transport" level).
+//! [`TransportStats`], whose rows ([`TRANSPORT_ROWS`]) the tool layer
+//! exports as its Figure-9-style "Transport" metric level.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -166,31 +166,119 @@ pub struct TransportStats {
     pub samples_batched_received: u64,
 }
 
+/// The "Transport" level of the tool's self-measurement, one row per
+/// [`TransportStats`] counter in catalogue order: `(metric name, MDL units,
+/// description)`. The tool generates its "Transport" metric catalogue from
+/// this table, and [`TransportStats::rows`] pairs it with values.
+pub const TRANSPORT_ROWS: [(&str, &str, &str); 16] = [
+    (
+        "Transport Frames Sent",
+        "operations",
+        "Data frames accepted for delivery.",
+    ),
+    (
+        "Transport Bytes Sent",
+        "bytes",
+        "Encoded bytes of frames accepted for delivery.",
+    ),
+    (
+        "Transport Frames Received",
+        "operations",
+        "Data frames delivered to the receiving application.",
+    ),
+    (
+        "Transport Bytes Received",
+        "bytes",
+        "Encoded bytes of delivered frames.",
+    ),
+    (
+        "Transport Drops",
+        "operations",
+        "Frames discarded by backpressure or link give-up.",
+    ),
+    (
+        "Transport Duplicates",
+        "operations",
+        "Redelivered frames suppressed by sequence tracking.",
+    ),
+    (
+        "Transport Retries",
+        "operations",
+        "Failed connection attempts.",
+    ),
+    (
+        "Transport Reconnects",
+        "operations",
+        "Connections re-established after a loss.",
+    ),
+    (
+        "Transport Heartbeats Sent",
+        "operations",
+        "Liveness probes sent on idle links.",
+    ),
+    (
+        "Transport Heartbeats Received",
+        "operations",
+        "Liveness probes received, including echoes.",
+    ),
+    (
+        "Transport Acks Sent",
+        "operations",
+        "Delivery acknowledgements sent.",
+    ),
+    (
+        "Transport Acks Received",
+        "operations",
+        "Delivery acknowledgements received.",
+    ),
+    (
+        "Transport Max Queue Depth",
+        "operations",
+        "High-water mark of the bounded send queue.",
+    ),
+    (
+        "Transport Auth Failures",
+        "operations",
+        "Peers rejected by the authenticated Hello handshake.",
+    ),
+    (
+        "Transport Batched Samples Sent",
+        "operations",
+        "Samples carried out in SampleBatch frames (per sample, not per frame).",
+    ),
+    (
+        "Transport Batched Samples Received",
+        "operations",
+        "Samples carried in by SampleBatch frames.",
+    ),
+];
+
 impl TransportStats {
-    /// `(metric name, value)` rows in catalogue order — the names match the
-    /// "Transport" level of the tool's metric catalogue.
+    /// `(metric name, value)` rows in [`TRANSPORT_ROWS`] order.
     pub fn rows(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("Transport Frames Sent", self.frames_sent),
-            ("Transport Bytes Sent", self.bytes_sent),
-            ("Transport Frames Received", self.frames_received),
-            ("Transport Bytes Received", self.bytes_received),
-            ("Transport Drops", self.drops),
-            ("Transport Duplicates", self.duplicates),
-            ("Transport Retries", self.retries),
-            ("Transport Reconnects", self.reconnects),
-            ("Transport Heartbeats Sent", self.heartbeats_sent),
-            ("Transport Heartbeats Received", self.heartbeats_received),
-            ("Transport Acks Sent", self.acks_sent),
-            ("Transport Acks Received", self.acks_received),
-            ("Transport Max Queue Depth", self.max_queue_depth),
-            ("Transport Auth Failures", self.auth_failures),
-            ("Transport Batched Samples Sent", self.samples_batched_sent),
-            (
-                "Transport Batched Samples Received",
-                self.samples_batched_received,
-            ),
-        ]
+        let values = [
+            self.frames_sent,
+            self.bytes_sent,
+            self.frames_received,
+            self.bytes_received,
+            self.drops,
+            self.duplicates,
+            self.retries,
+            self.reconnects,
+            self.heartbeats_sent,
+            self.heartbeats_received,
+            self.acks_sent,
+            self.acks_received,
+            self.max_queue_depth,
+            self.auth_failures,
+            self.samples_batched_sent,
+            self.samples_batched_received,
+        ];
+        TRANSPORT_ROWS
+            .iter()
+            .zip(values)
+            .map(|(&(name, _, _), v)| (name, v))
+            .collect()
     }
 }
 

@@ -1,15 +1,19 @@
 //! Integration tests for the self-mapped observability layer: the tool
 //! measuring itself with the paper's own Noun-Verb machinery, the
-//! perturbation self-report, and the transport conservation law with
-//! span recording enabled.
+//! perturbation self-report, the transport conservation law with span
+//! recording enabled, and a catalogue row for every counter and site.
 //!
 //! All tests in this binary share the global `pdmap-obs` registry, so
 //! assertions are lower bounds (`>=`), never exact counts.
 
-use paradyn_tool::selfmap::{ask_obs, export_obs, obs_sentences};
-use paradyn_tool::{Daemon, DataManager};
+use paradyn_tool::consultant::{search_parallel, ConsultantConfig};
+use paradyn_tool::selfmap::{ask_obs, export_obs, obs_sentences, SHARD_OBS_FIELDS, TOOL_COUNTERS};
+use paradyn_tool::{Daemon, DaemonSet, DataManager, InstrLibEndpoint, Paradyn};
 use pdmap::model::Namespace;
-use pdmap_transport::{drain_frames, send_wire, Backend, Backpressure, PifBlob, TransportConfig};
+use pdmap_obs::report::{CALIBRATION_COMPONENT, CALIBRATION_VERB};
+use pdmap_transport::{
+    drain_frames, send_wire, Backend, Backpressure, FrameKind, PifBlob, TransportConfig,
+};
 use std::sync::Arc;
 use std::time::Duration;
 use sys_sim::db::DbSystem;
@@ -37,9 +41,9 @@ fn performance_question_about_the_tool_returns_nonzero_costs() {
     let snap = pdmap_obs::snapshot();
     let ns = Namespace::new();
 
-    // The ISSUE acceptance criterion: a question through the paradyn_tool
-    // machinery against OBS_MDL returns nonzero costs for at least the
-    // transport and SAS components.
+    // A question through the paradyn_tool machinery about the generated
+    // "Tool" level returns nonzero costs for at least the transport and
+    // SAS components.
     let tcp_send = ask_obs(&ns, &snap, "transport/tcp", "send")
         .expect("transport/tcp send must be active after a TCP workload");
     assert!(tcp_send > 0);
@@ -153,4 +157,69 @@ fn chrome_trace_export_is_wellformed_and_nonempty() {
     }
     assert_eq!(depth, 0);
     assert!(!in_str);
+}
+
+#[test]
+fn every_registered_counter_and_site_is_catalogued() {
+    // Drive every subsystem that registers counters or span sites: this
+    // file's workload, a parallel consultant search, and a 2-daemon
+    // session drained by the pool, one of whose frames is corrupt.
+    run_observed_workload();
+    let mut tool = Paradyn::new(cmrts_sim::MachineConfig {
+        nodes: 2,
+        ..cmrts_sim::MachineConfig::default()
+    });
+    tool.load_source(cmf_lang::samples::FIGURE4).unwrap();
+    assert!(!search_parallel(&tool, &ConsultantConfig::default()).is_empty());
+    let links: Vec<_> = (0..2)
+        .map(|_| Backend::InProc.link(&TransportConfig::default()))
+        .collect();
+    let tool_ends = links.iter().map(|l| ("fake".to_string(), l.server.clone()));
+    let data = Arc::new(DataManager::sharded(Namespace::new(), "CM Fortran", 2));
+    let mut set = DaemonSet::over_transports(tool_ends.collect(), data);
+    for (i, link) in links.iter().enumerate() {
+        InstrLibEndpoint::over_transport(link.client.clone())
+            .send_sample("cpu", "/", i as u64, 1.0);
+    }
+    links[0].client.send(FrameKind::Daemon, vec![77]).unwrap(); // unknown tag
+    while set.pump_parallel() > 0 {}
+    assert_eq!(set.samples().len(), 2);
+    assert_eq!(set.conn(0).decode_errors().len(), 1);
+
+    // Every counter has a catalogue row, apart from test counters and the
+    // per-shard family, which the shard catalogue covers.
+    let snap = pdmap_obs::snapshot();
+    for name in ["consultant.cache_hit", "daemon.error.codec"] {
+        assert!(snap.counters.iter().any(|(n, _)| n == name), "{name}");
+    }
+    let shard_field = |name: &str| {
+        let (shard, field) = name.strip_prefix("datamgr.shard")?.split_once('.')?;
+        let known = SHARD_OBS_FIELDS.iter().any(|&(f, _, _)| f == field);
+        (shard.parse::<usize>().is_ok() && known).then_some(())
+    };
+    let uncatalogued: Vec<&str> = snap
+        .counters
+        .iter()
+        .map(|(name, _)| name.as_str())
+        .filter(|&n| !n.starts_with("test.") && shard_field(n).is_none())
+        .filter(|&n| !TOOL_COUNTERS.iter().any(|&(c, _, _)| c == n))
+        .collect();
+    assert!(uncatalogued.is_empty(), "no row for {uncatalogued:?}");
+
+    // Every span site is a known site, apart from test sites and the
+    // calibration site.
+    let unknown: Vec<(&str, &str)> = snap
+        .sites
+        .iter()
+        .map(|s| (s.component.as_str(), s.verb.as_str()))
+        .filter(|&(c, v)| {
+            !c.starts_with("test/") && (c, v) != (CALIBRATION_COMPONENT, CALIBRATION_VERB)
+        })
+        .filter(|&site| {
+            !pdmap_obs::KNOWN_SITES
+                .iter()
+                .any(|&(c, v, _, _)| (c, v) == site)
+        })
+        .collect();
+    assert!(unknown.is_empty(), "not in KNOWN_SITES: {unknown:?}");
 }
