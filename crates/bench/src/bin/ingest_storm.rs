@@ -21,7 +21,7 @@
 //! sample. The columnar path decodes to flat columns, interns the small
 //! per-frame dictionary once, and folds `u32` symbol pairs.
 
-use pdmap::columns::{KeyFold, SampleColumns};
+use pdmap::columns::{align, KeyFold, SampleColumns};
 use pdmap::intern::{self, Symbol};
 use pdmap_transport::{BatchColumns, BatchSample, SampleBatch, WirePayload};
 use std::collections::HashMap;
@@ -80,7 +80,7 @@ fn baseline_pass(frames: &[pdmap_transport::Frame]) -> HashMap<(Arc<str>, Arc<st
     for frame in frames {
         let batch = SampleBatch::from_frame(frame).expect("frames are valid");
         for s in &batch.samples {
-            let aligned = (s.wall as i64 - OFFSET_NS).max(0) as u64;
+            let aligned = align(s.wall, OFFSET_NS);
             folds
                 .entry((s.metric.clone(), s.focus.clone()))
                 .or_default()

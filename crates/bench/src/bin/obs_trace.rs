@@ -15,9 +15,9 @@
 //! nonzero if the run recorded no spans — CI uses this as the smoke
 //! assertion that self-instrumentation is alive.
 
-use paradyn_tool::{Daemon, DataManager};
+use paradyn_tool::{DaemonSet, DataManager, InstrLibEndpoint};
 use pdmap::model::Namespace;
-use pdmap_transport::Backend;
+use pdmap_transport::{Backend, TransportConfig};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -55,15 +55,18 @@ fn main() -> ExitCode {
     );
 
     // Workload 2: the §5 daemon protocol over TCP — the instrumentation
-    // library streams metric samples, the daemon pumps and decodes them.
+    // library streams metric samples, a one-link session drains and
+    // decodes them.
+    let link = Backend::Tcp.link(&TransportConfig::default());
+    let endpoint = InstrLibEndpoint::over_transport(link.client.clone());
     let dm = Arc::new(DataManager::new(Namespace::new(), "CM Fortran"));
-    let (endpoint, mut daemon) = Daemon::over(Backend::Tcp, dm);
+    let mut set = DaemonSet::over_transports(vec![("daemon".into(), link.server.clone())], dm);
     let samples = 64usize;
     for i in 0..samples {
         endpoint.send_sample("Computation Time", "/", i as u64, i as f64 * 0.5);
     }
-    let pumped = daemon.pump_until(samples, Duration::from_secs(5));
-    eprintln!("daemon workload: {pumped} samples pumped");
+    let pumped = set.pump_until_samples(samples, Duration::from_secs(5));
+    eprintln!("daemon workload: {pumped} samples drained");
 
     // Export: Chrome trace to disk, summary and perturbation to stdout.
     let snap = pdmap_obs::snapshot();

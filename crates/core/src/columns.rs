@@ -188,9 +188,11 @@ impl SampleColumns {
 
 /// Skew correction: sender wall minus the estimated offset, clamped at
 /// zero (a daemon whose clock runs behind the tool cannot produce samples
-/// from before the session started).
+/// from before the session started). The one place a sender's stamp is
+/// moved onto its parent's clock — the tool's landing and a relay's
+/// forwarding both call it.
 #[inline]
-fn align(wall: u64, offset_ns: i64) -> u64 {
+pub fn align(wall: u64, offset_ns: i64) -> u64 {
     (wall as i64 - offset_ns).max(0) as u64
 }
 
@@ -298,6 +300,13 @@ mod tests {
         let mut late = SampleColumns::new();
         late.extend_batch(0, 2_000, &batch());
         assert_eq!(late.aligneds()[0], 0);
+    }
+
+    #[test]
+    fn align_saturates_at_zero() {
+        assert_eq!(align(100, 40), 60);
+        assert_eq!(align(100, -40), 140);
+        assert_eq!(align(100, 500), 0);
     }
 
     #[test]

@@ -10,29 +10,38 @@
 //! the mapping information to the Data Manager."
 //!
 //! In the original system this crossed process boundaries; here the channel
-//! is a `pdmap-transport` link, so the same endpoint/daemon pair runs over
-//! an in-process bounded queue or a real TCP socket with identical
-//! observable behaviour. Messages ride [`FrameKind::Daemon`] frames as
+//! is a `pdmap-transport` link, so the same endpoint and the same tool-side
+//! drain ([`crate::daemonset::DaemonSet`], one link or many) run over an
+//! in-process bounded queue or a real TCP socket with identical observable
+//! behaviour. Messages ride [`FrameKind::Daemon`] frames as
 //! length-prefixed binary payloads ([`WirePayload`]); the codec rejects
 //! malformed input instead of guessing.
+//!
+//! A parent — the tool or a `pdmapd` relay — keeps the books of each child
+//! link in one [`LinkLedger`]: clock offset, conservation counts across
+//! lives, replay watermark, source marks, subtree report, topology and the
+//! adoption seed, so the conservation, dedup and adoption rules are one
+//! piece of code at every level of the tree.
 
-use crate::datamgr::DataManager;
+use crate::daemonset::Coverage;
 use cmrts_sim::machine::{ArrayAllocInfo, MappingSink};
 use cmrts_sim::{ArrayId, Distribution};
 use pdmap_transport::{
-    send_wire, Backend, CodecError, FrameKind, Link, PayloadReader, Transport, TransportConfig,
-    TransportStats, WirePayload,
+    send_wire, BatchColumns, CodecError, FrameKind, PayloadReader, TopoChild, TopologyMsg,
+    Transport, TransportStats, WirePayload,
 };
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
 /// Span sites for the daemon channel, interned once (see `pdmap-obs`).
-struct DaemonObs {
+pub(crate) struct DaemonObs {
     send: pdmap_obs::SpanSite,
-    deliver: pdmap_obs::SpanSite,
+    /// One drain pass of a tool-side link that handled frames.
+    pub(crate) deliver: pdmap_obs::SpanSite,
 }
 
-fn daemon_obs() -> &'static DaemonObs {
+pub(crate) fn daemon_obs() -> &'static DaemonObs {
     static OBS: OnceLock<DaemonObs> = OnceLock::new();
     OBS.get_or_init(|| DaemonObs {
         send: pdmap_obs::span_site("daemon", "send"),
@@ -152,15 +161,9 @@ impl DaemonError {
 
 /// Bumps the per-variant error counter and passes the error through —
 /// every `DaemonError` construction site routes here.
-fn track(e: DaemonError) -> DaemonError {
+pub(crate) fn track_error(e: DaemonError) -> DaemonError {
     pdmap_obs::counter(&format!("daemon.error.{}", e.kind())).incr();
     e
-}
-
-/// Crate-internal alias so other modules (the multi-daemon session) route
-/// their error constructions through the same counters.
-pub(crate) fn track_error(e: DaemonError) -> DaemonError {
-    track(e)
 }
 
 impl fmt::Display for DaemonError {
@@ -367,192 +370,316 @@ impl InstrLibEndpoint {
     }
 }
 
-/// The tool side: decodes the stream and forwards mapping information to
-/// the Data Manager; metric samples are collected for the front end.
-pub struct Daemon {
-    link: Link,
-    data: Arc<DataManager>,
-    samples: Vec<DaemonMsg>,
-    decode_errors: Vec<DaemonError>,
+/// A per-link clock-offset estimate: the child's clock minus the parent's,
+/// from the bounded-round-trip probe exchange (see the `daemonset` module
+/// docs).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ClockEstimate {
+    /// Child clock minus parent clock, in ns. Subtract from a child wall
+    /// stamp to land on the parent clock.
+    pub offset_ns: i64,
+    /// Round-trip time of the winning (minimum-RTT) probe; the alignment
+    /// error is bounded by half of this.
+    pub rtt_ns: u64,
+    /// Probe rounds that completed.
+    pub rounds: u32,
 }
 
-impl Daemon {
-    /// Creates a connected endpoint/daemon pair over an in-process wire
-    /// (the single-process topology of the seed).
-    pub fn pair(data: Arc<DataManager>) -> (InstrLibEndpoint, Daemon) {
-        Self::over(Backend::InProc, data)
+impl ClockEstimate {
+    /// Folds one completed probe round — sent at `t0` and answered at `t1`
+    /// on the parent's clock, stamped `t_child` by the child — keeping the
+    /// minimum-RTT round's offset `t_child − (t0 + rtt/2)`.
+    pub fn observe(&mut self, t0: u64, t_child: u64, t1: u64) {
+        let rtt = t1.saturating_sub(t0);
+        if self.rounds == 0 || rtt < self.rtt_ns {
+            self.offset_ns = t_child as i64 - (t0 + rtt / 2) as i64;
+            self.rtt_ns = rtt;
+        }
+        self.rounds += 1;
+    }
+}
+
+/// True when `msg` is an orphan's self-beacon (one child entry naming the
+/// origin itself) rather than a subtree announcement or watermark seed.
+pub fn is_beacon(msg: &TopologyMsg) -> bool {
+    msg.children.len() == 1 && msg.children[0].addr == msg.origin
+}
+
+/// Everything a parent knows about one child link — the books the tool
+/// ([`crate::daemonset::DaemonConn`]) and a `pdmapd` relay keep for each
+/// child with this one type:
+///
+/// * the child's [`ClockEstimate`];
+/// * the sample account of each life of the link,
+///   `announced == received + prior + lost`: samples received here,
+///   samples the child delivered to a previous parent before it was
+///   adopted, and the send count its Goodbye announced;
+/// * the batch-sequence watermark that suppresses handover replays, and
+///   the per-grandchild source marks riding in the child's batches;
+/// * a relay child's subtree report and topology announcement — and from
+///   those, its [`Coverage`] and its adoption plan;
+/// * the watermark seed still owed to an adopted child.
+///
+/// The parent keeps the transport side (the link, probes in flight, decode
+/// errors) and its own verdict on whether the link is reporting.
+#[derive(Clone, Debug, Default)]
+pub struct LinkLedger {
+    clock: ClockEstimate,
+    /// Samples received over every life of the link.
+    received: u64,
+    /// Samples received in the current life (since connect or readmission).
+    life_received: u64,
+    /// Samples the child delivered to a previous parent before this one
+    /// adopted it — credited, not lost, against its announced count.
+    prior: u64,
+    /// Send count the current life's Goodbye announced, if it arrived.
+    announced: Option<u64>,
+    /// Known losses of the ended lives.
+    lost_prior: u64,
+    /// Highest batch sequence folded in — the replay-dedup watermark.
+    last_seq: u64,
+    /// Replayed batches the watermark suppressed.
+    replays_suppressed: u64,
+    /// Cumulative per-grandchild delivery marks from the child's batches:
+    /// `origin -> (through_seq, samples)`.
+    source_marks: HashMap<String, (u64, u64)>,
+    /// The latest subtree report — present iff the child is a relay.
+    subtree: Option<Coverage>,
+    /// The child's latest topology announcement: the adoption map.
+    topo: Option<TopologyMsg>,
+    /// The child's subtree was re-parented; its nodes report elsewhere.
+    adopted_away: bool,
+    /// `(through_seq, samples)` seed still owed to an adopted child.
+    seed: Option<(u64, u64)>,
+}
+
+impl LinkLedger {
+    /// The books of a child adopted from a dead parent: its replay
+    /// watermark and prior delivery stand from the start, and it is owed
+    /// the seed that tells it where to replay from.
+    pub fn adopted(watermark: u64, prior: u64) -> Self {
+        Self {
+            last_seq: watermark,
+            prior,
+            seed: Some((watermark, prior)),
+            ..Self::default()
+        }
     }
 
-    /// Creates a connected endpoint/daemon pair over the chosen backend
-    /// with default transport configuration.
-    pub fn over(backend: Backend, data: Arc<DataManager>) -> (InstrLibEndpoint, Daemon) {
-        Self::over_with(backend, &TransportConfig::default(), data)
+    /// The clock estimate from the last completed sync.
+    pub fn clock(&self) -> ClockEstimate {
+        self.clock
     }
 
-    /// As [`Daemon::over`], with explicit transport configuration.
-    pub fn over_with(
-        backend: Backend,
-        cfg: &TransportConfig,
-        data: Arc<DataManager>,
-    ) -> (InstrLibEndpoint, Daemon) {
-        let link = backend.link(cfg);
-        (
-            InstrLibEndpoint {
-                tx: link.client.clone(),
-            },
-            Daemon {
-                link,
-                data,
-                samples: Vec::new(),
-                decode_errors: Vec::new(),
-            },
-        )
+    /// The clock estimate, for a parent folding probe rounds into it or
+    /// replacing it after a re-sync.
+    pub fn clock_mut(&mut self) -> &mut ClockEstimate {
+        &mut self.clock
     }
 
-    /// Drains everything currently on the wire, forwarding mapping messages
-    /// to the Data Manager. Returns how many messages were processed.
-    pub fn pump(&mut self) -> usize {
-        // Timed manually: pump_until polls in a tight loop, so an empty
-        // pass records no span (only actual request handling is costed).
-        let t0 = if pdmap_obs::enabled() {
-            Some(pdmap_obs::now_ns())
-        } else {
-            None
-        };
-        let mut n = 0;
-        loop {
-            match self.link.server.try_recv() {
-                Ok(Some(frame)) => {
-                    n += 1;
-                    match DaemonMsg::from_frame(&frame) {
-                        Ok(msg) => self.dispatch(msg),
-                        Err(e) => self.decode_errors.push(track(DaemonError::Codec(e.0))),
-                    }
-                }
-                Ok(None) => break,
-                Err(e) => {
-                    // A receive failure is the *link*'s fault, not a bad
-                    // frame — record it (`daemon.error.recv`) instead of
-                    // exiting silently, and end only this drain pass so
-                    // later pumps retry. Link errors are sticky, so dedupe
-                    // consecutive repeats to keep the log bounded.
-                    let err = track(DaemonError::Recv(e.to_string()));
-                    if self.decode_errors.last() != Some(&err) {
-                        self.decode_errors.push(err);
-                    }
-                    break;
-                }
+    /// Samples received over every life of the link.
+    pub fn samples_received(&self) -> u64 {
+        self.received
+    }
+
+    /// The send count announced by this life's Goodbye, if it arrived.
+    pub fn announced_sent(&self) -> Option<u64> {
+        self.announced
+    }
+
+    /// Replayed batches the sequence watermark suppressed — each one a
+    /// duplicate that a handover replayed and dedup caught.
+    pub fn replays_suppressed(&self) -> u64 {
+        self.replays_suppressed
+    }
+
+    /// The child's latest topology announcement, if it is a relay.
+    pub fn topology(&self) -> Option<&TopologyMsg> {
+        self.topo.as_ref()
+    }
+
+    /// The subtree coverage the child last reported — `Some` when it is a
+    /// relay, `None` for a leaf daemon.
+    pub fn subtree_coverage(&self) -> Option<Coverage> {
+        self.subtree
+    }
+
+    /// True once the child's subtree was adopted by this parent directly.
+    pub fn is_subtree_adopted(&self) -> bool {
+        self.adopted_away
+    }
+
+    /// The current life's exact loss once its Goodbye arrived: the
+    /// announced count minus everything delivered (here and before).
+    fn life_lost(&self) -> Option<u64> {
+        self.announced
+            .map(|a| a.saturating_sub(self.life_received + self.prior))
+    }
+
+    /// This link's known sample loss: the ended lives' plus the current
+    /// one's once its Goodbye arrives. A lower bound — a child killed
+    /// before announcing contributes nothing here, only to the node
+    /// deficit of [`LinkLedger::coverage`].
+    pub fn samples_lost(&self) -> u64 {
+        self.lost_prior + self.life_lost().unwrap_or(0)
+    }
+
+    /// Ends the current life before the link is re-dialed: its loss joins
+    /// the ended lives' and is returned (`None` when it ended
+    /// unannounced). A readmitted child is a restarted one with a fresh
+    /// sequence space — unless it is an adopted child still owed its
+    /// seed, whose watermark must stand so its ring replay dedups here.
+    pub fn new_life(&mut self) -> Option<u64> {
+        let gap = self.life_lost();
+        self.lost_prior += gap.unwrap_or(0);
+        self.life_received = 0;
+        self.announced = None;
+        if self.seed.is_none() {
+            self.last_seq = 0;
+        }
+        gap
+    }
+
+    fn count(&mut self, n: u64) {
+        self.received += n;
+        self.life_received += n;
+    }
+
+    /// Folds one sample batch into the books; false for a handover replay
+    /// at or below the watermark (counted, to be dropped). Seq 0 marks an
+    /// unsequenced batch, never deduped. A source mark proves the
+    /// grandchild's data through its `through_seq` arrived here — the
+    /// exact replay watermark should this child die.
+    pub fn fold_batch(&mut self, batch: &BatchColumns) -> bool {
+        if batch.seq != 0 && batch.seq <= self.last_seq {
+            self.replays_suppressed += 1;
+            return false;
+        }
+        self.last_seq = self.last_seq.max(batch.seq);
+        for m in &batch.sources {
+            let e = self.source_marks.entry(m.origin.clone()).or_insert((0, 0));
+            if m.through_seq >= e.0 {
+                *e = (m.through_seq, m.samples);
             }
         }
-        if n > 0 {
-            if let Some(t0) = t0 {
-                let dur = pdmap_obs::now_ns().saturating_sub(t0);
-                pdmap_obs::record_span(&daemon_obs().deliver, t0, dur);
-            }
-        }
-        n
+        self.count(batch.len() as u64);
+        true
     }
 
-    /// Pumps until `want` messages have been processed in total or
-    /// `timeout` elapses — needed over TCP, where delivery is asynchronous.
-    /// Returns the total processed during this call.
-    ///
-    /// Drains before ever sleeping and returns the moment `want` is met;
-    /// while short, it spins on `yield_now` and then falls back to brief
-    /// parks, so a message arriving right after a drain costs microseconds
-    /// to notice, not a fixed multi-millisecond poll.
-    pub fn pump_until(&mut self, want: usize, timeout: std::time::Duration) -> usize {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut n = self.pump();
-        let mut spins = 0u32;
-        while n < want && std::time::Instant::now() < deadline {
-            if spins < 64 {
-                spins += 1;
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(std::time::Duration::from_micros(200));
-            }
-            let got = self.pump();
-            if got > 0 {
-                spins = 0; // traffic is flowing; stay in the fast path
-            }
-            n += got;
-        }
-        n
-    }
-
-    fn dispatch(&mut self, msg: DaemonMsg) {
-        match msg {
-            DaemonMsg::ArrayAllocated {
-                id,
-                name,
-                extents,
-                dist,
-                subgrids,
+    /// Folds the books' part of one daemon-channel message: a loose sample
+    /// counts as received, a Goodbye announces the life's send count, a
+    /// subtree report replaces the last. The rest is the parent's to route.
+    pub fn fold_msg(&mut self, msg: &DaemonMsg) {
+        match *msg {
+            DaemonMsg::Sample { .. } => self.count(1),
+            DaemonMsg::Goodbye { samples_sent } => self.announced = Some(u64::from(samples_sent)),
+            DaemonMsg::SubtreeCoverage {
+                nodes_reporting,
+                nodes_total,
+                samples_lost,
             } => {
-                let info = ArrayAllocInfo {
-                    array: ArrayId(id),
-                    name,
-                    extents,
-                    dist,
-                    subgrids,
-                };
-                // Forward "in exactly the same way as ... static mapping
-                // information" — via the sink interface.
-                self.data.array_allocated(&info);
+                self.subtree = Some(Coverage {
+                    nodes_reporting: nodes_reporting as usize,
+                    nodes_total: nodes_total as usize,
+                    samples_lost,
+                });
             }
-            DaemonMsg::ArrayFreed { id } => {
-                self.data.array_freed(ArrayId(id));
-            }
-            sample @ DaemonMsg::Sample { .. } => self.samples.push(sample),
-            DaemonMsg::ClockProbe { token, t_tool_ns } => {
-                // Answer on the same link so in-process daemons support the
-                // multi-daemon clock handshake too.
-                let _ = send_wire(
-                    &*self.link.server,
-                    &DaemonMsg::ClockReply {
-                        token,
-                        t_tool_ns,
-                        t_daemon_ns: pdmap_obs::now_ns(),
-                    },
-                );
-            }
-            // A stray reply reaching a daemon (not a tool) carries no data
-            // to forward; ignore it. Shutdown/Goodbye/SubtreeCoverage are
-            // session-lifecycle messages the in-process daemon has no
-            // lifecycle for.
-            DaemonMsg::ClockReply { .. }
-            | DaemonMsg::Shutdown
-            | DaemonMsg::Goodbye { .. }
-            | DaemonMsg::SubtreeCoverage { .. } => {}
+            _ => {}
         }
     }
 
-    /// Metric samples received so far.
-    pub fn samples(&self) -> &[DaemonMsg] {
-        &self.samples
+    /// Keeps the child's topology announcement. An orphan's self-beacon
+    /// carries no subtree and is not one.
+    pub fn fold_topology(&mut self, msg: TopologyMsg) {
+        if !is_beacon(&msg) {
+            self.topo = Some(msg);
+        }
     }
 
-    /// Undecodable frames encountered (kept for diagnosis, never fatal).
-    pub fn decode_errors(&self) -> &[DaemonError] {
-        &self.decode_errors
+    /// What this link adds to its parent's coverage, given the parent's
+    /// own verdict on whether it is `reporting`: a leaf is a `1/1`
+    /// subtree and a relay its last-reported one — all of it dark when the
+    /// link is not reporting, never silently one node — plus the link's
+    /// known loss. A link whose subtree was adopted away adds only its own
+    /// known loss: its nodes re-report under their new parents.
+    pub fn coverage(&self, reporting: bool) -> Coverage {
+        if self.adopted_away {
+            return Coverage {
+                samples_lost: self.samples_lost(),
+                ..Coverage::default()
+            };
+        }
+        let sub = self.subtree.unwrap_or(Coverage::complete(1));
+        Coverage {
+            nodes_reporting: if reporting { sub.nodes_reporting } else { 0 },
+            nodes_total: sub.nodes_total,
+            samples_lost: self.samples_lost() + sub.samples_lost,
+        }
     }
 
-    /// The daemon side's transport self-metrics.
-    pub fn transport_stats(&self) -> TransportStats {
-        self.link.server.stats()
+    /// The delivered-atomic mark of this link: the highest sequence folded
+    /// and the child's cumulative samples (received here plus prior) — what
+    /// a relay announces upward so its parent can adopt this child.
+    pub fn watermark(&self) -> (u64, u64) {
+        (self.last_seq, self.received + self.prior)
     }
 
-    /// Which backend this daemon's link runs over.
-    pub fn backend_name(&self) -> &'static str {
-        self.link.server.backend_name()
+    /// The adoption plan for a dead relay's children, taken once: every
+    /// child of its last announcement, with the exact watermark a source
+    /// mark proved delivered here or else the announcement's own. `None`
+    /// when there is nothing to adopt: no announcement, adopted already,
+    /// or the link said Goodbye — a relay says Goodbye only after its
+    /// children finished or were sent Shutdown. The parent decides the
+    /// link is dead.
+    pub fn orphans(&mut self) -> Option<Vec<TopoChild>> {
+        if self.adopted_away || self.announced.is_some() {
+            return None;
+        }
+        let topo = self.topo.take()?;
+        self.adopted_away = true;
+        let marks = std::mem::take(&mut self.source_marks);
+        let plan = topo.children.into_iter().map(|tc| {
+            let (watermark, received) = marks
+                .get(&tc.addr)
+                .copied()
+                .unwrap_or((tc.watermark, tc.received));
+            TopoChild {
+                watermark,
+                received,
+                ..tc
+            }
+        });
+        Some(plan.collect())
+    }
+
+    /// The seed still owed to this adopted child — a [`TopologyMsg`] from
+    /// `origin` naming the child at `addr`, the highest sequence folded in
+    /// and its prior delivery, so it replays exactly its ring suffix past
+    /// the mark. Send it once the child's clock is synced; `None` once
+    /// [`LinkLedger::seed_paid`].
+    pub fn seed_msg(&self, epoch: u64, origin: &str, addr: &str) -> Option<TopologyMsg> {
+        let (watermark, received) = self.seed?;
+        Some(TopologyMsg {
+            epoch,
+            origin: origin.into(),
+            children: vec![TopoChild {
+                addr: addr.into(),
+                watermark,
+                received,
+            }],
+        })
+    }
+
+    /// Records the owed seed as delivered.
+    pub fn seed_paid(&mut self) {
+        self.seed = None;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdmap::model::Namespace;
+    use pdmap_transport::{BatchBuilder, SourceMark};
 
     #[test]
     fn alloc_roundtrip() {
@@ -594,27 +721,6 @@ mod tests {
         let at = frame.payload.len() - 9; // the 'b' of "block"
         frame.payload[at] = b'x';
         assert!(DaemonMsg::from_frame(&frame).is_err());
-    }
-
-    #[test]
-    fn every_error_variant_bumps_its_counter() {
-        // The registry is global to the test binary and other tests raise
-        // the same errors concurrently, so check that each counter moved.
-        let get = |kind: &str| pdmap_obs::counter(&format!("daemon.error.{kind}")).get();
-        let dm = Arc::new(DataManager::new(Namespace::new(), "CM Fortran"));
-        let (endpoint, mut daemon) = Daemon::pair(dm);
-        let (codec, recv) = (get("codec"), get("recv"));
-        endpoint.tx.send(FrameKind::Daemon, vec![77]).unwrap(); // unknown tag
-        daemon.pump();
-        daemon.link.server.close();
-        daemon.pump();
-        let kinds: Vec<&str> = daemon.decode_errors().iter().map(|e| e.kind()).collect();
-        assert_eq!(kinds, ["codec", "recv"]);
-        assert!(get("codec") > codec, "counter for codec");
-        assert!(get("recv") > recv, "counter for recv");
-        for err in daemon.decode_errors() {
-            assert!(err.to_string().contains(err.kind()), "{err}");
-        }
     }
 
     #[test]
@@ -662,132 +768,205 @@ mod tests {
     }
 
     #[test]
-    fn daemon_answers_clock_probes_on_the_same_link() {
-        let dm = Arc::new(DataManager::new(Namespace::new(), "CM Fortran"));
-        let (endpoint, mut daemon) = Daemon::pair(dm);
-        endpoint
-            .send_msg(&DaemonMsg::ClockProbe {
-                token: 42,
-                t_tool_ns: 5,
-            })
-            .unwrap();
-        assert_eq!(daemon.pump(), 1);
-        let mut got = None;
-        for _ in 0..1000 {
-            if let Ok(Some(m)) = pdmap_transport::recv_wire::<DaemonMsg>(&*endpoint.tx) {
-                got = Some(m);
-                break;
-            }
-            std::thread::yield_now();
+    fn clock_estimate_keeps_the_minimum_rtt_round() {
+        let mut c = ClockEstimate::default();
+        c.observe(1_000, 5_150, 1_100); // rtt 100: offset 5_150 − 1_050
+        c.observe(2_000, 6_005, 2_010); // rtt 10 wins: 6_005 − 2_005
+        c.observe(3_000, 0, 3_500); // a slower round changes nothing
+        let want = ClockEstimate {
+            offset_ns: 4_000,
+            rtt_ns: 10,
+            rounds: 3,
+        };
+        assert_eq!(c, want);
+    }
+
+    /// `n` one-key rows in a batch with sequence `seq`.
+    fn batch(seq: u64, n: usize) -> BatchColumns {
+        let mut rows = BatchBuilder::default();
+        for i in 0..n {
+            rows.push("m".into(), "f".into(), i as u64, 1.0);
         }
-        match got {
-            Some(DaemonMsg::ClockReply {
-                token: 42,
-                t_tool_ns: 5,
-                t_daemon_ns,
-            }) => assert!(t_daemon_ns > 0),
-            other => panic!("expected clock reply, got {other:?}"),
+        BatchColumns { seq, ..rows.take() }
+    }
+
+    /// `l` after receiving `received` samples in an unsequenced batch and
+    /// folding `msgs`.
+    fn ledger(mut l: LinkLedger, received: usize, msgs: &[DaemonMsg]) -> LinkLedger {
+        assert!(l.fold_batch(&batch(0, received)));
+        for m in msgs {
+            l.fold_msg(m);
         }
-        // Probes never pollute the sample stream.
-        assert!(daemon.samples().is_empty());
+        l
+    }
+
+    fn goodbye(samples_sent: u32) -> DaemonMsg {
+        DaemonMsg::Goodbye { samples_sent }
+    }
+
+    fn subtree(nodes_reporting: u32, nodes_total: u32, samples_lost: u64) -> DaemonMsg {
+        DaemonMsg::SubtreeCoverage {
+            nodes_reporting,
+            nodes_total,
+            samples_lost,
+        }
+    }
+
+    fn cov(l: &LinkLedger, reporting: bool) -> (usize, usize, u64) {
+        let c = l.coverage(reporting);
+        (c.nodes_reporting, c.nodes_total, c.samples_lost)
+    }
+
+    /// A relay's announcement of `(addr, watermark, received)` children.
+    fn announcement(origin: &str, children: &[(&str, u64, u64)]) -> TopologyMsg {
+        TopologyMsg {
+            epoch: 0,
+            origin: origin.into(),
+            children: children
+                .iter()
+                .map(|&(addr, watermark, received)| TopoChild {
+                    addr: addr.into(),
+                    watermark,
+                    received,
+                })
+                .collect(),
+        }
     }
 
     #[test]
-    fn pump_records_receive_errors_and_keeps_working() {
-        let dm = Arc::new(DataManager::new(Namespace::new(), "CM Fortran"));
-        let (_endpoint, mut daemon) = Daemon::pair(dm);
-        let before = pdmap_obs::counter("daemon.error.recv").get();
-        daemon.link.server.close();
-        daemon.pump();
-        assert_eq!(daemon.decode_errors().len(), 1, "error recorded, not lost");
-        assert!(matches!(daemon.decode_errors()[0], DaemonError::Recv(_)));
-        assert_eq!(pdmap_obs::counter("daemon.error.recv").get(), before + 1);
-        // Pumping again still works and does not balloon the error log with
-        // the same sticky failure (the counter keeps counting occurrences).
-        daemon.pump();
-        assert_eq!(daemon.decode_errors().len(), 1);
-        assert_eq!(pdmap_obs::counter("daemon.error.recv").get(), before + 2);
+    fn leaf_link_coverage_is_one_of_one() {
+        let l = ledger(LinkLedger::default(), 10, &[goodbye(10)]);
+        assert_eq!(cov(&l, true), (1, 1, 0), "goodbye'd leaf reports fully");
+        let l = ledger(LinkLedger::default(), 7, &[goodbye(10)]);
+        assert_eq!(cov(&l, true), (1, 1, 3), "announced minus received is lost");
     }
 
     #[test]
-    fn pump_until_returns_as_soon_as_want_is_met() {
-        let dm = Arc::new(DataManager::new(Namespace::new(), "CM Fortran"));
-        let (endpoint, mut daemon) = Daemon::pair(dm);
-        for i in 0..4 {
-            endpoint.send_sample("M", "/", i, 0.0);
-        }
-        let t0 = std::time::Instant::now();
-        let n = daemon.pump_until(4, std::time::Duration::from_secs(5));
-        assert_eq!(n, 4);
-        // Everything was already queued: no sleep cycle should be paid.
-        assert!(
-            t0.elapsed() < std::time::Duration::from_millis(50),
-            "took {:?}",
-            t0.elapsed()
+    fn dark_relay_loses_its_whole_subtree() {
+        let l = ledger(LinkLedger::default(), 5, &[subtree(4, 4, 0)]);
+        assert_eq!(
+            cov(&l, false),
+            (0, 4, 0),
+            "a link not reporting darkens its whole subtree, loss unannounced"
+        );
+        let l = ledger(LinkLedger::default(), 9, &[subtree(3, 4, 2), goodbye(9)]);
+        assert_eq!(
+            cov(&l, true),
+            (3, 4, 2),
+            "a goodbye'd relay passes its subtree report through"
         );
     }
 
     #[test]
-    fn daemon_forwards_to_data_manager() {
-        let ns = Namespace::new();
-        let dm = Arc::new(DataManager::new(ns, "CM Fortran"));
-        let (endpoint, mut daemon) = Daemon::pair(dm.clone());
-        endpoint.array_allocated(&ArrayAllocInfo {
-            array: ArrayId(0),
-            name: "A".into(),
-            extents: vec![32],
-            dist: Distribution::Block,
-            subgrids: vec![(0, 16, 16), (1, 16, 16)],
-        });
-        endpoint.send_sample("Summations", "<whole program>", 10, 4.0);
-        assert_eq!(daemon.pump(), 2);
-        assert_eq!(dm.dynamic_arrays().len(), 1);
-        assert_eq!(daemon.samples().len(), 1);
-        assert!(daemon.decode_errors().is_empty());
-        assert_eq!(daemon.transport_stats().frames_received, 2);
-        assert_eq!(endpoint.transport_stats().frames_sent, 2);
-        // Where axis gained the subregions via the wire.
-        let axis = dm.render_where_axis();
-        assert!(axis.contains("sub#1"), "{axis}");
+    fn adopted_child_accounts_prior_delivery() {
+        let l = ledger(LinkLedger::adopted(2, 6), 4, &[goodbye(10)]);
+        assert_eq!(
+            cov(&l, true),
+            (1, 1, 0),
+            "announced == received-here + delivered-to-dead-parent: no loss"
+        );
+        let l = ledger(LinkLedger::adopted(2, 6), 3, &[goodbye(10)]);
+        assert_eq!(
+            cov(&l, true),
+            (1, 1, 1),
+            "the handover window stays labeled"
+        );
     }
 
     #[test]
-    fn machine_drives_the_wire_end_to_end() {
-        // The machine's sink is the wire endpoint; the daemon forwards to
-        // the data manager exactly like the direct-sink path.
-        let mut tool = crate::tool::Paradyn::new(cmrts_sim::MachineConfig {
-            nodes: 2,
-            ..cmrts_sim::MachineConfig::default()
-        });
-        tool.load_source(cmf_lang::samples::FIGURE4).unwrap();
-        let (endpoint, mut daemon) = Daemon::pair(tool.data().clone());
-        let mut m = tool.new_machine().unwrap();
-        m.set_mapping_sink(Arc::new(endpoint)); // replace direct sink
-        m.run();
-        let n = daemon.pump();
-        assert!(n >= 2, "A and B allocations crossed the wire, got {n}");
-        let axis = tool.render_where_axis();
-        assert!(axis.contains("sub#0"));
+    fn a_new_life_keeps_the_ended_lifes_loss() {
+        let mut l = ledger(LinkLedger::default(), 3, &[goodbye(5)]);
+        assert_eq!(l.new_life(), Some(2));
+        assert_eq!(l.samples_lost(), 2, "the ended life's loss stays");
+        let mut l = ledger(l, 1, &[goodbye(1)]);
+        assert_eq!(l.samples_lost(), 2, "a clean life adds nothing");
+        assert_eq!(l.new_life(), Some(0));
+        assert_eq!(l.new_life(), None, "an unannounced life's loss is unknown");
+        assert_eq!(l.samples_received(), 4, "received counts every life");
+
+        // The prior delivery is credited when the life ends, too.
+        let mut l = ledger(LinkLedger::adopted(2, 5), 3, &[goodbye(8)]);
+        assert_eq!(l.samples_lost(), 0);
+        assert_eq!(
+            l.new_life(),
+            Some(0),
+            "delivered to the dead relay, not lost"
+        );
+        assert_eq!(l.samples_lost(), 0);
     }
 
     #[test]
-    fn daemon_runs_identically_over_tcp() {
-        let ns = Namespace::new();
-        let dm = Arc::new(DataManager::new(ns, "CM Fortran"));
-        let (endpoint, mut daemon) = Daemon::over(Backend::Tcp, dm.clone());
-        assert_eq!(daemon.backend_name(), "tcp-server");
-        endpoint.array_allocated(&ArrayAllocInfo {
-            array: ArrayId(0),
-            name: "A".into(),
-            extents: vec![32],
-            dist: Distribution::Block,
-            subgrids: vec![(0, 16, 16), (1, 16, 16)],
-        });
-        endpoint.send_sample("Summations", "<whole program>", 10, 4.0);
-        let n = daemon.pump_until(2, std::time::Duration::from_secs(5));
-        assert_eq!(n, 2);
-        assert_eq!(dm.dynamic_arrays().len(), 1);
-        assert_eq!(daemon.samples().len(), 1);
-        assert!(daemon.decode_errors().is_empty());
+    fn the_watermark_dedups_replays_until_a_restart() {
+        let mut l = LinkLedger::default();
+        assert!(l.fold_batch(&batch(1, 2)));
+        assert!(!l.fold_batch(&batch(1, 2)), "a replay at the watermark");
+        assert!(l.fold_batch(&batch(0, 1)), "unsequenced: never deduped");
+        assert_eq!((l.replays_suppressed(), l.samples_received()), (1, 3));
+        l.new_life();
+        assert!(l.fold_batch(&batch(1, 2)), "a restart begins at seq 1");
+
+        // An adopted child still owed its seed keeps the seeded watermark.
+        let mut l = LinkLedger::adopted(4, 9);
+        l.new_life();
+        assert!(!l.fold_batch(&batch(3, 1)));
+        let seed = l.seed_msg(1, "tool", "a").expect("seed owed");
+        assert_eq!(seed.children, announcement("", &[("a", 4, 9)]).children);
+        l.seed_paid();
+        assert!(l.seed_msg(1, "tool", "a").is_none());
+    }
+
+    #[test]
+    fn a_goodbyed_relay_orphans_nothing() {
+        let mut l = LinkLedger::default();
+        l.fold_topology(announcement("relay", &[("a", 1, 3), ("b", 1, 3)]));
+        let mut marked = batch(1, 2);
+        marked.sources = vec![SourceMark {
+            origin: "a".into(),
+            through_seq: 2,
+            samples: 5,
+        }];
+        assert!(l.fold_batch(&marked));
+
+        let mut finished = l.clone();
+        finished.fold_msg(&goodbye(2));
+        assert!(finished.orphans().is_none(), "its children were shut down");
+        assert!(!finished.is_subtree_adopted());
+
+        let plan = l.orphans().expect("a dead relay's children are adopted");
+        assert_eq!(
+            plan,
+            announcement("", &[("a", 2, 5), ("b", 1, 3)]).children,
+            "a delivered source mark beats the announcement"
+        );
+        assert!(l.orphans().is_none(), "the plan is taken once");
+    }
+
+    #[test]
+    fn adopted_away_link_keeps_only_its_known_loss() {
+        let mut l = ledger(LinkLedger::default(), 3, &[goodbye(5)]);
+        l.new_life();
+        let mut l = ledger(l, 5, &[subtree(2, 2, 1)]);
+        l.fold_topology(announcement("relay", &[("a", 0, 0)]));
+        assert!(l.orphans().is_some());
+        assert!(l.is_subtree_adopted());
+        assert_eq!(
+            cov(&l, false),
+            (0, 0, 2),
+            "its nodes re-report under their new parents; its own loss stays"
+        );
+    }
+
+    #[test]
+    fn a_beacon_is_not_a_topology() {
+        let mut l = LinkLedger::default();
+        let beacon = announcement("127.0.0.1:7001", &[("127.0.0.1:7001", 3, 9)]);
+        assert!(is_beacon(&beacon));
+        l.fold_topology(beacon);
+        assert!(l.topology().is_none());
+        assert!(l.orphans().is_none());
+        let relay = announcement("127.0.0.1:8000", &[("127.0.0.1:7001", 0, 0)]);
+        assert!(!is_beacon(&relay));
+        l.fold_topology(relay);
+        assert!(l.topology().is_some());
     }
 }

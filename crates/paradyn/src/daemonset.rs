@@ -23,8 +23,10 @@
 //! ```
 //!
 //! The estimate's error is bounded by `rtt/2`; over several rounds the
-//! minimum-RTT round wins (least queueing noise). Every sample from that
-//! daemon is then mapped to tool time as `aligned = wall − offset`.
+//! minimum-RTT round wins (least queueing noise, [`ClockEstimate::observe`]
+//! — a relay estimates its children the same way). Every sample from that
+//! daemon is then mapped to tool time as `aligned = wall − offset`
+//! ([`pdmap::columns::align`]).
 //!
 //! # Sharding
 //!
@@ -77,22 +79,26 @@
 //! result with how many nodes actually reported and a lower bound on the
 //! samples lost (exact when the daemon announced its send count in a
 //! [`DaemonMsg::Goodbye`]; otherwise the missing node itself is the
-//! signal). A lost shard's cost is a bound, never silently zero.
+//! signal). A lost shard's cost is a bound, never silently zero. The
+//! books behind it — per-life conservation counts, the replay watermark,
+//! source marks, subtree report, topology and adoption seed — are each
+//! connection's [`LinkLedger`], the type a relay keeps per child; a
+//! readmission starts a new life that keeps the ended life's loss.
 
-use crate::daemon::{DaemonError, DaemonMsg};
+use crate::daemon::{daemon_obs, track_error, ClockEstimate, DaemonError, DaemonMsg, LinkLedger};
 use crate::datamgr::DataManager;
 use crate::selfmap;
 use crate::stream::Stream;
 use cmrts_sim::machine::ArrayAllocInfo;
 use cmrts_sim::ArrayId;
-use pdmap::columns::SampleColumns;
+use pdmap::columns::{align, SampleColumns};
 use pdmap::intern::{self, Symbol};
 use pdmap::interval::Interval;
 use pdmap::model::Namespace;
 use pdmap::util::FxHashMap;
 use pdmap_transport::{
-    send_wire, BatchColumns, Frame, FrameKind, PifBlob, TcpClient, TopoChild, TopologyMsg,
-    Transport, TransportConfig, WirePayload,
+    send_wire, BatchColumns, Frame, FrameKind, PifBlob, TcpClient, TopologyMsg, Transport,
+    TransportConfig, WirePayload,
 };
 use std::collections::HashMap;
 use std::fmt;
@@ -117,19 +123,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// Tokens correlate clock probes with replies across all sessions in the
 /// process; uniqueness is all that matters.
 static TOKENS: AtomicU64 = AtomicU64::new(1);
-
-/// A per-daemon clock-offset estimate (see the module docs).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ClockEstimate {
-    /// Daemon clock minus tool clock, in ns. Subtract from a daemon wall
-    /// stamp to land on the tool clock.
-    pub offset_ns: i64,
-    /// Round-trip time of the winning (minimum-RTT) probe; the alignment
-    /// error is bounded by half of this.
-    pub rtt_ns: u64,
-    /// Probe rounds that completed.
-    pub rounds: u32,
-}
 
 /// A metric sample stamped onto the tool clock, as one row.
 ///
@@ -352,6 +345,16 @@ pub struct SessionCoverage {
     pub max_sample_cost: f64,
 }
 
+impl std::iter::Sum for Coverage {
+    fn sum<I: Iterator<Item = Coverage>>(iter: I) -> Self {
+        iter.fold(Coverage::default(), |a, b| Coverage {
+            nodes_reporting: a.nodes_reporting + b.nodes_reporting,
+            nodes_total: a.nodes_total + b.nodes_total,
+            samples_lost: a.samples_lost + b.samples_lost,
+        })
+    }
+}
+
 impl fmt::Display for Coverage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
@@ -373,13 +376,14 @@ pub struct RecoveryReport {
     pub attempts: u32,
     /// The previous life's sample-sequence gap: `Some(n)` when that life
     /// ended with a Goodbye announcing its send count (n = announced −
-    /// received), `None` when the daemon died without announcing.
+    /// received − prior delivery), `None` when the daemon died without
+    /// announcing.
     pub gap: Option<u64>,
 }
 
 /// A one-line rollup of the session's recovery history — readmissions,
-/// subtree re-parentings, and the total announced gap across both — the
-/// label run_report prints as its `recovery:` banner. Built by
+/// subtree re-parentings, and the readmitted lives' total announced gap —
+/// the label run_report prints as its `recovery:` banner. Built by
 /// [`DaemonSet::recovery_summary`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RecoverySummary {
@@ -389,8 +393,9 @@ pub struct RecoverySummary {
     pub reparents: usize,
     /// Orphaned children re-homed as direct connections.
     pub nodes_rehomed: usize,
-    /// Total announced sample gap across those events — a lower bound
-    /// (lives that died unannounced contribute nothing here).
+    /// Total announced sample gap of the readmitted lives — a lower bound
+    /// (lives that died unannounced contribute nothing here, and a relay
+    /// is re-parented only when it died unannounced).
     pub gap: u64,
 }
 
@@ -414,13 +419,9 @@ pub struct ReparentReport {
     /// Address (or label) of the quarantined relay.
     pub addr: String,
     /// Addresses of the children adopted from its last topology
-    /// announcement (in announcement order).
+    /// announcement (in announcement order). The children's in-flight
+    /// batches replay to the new parent and dedup by sequence.
     pub subtree: Vec<String>,
-    /// The relay's own announced-minus-received gap at quarantine time:
-    /// `Some(n)` when its life ended with a Goodbye, `None` when it died
-    /// unannounced. The *children's* in-flight batches are not part of
-    /// this gap — they replay to the new parent and dedup by sequence.
-    pub gap: Option<u64>,
     /// The set-wide topology epoch this adoption established.
     pub epoch: u64,
 }
@@ -624,14 +625,15 @@ impl fmt::Display for FleetPerturbation {
     }
 }
 
-/// One daemon connection: its transport, shard assignment, clock estimate,
-/// supervisor state, and per-connection tallies.
+/// One daemon connection: the books of its link — a [`LinkLedger`], read
+/// through `Deref`, the same type a relay keeps per child — plus the
+/// tool's side of the link: the transport, its shard, its supervisor
+/// state and its decode errors.
 pub struct DaemonConn {
     addr: String,
     tx: Arc<dyn Transport>,
     shard: usize,
-    clock: ClockEstimate,
-    samples_received: u64,
+    ledger: LinkLedger,
     pif_imports: u64,
     decode_errors: Vec<DaemonError>,
     health: DaemonHealth,
@@ -640,46 +642,36 @@ pub struct DaemonConn {
     /// `decode_errors.len()` when the current life started, so error-rate
     /// thresholds look at the current link, not ancient history.
     errors_at_life_start: usize,
-    /// Samples received in the current life (since connect or readmission).
-    life_received: u64,
-    /// Send count the current life's Goodbye announced, if any.
-    announced_sent: Option<u64>,
-    /// Known losses folded in from previous lives.
-    lost_prior: u64,
     retry_attempt: u32,
     next_retry: Option<Instant>,
     reconnect: Option<ReconnectFn>,
-    /// The latest [`DaemonMsg::SubtreeCoverage`] this peer reported —
-    /// present when the peer is a relay aggregating a subtree, absent for
-    /// a leaf daemon (which counts as a 1/1 subtree).
-    subtree: Option<Coverage>,
-    /// Highest [`BatchColumns::seq`] folded in on this link — the dedup
-    /// watermark that suppresses replayed batches after a handover.
-    last_seq: u64,
-    /// Replayed batches suppressed by the sequence watermark.
-    replays_suppressed: u64,
-    /// Samples this node delivered to a *previous* parent before we
-    /// adopted it — accounted as received, not lost, when closing its
-    /// announced-vs-received ledger.
-    prior_received: u64,
-    /// The peer's latest topology announcement (its children and their
-    /// per-child watermarks) — the adoption map if this relay dies.
-    topo: Option<TopologyMsg>,
-    /// Cumulative per-grandchild source marks folded from this link's
-    /// batches: `origin -> (through_seq, samples)`. Delivered-atomic, so
-    /// they seed exact replay watermarks when grandchildren are adopted.
-    source_marks: HashMap<String, (u64, u64)>,
-    /// This (dead) connection's subtree was re-parented: its nodes now
-    /// report through other connections, so it must contribute neither
-    /// nodes nor a retry — only its own already-known loss.
-    subtree_adopted: bool,
-    /// Watermark seed still owed to this (adopted) child: sent after the
-    /// first successful clock sync so the orphan can replay its ring
-    /// suffix. `(through_seq, samples)` from the dead parent's marks.
-    seed_watermark: Option<(u64, u64)>,
+}
+
+impl Deref for DaemonConn {
+    type Target = LinkLedger;
+    fn deref(&self) -> &LinkLedger {
+        &self.ledger
+    }
 }
 
 impl DaemonConn {
+    fn new(addr: String, tx: Arc<dyn Transport>, shard: usize, ledger: LinkLedger) -> Self {
+        Self {
+            addr,
+            tx,
+            shard,
+            ledger,
+            pif_imports: 0,
+            decode_errors: Vec::new(),
+            health: DaemonHealth::Healthy,
+            last_frame: Instant::now(),
+            errors_at_life_start: 0,
+            retry_attempt: 0,
+            next_retry: None,
+            reconnect: None,
+        }
+    }
+
     /// Address or label this connection was opened with.
     pub fn addr(&self) -> &str {
         &self.addr
@@ -688,16 +680,6 @@ impl DaemonConn {
     /// The data-manager shard this connection feeds.
     pub fn shard(&self) -> usize {
         self.shard
-    }
-
-    /// The clock estimate from the last [`DaemonSet::clock_sync`].
-    pub fn clock(&self) -> ClockEstimate {
-        self.clock
-    }
-
-    /// Samples delivered by this daemon so far.
-    pub fn samples_received(&self) -> u64 {
-        self.samples_received
     }
 
     /// PIF blobs received from this daemon (including duplicates of
@@ -716,46 +698,6 @@ impl DaemonConn {
         self.health
     }
 
-    /// This connection's known sample loss: previous lives' announced gaps
-    /// plus the current life's (once its Goodbye arrives). A lower bound —
-    /// a daemon killed before announcing contributes nothing here, only to
-    /// the coverage node deficit.
-    pub fn samples_lost(&self) -> u64 {
-        self.lost_prior
-            + self
-                .announced_sent
-                .map(|a| a.saturating_sub(self.life_received + self.prior_received))
-                .unwrap_or(0)
-    }
-
-    /// Replayed batches this link's sequence watermark suppressed — each
-    /// one a duplicate that a handover replayed and dedup caught.
-    pub fn replays_suppressed(&self) -> u64 {
-        self.replays_suppressed
-    }
-
-    /// The peer's latest topology announcement, if it is a relay.
-    pub fn topology(&self) -> Option<&TopologyMsg> {
-        self.topo.as_ref()
-    }
-
-    /// True when this connection's subtree was re-parented after
-    /// quarantine — its nodes now report through other connections.
-    pub fn is_subtree_adopted(&self) -> bool {
-        self.subtree_adopted
-    }
-
-    /// The send count announced by this life's Goodbye, if it arrived.
-    pub fn announced_sent(&self) -> Option<u64> {
-        self.announced_sent
-    }
-
-    /// The subtree coverage this peer last reported — `Some` when the peer
-    /// is a relay, `None` for a leaf daemon.
-    pub fn subtree_coverage(&self) -> Option<Coverage> {
-        self.subtree
-    }
-
     /// This end's transport self-metrics.
     pub fn transport_stats(&self) -> pdmap_transport::TransportStats {
         self.tx.stats()
@@ -768,15 +710,18 @@ impl DaemonConn {
             .saturating_sub(self.errors_at_life_start)
     }
 
-    /// Maps a daemon wall stamp onto the tool clock.
-    fn align(&self, wall: u64) -> u64 {
-        (wall as i64 - self.clock.offset_ns).max(0) as u64
+    /// Logs (and counts) a frame that failed to decode.
+    fn reject(&mut self, detail: String) {
+        self.decode_errors
+            .push(track_error(DaemonError::Codec(detail)));
     }
 
     /// Drains every frame currently queued on this link, landing samples
     /// in `out` and forwarding mapping information to `data`'s shard. If
     /// `want_token` is set, a matching clock reply is returned (and not
     /// dispatched). Returns `(frames_processed, matched_reply_t_daemon)`.
+    /// A pass that handled frames is one `daemon`/`deliver` span, timed
+    /// from its first frame; polling an empty link reads no clock.
     fn drain(
         &mut self,
         data: &DataManager,
@@ -784,70 +729,56 @@ impl DaemonConn {
         index: usize,
         want_token: Option<u64>,
     ) -> (usize, Option<u64>) {
+        let mut t0 = None;
         let mut n = 0;
-        loop {
+        let reply = loop {
             match self.tx.try_recv() {
                 Ok(Some(frame)) => {
+                    if n == 0 && pdmap_obs::enabled() {
+                        t0 = Some(pdmap_obs::now_ns());
+                    }
                     n += 1;
                     self.last_frame = Instant::now();
                     if let Some(t_d) = self.dispatch(frame, data, out, index, want_token) {
-                        return (n, Some(t_d));
+                        break Some(t_d);
                     }
                 }
-                Ok(None) => return (n, None),
+                Ok(None) => break None,
                 Err(e) => {
-                    // Same contract as `Daemon::pump`: a link failure is
-                    // recorded (and counted as `daemon.error.recv`), never
-                    // silently swallowed; sticky repeats are deduped.
-                    let err = crate::daemon::track_error(DaemonError::Recv(e.to_string()));
+                    // A link failure is recorded (and counted as
+                    // `daemon.error.recv`), never silently swallowed; it
+                    // ends only this pass, so later drains retry. Link
+                    // errors are sticky: repeats are deduped.
+                    let err = track_error(DaemonError::Recv(e.to_string()));
                     if self.decode_errors.last() != Some(&err) {
                         self.decode_errors.push(err);
                     }
-                    return (n, None);
+                    break None;
                 }
             }
+        };
+        if let Some(t0) = t0 {
+            let dur = pdmap_obs::now_ns().saturating_sub(t0);
+            pdmap_obs::record_span(&daemon_obs().deliver, t0, dur);
         }
+        (n, reply)
     }
 
-    /// Lands one `SampleBatch` frame: decoded straight to columns, its
-    /// dictionary interned once, telemetry classified per dictionary
-    /// entry, and the frame's samples counted on this link and its shard.
+    /// Lands one `SampleBatch` frame: decoded straight to columns, folded
+    /// into the link's books (a replay stops there), its dictionary
+    /// interned once, telemetry classified per dictionary entry, and its
+    /// samples counted on the shard.
     fn land_batch(&mut self, frame: &Frame, data: &DataManager, out: &mut Landing, index: usize) {
         let batch = match BatchColumns::from_frame(frame) {
             Ok(batch) => batch,
-            Err(e) => {
-                self.decode_errors
-                    .push(crate::daemon::track_error(DaemonError::Codec(e.0)));
-                return;
-            }
+            Err(e) => return self.reject(e.0),
         };
-        // Sequence-watermark dedup: a handover replays the sender's ring
-        // suffix, and anything we already folded in arrives again with a
-        // seq at or below our watermark. Seq 0 is a legacy unsequenced
-        // batch — never deduped.
-        if batch.seq != 0 && batch.seq <= self.last_seq {
-            self.replays_suppressed += 1;
+        if !self.ledger.fold_batch(&batch) {
             return;
         }
-        if batch.seq != 0 {
-            self.last_seq = batch.seq;
-        }
-        // Cumulative per-grandchild provenance: a mark in this batch
-        // proves everything through its `through_seq` already arrived
-        // here — the exact replay watermark if this relay dies and we
-        // adopt its children.
-        for m in &batch.sources {
-            let e = self.source_marks.entry(m.origin.clone()).or_insert((0, 0));
-            if m.through_seq >= e.0 {
-                *e = (m.through_seq, m.samples);
-            }
-        }
-        let n = batch.len() as u64;
-        self.samples_received += n;
-        self.life_received += n;
-        data.note_samples_on(self.shard, n);
-        out.cols
-            .extend_batch(index as u32, self.clock.offset_ns, &batch);
+        let offset = self.clock().offset_ns;
+        data.note_samples_on(self.shard, batch.len() as u64);
+        out.cols.extend_batch(index as u32, offset, &batch);
         let obs: Vec<Option<(Arc<str>, Arc<str>)>> = batch
             .dict
             .iter()
@@ -861,7 +792,7 @@ impl DaemonConn {
                         metric: metric.clone(),
                         focus: focus.clone(),
                         wall: batch.wall[i],
-                        aligned_ns: self.align(batch.wall[i]),
+                        aligned_ns: align(batch.wall[i], offset),
                         value: batch.value[i],
                     });
                 }
@@ -878,125 +809,90 @@ impl DaemonConn {
         want_token: Option<u64>,
     ) -> Option<u64> {
         match frame.kind {
-            FrameKind::Daemon => match DaemonMsg::from_frame(&frame) {
-                Ok(DaemonMsg::ArrayAllocated {
-                    id,
-                    name,
-                    extents,
-                    dist,
-                    subgrids,
-                }) => {
-                    data.array_allocated_on(
-                        self.shard,
-                        &ArrayAllocInfo {
-                            array: ArrayId(id),
-                            name,
-                            extents,
-                            dist,
-                            subgrids,
-                        },
-                    );
-                }
-                Ok(DaemonMsg::ArrayFreed { id }) => data.array_freed_on(self.shard, ArrayId(id)),
-                Ok(DaemonMsg::Sample {
-                    metric,
-                    focus,
-                    wall,
-                    value,
-                }) => {
-                    self.samples_received += 1;
-                    self.life_received += 1;
-                    data.note_samples_on(self.shard, 1);
-                    let aligned_ns = self.align(wall);
-                    out.cols.push(
-                        index as u32,
-                        intern::sym(&metric),
-                        intern::sym(&focus),
+            FrameKind::Daemon => {
+                let msg = match DaemonMsg::from_frame(&frame) {
+                    Ok(msg) => msg,
+                    Err(e) => {
+                        self.reject(e.0);
+                        return None;
+                    }
+                };
+                self.ledger.fold_msg(&msg);
+                match msg {
+                    DaemonMsg::ArrayAllocated {
+                        id,
+                        name,
+                        extents,
+                        dist,
+                        subgrids,
+                    } => {
+                        data.array_allocated_on(
+                            self.shard,
+                            &ArrayAllocInfo {
+                                array: ArrayId(id),
+                                name,
+                                extents,
+                                dist,
+                                subgrids,
+                            },
+                        );
+                    }
+                    DaemonMsg::ArrayFreed { id } => data.array_freed_on(self.shard, ArrayId(id)),
+                    DaemonMsg::Sample {
+                        metric,
+                        focus,
                         wall,
-                        aligned_ns,
                         value,
-                    );
-                    if is_telemetry(&metric, &focus) {
-                        out.telemetry.push(AlignedSample {
-                            daemon: index,
-                            metric: metric.into(),
-                            focus: focus.into(),
+                    } => {
+                        data.note_samples_on(self.shard, 1);
+                        let aligned_ns = align(wall, self.clock().offset_ns);
+                        out.cols.push(
+                            index as u32,
+                            intern::sym(&metric),
+                            intern::sym(&focus),
                             wall,
                             aligned_ns,
                             value,
-                        });
-                    }
-                }
-                Ok(DaemonMsg::ClockReply {
-                    token, t_daemon_ns, ..
-                }) if want_token == Some(token) => return Some(t_daemon_ns),
-                Ok(DaemonMsg::Goodbye { samples_sent }) => {
-                    // The daemon's final flush frame: its side of the
-                    // conservation law, making this life's loss exact.
-                    self.announced_sent = Some(samples_sent as u64);
-                }
-                Ok(DaemonMsg::SubtreeCoverage {
-                    nodes_reporting,
-                    nodes_total,
-                    samples_lost,
-                }) => {
-                    // The peer is a relay: remember how much of its subtree
-                    // is alive so [`DaemonSet::coverage`] composes fleet
-                    // coverage instead of counting the relay as one node.
-                    self.subtree = Some(Coverage {
-                        nodes_reporting: nodes_reporting as usize,
-                        nodes_total: nodes_total as usize,
-                        samples_lost,
-                    });
-                }
-                // A reply for an abandoned round, a probe echoed back, or a
-                // shutdown request bouncing to the tool side: stale, carries
-                // nothing to forward.
-                Ok(DaemonMsg::ClockReply { .. })
-                | Ok(DaemonMsg::ClockProbe { .. })
-                | Ok(DaemonMsg::Shutdown) => {}
-                Err(e) => self
-                    .decode_errors
-                    .push(crate::daemon::track_error(DaemonError::Codec(e.0))),
-            },
-            FrameKind::SampleBatch => self.land_batch(&frame, data, out, index),
-            FrameKind::PifBlob => {
-                match PifBlob::from_frame(&frame) {
-                    Ok(blob) => {
-                        self.pif_imports += 1;
-                        match String::from_utf8(blob.0) {
-                            Ok(text) => {
-                                if let Err(e) = data.import_pif_text(self.shard, &text) {
-                                    self.decode_errors.push(crate::daemon::track_error(
-                                        DaemonError::Codec(format!("pif parse: {e}")),
-                                    ));
-                                }
-                            }
-                            Err(_) => self.decode_errors.push(crate::daemon::track_error(
-                                DaemonError::Codec("pif blob is not utf-8".into()),
-                            )),
+                        );
+                        if is_telemetry(&metric, &focus) {
+                            out.telemetry.push(AlignedSample {
+                                daemon: index,
+                                metric: metric.into(),
+                                focus: focus.into(),
+                                wall,
+                                aligned_ns,
+                                value,
+                            });
                         }
                     }
-                    Err(e) => self
-                        .decode_errors
-                        .push(crate::daemon::track_error(DaemonError::Codec(e.0))),
+                    DaemonMsg::ClockReply {
+                        token, t_daemon_ns, ..
+                    } if want_token == Some(token) => return Some(t_daemon_ns),
+                    // Goodbye and SubtreeCoverage are the ledger's alone. A
+                    // reply for an abandoned round, a probe echoed back, or
+                    // a shutdown request bouncing to the tool side: stale,
+                    // carries nothing to forward.
+                    _ => {}
                 }
             }
-            FrameKind::Topology => match TopologyMsg::from_frame(&frame) {
-                Ok(msg) => {
-                    // A relay announcing its children (and their per-child
-                    // watermarks) — the map the supervisor adopts from if
-                    // this link dies. A self-beacon (one entry naming the
-                    // origin itself) carries no subtree and is ignored:
-                    // leaves beacon standby relays, not the tool.
-                    let beacon = msg.children.len() == 1 && msg.children[0].addr == msg.origin;
-                    if !beacon {
-                        self.topo = Some(msg);
+            FrameKind::SampleBatch => self.land_batch(&frame, data, out, index),
+            FrameKind::PifBlob => match PifBlob::from_frame(&frame) {
+                Ok(blob) => {
+                    self.pif_imports += 1;
+                    match String::from_utf8(blob.0) {
+                        Ok(text) => {
+                            if let Err(e) = data.import_pif_text(self.shard, &text) {
+                                self.reject(format!("pif parse: {e}"));
+                            }
+                        }
+                        Err(_) => self.reject("pif blob is not utf-8".into()),
                     }
                 }
-                Err(e) => self
-                    .decode_errors
-                    .push(crate::daemon::track_error(DaemonError::Codec(e.0))),
+                Err(e) => self.reject(e.0),
+            },
+            FrameKind::Topology => match TopologyMsg::from_frame(&frame) {
+                Ok(msg) => self.ledger.fold_topology(msg),
+                Err(e) => self.reject(e.0),
             },
             // Heartbeats/acks/hellos are consumed inside the transport;
             // anything else surfacing here has no daemon-channel meaning.
@@ -1203,10 +1099,11 @@ impl Drop for DrainPool {
     }
 }
 
-/// Runs `rounds` bounded-round-trip probe rounds against one daemon and
-/// returns the minimum-RTT estimate, or `None` if no round completed.
-/// Frames that arrive while waiting (samples, mappings) are dispatched
-/// normally, not dropped.
+/// Runs `rounds` bounded-round-trip probe rounds against one daemon and,
+/// if any completed, makes their minimum-RTT estimate the link's clock and
+/// pays the watermark seed an adopted child is owed (stamped with the set's
+/// topology `epoch`). Frames that arrive while waiting (samples, mappings)
+/// are dispatched normally, not dropped. Returns whether the sync completed.
 fn sync_conn(
     conn: &mut DaemonConn,
     data: &DataManager,
@@ -1214,9 +1111,9 @@ fn sync_conn(
     index: usize,
     rounds: u32,
     timeout: Duration,
-) -> Option<ClockEstimate> {
-    let mut best: Option<ClockEstimate> = None;
-    let mut done = 0u32;
+    epoch: u64,
+) -> bool {
+    let mut est = ClockEstimate::default();
     for _ in 0..rounds.max(1) {
         let token = TOKENS.fetch_add(1, Ordering::Relaxed);
         let t0 = pdmap_obs::now_ns();
@@ -1240,41 +1137,20 @@ fn sync_conn(
                 std::thread::yield_now();
             }
         }
-        let Some(t_daemon) = reply else { continue };
-        let t1 = pdmap_obs::now_ns();
-        let rtt = t1.saturating_sub(t0);
-        let offset = t_daemon as i64 - (t0 + rtt / 2) as i64;
-        done += 1;
-        if best.is_none() || rtt < best.unwrap().rtt_ns {
-            best = Some(ClockEstimate {
-                offset_ns: offset,
-                rtt_ns: rtt,
-                rounds: 0,
-            });
+        if let Some(t_daemon) = reply {
+            est.observe(t0, t_daemon, pdmap_obs::now_ns());
         }
     }
-    best.map(|mut est| {
-        est.rounds = done;
-        est
-    })
-}
-
-/// Delivers the watermark seed an adopted orphan is waiting on: a
-/// [`TopologyMsg`] naming the child itself and the highest batch sequence
-/// (plus cumulative samples) this set already folded in. The orphan then
-/// bumps its epoch and replays exactly its ring suffix past the mark.
-/// Returns true when the seed was queued.
-fn send_seed(conn: &DaemonConn, epoch: u64, watermark: u64, received: u64) -> bool {
-    let seed = TopologyMsg {
-        epoch,
-        origin: "tool".into(),
-        children: vec![TopoChild {
-            addr: conn.addr.clone(),
-            watermark,
-            received,
-        }],
-    };
-    send_wire(&*conn.tx, &seed).is_ok()
+    if est.rounds == 0 {
+        return false;
+    }
+    *conn.ledger.clock_mut() = est;
+    if let Some(seed) = conn.seed_msg(epoch, "tool", &conn.addr) {
+        if send_wire(&*conn.tx, &seed).is_ok() {
+            conn.ledger.seed_paid();
+        }
+    }
+    true
 }
 
 /// The tool side of a multi-daemon session (see the module docs).
@@ -1362,32 +1238,8 @@ impl DaemonSet {
             .into_iter()
             .enumerate()
             .map(|(i, (addr, tx))| {
-                Arc::new(Mutex::new(DaemonConn {
-                    addr,
-                    tx,
-                    shard: i % shards,
-                    clock: ClockEstimate::default(),
-                    samples_received: 0,
-                    pif_imports: 0,
-                    decode_errors: Vec::new(),
-                    health: DaemonHealth::Healthy,
-                    last_frame: Instant::now(),
-                    errors_at_life_start: 0,
-                    life_received: 0,
-                    announced_sent: None,
-                    lost_prior: 0,
-                    retry_attempt: 0,
-                    next_retry: None,
-                    reconnect: None,
-                    subtree: None,
-                    last_seq: 0,
-                    replays_suppressed: 0,
-                    prior_received: 0,
-                    topo: None,
-                    source_marks: HashMap::new(),
-                    subtree_adopted: false,
-                    seed_watermark: None,
-                }))
+                let conn = DaemonConn::new(addr, tx, i % shards, LinkLedger::default());
+                Arc::new(Mutex::new(conn))
             })
             .collect();
         Self {
@@ -1477,13 +1329,11 @@ impl DaemonSet {
         if self.recoveries.is_empty() && self.reparents.is_empty() {
             return None;
         }
-        let gap: u64 = self.recoveries.iter().filter_map(|r| r.gap).sum::<u64>()
-            + self.reparents.iter().filter_map(|r| r.gap).sum::<u64>();
         Some(RecoverySummary {
             readmissions: self.recoveries.len(),
             reparents: self.reparents.len(),
             nodes_rehomed: self.reparents.iter().map(|r| r.subtree.len()).sum(),
-            gap,
+            gap: self.recoveries.iter().filter_map(|r| r.gap).sum(),
         })
     }
 
@@ -1495,33 +1345,18 @@ impl DaemonSet {
     /// How much of the fleet the session currently covers — attach this to
     /// anything computed from the merged stream.
     ///
-    /// Tree-aware: a peer that reported a [`DaemonMsg::SubtreeCoverage`]
-    /// (a relay) contributes its whole subtree's node counts and losses; a
-    /// leaf daemon contributes `1/1`. A quarantined relay therefore costs
+    /// Tree-aware: each link adds its [`LinkLedger::coverage`] — a relay
+    /// its whole subtree's node counts and losses, a leaf daemon `1/1` —
+    /// reporting unless quarantined. A quarantined relay therefore costs
     /// the session its entire subtree — never silently one node.
     pub fn coverage(&self) -> Coverage {
-        let mut cov = Coverage::default();
-        for cell in &self.conns {
-            let c = lock(cell);
-            // A re-parented relay's subtree now reports through other
-            // connections: counting its nodes here would double them.
-            // Only its own already-known loss still belongs to it.
-            if c.subtree_adopted {
-                cov.samples_lost += c.samples_lost();
-                continue;
-            }
-            let sub = c.subtree.unwrap_or(Coverage {
-                nodes_reporting: 1,
-                nodes_total: 1,
-                samples_lost: 0,
-            });
-            cov.nodes_total += sub.nodes_total;
-            if c.health != DaemonHealth::Quarantined {
-                cov.nodes_reporting += sub.nodes_reporting;
-            }
-            cov.samples_lost += c.samples_lost() + sub.samples_lost;
-        }
-        cov
+        self.conns
+            .iter()
+            .map(|cell| {
+                let c = lock(cell);
+                c.coverage(c.health != DaemonHealth::Quarantined)
+            })
+            .sum()
     }
 
     /// Runs `rounds` probe rounds against every admitted daemon, keeping
@@ -1539,28 +1374,37 @@ impl DaemonSet {
             if conn.health == DaemonHealth::Quarantined {
                 continue;
             }
-            match sync_conn(&mut conn, &data, &mut landed, i, rounds, timeout) {
-                Some(est) => conn.clock = est,
-                None => {
-                    conn.health = DaemonHealth::Quarantined;
-                    conn.retry_attempt = 0;
-                    conn.next_retry = Some(Instant::now() + policy.retry.delay_for(0));
-                    set_obs().quarantine.incr();
-                    if first_err.is_none() {
-                        first_err = Some(ClockSyncError {
-                            daemon: i,
-                            addr: conn.addr.clone(),
-                        });
-                    }
+            if !sync_conn(
+                &mut conn,
+                &data,
+                &mut landed,
+                i,
+                rounds,
+                timeout,
+                self.epoch,
+            ) {
+                conn.health = DaemonHealth::Quarantined;
+                conn.retry_attempt = 0;
+                conn.next_retry = Some(Instant::now() + policy.retry.delay_for(0));
+                set_obs().quarantine.incr();
+                if first_err.is_none() {
+                    first_err = Some(ClockSyncError {
+                        daemon: i,
+                        addr: conn.addr.clone(),
+                    });
                 }
             }
         }
         // Re-align anything that arrived before (or during) the handshake:
         // one pass over the columns, and the telemetry rows before they
         // reach the fleet-health view.
-        let offsets: Vec<i64> = self.conns.iter().map(|c| lock(c).clock.offset_ns).collect();
+        let offsets: Vec<i64> = self
+            .conns
+            .iter()
+            .map(|c| lock(c).clock().offset_ns)
+            .collect();
         for row in &mut landed.telemetry {
-            row.aligned_ns = (row.wall as i64 - offsets[row.daemon]).max(0) as u64;
+            row.aligned_ns = align(row.wall, offsets[row.daemon]);
         }
         self.absorb(landed);
         self.samples.realign_all(&offsets);
@@ -1622,7 +1466,7 @@ impl DaemonSet {
                     // A re-parented relay must not be re-dialed: its old
                     // children now report directly, and a restarted relay
                     // re-attaching them would double every sample.
-                    if conn.subtree_adopted {
+                    if conn.is_subtree_adopted() {
                         continue;
                     }
                     if !conn.next_retry.map(|t| now >= t).unwrap_or(true) {
@@ -1635,63 +1479,43 @@ impl DaemonSet {
                         conn.next_retry = Some(now + policy.retry.delay_for(conn.retry_attempt));
                         continue;
                     };
-                    // Fold the dead life's announced gap into the prior-loss
-                    // tally, then start a fresh life over a fresh link. The
-                    // daemon re-ships its PIF on reconnect; the data
-                    // manager's content-hash dedup absorbs the duplicate.
-                    let gap = conn
-                        .announced_sent
-                        .map(|a| a.saturating_sub(conn.life_received));
+                    // End the dead life (its announced loss joins the
+                    // ledger's ended lives), then start a fresh one over a
+                    // fresh link; an adopted child whose first sync failed
+                    // is paid its seed once this one completes. The daemon
+                    // re-ships its PIF on reconnect; the data manager's
+                    // content-hash dedup absorbs the duplicate.
                     let fresh = factory();
+                    let gap = conn.ledger.new_life();
                     conn.tx.close();
                     conn.tx = fresh;
-                    conn.lost_prior += gap.unwrap_or(0);
-                    conn.life_received = 0;
-                    conn.announced_sent = None;
                     conn.errors_at_life_start = conn.decode_errors.len();
-                    match sync_conn(
+                    let (rounds, timeout) = (policy.retry_sync_rounds, policy.retry_sync_timeout);
+                    if sync_conn(
                         &mut conn,
                         &data,
                         &mut landed,
                         i,
-                        policy.retry_sync_rounds,
-                        policy.retry_sync_timeout,
+                        rounds,
+                        timeout,
+                        self.epoch,
                     ) {
-                        Some(est) => {
-                            conn.clock = est;
-                            conn.health = DaemonHealth::Recovered;
-                            conn.last_frame = now;
-                            let attempts = conn.retry_attempt;
-                            conn.retry_attempt = 0;
-                            conn.next_retry = None;
-                            if let Some((w, p)) = conn.seed_watermark {
-                                // An adopted child whose first sync failed:
-                                // it is still paused awaiting its watermark
-                                // seed, so deliver it now (keeping the seq
-                                // watermark — its ring replay dedups here).
-                                if send_seed(&conn, self.epoch, w, p) {
-                                    conn.seed_watermark = None;
-                                }
-                            } else {
-                                // A *restarted* daemon begins a fresh
-                                // sequence space at 1; the old watermark
-                                // would wrongly suppress its first batches.
-                                conn.last_seq = 0;
-                            }
-                            set_obs().recovered.incr();
-                            self.recoveries.push(RecoveryReport {
-                                daemon: i,
-                                addr: conn.addr.clone(),
-                                attempts,
-                                gap,
-                            });
-                        }
-                        None => {
-                            conn.tx.close();
-                            conn.retry_attempt = conn.retry_attempt.saturating_add(1);
-                            conn.next_retry =
-                                Some(now + policy.retry.delay_for(conn.retry_attempt));
-                        }
+                        conn.health = DaemonHealth::Recovered;
+                        conn.last_frame = now;
+                        let attempts = conn.retry_attempt;
+                        conn.retry_attempt = 0;
+                        conn.next_retry = None;
+                        set_obs().recovered.incr();
+                        self.recoveries.push(RecoveryReport {
+                            daemon: i,
+                            addr: conn.addr.clone(),
+                            attempts,
+                            gap,
+                        });
+                    } else {
+                        conn.tx.close();
+                        conn.retry_attempt = conn.retry_attempt.saturating_add(1);
+                        conn.next_retry = Some(now + policy.retry.delay_for(conn.retry_attempt));
                     }
                 }
             }
@@ -1704,43 +1528,37 @@ impl DaemonSet {
     }
 
     /// Re-parents every newly quarantined relay's orphaned subtree: each
-    /// child named in the relay's last topology announcement is dialed
+    /// child in the relay's [`LinkLedger::orphans`] plan is dialed
     /// directly, clock-synced, and seeded with the exact replay watermark
-    /// this set already folded in (the delivered-atomic source marks that
-    /// rode in the relay's batches — or, for a child never seen in a mark,
-    /// the announcement's own watermark). The orphan replays its ring
-    /// suffix past the seed; anything the dead relay managed to forward
-    /// arrives twice and is suppressed by [`DaemonConn::last_seq`] — no
-    /// double count, no silent gap.
+    /// this set already folded in. The orphan replays its ring suffix past
+    /// the seed; anything the dead relay managed to forward arrives twice
+    /// and is suppressed by the new link's watermark — no double count, no
+    /// silent gap.
     fn adopt_orphans(&mut self) {
         let Some(dialer) = self.dialer.clone() else {
             return;
         };
         let data = self.data.clone();
         let policy = self.policy;
-        // Pass 1 (short lock holds): claim newly quarantined relays that
-        // announced a topology, taking their adoption map.
+        // Pass 1 (short lock holds): claim the plans of newly quarantined
+        // relays.
         let mut work = Vec::new();
         for (i, cell) in self.conns.iter().enumerate() {
             let mut c = lock(cell);
-            if c.health != DaemonHealth::Quarantined || c.subtree_adopted || c.topo.is_none() {
-                continue;
+            if c.health == DaemonHealth::Quarantined {
+                if let Some(plan) = c.ledger.orphans() {
+                    work.push((i, c.addr.clone(), plan));
+                }
             }
-            let topo = c.topo.take().expect("checked above");
-            let marks = std::mem::take(&mut c.source_marks);
-            let gap = c
-                .announced_sent
-                .map(|a| a.saturating_sub(c.life_received + c.prior_received));
-            c.subtree_adopted = true;
-            work.push((i, c.addr.clone(), topo, marks, gap));
         }
         let shards = data.shard_count();
+        let (rounds, timeout) = (policy.retry_sync_rounds, policy.retry_sync_timeout);
         let mut landed = Landing::default();
-        for (i, addr, topo, marks, gap) in work {
+        for (i, addr, plan) in work {
             self.epoch += 1;
             set_obs().reparent.incr();
             let mut subtree = Vec::new();
-            for tc in &topo.children {
+            for tc in plan {
                 subtree.push(tc.addr.clone());
                 if self.conns.iter().any(|c| lock(c).addr == tc.addr) {
                     // Already a direct connection (e.g. adopted from an
@@ -1750,65 +1568,28 @@ impl DaemonSet {
                 let Ok(sock) = tc.addr.parse::<SocketAddr>() else {
                     continue;
                 };
-                // Exact watermark when a source mark proved delivery here;
-                // the announcement's (relay-side) watermark otherwise —
-                // still duplicate-free, the relay's in-flight tail becomes
-                // labeled loss instead.
-                let (w, prior) = marks
-                    .get(&tc.addr)
-                    .copied()
-                    .unwrap_or((tc.watermark, tc.received));
                 let d = dialer.clone();
                 let idx = self.conns.len();
-                let mut conn = DaemonConn {
-                    addr: tc.addr.clone(),
-                    tx: dialer(sock),
-                    shard: idx % shards,
-                    clock: ClockEstimate::default(),
-                    samples_received: 0,
-                    pif_imports: 0,
-                    decode_errors: Vec::new(),
-                    health: DaemonHealth::Recovered,
-                    last_frame: Instant::now(),
-                    errors_at_life_start: 0,
-                    life_received: 0,
-                    announced_sent: None,
-                    lost_prior: 0,
-                    retry_attempt: 0,
-                    next_retry: None,
-                    reconnect: Some(Box::new(move || d(sock))),
-                    subtree: None,
-                    last_seq: w,
-                    replays_suppressed: 0,
-                    prior_received: prior,
-                    topo: None,
-                    source_marks: HashMap::new(),
-                    subtree_adopted: false,
-                    seed_watermark: Some((w, prior)),
-                };
+                let ledger = LinkLedger::adopted(tc.watermark, tc.received);
+                let mut conn = DaemonConn::new(tc.addr, dialer(sock), idx % shards, ledger);
+                conn.health = DaemonHealth::Recovered;
+                conn.reconnect = Some(Box::new(move || d(sock)));
                 set_obs().adopted.incr();
-                match sync_conn(
+                if !sync_conn(
                     &mut conn,
                     &data,
                     &mut landed,
                     idx,
-                    policy.retry_sync_rounds,
-                    policy.retry_sync_timeout,
+                    rounds,
+                    timeout,
+                    self.epoch,
                 ) {
-                    Some(est) => {
-                        conn.clock = est;
-                        if send_seed(&conn, self.epoch, w, prior) {
-                            conn.seed_watermark = None;
-                        }
-                    }
-                    None => {
-                        // Keep the connection (and its owed seed): the
-                        // ordinary retry machinery readmits it and sends
-                        // the seed once the orphan answers.
-                        conn.health = DaemonHealth::Quarantined;
-                        conn.next_retry = Some(Instant::now() + policy.retry.delay_for(0));
-                        set_obs().quarantine.incr();
-                    }
+                    // Keep the connection (and its owed seed): the
+                    // ordinary retry machinery readmits it and pays the
+                    // seed once the orphan answers.
+                    conn.health = DaemonHealth::Quarantined;
+                    conn.next_retry = Some(Instant::now() + policy.retry.delay_for(0));
+                    set_obs().quarantine.incr();
                 }
                 self.conns.push(Arc::new(Mutex::new(conn)));
             }
@@ -1816,7 +1597,6 @@ impl DaemonSet {
                 daemon: i,
                 addr,
                 subtree,
-                gap,
                 epoch: self.epoch,
             });
         }
@@ -1852,7 +1632,7 @@ impl DaemonSet {
             self.pump_parallel();
             let all_announced = self.conns.iter().all(|c| {
                 let c = lock(c);
-                c.health == DaemonHealth::Quarantined || c.announced_sent.is_some()
+                c.health == DaemonHealth::Quarantined || c.announced_sent().is_some()
             });
             if all_announced || Instant::now() >= deadline {
                 break;
@@ -2460,11 +2240,7 @@ mod tests {
         // The daemon "restarts": readmission re-dials through the factory,
         // re-syncs the clock, and coverage returns to complete.
         set.set_reconnect(0, reconnectable_fake(0));
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while set.health(0) == DaemonHealth::Quarantined && Instant::now() < deadline {
-            set.supervise();
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        supervise_until(&mut set, |s| s.health(0) != DaemonHealth::Quarantined);
         assert!(
             matches!(
                 set.health(0),
@@ -2525,11 +2301,7 @@ mod tests {
 
         // The daemon claims it sent 5; we saw 3 — exactly 2 lost.
         let _ = send_wire(&*daemons[0].tx, &DaemonMsg::Goodbye { samples_sent: 5 });
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while set.conn(0).announced_sent().is_none() && Instant::now() < deadline {
-            set.pump_parallel();
-            std::thread::yield_now();
-        }
+        pump_until_goodbye(&mut set, 0);
         assert_eq!(set.conn(0).announced_sent(), Some(5));
         assert_eq!(set.conn(0).samples_lost(), 2);
         let cov = set.merged_samples().coverage();
@@ -2817,11 +2589,7 @@ mod tests {
         // Quarantining the relay must cost its whole subtree, not one node.
         set.set_policy(fast_policy());
         daemons[1].tx.close();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while set.health(1) != DaemonHealth::Quarantined && Instant::now() < deadline {
-            set.supervise();
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        supervise_until(&mut set, |s| s.health(1) == DaemonHealth::Quarantined);
         let cov = set.coverage();
         assert_eq!(
             (cov.nodes_reporting, cov.nodes_total),
@@ -2992,17 +2760,16 @@ mod tests {
             daemon: 0,
             addr: "a".into(),
             subtree: vec!["b".into(), "c".into()],
-            gap: Some(3),
             epoch: 1,
         });
         let s = set.recovery_summary().unwrap();
         assert_eq!(
             (s.readmissions, s.reparents, s.nodes_rehomed, s.gap),
-            (1, 1, 2, 5)
+            (1, 1, 2, 2)
         );
         assert_eq!(
             s.to_string(),
-            "1 readmissions, 1 re-parents (2 nodes re-homed), >=5 samples gap"
+            "1 readmissions, 1 re-parents (2 nodes re-homed), >=2 samples gap"
         );
     }
 
@@ -3070,34 +2837,28 @@ mod tests {
         }
     }
 
-    #[test]
-    fn quarantined_relay_subtree_is_adopted_with_exact_watermarks() {
+    /// A one-link set whose link is a relay with orphan adoption on and
+    /// `dialer` standing in for its child: the relay announced `child`,
+    /// and its batch carries a source mark proving the child's data
+    /// through seq 2 (5 samples) already arrived here — a tighter
+    /// watermark than the announcement's own (seq 1, 3 samples).
+    fn relay_set(child: &str, dialer: &OrphanDialer) -> (DaemonSet, Vec<FakeDaemon>) {
         let (mut set, daemons) = set_with_skews(&[0]);
         sync(&mut set, &daemons);
         let mut policy = fast_policy();
         policy.adopt_orphans = true;
         set.set_policy(policy);
-        let dialer = OrphanDialer::new();
         set.set_dialer(dialer.dialer());
-
-        // Conn 0 is a relay: it announces one child, and its batches carry
-        // a source mark proving the child's data through seq 2 (5 samples)
-        // already arrived here — a tighter watermark than the
-        // announcement's own (seq 1, 3 samples).
-        let child = "127.0.0.1:47101";
-        send_wire(
-            &*daemons[0].tx,
-            &TopologyMsg {
-                epoch: 0,
-                origin: "fake#0".into(),
-                children: vec![TopoChild {
-                    addr: child.into(),
-                    watermark: 1,
-                    received: 3,
-                }],
-            },
-        )
-        .unwrap();
+        let announcement = TopologyMsg {
+            epoch: 0,
+            origin: "fake#0".into(),
+            children: vec![pdmap_transport::TopoChild {
+                addr: child.into(),
+                watermark: 1,
+                received: 3,
+            }],
+        };
+        send_wire(&*daemons[0].tx, &announcement).unwrap();
         let mut batch = seq_batch(1, 0, 2, daemons[0].now());
         batch.sources = vec![pdmap_transport::SourceMark {
             origin: child.into(),
@@ -3107,20 +2868,40 @@ mod tests {
         send_wire(&*daemons[0].tx, &batch).unwrap();
         assert_eq!(set.pump_until_samples(2, Duration::from_secs(5)), 2);
         assert!(set.conn(0).topology().is_some(), "announcement folded in");
+        (set, daemons)
+    }
+
+    /// Runs supervision passes until `done` holds (at most five seconds).
+    fn supervise_until(set: &mut DaemonSet, done: impl Fn(&DaemonSet) -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !done(set) && Instant::now() < deadline {
+            set.supervise();
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    /// Pumps until conn `i`'s Goodbye has arrived (at most five seconds).
+    fn pump_until_goodbye(set: &mut DaemonSet, i: usize) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while set.conn(i).announced_sent().is_none() && Instant::now() < deadline {
+            set.pump_parallel();
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn quarantined_relay_subtree_is_adopted_with_exact_watermarks() {
+        let child = "127.0.0.1:47101";
+        let dialer = OrphanDialer::new();
+        let (mut set, daemons) = relay_set(child, &dialer);
 
         // Kill the relay; supervision must quarantine it and re-parent the
         // orphan: dial it, sync it, and seed the *mark's* watermark.
         daemons[0].tx.close();
-        std::thread::sleep(Duration::from_millis(15));
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while set.reparents().is_empty() && Instant::now() < deadline {
-            set.supervise();
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        supervise_until(&mut set, |s| !s.reparents().is_empty());
         let rep = set.reparents().first().expect("subtree adopted").clone();
         assert_eq!((rep.daemon, rep.epoch), (0, 1));
         assert_eq!(rep.subtree, vec![child.to_string()]);
-        assert_eq!(rep.gap, None, "relay died unannounced");
         assert_eq!(set.len(), 2, "the orphan is now a direct connection");
         assert_eq!(set.conn(1).addr(), child);
         assert!(set.conn(0).is_subtree_adopted());
@@ -3165,5 +2946,117 @@ mod tests {
             1,
             "the banner counts the re-homed orphan"
         );
+    }
+
+    #[test]
+    fn a_relay_that_said_goodbye_is_not_reparented() {
+        // A relay says Goodbye only after its children finished or were
+        // sent Shutdown: when its link then closes, nobody is orphaned.
+        let dialer = OrphanDialer::new();
+        let (mut set, daemons) = relay_set("127.0.0.1:47102", &dialer);
+        send_wire(&*daemons[0].tx, &DaemonMsg::Goodbye { samples_sent: 2 }).unwrap();
+        pump_until_goodbye(&mut set, 0);
+        daemons[0].tx.close();
+        supervise_until(&mut set, |s| s.health(0) == DaemonHealth::Quarantined);
+        set.supervise();
+        dialer.stop.store(true, Ordering::Relaxed);
+        assert_eq!(set.health(0), DaemonHealth::Quarantined);
+        assert!(set.reparents().is_empty(), "no re-parent");
+        assert_eq!((set.len(), set.epoch()), (1, 0), "the child is not dialed");
+        assert!(set.recovery_summary().is_none(), "nothing to report");
+    }
+
+    #[test]
+    fn readmitting_an_adopted_daemon_keeps_its_prior_delivery() {
+        let dialer = OrphanDialer::new();
+        let (mut set, daemons) = relay_set("127.0.0.1:47103", &dialer);
+        daemons[0].tx.close();
+        supervise_until(&mut set, |s| s.len() == 2);
+        dialer.stop.store(true, Ordering::Relaxed);
+        std::thread::sleep(Duration::from_millis(20));
+
+        // The orphan delivered 5 samples to the dead relay and 3 here, and
+        // its Goodbye announces all 8: nothing lost.
+        let orphan = lock(&dialer.servers).first().cloned().expect("dialed once");
+        send_wire(&*orphan, &seq_batch(3, 1, 3, pdmap_obs::now_ns())).unwrap();
+        send_wire(&*orphan, &DaemonMsg::Goodbye { samples_sent: 8 }).unwrap();
+        pump_until_goodbye(&mut set, 1);
+        assert_eq!(set.conn(1).samples_lost(), 0);
+
+        // Its link closes and it is readmitted: the ended life's loss is
+        // still zero, in the recovery report and in coverage.
+        orphan.close();
+        set.set_reconnect(1, reconnectable_fake(0));
+        supervise_until(&mut set, |s| !s.recoveries().is_empty());
+        assert_eq!(set.recoveries()[0].gap, Some(0), "prior delivery is no gap");
+        let cov = set.coverage();
+        assert_eq!(cov.samples_lost, 0, "{cov}");
+    }
+
+    /// A one-link set over an in-process link, and the link's far end.
+    fn one_link(data: Arc<DataManager>) -> (DaemonSet, Arc<dyn Transport>, Arc<dyn Transport>) {
+        let link = Backend::InProc.link(&TransportConfig::default());
+        let tool_end = link.server.clone();
+        let set = DaemonSet::over_transports(vec![("one".into(), tool_end.clone())], data);
+        (set, tool_end, link.client)
+    }
+
+    #[test]
+    fn codec_and_recv_errors_are_counted_and_a_sticky_one_logged_once() {
+        // The registry is global to the test binary and other tests raise
+        // the same errors concurrently, so check that each counter moved.
+        let get = |kind: &str| pdmap_obs::counter(&format!("daemon.error.{kind}")).get();
+        let (codec, recv) = (get("codec"), get("recv"));
+        let data = Arc::new(DataManager::new(Namespace::new(), "CM Fortran"));
+        let (mut set, tool_end, far_end) = one_link(data);
+        far_end.send(FrameKind::Daemon, vec![77]).unwrap(); // unknown tag
+        set.pump_parallel();
+        tool_end.close();
+        set.pump_parallel();
+        set.pump_parallel();
+        let conn = set.conn(0);
+        let kinds: Vec<&str> = conn.decode_errors().iter().map(|e| e.kind()).collect();
+        assert_eq!(
+            kinds,
+            ["codec", "recv"],
+            "a sticky recv error is logged once"
+        );
+        assert!(get("codec") > codec, "counter for codec");
+        assert!(get("recv") >= recv + 2, "every recv failure is counted");
+        for err in conn.decode_errors() {
+            assert!(err.to_string().contains(err.kind()), "{err}");
+        }
+    }
+
+    #[test]
+    fn pump_until_samples_returns_as_soon_as_want_is_met() {
+        let (mut set, daemons) = set_with_skews(&[0]);
+        for _ in 0..4 {
+            daemons[0].send_sample("M", 0.0);
+        }
+        let t0 = Instant::now();
+        assert_eq!(set.pump_until_samples(4, Duration::from_secs(5)), 4);
+        // Everything was already queued: no sleep cycle should be paid.
+        let took = t0.elapsed();
+        assert!(took < Duration::from_millis(50), "took {took:?}");
+    }
+
+    #[test]
+    fn machine_drives_the_wire_end_to_end() {
+        // The machine's sink is the wire endpoint; the drain forwards to
+        // the data manager exactly like the direct-sink path.
+        let mut tool = crate::tool::Paradyn::new(cmrts_sim::MachineConfig {
+            nodes: 2,
+            ..cmrts_sim::MachineConfig::default()
+        });
+        tool.load_source(cmf_lang::samples::FIGURE4).unwrap();
+        let (mut set, _, far_end) = one_link(tool.data().clone());
+        let mut m = tool.new_machine().unwrap();
+        let endpoint = crate::daemon::InstrLibEndpoint::over_transport(far_end);
+        m.set_mapping_sink(Arc::new(endpoint)); // replace direct sink
+        m.run();
+        let n = set.pump_parallel();
+        assert!(n >= 2, "A and B allocations crossed the wire, got {n}");
+        assert!(tool.render_where_axis().contains("sub#0"));
     }
 }

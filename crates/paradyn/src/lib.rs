@@ -13,7 +13,8 @@
 //!   time-plot / bar-chart / table display modules;
 //! * [`consultant`] — the Performance Consultant's why/where search;
 //! * [`daemon`] — the §5 wire protocol between the application-linked
-//!   instrumentation library and the tool's daemon;
+//!   instrumentation library and the tool, and the [`LinkLedger`] every
+//!   parent (the tool or a relay) keeps per child link;
 //! * [`daemonset`] — the §4.2.3 multi-daemon session: N TCP links, clock
 //!   alignment, and one merged sample stream over the sharded manager;
 //! * [`tool`] — the [`Paradyn`](tool::Paradyn) facade tying it together.
@@ -53,12 +54,11 @@ pub use consultant::{
     audit, render as render_search, search, search_parallel, ConsultantConfig, ExperimentNode,
     Verdict,
 };
-pub use daemon::{Daemon, DaemonError, DaemonMsg, InstrLibEndpoint};
+pub use daemon::{ClockEstimate, DaemonError, DaemonMsg, InstrLibEndpoint, LinkLedger};
 pub use daemonset::{
-    AlignedSample, ClockEstimate, ClockSyncError, ConnRef, Coverage, DaemonConn, DaemonHealth,
-    DaemonSet, DialFn, FleetHealth, FleetPerturbation, Merged, MergedStreams, NodeHealth,
-    ReconnectFn, RecoveryReport, RecoverySummary, ReparentReport, SessionCoverage,
-    SupervisorPolicy,
+    AlignedSample, ClockSyncError, ConnRef, Coverage, DaemonConn, DaemonHealth, DaemonSet, DialFn,
+    FleetHealth, FleetPerturbation, Merged, MergedStreams, NodeHealth, ReconnectFn, RecoveryReport,
+    RecoverySummary, ReparentReport, SessionCoverage, SupervisorPolicy,
 };
 pub use datamgr::{DataManager, FocusError, ShardStats};
 pub use mcache::{McacheStats, Measured, MeasurementCache};

@@ -120,12 +120,6 @@ impl Uplink {
     }
 }
 
-/// True when `msg` is an orphan's self-beacon (one child entry naming the
-/// origin itself) rather than a subtree announcement or watermark seed.
-pub(crate) fn is_beacon(msg: &TopologyMsg) -> bool {
-    msg.children.len() == 1 && msg.children[0].addr == msg.origin
-}
-
 /// Dials `standby` just long enough to deliver `msg`, then closes. The
 /// standby answers by dialing the orphan's listen address back — the
 /// beacon connection itself never carries session traffic.
@@ -144,6 +138,7 @@ pub(crate) fn send_beacon(standby: SocketAddr, msg: &TopologyMsg, tcfg: Transpor
 #[cfg(test)]
 mod tests {
     use super::*;
+    use paradyn_tool::daemon::is_beacon;
     use pdmap_transport::{BatchBuilder, InProcEnd, WirePayload};
 
     /// `n` one-key rows tagged with `tag`, as the columns a sender builds.

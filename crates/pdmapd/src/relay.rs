@@ -14,17 +14,20 @@
 //!    [`DaemonMsg::ClockProbe`]s stamped from its *own reported clock*
 //!    (the skewed clock it answers its parent's probes with) and keeps the
 //!    minimum-RTT offset, exactly like `DaemonSet::clock_sync`. Every
-//!    forwarded sample's wall stamp is rewritten by that offset, so it
-//!    lands on the relay's reported clock — and the parent's ordinary sync
-//!    of the relay completes the chain. Skew correction composes level by
-//!    level; no one needs a global clock.
+//!    forwarded sample's wall stamp is moved by that offset
+//!    ([`pdmap::columns::align`]), so it lands on the relay's reported
+//!    clock — and the parent's ordinary sync of the relay completes the
+//!    chain. Skew correction composes level by level; no one needs a
+//!    global clock.
 //! 2. **Conservation at every level.** Children announce their send
 //!    counts in [`DaemonMsg::Goodbye`]; the relay computes per-child loss
-//!    (`announced − received`), folds it into the
+//!    (`announced − received − prior delivery`), folds it into the
 //!    [`DaemonMsg::SubtreeCoverage`] it sends upward, and announces its
 //!    *own* forwarded count in its final Goodbye. At every tree level
 //!    `announced == received + lost` — a silent gap anywhere becomes a
-//!    visible coverage deficit at the root.
+//!    visible coverage deficit at the root. Each child's books are a
+//!    [`LinkLedger`], the type the tool keeps per connection, so the
+//!    rules are the same code at every level.
 //! 3. **Batched forwarding.** Samples travel upward in
 //!    [`SampleBatch`] frames (shared metric/focus dictionary,
 //!    delta-encoded stamps), so a relay with `F` children costs the
@@ -43,13 +46,15 @@
 
 use crate::daemon_now;
 use crate::failover::{self, Uplink};
-use paradyn_tool::daemon::DaemonMsg;
+use paradyn_tool::daemon::{is_beacon, DaemonMsg, LinkLedger};
+use paradyn_tool::Coverage;
+use pdmap::columns::align;
 use pdmap_transport::{
     send_wire, BatchBuilder, BatchColumns, FrameKind, SourceMark, TcpClient, TcpServer, TopoChild,
     TopologyMsg, Transport, TransportConfig, WirePayload,
 };
 use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -177,102 +182,41 @@ pub struct RelayReport {
     pub decode_errors: u64,
 }
 
-/// One child link and everything the relay knows about its subtree.
+/// One child link: its books ([`LinkLedger`]) and the relay's side of the
+/// link — the transport, the probe in flight, the pre-sync backlog.
 struct Child {
     tx: Arc<TcpClient>,
     /// The child's listen address — the identity that survives
     /// re-parenting (topology announcements and source marks key on it).
     addr: SocketAddr,
-    /// Minimum-RTT clock offset of the child's reported clock relative to
-    /// this relay's reported clock (meaningful once `synced`).
-    offset_ns: i64,
-    best_rtt_ns: u64,
-    rounds_done: u32,
+    ledger: LinkLedger,
     synced: bool,
     /// Probe in flight: `(token, t0_on_relay_clock)`.
     pending_probe: Option<(u64, u64)>,
     /// Frames that arrived before the child's sync finished; replayed
     /// through the normal dispatch once the offset is known.
     backlog: Vec<pdmap_transport::Frame>,
-    /// Samples received from this child (the relay's side of the child's
-    /// conservation law).
-    samples_received: u64,
-    /// Highest [`SampleBatch`] sequence folded in from this child — the
-    /// watermark that dedups handover replays.
-    last_seq: u64,
-    /// Samples the child delivered to a *previous* parent before this
-    /// relay adopted it. Its final Goodbye announces the whole session, so
-    /// conservation here is `announced == received + prior + lost`.
-    prior_delivered: u64,
-    /// Per-grandchild delivery marks folded from the child's batch
-    /// `sources` — exact watermarks for adopting its children if it dies.
-    source_marks: HashMap<String, (u64, u64)>,
-    /// The child's last topology announcement (present iff it is a relay)
-    /// — the dial list for grandchild adoption.
-    topo: Option<TopologyMsg>,
-    /// The child's announced send count, once it said Goodbye.
-    announced: Option<u64>,
-    /// Latest subtree coverage report, if the child is itself a relay.
-    subtree: Option<(u32, u32, u64)>,
-    /// This child died and its subtree was re-parented (its children now
-    /// appear as direct children here) — it contributes nothing to
-    /// coverage, so the re-homed nodes are not double counted.
-    adopted_away: bool,
-    /// Watermark to seed the child's replay with once its clock sync
-    /// completes (set at adoption, consumed once).
-    seed_watermark: Option<u64>,
 }
 
 impl Child {
-    /// A fresh link to `addr`, with adoption bookkeeping zeroed.
-    fn link(addr: SocketAddr, tcfg: TransportConfig) -> Self {
+    /// A fresh link to `addr`, keeping the books in `ledger`.
+    fn link(addr: SocketAddr, tcfg: TransportConfig, ledger: LinkLedger) -> Self {
         Child {
             tx: TcpClient::connect(addr, tcfg),
             addr,
-            offset_ns: 0,
-            best_rtt_ns: u64::MAX,
-            rounds_done: 0,
+            ledger,
             synced: false,
             pending_probe: None,
             backlog: Vec::new(),
-            samples_received: 0,
-            last_seq: 0,
-            prior_delivered: 0,
-            source_marks: HashMap::new(),
-            topo: None,
-            announced: None,
-            subtree: None,
-            adopted_away: false,
-            seed_watermark: None,
         }
-    }
-
-    /// `(reporting, total, lost)` this child contributes to the relay's
-    /// composed coverage. A leaf is a `1/1` subtree; a child relay
-    /// contributes its whole last-reported subtree. A child that neither
-    /// said Goodbye nor keeps its transport alive is dark — its entire
-    /// subtree stops reporting, never silently one node. A child adopted
-    /// away contributes nothing: its nodes re-report under new parents.
-    fn coverage(&self) -> (u32, u32, u64) {
-        if self.adopted_away {
-            return (0, 0, 0);
-        }
-        let (rep, tot, sub_lost) = self.subtree.unwrap_or((1, 1, 0));
-        let own_lost = self.announced.map_or(0, |a| {
-            a.saturating_sub(self.samples_received + self.prior_delivered)
-        });
-        let reporting = if self.announced.is_some() || self.tx.is_alive() {
-            rep
-        } else {
-            0
-        };
-        (reporting, tot, own_lost + sub_lost)
     }
 
     /// The child finished: announced its Goodbye, went dark, or was
     /// re-parented.
     fn done(&self) -> bool {
-        self.adopted_away || self.announced.is_some() || !self.tx.is_alive()
+        self.ledger.is_subtree_adopted()
+            || self.ledger.announced_sent().is_some()
+            || !self.tx.is_alive()
     }
 }
 
@@ -342,9 +286,8 @@ struct RelaySession<'a> {
     last_flush: Instant,
     /// Content hashes of PIF blobs already forwarded.
     pifs_seen: HashSet<u64>,
-    /// The last `(reporting, total, lost)` sent upward, to only resend on
-    /// change.
-    last_coverage: Option<(u32, u32, u64)>,
+    /// The last coverage sent upward, to only resend on change.
+    last_coverage: Option<Coverage>,
     /// Raised by a wire-level [`DaemonMsg::Shutdown`] from the parent.
     shutdown_msg: bool,
     /// Periodic self-sampling (None with `obs_period: None`).
@@ -406,7 +349,7 @@ impl<'a> RelaySession<'a> {
         while let Ok(Some(frame)) = self.server.try_recv() {
             if frame.kind == FrameKind::Topology {
                 if let Ok(msg) = TopologyMsg::from_frame(&frame) {
-                    if failover::is_beacon(&msg) {
+                    if is_beacon(&msg) {
                         self.adopt_orphan(&msg);
                     } else {
                         let me = self.server.local_addr().to_string();
@@ -439,74 +382,53 @@ impl<'a> RelaySession<'a> {
         }
     }
 
-    /// Adopts a beaconing orphan: dial its listen address, start the
-    /// usual clock sync, and remember the watermark to seed its replay
-    /// with. `prior_delivered` accounts what it already delivered to its
-    /// dead parent, so its final Goodbye still closes the ledger here.
-    fn adopt_orphan(&mut self, msg: &TopologyMsg) {
-        let Ok(addr) = msg.children[0].addr.parse::<SocketAddr>() else {
-            return;
+    /// Dials an adopted child at `tc.addr` — unless a live child already
+    /// has that address — and starts its clock sync. Its books start from
+    /// the watermark and prior delivery in `tc`, so its replay dedups here
+    /// and its final Goodbye still closes the account. Returns whether it
+    /// was dialed.
+    fn adopt(&mut self, tc: &TopoChild) -> bool {
+        let Ok(addr) = tc.addr.parse::<SocketAddr>() else {
+            return false;
         };
         if self
             .children
             .iter()
-            .any(|c| c.addr == addr && !c.adopted_away)
+            .any(|c| c.addr == addr && !c.ledger.is_subtree_adopted())
         {
-            return;
+            return false;
         }
-        let mut child = Child::link(addr, self.tcfg);
-        child.last_seq = msg.children[0].watermark;
-        child.prior_delivered = msg.children[0].received;
-        child.seed_watermark = Some(msg.children[0].watermark);
-        self.children.push(child);
+        let ledger = LinkLedger::adopted(tc.watermark, tc.received);
+        self.children.push(Child::link(addr, self.tcfg, ledger));
         self.probe_child(self.children.len() - 1);
-        self.report.children_adopted += 1;
-        self.uplink.epoch += 1;
-        self.announce_topology(true);
+        true
     }
 
-    /// Scans for a dead child relay whose topology is known and adopts
-    /// its children directly: the exact-conservation path, seeded from
-    /// the per-grandchild source marks the dead child delivered before it
-    /// died (marks ride *in* data frames, so a held mark proves the data
-    /// through it already arrived — replay past it is gapless and
-    /// duplicate-free).
+    /// Adopts a beaconing orphan, seeding its replay from the delivered
+    /// watermark it beaconed.
+    fn adopt_orphan(&mut self, msg: &TopologyMsg) {
+        if self.adopt(&msg.children[0]) {
+            self.report.children_adopted += 1;
+            self.uplink.epoch += 1;
+            self.announce_topology(true);
+        }
+    }
+
+    /// Adopts the children of every dead child relay directly, from its
+    /// [`LinkLedger::orphans`] plan: the exact-conservation path, seeded
+    /// from the per-grandchild source marks the dead child delivered
+    /// before it died (marks ride *in* data frames, so a held mark proves
+    /// the data through it already arrived — replay past it is gapless
+    /// and duplicate-free).
     fn adopt_grandchildren(&mut self) {
         for i in 0..self.children.len() {
-            if self.children[i].adopted_away
-                || self.children[i].announced.is_some()
-                || self.children[i].tx.is_alive()
-                || self.children[i].topo.is_none()
-            {
+            if self.children[i].tx.is_alive() {
                 continue;
             }
-            let topo = self.children[i].topo.take().unwrap_or_default();
-            let marks = std::mem::take(&mut self.children[i].source_marks);
-            self.children[i].adopted_away = true;
-            let mut adopted = 0usize;
-            for tc in &topo.children {
-                let Ok(addr) = tc.addr.parse::<SocketAddr>() else {
-                    continue;
-                };
-                if self
-                    .children
-                    .iter()
-                    .any(|c| c.addr == addr && !c.adopted_away)
-                {
-                    continue;
-                }
-                let (w, prior) = marks
-                    .get(&tc.addr)
-                    .copied()
-                    .unwrap_or((tc.watermark, tc.received));
-                let mut child = Child::link(addr, self.tcfg);
-                child.last_seq = w;
-                child.prior_delivered = prior;
-                child.seed_watermark = Some(w);
-                self.children.push(child);
-                self.probe_child(self.children.len() - 1);
-                adopted += 1;
-            }
+            let Some(plan) = self.children[i].ledger.orphans() else {
+                continue;
+            };
+            let adopted = plan.iter().filter(|tc| self.adopt(tc)).count();
             if adopted > 0 {
                 self.report.children_adopted += adopted;
                 self.uplink.epoch += 1;
@@ -519,7 +441,11 @@ impl<'a> RelaySession<'a> {
     /// upward, iff membership or epoch changed since the last send — the
     /// parent's dial list should this relay die.
     fn announce_topology(&mut self, force: bool) {
-        let live: Vec<&Child> = self.children.iter().filter(|c| !c.adopted_away).collect();
+        let live: Vec<&Child> = self
+            .children
+            .iter()
+            .filter(|c| !c.ledger.is_subtree_adopted())
+            .collect();
         if live.is_empty() {
             return;
         }
@@ -533,32 +459,19 @@ impl<'a> RelaySession<'a> {
             origin: self.server.local_addr().to_string(),
             children: live
                 .iter()
-                .map(|c| TopoChild {
-                    addr: c.addr.to_string(),
-                    watermark: c.last_seq,
-                    received: c.samples_received + c.prior_delivered,
+                .map(|c| {
+                    let (watermark, received) = c.ledger.watermark();
+                    TopoChild {
+                        addr: c.addr.to_string(),
+                        watermark,
+                        received,
+                    }
                 })
                 .collect(),
         };
         if send_wire(self.server as &dyn Transport, &msg).is_ok() {
             self.last_topology = Some(key);
         }
-    }
-
-    /// Seeds an adopted child's replay: a [`TopologyMsg`] naming the
-    /// child and the watermark this side has already folded in. Sent once
-    /// its clock sync completes, before any of its live traffic flows.
-    fn send_seed(&mut self, i: usize, watermark: u64) {
-        let msg = TopologyMsg {
-            epoch: self.uplink.epoch,
-            origin: self.server.local_addr().to_string(),
-            children: vec![TopoChild {
-                addr: self.children[i].addr.to_string(),
-                watermark,
-                received: self.children[i].prior_delivered,
-            }],
-        };
-        let _ = send_wire(&*self.children[i].tx as &dyn Transport, &msg);
     }
 
     /// The relay's own failover: the upstream link died, so pause upward
@@ -600,7 +513,7 @@ impl<'a> RelaySession<'a> {
     /// One probe round against child `i` using the relay's reported clock
     /// as the reference — the step that makes alignment transitive.
     fn probe_child(&mut self, i: usize) {
-        let token = (i as u64) << 32 | u64::from(self.children[i].rounds_done);
+        let token = (i as u64) << 32 | u64::from(self.children[i].ledger.clock().rounds);
         let t0 = self.now();
         let probe = DaemonMsg::ClockProbe {
             token,
@@ -628,22 +541,23 @@ impl<'a> RelaySession<'a> {
                     let child = &mut self.children[i];
                     if let Some((want, t0)) = child.pending_probe {
                         if token == want {
-                            let t1 = daemon_now(self.cfg.skew_ns);
-                            let rtt = t1.saturating_sub(t0);
-                            if rtt < child.best_rtt_ns {
-                                child.best_rtt_ns = rtt;
-                                child.offset_ns = t_daemon_ns as i64 - (t0 + rtt / 2) as i64;
-                            }
+                            let clock = child.ledger.clock_mut();
+                            clock.observe(t0, t_daemon_ns, daemon_now(self.cfg.skew_ns));
                             child.pending_probe = None;
-                            child.rounds_done += 1;
-                            if child.rounds_done >= self.cfg.sync_rounds {
+                            if clock.rounds >= self.cfg.sync_rounds {
                                 child.synced = true;
                                 self.report.children_synced += 1;
                                 // An adopted child gets its watermark seed
                                 // the moment its clock is aligned — its
                                 // ring replay lands before live traffic.
-                                if let Some(w) = self.children[i].seed_watermark.take() {
-                                    self.send_seed(i, w);
+                                let origin = self.server.local_addr().to_string();
+                                let addr = child.addr.to_string();
+                                if let Some(seed) =
+                                    child.ledger.seed_msg(self.uplink.epoch, &origin, &addr)
+                                {
+                                    if send_wire(&*child.tx as &dyn Transport, &seed).is_ok() {
+                                        child.ledger.seed_paid();
+                                    }
                                 }
                                 self.replay_backlog(i);
                             } else {
@@ -664,42 +578,23 @@ impl<'a> RelaySession<'a> {
         }
     }
 
-    /// Routes one post-sync child frame: samples are rewritten onto the
-    /// relay clock and batched, mapping info is forwarded (PIFs deduped by
-    /// content), Goodbye and SubtreeCoverage update the conservation
-    /// ledger. A frame that fails to decode is dropped and counted.
+    /// Routes one post-sync child frame: the child's books fold it first
+    /// (a replayed batch stops there); samples are moved onto the relay
+    /// clock and batched, mapping info is forwarded (PIFs deduped by
+    /// content). A frame that fails to decode is dropped and counted.
     fn dispatch_child_frame(&mut self, i: usize, frame: &pdmap_transport::Frame) {
+        let ledger = &mut self.children[i].ledger;
+        let offset = ledger.clock().offset_ns;
         match frame.kind {
-            FrameKind::SampleBatch => {
-                let Ok(batch) = BatchColumns::from_frame(frame) else {
-                    self.report.decode_errors += 1;
-                    return;
-                };
-                // Sequence-watermark dedup: a batch at or below the
-                // watermark is a handover replay of data already folded
-                // in. (Seq 0 marks an unsequenced legacy batch — never
-                // deduped.)
-                let child = &mut self.children[i];
-                if batch.seq != 0 && batch.seq <= child.last_seq {
-                    self.report.replays_suppressed += 1;
-                    return;
+            FrameKind::SampleBatch => match BatchColumns::from_frame(frame) {
+                Ok(batch) if ledger.fold_batch(&batch) => {
+                    self.pending.append(batch, |wall| align(wall, offset));
                 }
-                if batch.seq != 0 {
-                    child.last_seq = batch.seq;
-                }
-                for m in &batch.sources {
-                    let e = child.source_marks.entry(m.origin.clone()).or_insert((0, 0));
-                    if m.through_seq >= e.0 {
-                        *e = (m.through_seq, m.samples);
-                    }
-                }
-                child.samples_received += batch.len() as u64;
-                let offset = child.offset_ns;
-                self.pending.append(batch, |wall| rewrite(wall, offset));
-            }
-            FrameKind::Topology => match TopologyMsg::from_frame(frame) {
-                Ok(msg) if !failover::is_beacon(&msg) => self.children[i].topo = Some(msg),
                 Ok(_) => {}
+                Err(_) => self.report.decode_errors += 1,
+            },
+            FrameKind::Topology => match TopologyMsg::from_frame(frame) {
+                Ok(msg) => ledger.fold_topology(msg),
                 Err(_) => self.report.decode_errors += 1,
             },
             FrameKind::PifBlob => {
@@ -712,49 +607,37 @@ impl<'a> RelaySession<'a> {
                 }
             }
             FrameKind::Daemon => match DaemonMsg::from_frame(frame) {
-                Ok(DaemonMsg::Sample {
-                    metric,
-                    focus,
-                    wall,
-                    value,
-                }) => {
-                    self.children[i].samples_received += 1;
-                    let wall = rewrite(wall, self.children[i].offset_ns);
-                    self.pending.push(metric, focus, wall, value);
-                }
-                Ok(DaemonMsg::Goodbye { samples_sent }) => {
-                    if self.children[i].announced.is_none() {
-                        self.report.child_goodbyes += 1;
+                Ok(msg) => {
+                    ledger.fold_msg(&msg);
+                    match msg {
+                        DaemonMsg::Sample {
+                            metric,
+                            focus,
+                            wall,
+                            value,
+                        } => self.pending.push(metric, focus, align(wall, offset), value),
+                        DaemonMsg::ArrayAllocated { .. } | DaemonMsg::ArrayFreed { .. } => {
+                            let _ = send_wire(self.server as &dyn Transport, &msg);
+                        }
+                        _ => {}
                     }
-                    self.children[i].announced = Some(u64::from(samples_sent));
                 }
-                Ok(DaemonMsg::SubtreeCoverage {
-                    nodes_reporting,
-                    nodes_total,
-                    samples_lost,
-                }) => {
-                    self.children[i].subtree = Some((nodes_reporting, nodes_total, samples_lost));
-                }
-                Ok(msg @ (DaemonMsg::ArrayAllocated { .. } | DaemonMsg::ArrayFreed { .. })) => {
-                    let _ = send_wire(self.server as &dyn Transport, &msg);
-                }
-                Ok(_) => {}
                 Err(_) => self.report.decode_errors += 1,
             },
             _ => {}
         }
     }
 
-    /// Composes the subtree's coverage from every child's contribution.
-    fn coverage(&self) -> (u32, u32, u64) {
-        let mut cov = (0u32, 0u32, 0u64);
-        for c in &self.children {
-            let (rep, tot, lost) = c.coverage();
-            cov.0 += rep;
-            cov.1 += tot;
-            cov.2 += lost;
-        }
-        cov
+    /// Composes the subtree's coverage from every child's books: a child
+    /// reports while its transport is alive or after it said Goodbye.
+    fn coverage(&self) -> Coverage {
+        self.children
+            .iter()
+            .map(|c| {
+                let reporting = c.ledger.announced_sent().is_some() || c.tx.is_alive();
+                c.ledger.coverage(reporting)
+            })
+            .sum()
     }
 
     /// Sends [`DaemonMsg::SubtreeCoverage`] upward iff it changed since
@@ -765,14 +648,14 @@ impl<'a> RelaySession<'a> {
             return;
         }
         let msg = DaemonMsg::SubtreeCoverage {
-            nodes_reporting: cov.0,
-            nodes_total: cov.1,
-            samples_lost: cov.2,
+            nodes_reporting: cov.nodes_reporting as u32,
+            nodes_total: cov.nodes_total as u32,
+            samples_lost: cov.samples_lost,
         };
         if send_wire(self.server as &dyn Transport, &msg).is_ok() {
             self.last_coverage = Some(cov);
         }
-        self.report.samples_lost = cov.2;
+        self.report.samples_lost = cov.samples_lost;
     }
 
     /// Flushes every pending sample upward as one sequenced
@@ -795,11 +678,14 @@ impl<'a> RelaySession<'a> {
         batch.sources = self
             .children
             .iter()
-            .filter(|c| !c.adopted_away)
-            .map(|c| SourceMark {
-                origin: c.addr.to_string(),
-                through_seq: c.last_seq,
-                samples: c.samples_received + c.prior_delivered,
+            .filter(|c| !c.ledger.is_subtree_adopted())
+            .map(|c| {
+                let (through_seq, samples) = c.ledger.watermark();
+                SourceMark {
+                    origin: c.addr.to_string(),
+                    through_seq,
+                    samples,
+                }
             })
             .collect();
         if self.uplink.send(self.server as &dyn Transport, batch) {
@@ -825,16 +711,19 @@ impl<'a> RelaySession<'a> {
             };
             (rows, sampler.focus().to_string())
         };
-        let (reporting, total, lost) = self.coverage();
+        let cov = self.coverage();
         rows.push((
             paradyn_tool::selfmap::OBS_SUBTREE_REPORTING.into(),
-            f64::from(reporting),
+            cov.nodes_reporting as f64,
         ));
         rows.push((
             paradyn_tool::selfmap::OBS_SUBTREE_TOTAL.into(),
-            f64::from(total),
+            cov.nodes_total as f64,
         ));
-        rows.push((paradyn_tool::selfmap::OBS_SUBTREE_LOST.into(), lost as f64));
+        rows.push((
+            paradyn_tool::selfmap::OBS_SUBTREE_LOST.into(),
+            cov.samples_lost as f64,
+        ));
         let wall = daemon_now(self.cfg.skew_ns);
         self.report.obs_samples_sent += rows.len() as u64;
         for (metric, value) in rows {
@@ -843,16 +732,15 @@ impl<'a> RelaySession<'a> {
     }
 }
 
-/// Wall stamp minus the child's offset, saturating at zero: the child's
-/// clock rewritten onto this relay's reported clock.
-fn rewrite(wall: u64, offset_ns: i64) -> u64 {
-    (wall as i64 - offset_ns).max(0) as u64
-}
-
-/// Session epilogue shared by every exit path: records how many obs
-/// snapshots ran and writes the span dump if one was requested.
+/// Session epilogue shared by every exit path: totals the children's books
+/// (Goodbyes, suppressed replays), records how many obs snapshots ran and
+/// writes the span dump if one was requested.
 fn finish(mut s: RelaySession<'_>) -> RelayReport {
     s.report.epoch = s.uplink.epoch;
+    for c in &s.children {
+        s.report.child_goodbyes += usize::from(c.ledger.announced_sent().is_some());
+        s.report.replays_suppressed += c.ledger.replays_suppressed();
+    }
     if let Some(sampler) = &s.obs {
         s.report.obs_snapshots = sampler.snapshots;
     }
@@ -891,7 +779,8 @@ pub fn serve_relay_until(
     // the "tool" of its children: the same transport handshake, the same
     // probe protocol, just referenced to this relay's reported clock.
     for (i, &addr) in cfg.children.iter().enumerate() {
-        s.children.push(Child::link(addr, s.tcfg));
+        s.children
+            .push(Child::link(addr, s.tcfg, LinkLedger::default()));
         s.probe_child(i);
     }
     let sync_deadline = Instant::now() + cfg.sync_timeout;
@@ -972,7 +861,7 @@ pub fn serve_relay_until(
         return finish(s);
     }
     for c in &s.children {
-        if c.announced.is_none() && c.tx.is_alive() {
+        if c.ledger.announced_sent().is_none() && c.tx.is_alive() {
             let _ = send_wire(&*c.tx as &dyn Transport, &DaemonMsg::Shutdown);
         }
     }
@@ -1015,89 +904,22 @@ pub fn serve_relay_until(
 mod tests {
     use super::*;
 
-    fn child_with(
-        announced: Option<u64>,
-        received: u64,
-        subtree: Option<(u32, u32, u64)>,
-        alive: bool,
-    ) -> Child {
-        let addr: SocketAddr = "127.0.0.1:9".parse().unwrap();
-        let mut c = Child::link(
-            addr,
-            TransportConfig {
-                reconnect: pdmap_transport::ReconnectPolicy {
-                    max_attempts: 0,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-        );
-        if !alive {
-            c.tx.close();
-        }
-        c.synced = true;
-        c.samples_received = received;
-        c.announced = announced;
-        c.subtree = subtree;
-        c
-    }
-
-    #[test]
-    fn leaf_child_coverage_is_one_of_one() {
-        let c = child_with(Some(10), 10, None, false);
-        assert_eq!(c.coverage(), (1, 1, 0), "goodbye'd leaf reports fully");
-        let c = child_with(Some(10), 7, None, false);
-        assert_eq!(c.coverage(), (1, 1, 3), "announced minus received is lost");
-    }
-
-    #[test]
-    fn dark_child_loses_its_whole_subtree() {
-        let c = child_with(None, 5, Some((4, 4, 0)), false);
-        assert_eq!(
-            c.coverage(),
-            (0, 4, 0),
-            "no goodbye + dead link = whole subtree dark, loss unannounced"
-        );
-        let c = child_with(Some(9), 9, Some((3, 4, 2)), false);
-        assert_eq!(
-            c.coverage(),
-            (3, 4, 2),
-            "a goodbye'd child relay passes its subtree report through"
-        );
-    }
-
-    #[test]
-    fn adopted_child_accounts_prior_delivery() {
-        let mut c = child_with(Some(10), 4, None, false);
-        c.prior_delivered = 6;
-        assert_eq!(
-            c.coverage(),
-            (1, 1, 0),
-            "announced == received-here + delivered-to-dead-parent: no loss"
-        );
-        let mut c = child_with(Some(10), 3, None, false);
-        c.prior_delivered = 6;
-        assert_eq!(c.coverage(), (1, 1, 1), "the handover window stays labeled");
-    }
-
-    #[test]
-    fn adopted_away_child_contributes_nothing() {
-        let mut c = child_with(None, 5, Some((2, 2, 0)), false);
-        c.adopted_away = true;
-        assert_eq!(
-            c.coverage(),
-            (0, 0, 0),
-            "a re-parented subtree re-reports under its new parents"
-        );
-        assert!(c.done());
-    }
-
     #[test]
     fn undecodable_child_frames_are_counted_not_folded() {
         let server = TcpServer::bind("127.0.0.1:0").expect("bind");
         let cfg = RelayConfig::default();
         let mut s = RelaySession::new(&server, &cfg);
-        s.children.push(child_with(None, 5, None, false));
+        let tcfg = TransportConfig {
+            reconnect: pdmap_transport::ReconnectPolicy {
+                max_attempts: 0,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let addr: SocketAddr = "127.0.0.1:9".parse().unwrap();
+        let child = Child::link(addr, tcfg, LinkLedger::default());
+        child.tx.close();
+        s.children.push(child);
         let mut rows = BatchBuilder::default();
         rows.push("m".into(), "f".into(), 10, 1.0);
         rows.push("m".into(), "f".into(), 20, 2.0);
@@ -1111,7 +933,7 @@ mod tests {
         corrupt.payload[0] = 9;
         s.dispatch_child_frame(0, &corrupt);
         assert_eq!(s.report.decode_errors, 1);
-        assert_eq!(s.children[0].samples_received, 5, "nothing folded");
+        assert_eq!(s.children[0].ledger.samples_received(), 0, "nothing folded");
         assert!(s.pending.is_empty());
         // An undecodable Daemon frame counts too; a good batch still folds.
         s.dispatch_child_frame(
@@ -1120,15 +942,8 @@ mod tests {
         );
         assert_eq!(s.report.decode_errors, 2);
         s.dispatch_child_frame(0, &good);
-        assert_eq!(s.children[0].samples_received, 7);
+        assert_eq!(s.children[0].ledger.samples_received(), 2);
         assert_eq!(s.pending.len(), 2);
         assert_eq!(s.report.decode_errors, 2);
-    }
-
-    #[test]
-    fn wall_rewrite_saturates_at_zero() {
-        assert_eq!(rewrite(100, 40), 60);
-        assert_eq!(rewrite(100, -40), 140);
-        assert_eq!(rewrite(100, 500), 0);
     }
 }

@@ -8,7 +8,7 @@
 
 use paradyn_tool::consultant::{search_parallel, ConsultantConfig};
 use paradyn_tool::selfmap::{ask_obs, export_obs, obs_sentences, SHARD_OBS_FIELDS, TOOL_COUNTERS};
-use paradyn_tool::{Daemon, DaemonSet, DataManager, InstrLibEndpoint, Paradyn};
+use paradyn_tool::{DaemonSet, DataManager, InstrLibEndpoint, Paradyn};
 use pdmap::model::Namespace;
 use pdmap_obs::report::{CALIBRATION_COMPONENT, CALIBRATION_VERB};
 use pdmap_transport::{
@@ -27,12 +27,14 @@ fn run_observed_workload() {
     db.run_query(1, 8);
     db.background_read();
 
+    let link = Backend::Tcp.link(&TransportConfig::default());
+    let endpoint = InstrLibEndpoint::over_transport(link.client.clone());
     let dm = Arc::new(DataManager::new(Namespace::new(), "CM Fortran"));
-    let (endpoint, mut daemon) = Daemon::over(Backend::Tcp, dm);
+    let mut set = DaemonSet::over_transports(vec![("tcp".into(), link.server.clone())], dm);
     for i in 0..16 {
         endpoint.send_sample("Computation Time", "/", i, i as f64);
     }
-    daemon.pump_until(16, Duration::from_secs(5));
+    set.pump_until_samples(16, Duration::from_secs(5));
 }
 
 #[test]
@@ -182,9 +184,22 @@ fn every_registered_counter_and_site_is_catalogued() {
             .send_sample("cpu", "/", i as u64, 1.0);
     }
     links[0].client.send(FrameKind::Daemon, vec![77]).unwrap(); // unknown tag
+    let delivered = || {
+        let snap = pdmap_obs::snapshot();
+        let site = snap
+            .sites
+            .iter()
+            .find(|s| s.component == "daemon" && s.verb == "deliver");
+        site.map_or(0, |s| s.count)
+    };
+    let before = delivered();
     while set.pump_parallel() > 0 {}
     assert_eq!(set.samples().len(), 2);
     assert_eq!(set.conn(0).decode_errors().len(), 1);
+    assert!(
+        delivered() > before,
+        "the fleet drain records daemon deliver"
+    );
 
     // Every counter has a catalogue row, apart from test counters and the
     // per-shard family, which the shard catalogue covers.

@@ -99,14 +99,16 @@ fn question_registered_after_filtering_misses_history() {
 
 #[test]
 fn daemon_tolerates_garbage_on_the_wire() {
-    use paradyn_tool::daemon::Daemon;
-    use pdmap_transport::{FaultPlan, Frame, FrameError, FrameKind};
+    use paradyn_tool::{DaemonSet, InstrLibEndpoint};
+    use pdmap_transport::{Backend, FaultPlan, Frame, FrameError, FrameKind, TransportConfig};
     let ns = Namespace::new();
     let dm = Arc::new(paradyn_tool::DataManager::new(ns, "CM Fortran"));
-    let (endpoint, mut daemon) = Daemon::pair(dm.clone());
+    let link = Backend::InProc.link(&TransportConfig::default());
+    let endpoint = InstrLibEndpoint::over_transport(link.client.clone());
+    let mut set = DaemonSet::over_transports(vec![("inproc".into(), link.server.clone())], dm);
     endpoint.send_sample("ok", "f", 1, 2.0);
-    daemon.pump();
-    assert_eq!(daemon.samples().len(), 1);
+    set.pump_parallel();
+    assert_eq!(set.samples().len(), 1);
 
     // Byte-level garbage: run the seeded mangler over many frames and
     // check every mode lands in the decode-error class it aims at —
@@ -151,8 +153,8 @@ fn daemon_tolerates_garbage_on_the_wire() {
     // And garbage never wedges the session: valid traffic still flows
     // after the codec has rejected a pile of mangled bytes.
     endpoint.send_sample("ok", "f", 2, 3.0);
-    daemon.pump();
-    assert_eq!(daemon.samples().len(), 2);
+    set.pump_parallel();
+    assert_eq!(set.samples().len(), 2);
 }
 
 #[test]
