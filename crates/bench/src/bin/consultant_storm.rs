@@ -1,7 +1,13 @@
-//! Consultant storm: sequential-baseline vs work-stealing parallel search
-//! over a communication-heavy sample, emitting one JSON object with the
-//! speedup, machine runs saved by the measurement cache, and the cache hit
-//! rate.
+//! Consultant storm: the wave search against a replay of the per-node
+//! baseline it replaced, over a communication-heavy sample, emitting one
+//! JSON object with the speedup, the machine runs the waves saved, and
+//! the measurement cache's hit rate.
+//!
+//! The baseline is replayed, not searched: one timed
+//! [`Paradyn::run_experiment`] per node of the wave search's tree — one
+//! uncached single-metric machine run per experiment, which is what the
+//! recursive per-node search paid — with every replayed value and wall
+//! checked against the tree bit for bit (`values_match`).
 //!
 //! ```sh
 //! cargo run -p pdmap-bench --release --bin consultant_storm
@@ -9,14 +15,17 @@
 //!     --reps 5 --coverage 3/4 --lost 2 --max-sample-cost 1e-6
 //! ```
 //!
-//! The run is also a gate: it exits nonzero if the parallel render is not
-//! byte-identical to the sequential one, if `consultant::audit` finds a
-//! decided verdict resting on a straddling interval (under full *or*
-//! degraded coverage), or if the speedup falls under 2x on a machine with
-//! at least 4 cores. CI parses the JSON and re-asserts the same facts.
+//! The run is also a gate: it exits nonzero if the one-worker and
+//! N-worker renders differ (under full *or* degraded coverage), if a
+//! replayed value differs from the tree, if `consultant::audit` finds a
+//! decided verdict resting on a straddling interval, or if the speedup
+//! falls under 2x on a machine with at least 4 cores. CI parses the JSON
+//! and re-asserts the same facts.
 
-use paradyn_tool::consultant::{audit, render, search, search_parallel, ConsultantConfig};
-use paradyn_tool::{Coverage, ExperimentNode, Paradyn, SessionCoverage};
+use paradyn_tool::consultant::{
+    audit, render, search, search_parallel, ConsultantConfig, HYPOTHESES,
+};
+use paradyn_tool::{Coverage, Experiment, ExperimentNode, Paradyn, SessionCoverage};
 use std::time::Instant;
 
 /// A storm of communication: repeated global sorts, a transpose, and
@@ -105,13 +114,53 @@ fn parse_options() -> Options {
     opts
 }
 
-/// Experiments in a search tree — each one cost the sequential path a
-/// whole machine run.
-fn count_nodes(nodes: &[ExperimentNode]) -> u64 {
-    nodes
+/// Every node of a search forest, depth first.
+fn nodes(forest: &[ExperimentNode]) -> Vec<&ExperimentNode> {
+    let mut out = Vec::new();
+    for n in forest {
+        out.push(n);
+        out.extend(nodes(&n.children));
+    }
+    out
+}
+
+/// Replays the per-node baseline over a tree: one uncached single-metric
+/// run per node. Returns the replay's wall milliseconds and whether every
+/// value and wall equals the tree's, bit for bit.
+fn replay(tool: &Paradyn, tree: &[ExperimentNode]) -> (f64, bool) {
+    let nodes = nodes(tree);
+    let experiments: Vec<Experiment> = nodes
         .iter()
-        .map(|n| 1 + count_nodes(&n.children))
-        .sum::<u64>()
+        .map(|n| Experiment {
+            metric: HYPOTHESES
+                .iter()
+                .find(|h| h.name == n.hypothesis)
+                .expect("a catalogue hypothesis")
+                .metric
+                .to_string(),
+            focus: n.focus.clone(),
+        })
+        .collect();
+    let t0 = Instant::now();
+    let measured: Vec<_> = experiments.iter().map(|e| tool.run_experiment(e)).collect();
+    let ms = t0.elapsed().as_secs_f64() * 1e3;
+    let matches = nodes.iter().zip(&measured).all(|(n, m)| {
+        m.as_ref().is_ok_and(|m| {
+            m.value.to_bits() == n.value.to_bits() && m.wall.to_bits() == n.wall.to_bits()
+        })
+    });
+    (ms, matches)
+}
+
+/// One search from a cleared measurement cache, so it measures every
+/// focus itself.
+fn cold(
+    tool: &Paradyn,
+    config: &ConsultantConfig,
+    run: fn(&Paradyn, &ConsultantConfig) -> Vec<ExperimentNode>,
+) -> Vec<ExperimentNode> {
+    tool.clear_measurement_cache();
+    run(tool, config)
 }
 
 fn main() {
@@ -128,37 +177,32 @@ fn main() {
     };
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
 
-    // Full-coverage frame: best-of-reps wall time for each path, renders
-    // compared byte for byte. The cache is cleared before every parallel
-    // rep so each one re-measures from scratch — the hit rate below is
-    // intra-search sharing, not rep-to-rep reuse.
-    let mut seq_ms = f64::INFINITY;
-    let mut seq_tree = Vec::new();
-    for _ in 0..opts.reps {
-        let t0 = Instant::now();
-        seq_tree = search(&tool, &config);
-        seq_ms = seq_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
+    // Full-coverage frame: best-of-reps wall time for the wave search and
+    // for the replayed baseline. Every wave rep starts from a cleared
+    // cache, so the hit rate below is intra-search sharing, not
+    // rep-to-rep reuse.
     let mut par_ms = f64::INFINITY;
     let mut par_tree = Vec::new();
-    let mut hits = 0;
-    let mut misses = 0;
     for _ in 0..opts.reps {
-        tool.clear_measurement_cache();
-        let before = tool.measurement_cache_stats();
         let t0 = Instant::now();
-        par_tree = search_parallel(&tool, &config);
+        par_tree = cold(&tool, &config, search_parallel);
         par_ms = par_ms.min(t0.elapsed().as_secs_f64() * 1e3);
-        let after = tool.measurement_cache_stats();
-        hits = after.hits - before.hits;
-        misses = after.misses - before.misses;
     }
-    let identical_full = render(&seq_tree) == render(&par_tree);
-    let audit_ok = audit(&seq_tree, config.threshold).is_empty()
+    let st = tool.measurement_cache_stats();
+    let (hits, misses, runs_par) = (st.hits, st.misses, st.runs);
+    let mut seq_ms = f64::INFINITY;
+    let mut values_match = true;
+    for _ in 0..opts.reps {
+        let (ms, matches) = replay(&tool, &par_tree);
+        seq_ms = seq_ms.min(ms);
+        values_match &= matches;
+    }
+    let one_worker = cold(&tool, &config, search);
+    let identical_full = render(&one_worker) == render(&par_tree);
+    let audit_ok = audit(&one_worker, config.threshold).is_empty()
         && audit(&par_tree, config.threshold).is_empty();
 
-    let runs_seq = count_nodes(&seq_tree);
-    let runs_par = misses;
+    let runs_seq = nodes(&par_tree).len() as u64;
     let runs_saved = runs_seq.saturating_sub(runs_par);
     let hit_rate = if hits + misses > 0 {
         hits as f64 / (hits + misses) as f64
@@ -168,8 +212,9 @@ fn main() {
     let speedup = seq_ms / par_ms;
 
     // Degraded frame: the coverage stamp bumps the epoch (invalidating the
-    // cache), the two paths must still agree byte for byte, and no decided
-    // verdict may rest on a straddling interval.
+    // cache), one worker and N must still agree byte for byte, the tree
+    // must still replay exactly, and no decided verdict may rest on a
+    // straddling interval.
     tool.set_session_coverage(Some(SessionCoverage {
         coverage: Coverage {
             nodes_reporting: reporting,
@@ -178,20 +223,24 @@ fn main() {
         },
         max_sample_cost: opts.max_sample_cost,
     }));
-    let seq_deg = search(&tool, &config);
-    let par_deg = search_parallel(&tool, &config);
-    let identical_degraded = render(&seq_deg) == render(&par_deg);
-    let audit_ok_degraded = audit(&seq_deg, config.threshold).is_empty()
+    let one_deg = cold(&tool, &config, search);
+    let par_deg = cold(&tool, &config, search_parallel);
+    values_match &= replay(&tool, &par_deg).1;
+    let identical_degraded = render(&one_deg) == render(&par_deg);
+    let audit_ok_degraded = audit(&one_deg, config.threshold).is_empty()
         && audit(&par_deg, config.threshold).is_empty();
 
     let identical_renders = identical_full && identical_degraded;
     println!(
-        "{{\n  \"speedup\": {speedup:.3},\n  \"seq_ms\": {seq_ms:.3},\n  \"par_ms\": {par_ms:.3},\n  \"runs_seq\": {runs_seq},\n  \"runs_par\": {runs_par},\n  \"runs_saved\": {runs_saved},\n  \"mcache_hits\": {hits},\n  \"mcache_misses\": {misses},\n  \"hit_rate\": {hit_rate:.4},\n  \"identical_renders\": {identical_renders},\n  \"audit_ok\": {audit_ok},\n  \"audit_ok_degraded\": {audit_ok_degraded},\n  \"cores\": {cores},\n  \"workers\": {}\n}}",
-        cores.min(6)
+        "{{\n  \"speedup\": {speedup:.3},\n  \"seq_ms\": {seq_ms:.3},\n  \"par_ms\": {par_ms:.3},\n  \"runs_seq\": {runs_seq},\n  \"runs_par\": {runs_par},\n  \"runs_saved\": {runs_saved},\n  \"mcache_hits\": {hits},\n  \"mcache_misses\": {misses},\n  \"hit_rate\": {hit_rate:.4},\n  \"identical_renders\": {identical_renders},\n  \"values_match\": {values_match},\n  \"audit_ok\": {audit_ok},\n  \"audit_ok_degraded\": {audit_ok_degraded},\n  \"cores\": {cores},\n  \"workers\": {cores}\n}}"
     );
 
     if !identical_renders {
-        eprintln!("FAILED: parallel render differs from the sequential baseline");
+        eprintln!("FAILED: the N-worker render differs from the one-worker render");
+        std::process::exit(3);
+    }
+    if !values_match {
+        eprintln!("FAILED: a replayed single-metric run differs from the wave search's tree");
         std::process::exit(3);
     }
     if !audit_ok || !audit_ok_degraded {

@@ -32,6 +32,9 @@ pub struct SampleColumns {
     wall: Vec<u64>,
     aligned: Vec<u64>,
     value: Vec<f64>,
+    /// Running `fold(0.0, f64::max)` of the value column, kept by the
+    /// three writers of values (`push`, `extend_batch`, `append`).
+    max_value: f64,
 }
 
 impl SampleColumns {
@@ -49,6 +52,7 @@ impl SampleColumns {
             wall: Vec::with_capacity(n),
             aligned: Vec::with_capacity(n),
             value: Vec::with_capacity(n),
+            max_value: 0.0,
         }
     }
 
@@ -78,6 +82,7 @@ impl SampleColumns {
         self.wall.push(wall);
         self.aligned.push(aligned);
         self.value.push(value);
+        self.max_value = self.max_value.max(value);
     }
 
     /// Bulk-appends a decoded wire batch from `daemon`, applying the
@@ -95,6 +100,7 @@ impl SampleColumns {
         self.metric.reserve(n);
         self.focus.reserve(n);
         self.value.extend_from_slice(&batch.value);
+        self.max_value = batch.value.iter().copied().fold(self.max_value, f64::max);
         self.wall.extend_from_slice(&batch.wall);
         self.aligned
             .extend(batch.wall.iter().map(|&w| align(w, offset_ns)));
@@ -123,6 +129,7 @@ impl SampleColumns {
         self.wall.extend_from_slice(&other.wall);
         self.aligned.extend_from_slice(&other.aligned);
         self.value.extend_from_slice(&other.value);
+        self.max_value = self.max_value.max(other.max_value);
     }
 
     /// The rows' merge order: row indices stably sorted by aligned
@@ -162,6 +169,13 @@ impl SampleColumns {
     /// The value column.
     pub fn values(&self) -> &[f64] {
         &self.value
+    }
+
+    /// The largest value landed, or `0.0` if none is larger: the value
+    /// column's `fold(0.0, f64::max)`, kept as the rows land so reading it
+    /// costs nothing.
+    pub fn max_value(&self) -> f64 {
+        self.max_value
     }
 
     /// Folds the columns into one [`KeyFold`] per (metric, focus) key, in
@@ -337,6 +351,29 @@ mod tests {
         assert_eq!(merged.daemons(), &[0, 0, 1], "append keeps arrival order");
         // Stable: the tie at t=10 keeps arrival order (s0 before s1).
         assert_eq!(merged.aligned_order(), vec![1, 2, 0]);
+    }
+
+    #[test]
+    fn running_max_equals_a_fold_of_the_value_column() {
+        let m = intern::sym("m");
+        let f = intern::sym("f");
+        let scan = |c: &SampleColumns| c.values().iter().copied().fold(0.0, f64::max);
+        let mut cols = SampleColumns::new();
+        assert_eq!(cols.max_value(), 0.0, "empty columns start at 0.0");
+        cols.push(0, m, f, 1, 1, -5.0);
+        assert_eq!(cols.max_value(), scan(&cols), "a negative value keeps 0.0");
+        cols.extend_batch(1, 0, &batch());
+        assert_eq!((cols.max_value(), scan(&cols)), (4.0, 4.0));
+        cols.push(2, m, f, 2, 2, 2.5);
+        let mut landing = SampleColumns::new();
+        landing.push(3, m, f, 3, 3, 9.5);
+        landing.extend_batch(3, 10, &batch());
+        cols.append(&landing);
+        assert_eq!((cols.max_value(), scan(&cols)), (9.5, 9.5));
+        cols.append(&SampleColumns::new());
+        cols.realign_all(&[100, 200, 300, 400]);
+        assert_eq!(cols.max_value(), scan(&cols), "realignment moves no value");
+        assert_eq!(cols.clone().max_value(), 9.5);
     }
 
     #[test]

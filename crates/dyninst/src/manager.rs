@@ -179,8 +179,11 @@ impl InstrumentationManager {
         if !slot.enabled || slot.snippets.is_empty() {
             return;
         }
+        // One shared-counter add per point, not per snippet: a run measuring
+        // many foci installs hundreds of snippets at the hot points.
+        self.snippets_run
+            .fetch_add(slot.snippets.len() as u64, Ordering::Relaxed);
         for (_, _, snippet) in &slot.snippets {
-            self.snippets_run.fetch_add(1, Ordering::Relaxed);
             run_snippet(snippet, ctx, &self.prims);
         }
     }
@@ -214,7 +217,7 @@ impl std::fmt::Debug for InstrumentationManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snippet::Op;
+    use crate::snippet::{Op, Pred};
 
     #[test]
     fn uninstrumented_point_does_nothing() {
@@ -268,6 +271,42 @@ mod tests {
         m.set_point_enabled(p, true);
         m.execute(p, &mut ctx);
         assert_eq!(m.primitives().read_counter(c), 1);
+    }
+
+    #[test]
+    fn snippets_run_counts_every_snippet_of_each_executed_point() {
+        let m = InstrumentationManager::new();
+        let c = m.primitives().new_counter();
+        let (p, q, r) = (m.point("p"), m.point("q"), m.point("r"));
+        m.insert(p, Snippet::new(vec![Op::IncrCounter(c, 1)]));
+        // Guarded out on node 0, but still run (and counted): the guard is
+        // the snippet's first check.
+        m.insert(
+            p,
+            Snippet::guarded(vec![Pred::NodeIs(1)], vec![Op::IncrCounter(c, 100)]),
+        );
+        m.insert(q, Snippet::new(vec![Op::IncrCounter(c, 10)]));
+        m.set_point_enabled(q, false);
+        for _ in 0..3 {
+            m.insert(r, Snippet::new(vec![Op::IncrCounter(c, 1000)]));
+        }
+        let mut ctx = ExecCtx::basic(0, 0);
+        for point in [p, p, q, r, m.point("bare")] {
+            m.execute(point, &mut ctx);
+        }
+        let executed = [(p, 2), (r, 1)];
+        let expected: usize = executed
+            .iter()
+            .map(|&(pt, n)| n * m.snippet_count(pt))
+            .sum();
+        assert_eq!(m.stats().snippets_run, expected as u64);
+        assert_eq!(m.stats().snippets_run, 7);
+        assert_eq!(m.stats().executions, 5);
+        assert_eq!(
+            m.primitives().read_counter(c),
+            2 + 3000,
+            "guard and disable held"
+        );
     }
 
     #[test]

@@ -111,8 +111,14 @@ pub const KNOWN_SITES: &[(&str, &str, &str, &str)] = &[
     (
         "consultant",
         "experiment",
-        "Nanoseconds the consultant spent measuring hypothesis experiments.",
-        "Hypothesis experiments the consultant ran.",
+        "Nanoseconds the consultant spent evaluating hypothesis experiments.",
+        "Hypothesis experiments the consultant evaluated.",
+    ),
+    (
+        "consultant",
+        "run",
+        "Nanoseconds the consultant spent in multi-focus machine runs.",
+        "Multi-focus machine runs the consultant's wave search made.",
     ),
 ];
 
@@ -230,9 +236,18 @@ struct RingHandle {
 impl RingHandle {
     fn register() -> Self {
         let reg = global();
+        let mut rings = lock(&reg.rings);
+        // A finished thread's ring passes to the next new thread, so a
+        // process that keeps spawning short-lived workers holds no more
+        // rings than it ever ran threads at once.
+        if let Some(ring) = rings.iter().find(|r| r.reclaim()) {
+            return Self {
+                ring: Arc::clone(ring),
+            };
+        }
         let tid = reg.next_tid.fetch_add(1, Ordering::Relaxed);
         let ring = Arc::new(SpanRing::new(tid, DEFAULT_RING_CAPACITY));
-        lock(&reg.rings).push(Arc::clone(&ring));
+        rings.push(Arc::clone(&ring));
         Self { ring }
     }
 }
@@ -267,7 +282,8 @@ pub struct ObsSnapshot {
     /// Events lost to ring wraparound across all threads (aggregates in
     /// `sites` still include them).
     pub spans_dropped: u64,
-    /// Number of threads that ever recorded a span.
+    /// Number of span rings: the most threads that recorded spans at
+    /// once (a finished thread's ring passes to a later thread).
     pub threads: u64,
 }
 
@@ -403,6 +419,24 @@ mod tests {
             .spans
             .windows(2)
             .all(|w| w[0].start_ns <= w[1].start_ns));
+    }
+
+    #[test]
+    fn finished_threads_hand_their_rings_on() {
+        let site = span_site("test/handoff", "run");
+        let rings = || lock(&global().rings).len();
+        let before = rings();
+        for _ in 0..50 {
+            let site = site.clone();
+            std::thread::spawn(move || drop(span(&site)))
+                .join()
+                .unwrap();
+        }
+        // Each thread finishes before the next starts, so each reuses a
+        // retired ring; other tests' threads may add a few of their own.
+        assert!(rings() - before < 25, "{} new rings", rings() - before);
+        let snap = snapshot();
+        assert!(snap.site("test/handoff", "run").unwrap().count >= 50);
     }
 
     #[test]

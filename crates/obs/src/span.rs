@@ -120,7 +120,8 @@ impl SpanRing {
         }
     }
 
-    /// The owning thread's dense id (assigned at registration).
+    /// The ring's dense id, assigned at registration and kept when a
+    /// later thread takes the ring over.
     pub fn tid(&self) -> u64 {
         self.tid
     }
@@ -131,9 +132,19 @@ impl SpanRing {
     }
 
     /// Marks the owning thread as finished (the ring's history remains
-    /// readable).
+    /// readable until a new owner overwrites it).
     pub fn retire(&self) {
         self.retired.store(true, Ordering::Release);
+    }
+
+    /// Takes a retired ring over for a new owning thread; `false` if the
+    /// ring still has an owner. The old owner recorded its last span
+    /// before retiring, so the ring keeps a single writer: the Acquire here
+    /// pairs with the Release store in [`SpanRing::retire`].
+    pub(crate) fn reclaim(&self) -> bool {
+        self.retired
+            .compare_exchange(true, false, Ordering::AcqRel, Ordering::Relaxed)
+            .is_ok()
     }
 
     /// Appends a record. Must only be called by the owning thread; all
@@ -189,9 +200,10 @@ impl SpanRing {
 /// One completed span copied out of a ring.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SpanEvent {
-    /// Dense id of the recording thread.
+    /// Dense id of the recording ring: one thread's, or several
+    /// threads' that ran one after another.
     pub tid: u64,
-    /// Per-thread record index (0-based, monotone).
+    /// Per-ring record index (0-based, monotone).
     pub seq: u64,
     /// The site the span was recorded at.
     pub site: SiteId,

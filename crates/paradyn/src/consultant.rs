@@ -8,28 +8,24 @@
 //!
 //! Real Paradyn inserts and removes instrumentation for each experiment
 //! within a single long-running execution. The simulator's runs are short
-//! and deterministic, so each experiment instruments a fresh run instead —
-//! the instrumentation economy (only the hypotheses currently under test
-//! are instrumented) is the same.
+//! and deterministic, so experiments instrument fresh runs instead; since
+//! instrumentation never moves the simulated clock, one run can measure
+//! many foci at once, as the paper evaluates many questions against one
+//! SAS (§4.2.2).
 //!
-//! # Sequential baseline and parallel frontier
+//! # The wave search
 //!
-//! [`search`] is the documented baseline: hypotheses in catalogue order,
-//! one uncached machine run per experiment, depth-first refinement.
-//!
-//! [`search_parallel`] evaluates the same experiments as a work-stealing
-//! frontier: a shared deque of `(hypothesis, focus, depth)` items drained
-//! concurrently by `min(available_parallelism, frontier)` workers (the
-//! `DrainPool` shape from `daemonset`). Experiments are *pure*
-//! ([`Paradyn::run_experiment`] — no `&mut` threading), so workers need no
-//! coordination beyond the deque; a `True` or measured-`Unknown` verdict
-//! pushes its refinements back onto the frontier, and a decided parent
-//! early-cuts children whose measurements could no longer change any
-//! verdict (counted under `consultant.early_cut`). Measurements go through
-//! the content-addressed [`MeasurementCache`](crate::mcache) — every
-//! hypothesis at a focus shares one instrumented run — and results are
-//! assembled into a slot arena in *refinement order*, never completion
-//! order, so the parallel search renders byte-identical to the baseline.
+//! [`search`] (one worker) and [`search_parallel`] (`available_parallelism`
+//! workers) are one depth-synchronous search. A *wave* is every
+//! `(hypothesis, focus)` item at one refinement depth, starting with the
+//! six hypotheses at the whole program. A wave skips the foci the
+//! [`MeasurementCache`](crate::mcache) holds, measures the rest in chunks
+//! of at most [`MAX_FOCI_PER_RUN`] foci — one [`Paradyn::run_experiments`]
+//! machine run per chunk, the workers taking chunks off a shared cursor —
+//! fills the cache from each run, then evaluates its items in slot order
+//! and queues the refinements of the explored ones as the next wave.
+//! Results land in a slot arena in refinement order, so the tree and its
+//! [`render`] do not depend on the worker count or the cap.
 //!
 //! # Coverage-aware verdicts
 //!
@@ -51,36 +47,41 @@
 //! `consultant.zero_wall` self-observation counter).
 
 use crate::daemonset::Coverage;
-use crate::mcache::Measured;
+use crate::mcache::{self, Measured, MeasuredBatch};
 use crate::metrics::RequestError;
-use crate::tool::{Experiment, Paradyn};
+use crate::tool::Paradyn;
 use pdmap::hierarchy::Focus;
 use pdmap::interval::{Interval, Side};
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
-/// Span site for one hypothesis experiment, interned once (`pdmap-obs`).
-/// Scoped to the measurement itself, not the recursion below it, so a
-/// trace shows each experiment as its own span rather than one nest.
+/// The most foci one machine run measures: every (metric, focus) request
+/// installs its own snippets, so the cap bounds a run's host memory and
+/// per-point work (DESIGN §16 measures other caps).
+pub const MAX_FOCI_PER_RUN: usize = 64;
+
+/// Span site for evaluating one hypothesis experiment, interned once
+/// (`pdmap-obs`).
 fn experiment_obs_site() -> &'static pdmap_obs::SpanSite {
     static SITE: OnceLock<pdmap_obs::SpanSite> = OnceLock::new();
     SITE.get_or_init(|| pdmap_obs::span_site("consultant", "experiment"))
 }
 
-/// Memoised where-axis refinements, keyed by rendered focus. Every
-/// hypothesis in a search explores the same foci, so without this the
-/// data manager recomputes identical candidate lists once per hypothesis;
-/// hits and misses are counted under `consultant.cache_hit` /
-/// `consultant.cache_miss`. Entries are `Arc<[Focus]>` shared with the
-/// data manager, so a hit costs one refcount bump, not a list clone.
-type RefinementCache = HashMap<String, Arc<[Focus]>>;
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
+/// Span site for one multi-focus machine run of a wave.
+fn run_obs_site() -> &'static pdmap_obs::SpanSite {
+    static SITE: OnceLock<pdmap_obs::SpanSite> = OnceLock::new();
+    SITE.get_or_init(|| pdmap_obs::span_site("consultant", "run"))
 }
+
+/// Memoised where-axis refinements. Every hypothesis in a search explores
+/// the same foci, so without this the data manager recomputes identical
+/// candidate lists once per hypothesis; hits and misses are counted under
+/// `consultant.cache_hit` / `consultant.cache_miss`. Entries are
+/// `Arc<[Focus]>` shared with the data manager, so a hit costs one
+/// refcount bump, not a list clone.
+type RefinementCache = HashMap<Focus, Arc<[Focus]>>;
 
 /// A "why" hypothesis: a time metric whose share of the wall clock is
 /// tested against a threshold.
@@ -203,9 +204,8 @@ pub struct ExperimentNode {
     pub children: Vec<ExperimentNode>,
 }
 
-/// Builds an [`ExperimentNode`] from one pure measurement outcome — the
-/// verdict logic shared verbatim by the sequential baseline and the
-/// parallel frontier, so the two can never diverge.
+/// Builds an [`ExperimentNode`] from one pure measurement outcome: the
+/// whole verdict logic.
 fn evaluate(
     tool: &Paradyn,
     config: &ConsultantConfig,
@@ -272,14 +272,14 @@ fn evaluate(
     }
 }
 
-/// The refinement rule, identical in both search paths: true verdicts
-/// refine as always; a *measured* straddling verdict also refines (the
-/// flagged subtree may still localise the suspect); a `False` or
-/// unmeasured-`Unknown` parent is **early-cut** — its interval can no
-/// longer be changed by any child measurement (`False`: the whole interval
-/// is at-or-below the threshold; unmeasured: repeating a failed experiment
-/// at child foci yields no new evidence), so the subtree is pruned before
-/// a single child experiment runs, counted under `consultant.early_cut`.
+/// The refinement rule: true verdicts refine as always; a *measured*
+/// straddling verdict also refines (the flagged subtree may still localise
+/// the suspect); a `False` or unmeasured-`Unknown` parent is **early-cut**
+/// — its interval can no longer be changed by any child measurement
+/// (`False`: the whole interval is at-or-below the threshold; unmeasured:
+/// repeating a failed experiment at child foci yields no new evidence), so
+/// the subtree is pruned before a single child experiment runs, counted
+/// under `consultant.early_cut`.
 fn should_explore(node: &ExperimentNode, depth: usize, config: &ConsultantConfig) -> bool {
     let explore = match node.verdict {
         Verdict::True => true,
@@ -292,66 +292,33 @@ fn should_explore(node: &ExperimentNode, depth: usize, config: &ConsultantConfig
     explore && depth < config.max_depth
 }
 
-/// Cached where-axis refinement lookup. The list is computed off-lock (a
-/// losing racer recomputes an identical list — axis merges are idempotent)
-/// and shared as `Arc<[Focus]>`, so hits cost a refcount, not a clone.
-fn refinements(tool: &Paradyn, cache: &Mutex<RefinementCache>, focus: &Focus) -> Arc<[Focus]> {
-    let key = focus.to_string();
-    if let Some(hit) = lock(cache).get(&key).cloned() {
-        pdmap_obs::counter("consultant.cache_hit").incr();
-        return hit;
-    }
-    let computed = tool.data().refinement_candidates(focus);
-    match lock(cache).entry(key) {
-        Entry::Occupied(e) => {
-            pdmap_obs::counter("consultant.cache_hit").incr();
-            e.get().clone()
-        }
-        Entry::Vacant(e) => {
-            pdmap_obs::counter("consultant.cache_miss").incr();
-            e.insert(computed).clone()
-        }
-    }
-}
-
-/// Runs the consultant search over a loaded [`Paradyn`] tool — the
-/// sequential baseline: hypotheses in catalogue order, one uncached
-/// machine run per experiment, depth-first refinement.
-pub fn search(tool: &Paradyn, config: &ConsultantConfig) -> Vec<ExperimentNode> {
-    let cache = Mutex::new(RefinementCache::new());
-    HYPOTHESES
-        .iter()
-        .map(|h| test_hypothesis(tool, config, h, &Focus::whole_program(), 0, &cache))
-        .collect()
-}
-
-fn test_hypothesis(
-    tool: &Paradyn,
-    config: &ConsultantConfig,
-    h: &Hypothesis,
-    focus: &Focus,
-    depth: usize,
-    cache: &Mutex<RefinementCache>,
-) -> ExperimentNode {
-    let measured = {
-        let _experiment = pdmap_obs::span(experiment_obs_site());
-        tool.run_experiment(&Experiment {
-            metric: h.metric.to_string(),
-            focus: focus.clone(),
-        })
+/// Cached where-axis refinement lookup.
+fn refinements(tool: &Paradyn, cache: &mut RefinementCache, focus: &Focus) -> Arc<[Focus]> {
+    let counter = match cache.contains_key(focus) {
+        true => "consultant.cache_hit",
+        false => "consultant.cache_miss",
     };
-    let mut node = evaluate(tool, config, h, focus, measured);
-    if should_explore(&node, depth, config) {
-        for refined in refinements(tool, cache, focus).iter() {
-            let child = test_hypothesis(tool, config, h, refined, depth + 1, cache);
-            node.children.push(child);
-        }
-    }
-    node
+    pdmap_obs::counter(counter).incr();
+    let computed = || tool.data().refinement_candidates(focus);
+    cache.entry(focus.clone()).or_insert_with(computed).clone()
 }
 
-/// One frontier work item: a hypothesis to test at a focus, with the slot
-/// its result lands in.
+/// Runs the consultant search over a loaded [`Paradyn`] tool with one
+/// worker: the wave search of the module docs.
+pub fn search(tool: &Paradyn, config: &ConsultantConfig) -> Vec<ExperimentNode> {
+    wave_search(tool, config, 1)
+}
+
+/// Runs the consultant search with `available_parallelism` workers. Same
+/// experiments, same verdicts, byte-identical [`render`] output as
+/// [`search`]; a wave's runs spread over the workers.
+pub fn search_parallel(tool: &Paradyn, config: &ConsultantConfig) -> Vec<ExperimentNode> {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    wave_search(tool, config, cores)
+}
+
+/// One wave item: a hypothesis to test at a focus, with the slot its
+/// result lands in.
 struct Item {
     hyp: Hypothesis,
     focus: Focus,
@@ -360,128 +327,153 @@ struct Item {
 }
 
 /// One arena slot. Children are slot indices recorded in refinement-
-/// candidate order at push time, so the assembled tree never depends on
-/// worker completion order.
+/// candidate order, so the assembled tree is the refinement order.
 #[derive(Default)]
 struct Slot {
     node: Option<ExperimentNode>,
     children: Vec<usize>,
 }
 
-struct Frontier {
-    queue: VecDeque<Item>,
-    slots: Vec<Slot>,
-    /// Items popped but not yet completed; the search is done when the
-    /// queue is empty *and* nothing is in flight (an in-flight item may
-    /// still push refinements).
-    active: usize,
-}
-
-/// Runs the consultant search as a work-stealing parallel frontier. Same
-/// experiments, same verdicts, byte-identical [`render`] output as
-/// [`search`] — but overlapping experiments share machine runs through
-/// the measurement cache and independent ones run concurrently. See the
-/// module docs for the design.
-pub fn search_parallel(tool: &Paradyn, config: &ConsultantConfig) -> Vec<ExperimentNode> {
+fn wave_search(tool: &Paradyn, config: &ConsultantConfig, workers: usize) -> Vec<ExperimentNode> {
     pdmap_obs::counter("consultant.pool.searches").incr();
-    // One machine run at a focus serves every hypothesis metric: the
-    // batch each cache miss measures.
-    let batch: Vec<String> = HYPOTHESES.iter().map(|h| h.metric.to_string()).collect();
-    let cache = Mutex::new(RefinementCache::new());
-    let mut init = Frontier {
-        queue: VecDeque::new(),
-        slots: Vec::new(),
-        active: 0,
-    };
-    for h in HYPOTHESES {
-        let slot = init.slots.len();
-        init.slots.push(Slot::default());
-        init.queue.push_back(Item {
+    // One machine run at a focus serves every hypothesis metric.
+    let metrics: Vec<String> = HYPOTHESES.iter().map(|h| h.metric.to_string()).collect();
+    let mut refined = RefinementCache::new();
+    let mut slots: Vec<Slot> = HYPOTHESES.iter().map(|_| Slot::default()).collect();
+    let mut wave: Vec<Item> = HYPOTHESES
+        .iter()
+        .enumerate()
+        .map(|(slot, h)| Item {
             hyp: *h,
             focus: Focus::whole_program(),
             depth: 0,
             slot,
-        });
-    }
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let workers = cores.min(init.queue.len()).max(1);
-    pdmap_obs::counter("consultant.pool.workers").add(workers as u64);
-    let state = Mutex::new(init);
-    let work_cv = Condvar::new();
-    std::thread::scope(|s| {
-        for _ in 0..workers {
-            s.spawn(|| frontier_worker(tool, config, &batch, &cache, &state, &work_cv));
+        })
+        .collect();
+    while !wave.is_empty() {
+        let measured = measure_wave(tool, &metrics, &wave, workers);
+        let mut next = Vec::new();
+        for (item, m) in wave.iter().zip(measured) {
+            let node = {
+                let _experiment = pdmap_obs::span(experiment_obs_site());
+                evaluate(tool, config, &item.hyp, &item.focus, m)
+            };
+            if should_explore(&node, item.depth, config) {
+                for focus in refinements(tool, &mut refined, &item.focus).iter() {
+                    let slot = slots.len();
+                    slots.push(Slot::default());
+                    slots[item.slot].children.push(slot);
+                    next.push(Item {
+                        hyp: item.hyp,
+                        focus: focus.clone(),
+                        depth: item.depth + 1,
+                        slot,
+                    });
+                }
+            }
+            slots[item.slot].node = Some(node);
         }
-    });
-    let mut slots = state.into_inner().unwrap_or_else(|e| e.into_inner()).slots;
+        wave = next;
+    }
     (0..HYPOTHESES.len())
         .map(|i| assemble(&mut slots, i))
         .collect()
 }
 
-fn frontier_worker(
+/// Steps 1–4 of a wave (see the module docs): every item's measurement
+/// outcome, in item order. Each item counts one cache hit or miss — a
+/// miss for the first item at each focus this wave measured.
+fn measure_wave(
     tool: &Paradyn,
-    config: &ConsultantConfig,
-    batch: &[String],
-    cache: &Mutex<RefinementCache>,
-    state: &Mutex<Frontier>,
-    work_cv: &Condvar,
-) {
-    loop {
-        let item = {
-            let mut st = lock(state);
-            loop {
-                if let Some(item) = st.queue.pop_front() {
-                    st.active += 1;
-                    break item;
-                }
-                if st.active == 0 {
-                    // Nothing queued and nothing in flight: no item can
-                    // ever be pushed again.
-                    return;
-                }
-                // Timed wait as defense-in-depth, like the daemonset drain
-                // pool: a missed notify costs 5 ms, not a hang.
-                st = work_cv
-                    .wait_timeout(st, Duration::from_millis(5))
-                    .unwrap_or_else(|e| e.into_inner())
-                    .0;
-            }
-        };
-        let measured = {
-            let _experiment = pdmap_obs::span(experiment_obs_site());
-            tool.experiment_cached(
-                &Experiment {
-                    metric: item.hyp.metric.to_string(),
-                    focus: item.focus.clone(),
-                },
-                batch,
-            )
-        };
-        let node = evaluate(tool, config, &item.hyp, &item.focus, measured);
-        let refined = should_explore(&node, item.depth, config)
-            .then(|| refinements(tool, cache, &item.focus));
-        let mut st = lock(state);
-        st.slots[item.slot].node = Some(node);
-        if let Some(refined) = refined {
-            for focus in refined.iter() {
-                let slot = st.slots.len();
-                st.slots.push(Slot::default());
-                st.slots[item.slot].children.push(slot);
-                st.queue.push_back(Item {
-                    hyp: item.hyp,
-                    focus: focus.clone(),
-                    depth: item.depth + 1,
-                    slot,
-                });
+    metrics: &[String],
+    wave: &[Item],
+    workers: usize,
+) -> Vec<Result<Measured, RequestError>> {
+    let cache = tool.measurement_cache();
+    let (_, _, epoch) = tool.session_stamp();
+    let program = tool.program_hash();
+    if program == 0 {
+        // Nothing loaded: no machine can run and nothing is cached.
+        return wave.iter().map(|_| Err(RequestError::NoProgram)).collect();
+    }
+    // 1. Distinct foci in item order, with their cache keys. The cache
+    // answers what it holds; `pending` counts, per focus, the items a run
+    // must answer.
+    let mut index: HashMap<&Focus, usize> = HashMap::new();
+    let mut foci: Vec<(&Focus, String)> = Vec::new();
+    let at: Vec<usize> = wave
+        .iter()
+        .map(|item| {
+            *index.entry(&item.focus).or_insert_with(|| {
+                foci.push((&item.focus, item.focus.to_string()));
+                foci.len() - 1
+            })
+        })
+        .collect();
+    let mut pending = vec![0u64; foci.len()];
+    let cached: Vec<_> = wave
+        .iter()
+        .zip(&at)
+        .map(|(item, &f)| {
+            let c = cache.get(item.hyp.metric, &foci[f].1, program, epoch);
+            pending[f] += u64::from(c.is_none());
+            c
+        })
+        .collect();
+    let todo: Vec<usize> = (0..foci.len()).filter(|&f| pending[f] > 0).collect();
+    // 2. As few runs of at most the cap as keep every worker busy, the
+    // foci spread evenly over them.
+    let runs = todo
+        .len()
+        .div_ceil(MAX_FOCI_PER_RUN)
+        .max(workers.min(todo.len()));
+    let size = todo.len().div_ceil(runs.max(1)).max(1);
+    let chunks: Vec<&[usize]> = todo.chunks(size).collect();
+    // 3–4. Each worker takes chunks off the cursor, runs one machine per
+    // chunk and fills the cache from it.
+    let cursor = AtomicUsize::new(0);
+    let work = || {
+        let mut done: Vec<(usize, MeasuredBatch)> = Vec::new();
+        while let Some(chunk) = chunks.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            let chunk_foci: Vec<Focus> = chunk.iter().map(|&f| foci[f].0.clone()).collect();
+            let batches = {
+                let _run = pdmap_obs::span(run_obs_site());
+                tool.run_experiments(metrics, &chunk_foci)
+            };
+            let batches: Vec<MeasuredBatch> = batches.into_iter().map(Arc::new).collect();
+            let fill = chunk.iter().zip(&batches);
+            cache.fill(
+                program,
+                epoch,
+                fill.map(|(&f, b)| (foci[f].1.clone(), b.clone(), pending[f]))
+                    .collect(),
+            );
+            done.extend(chunk.iter().copied().zip(batches));
+        }
+        done
+    };
+    let threads = workers.min(chunks.len());
+    pdmap_obs::counter("consultant.pool.workers").add(threads as u64);
+    // Machine runs stay off the calling thread, whose heap the caller's
+    // own work keeps using.
+    let mut batch_of: Vec<Option<MeasuredBatch>> = vec![None; foci.len()];
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (0..threads).map(|_| s.spawn(work)).collect();
+        for w in workers {
+            for (f, batch) in w.join().expect("wave worker panicked") {
+                batch_of[f] = Some(batch);
             }
         }
-        st.active -= 1;
-        drop(st);
-        // Refinements mean new work; a drained frontier means idle workers
-        // must re-check the termination predicate. Either way, wake all.
-        work_cv.notify_all();
-    }
+    });
+    let ran = |f: usize, metric| {
+        let batch = batch_of[f].as_ref().expect("every pending focus was run");
+        mcache::answer(batch, metric).expect("a run measures every hypothesis metric")
+    };
+    cached
+        .into_iter()
+        .zip(wave.iter().zip(&at))
+        .map(|(c, (item, &f))| c.unwrap_or_else(|| ran(f, item.hyp.metric)))
+        .collect()
 }
 
 /// Rebuilds the tree below `idx` from the slot arena, child order as
@@ -592,6 +584,7 @@ fn render_node(node: &ExperimentNode, depth: usize, out: &mut String) {
 mod tests {
     use super::*;
     use crate::daemonset::SessionCoverage;
+    use crate::tool::Experiment;
     use cmrts_sim::MachineConfig;
 
     /// A communication-heavy program: sorts and transposes dominate.
@@ -706,6 +699,51 @@ END
     }
 
     #[test]
+    fn waves_account_every_experiment_and_run_exactly() {
+        let t = tool_for(COMM_HEAVY, 4);
+        let config = ConsultantConfig {
+            threshold: 0.05,
+            max_depth: 2,
+        };
+        t.clear_measurement_cache();
+        let tree = search(&t, &config);
+        let st = t.measurement_cache_stats();
+        // Distinct foci per depth: one wave each.
+        fn walk(n: &ExperimentNode, depth: usize, waves: &mut Vec<Vec<Focus>>) -> u64 {
+            waves.resize(waves.len().max(depth + 1), Vec::new());
+            if !waves[depth].contains(&n.focus) {
+                waves[depth].push(n.focus.clone());
+            }
+            1 + n
+                .children
+                .iter()
+                .map(|c| walk(c, depth + 1, waves))
+                .sum::<u64>()
+        }
+        let mut waves = Vec::new();
+        let experiments: u64 = tree.iter().map(|n| walk(n, 0, &mut waves)).sum();
+        assert_eq!(waves.len(), 3, "COMM_HEAVY refines to depth 2");
+        let foci: usize = waves.iter().map(Vec::len).sum();
+        assert_eq!(st.hits + st.misses, experiments);
+        assert_eq!(st.misses, foci as u64, "one miss per focus a wave measured");
+        let runs: usize = waves
+            .iter()
+            .map(|w| w.len().div_ceil(MAX_FOCI_PER_RUN))
+            .sum();
+        assert_eq!(st.runs, runs as u64, "one worker: one run per chunk");
+        // A warm repeat runs nothing; an epoch bump measures again.
+        search_parallel(&t, &config);
+        let warm = t.measurement_cache_stats();
+        assert_eq!((warm.runs, warm.misses), (st.runs, st.misses));
+        assert_eq!(warm.hits, st.hits + experiments);
+        t.set_session_coverage(None);
+        search_parallel(&t, &config);
+        let bumped = t.measurement_cache_stats();
+        assert_eq!(bumped.misses, st.misses * 2);
+        assert!(bumped.runs > warm.runs);
+    }
+
+    #[test]
     fn refinement_candidates_prefer_arrays_over_subregions() {
         let t = tool_for(COMM_HEAVY, 2);
         // Populate subregions dynamically.
@@ -769,21 +807,23 @@ END
             name: "ExcessivePhantomTime",
             metric: "No Such Metric",
         };
-        let node = test_hypothesis(
-            &t,
-            &ConsultantConfig::default(),
-            &bogus,
-            &Focus::whole_program(),
-            0,
-            &Mutex::new(RefinementCache::new()),
-        );
+        let config = ConsultantConfig::default();
+        let measured = t.run_experiment(&Experiment {
+            metric: bogus.metric.to_string(),
+            focus: Focus::whole_program(),
+        });
+        assert!(matches!(measured, Err(RequestError::UnknownMetric(_))));
+        let node = evaluate(&t, &config, &bogus, &Focus::whole_program(), measured);
         assert_eq!(node.verdict, Verdict::Unknown);
         let note = node
             .note
             .clone()
             .expect("failed measurement carries a note");
         assert!(note.contains("measurement failed"), "{note}");
-        assert!(node.children.is_empty(), "unmeasured Unknown is terminal");
+        assert!(
+            node.children.is_empty() && !should_explore(&node, 0, &config),
+            "unmeasured Unknown is terminal"
+        );
         let shown = render(&[node]);
         assert!(shown.contains("[?????]"), "{shown}");
         assert!(shown.contains("measurement failed"), "{shown}");

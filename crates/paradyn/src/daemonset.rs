@@ -1750,9 +1750,10 @@ impl DaemonSet {
     }
 
     /// The largest per-sample value received so far — the per-sample cost
-    /// bound [`Coverage::bound_mass`] prices lost samples at.
+    /// bound [`Coverage::bound_mass`] prices lost samples at. O(1): the
+    /// sample store keeps it as rows land.
     pub fn max_sample_value(&self) -> f64 {
-        self.samples.values().iter().copied().fold(0.0, f64::max)
+        self.samples.max_value()
     }
 
     /// The session label to stamp on a coverage-aware tool

@@ -1,13 +1,11 @@
-//! The content-addressed measurement cache behind the parallel consultant.
+//! The content-addressed measurement cache behind the consultant.
 //!
 //! The simulator is deterministic: an experiment's value is a pure function
-//! of `(metric, focus, program, session coverage)`. The sequential
-//! consultant nonetheless re-ran one full instrumented machine run per
-//! hypothesis per focus — six runs where one suffices, because every
-//! hypothesis at a focus shares the same wall-clock run and differs only in
-//! which counter it reads. [`MeasurementCache`] makes that sharing
-//! explicit: entries are **batches** — one machine run's worth of metric
-//! values at a focus — addressed by content, not identity:
+//! of `(metric, focus, program, session coverage)`. Every hypothesis at a
+//! focus shares the same wall-clock run and differs only in which counter
+//! it reads, so one machine run serves all six. [`MeasurementCache`] makes
+//! that sharing explicit: entries are **batches** — one machine run's worth
+//! of metric values at a focus — addressed by content, not identity:
 //!
 //! ```text
 //! key = (focus, program content-hash, coverage epoch)
@@ -26,22 +24,37 @@
 //!   (lookups always carry the current epoch) and are purged on the next
 //!   insert.
 //!
+//! # Filling and reading
+//!
+//! The consultant's wave search fills the cache a whole run at a time:
+//! `fill` stores the batches of one multi-focus run, and `get` — a lookup
+//! that never fills — is how the wave skips foci already measured and how
+//! `Paradyn::measure` answers a query at a searched focus without a run.
+//! [`MeasurementCache::get_or_fill`] serves one experiment at a time
+//! (`Paradyn::experiment_cached`).
+//!
+//! Every experiment answered counts exactly one hit or one miss, so
+//! `hits + misses` is the number of experiments answered and `misses` the
+//! number of (focus, epoch) batches measured; `runs` counts the machine
+//! runs that filled them.
+//!
 //! # Concurrency
 //!
 //! The map is sharded by key hash; the read path takes one shared
 //! (read) lock on one shard — readers never block each other, and writes
-//! (one per distinct focus in a whole search) are rare. In-flight runs are
-//! deduplicated: the first experiment to ask for a focus inserts a pending
-//! cell and runs the machine; every overlapping experiment — the other
-//! five hypotheses arriving at the same focus at the same time — blocks on
-//! that cell's condvar and shares the one measurement. Hits and misses are
-//! counted under the `consultant.mcache_hit` / `consultant.mcache_miss`
-//! observability counters (self-mapped through `selfmap::TOOL_COUNTERS`).
+//! (one per distinct focus in a whole search) are rare. In-flight
+//! [`get_or_fill`](MeasurementCache::get_or_fill) runs are deduplicated:
+//! the first experiment to ask for a focus inserts a pending cell and runs
+//! the machine; every overlapping experiment blocks on that cell's condvar
+//! and shares the one measurement. Hits and misses are counted under the
+//! `consultant.mcache_hit` / `consultant.mcache_miss` observability
+//! counters (self-mapped through `selfmap::TOOL_COUNTERS`).
 
 use crate::metrics::RequestError;
 use pdmap::util::{FxHasher, RwLock};
 use std::collections::HashMap;
 use std::hash::Hasher;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, OnceLock};
 use std::time::Duration;
 
@@ -73,6 +86,17 @@ struct BatchKey {
 /// One machine run's worth of metric values at a focus, in request order.
 pub type MeasuredBatch = Arc<Vec<(String, Result<Measured, RequestError>)>>;
 
+/// `metric`'s entry in a batch, if the batch measured it.
+pub(crate) fn answer(
+    batch: &MeasuredBatch,
+    metric: &str,
+) -> Option<Result<Measured, RequestError>> {
+    batch
+        .iter()
+        .find(|(m, _)| m == metric)
+        .map(|(_, r)| r.clone())
+}
+
 /// `None` while the inserting experiment's machine run is still in flight.
 struct Cell {
     state: std::sync::Mutex<Option<MeasuredBatch>>,
@@ -84,8 +108,11 @@ struct Cell {
 pub struct McacheStats {
     /// Experiments answered from a cached (or in-flight shared) batch.
     pub hits: u64,
-    /// Experiments that had to run a machine.
+    /// Experiments whose batch had to be measured: the first experiment
+    /// at each (focus, epoch) a run filled.
     pub misses: u64,
+    /// Machine runs that filled the cache; one run may fill many foci.
+    pub runs: u64,
 }
 
 struct McacheObs {
@@ -106,11 +133,9 @@ const SHARDS: usize = 16;
 /// The sharded, read-mostly measurement cache. See the module docs.
 pub struct MeasurementCache {
     shards: Vec<RwLock<HashMap<BatchKey, Arc<Cell>>>>,
-    hits: std::sync::atomic::AtomicU64,
-    misses: std::sync::atomic::AtomicU64,
-    /// Guards in-flight accounting so `stats()` hits+misses always equals
-    /// the number of completed lookups.
-    _private: (),
+    hits: AtomicU64,
+    misses: AtomicU64,
+    runs: AtomicU64,
 }
 
 impl Default for MeasurementCache {
@@ -124,9 +149,9 @@ impl MeasurementCache {
     pub fn new() -> Self {
         Self {
             shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
-            hits: std::sync::atomic::AtomicU64::new(0),
-            misses: std::sync::atomic::AtomicU64::new(0),
-            _private: (),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            runs: AtomicU64::new(0),
         }
     }
 
@@ -139,6 +164,68 @@ impl MeasurementCache {
         h.write(key.focus.as_bytes());
         h.write_u64(key.program);
         &self.shards[(h.finish() as usize) % SHARDS]
+    }
+
+    /// Counts `n` experiments answered from a batch already measured.
+    fn count_hits(&self, n: u64) {
+        self.hits.fetch_add(n, Ordering::Relaxed);
+        obs().hit.add(n);
+    }
+
+    /// Counts one batch measured for the first experiment at its focus.
+    fn count_miss(&self) {
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        obs().miss.incr();
+    }
+
+    /// Non-filling lookup: answers `metric` at `(focus, program, epoch)`
+    /// from the cached batch, waiting out a fill still in flight. An answer
+    /// counts one hit. `None` — nothing cached there, or a batch without
+    /// that metric — counts nothing: this lookup never counts a miss and
+    /// never runs a machine.
+    pub(crate) fn get(
+        &self,
+        metric: &str,
+        focus: &str,
+        program: u64,
+        epoch: u64,
+    ) -> Option<Result<Measured, RequestError>> {
+        let key = BatchKey {
+            focus: focus.to_string(),
+            program,
+            epoch,
+        };
+        let cell = self.shard_of(&key).read().get(&key).cloned()?;
+        let found = answer(&Self::wait_ready(&cell), metric)?;
+        self.count_hits(1);
+        Some(found)
+    }
+
+    /// Stores the batches one machine run measured under `(program,
+    /// epoch)`, as `(focus, batch, experiments)` triples: `experiments` is
+    /// how many experiments the caller answers from that focus's batch.
+    /// Counts the run and, per focus, one miss for the first of those
+    /// experiments and one hit for each of the others, which share the run.
+    pub(crate) fn fill(&self, program: u64, epoch: u64, run: Vec<(String, MeasuredBatch, u64)>) {
+        self.runs.fetch_add(1, Ordering::Relaxed);
+        for (focus, batch, experiments) in run {
+            let key = BatchKey {
+                focus,
+                program,
+                epoch,
+            };
+            let cell = Arc::new(Cell {
+                state: std::sync::Mutex::new(Some(batch)),
+                ready: Condvar::new(),
+            });
+            {
+                let mut g = self.shard_of(&key).write();
+                g.retain(|k, _| k.program == program && k.epoch == epoch);
+                g.insert(key, cell);
+            }
+            self.count_miss();
+            self.count_hits(experiments.saturating_sub(1));
+        }
     }
 
     /// Looks up the batch for `(focus, program, epoch)`, running `fill`
@@ -155,20 +242,17 @@ impl MeasurementCache {
         epoch: u64,
         fill: impl FnOnce() -> MeasuredBatch,
     ) -> Option<Result<Measured, RequestError>> {
+        // Fast path: shared lock only. Experiments at a focus the cache
+        // already holds never take the write lock.
+        if let Some(found) = self.get(metric, focus, program, epoch) {
+            return Some(found);
+        }
         let key = BatchKey {
             focus: focus.to_string(),
             program,
             epoch,
         };
         let shard = self.shard_of(&key);
-        // Fast path: shared lock only. The common case of a whole search is
-        // five hits per miss, so the write lock stays cold.
-        if let Some(cell) = shard.read().get(&key).cloned() {
-            let batch = Self::wait_ready(&cell);
-            self.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            obs().hit.incr();
-            return Self::extract(&batch, metric);
-        }
         // Slow path: race to insert the pending cell.
         let (cell, winner) = {
             let mut g = shard.write();
@@ -190,20 +274,18 @@ impl MeasurementCache {
         };
         if !winner {
             let batch = Self::wait_ready(&cell);
-            self.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            obs().hit.incr();
-            return Self::extract(&batch, metric);
+            self.count_hits(1);
+            return answer(&batch, metric);
         }
-        self.misses
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        obs().miss.incr();
+        self.count_miss();
+        self.runs.fetch_add(1, Ordering::Relaxed);
         let batch = fill();
         {
             let mut st = cell.state.lock().unwrap_or_else(|e| e.into_inner());
             *st = Some(batch.clone());
         }
         cell.ready.notify_all();
-        Self::extract(&batch, metric)
+        answer(&batch, metric)
     }
 
     fn wait_ready(cell: &Cell) -> MeasuredBatch {
@@ -220,20 +302,15 @@ impl MeasurementCache {
         st.clone().expect("cell filled")
     }
 
-    fn extract(batch: &MeasuredBatch, metric: &str) -> Option<Result<Measured, RequestError>> {
-        batch
-            .iter()
-            .find(|(m, _)| m == metric)
-            .map(|(_, r)| r.clone())
-    }
-
-    /// Hit/miss counters since construction (or the last [`clear`]).
+    /// Hit, miss and run counters since construction (or the last
+    /// [`clear`]).
     ///
     /// [`clear`]: MeasurementCache::clear
     pub fn stats(&self) -> McacheStats {
         McacheStats {
-            hits: self.hits.load(std::sync::atomic::Ordering::Relaxed),
-            misses: self.misses.load(std::sync::atomic::Ordering::Relaxed),
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            runs: self.runs.load(Ordering::Relaxed),
         }
     }
 
@@ -243,8 +320,9 @@ impl MeasurementCache {
         for s in &self.shards {
             s.write().clear();
         }
-        self.hits.store(0, std::sync::atomic::Ordering::Relaxed);
-        self.misses.store(0, std::sync::atomic::Ordering::Relaxed);
+        self.hits.store(0, Ordering::Relaxed);
+        self.misses.store(0, Ordering::Relaxed);
+        self.runs.store(0, Ordering::Relaxed);
     }
 
     /// Number of cached batches (distinct foci × epochs × programs).
@@ -295,7 +373,56 @@ mod tests {
         });
         assert_eq!(r2.unwrap().unwrap().value, 2.0);
         assert_eq!(runs, 1, "one machine run serves both metrics");
-        assert_eq!(c.stats(), McacheStats { hits: 1, misses: 1 });
+        assert_eq!(
+            c.stats(),
+            McacheStats {
+                hits: 1,
+                misses: 1,
+                runs: 1
+            }
+        );
+    }
+
+    #[test]
+    fn fill_stores_one_run_over_many_foci_and_get_never_fills() {
+        let c = MeasurementCache::new();
+        assert!(
+            c.get("m1", "/a", 7, 0).is_none(),
+            "empty cache answers nothing"
+        );
+        assert_eq!(c.stats(), McacheStats::default(), "and counts nothing");
+        // One run over two foci: three experiments at /a, one at /b.
+        c.fill(
+            7,
+            0,
+            vec![
+                ("/a".into(), batch(&[("m1", 1.0), ("m2", 2.0)]), 3),
+                ("/b".into(), batch(&[("m1", 5.0), ("m2", 6.0)]), 1),
+            ],
+        );
+        let st = c.stats();
+        assert_eq!((st.hits, st.misses, st.runs), (2, 2, 1));
+        assert_eq!(c.get("m2", "/a", 7, 0).unwrap().unwrap().value, 2.0);
+        assert_eq!(c.get("m1", "/b", 7, 0).unwrap().unwrap().value, 5.0);
+        assert!(
+            c.get("m3", "/a", 7, 0).is_none(),
+            "metric outside the batch"
+        );
+        assert!(c.get("m1", "/a", 7, 1).is_none(), "another epoch");
+        let st = c.stats();
+        assert_eq!(
+            (st.hits, st.misses, st.runs),
+            (4, 2, 1),
+            "get counts hits only"
+        );
+        // get_or_fill shares a filled batch instead of running.
+        let r = c.get_or_fill("m1", "/a", 7, 0, || unreachable!("cached"));
+        assert_eq!(r.unwrap().unwrap().value, 1.0);
+        // A fill under a new epoch purges the old epoch's batch there.
+        c.fill(7, 1, vec![("/a".into(), batch(&[("m1", 9.0)]), 1)]);
+        assert!(c.get("m1", "/a", 7, 0).is_none());
+        assert_eq!(c.get("m1", "/a", 7, 1).unwrap().unwrap().value, 9.0);
+        assert_eq!(c.stats().runs, 2);
     }
 
     #[test]

@@ -191,12 +191,27 @@ impl MetricManager {
         focus: &Focus,
         ticks_per_second: f64,
     ) -> Result<MetricRequest, RequestError> {
+        let guard = data.resolve_focus(focus);
+        self.request_resolved(mgr, metric, focus, &guard, ticks_per_second)
+    }
+
+    /// Like [`MetricManager::request_in`], with `focus` already resolved
+    /// to its guard predicates (or its resolution error), so a run that
+    /// measures several metrics at one focus resolves it once. An unknown
+    /// metric is reported before a focus error, as `request_in` does.
+    pub(crate) fn request_resolved(
+        &self,
+        mgr: &Arc<InstrumentationManager>,
+        metric: &str,
+        focus: &Focus,
+        guard: &Result<Vec<Pred>, FocusError>,
+        ticks_per_second: f64,
+    ) -> Result<MetricRequest, RequestError> {
         let decl = self
             .decl(metric)
             .ok_or_else(|| RequestError::UnknownMetric(metric.to_string()))?
             .clone();
-        let guard: Vec<Pred> = data.resolve_focus(focus)?;
-        let instance = instantiate(mgr, &decl, guard);
+        let instance = instantiate(mgr, &decl, guard.clone()?);
         Ok(MetricRequest {
             decl,
             focus: focus.clone(),

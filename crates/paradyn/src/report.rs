@@ -45,8 +45,8 @@ impl Profile {
 }
 
 /// Measures `metric` at every refinement candidate of `parent` (arrays,
-/// statements, nodes — whichever hierarchies refine), one fresh run per
-/// candidate, and returns the sorted profile.
+/// statements, nodes — whichever hierarchies refine), one
+/// [`Paradyn::measure`] per candidate, and returns the sorted profile.
 pub fn profile(tool: &Paradyn, metric: &str, parent: &Focus) -> Profile {
     let mut rows = Vec::new();
     let mut wall = 0.0;
@@ -144,8 +144,8 @@ pub fn run_report(tool: &Paradyn, consultant_config: &ConsultantConfig) -> Strin
     out.push_str("\nwhere axis:\n");
     out.push_str(&tool.render_where_axis());
 
-    // 4. Consultant conclusions — via the parallel frontier, which
-    // renders byte-identical to the sequential baseline.
+    // 4. Consultant conclusions — the wave search with every core,
+    // which renders byte-identical to the one-worker search.
     out.push_str("\nPerformance Consultant:\n");
     out.push_str(&render_search(&search_parallel(tool, consultant_config)));
     out

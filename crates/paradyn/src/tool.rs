@@ -314,9 +314,12 @@ impl Paradyn {
         Ok(req)
     }
 
-    /// One-shot experiment: request the metric, run a fresh machine to
-    /// completion, read the value, remove the instrumentation. Returns
-    /// `(value, wall seconds)`.
+    /// One-shot experiment: `(value, wall seconds)` of `metric` at
+    /// `focus`. When a search already measured that (metric, focus) under
+    /// the loaded program and the current coverage epoch, the measurement
+    /// cache answers, counting a hit: exact, because that is the key
+    /// [`Paradyn::experiment_cached`] trusts. Otherwise one fresh machine
+    /// runs to completion; its answer does not fill the cache.
     pub fn measure(&self, metric: &str, focus: &Focus) -> Result<(f64, f64), RequestError> {
         self.measure_with_coverage(metric, focus)
             .map(|(v, w, _)| (v, w))
@@ -331,10 +334,17 @@ impl Paradyn {
         metric: &str,
         focus: &Focus,
     ) -> Result<(f64, f64, Coverage), RequestError> {
-        let m = self.run_experiment(&Experiment {
-            metric: metric.to_string(),
-            focus: focus.clone(),
-        })?;
+        let (_, _, epoch) = self.session_stamp();
+        let cached = self
+            .mcache
+            .get(metric, &focus.to_string(), self.program_hash(), epoch);
+        let m = match cached {
+            Some(answer) => answer?,
+            None => self.run_experiment(&Experiment {
+                metric: metric.to_string(),
+                focus: focus.clone(),
+            })?,
+        };
         Ok((m.value, m.wall, m.coverage))
     }
 
@@ -349,28 +359,44 @@ impl Paradyn {
             .unwrap_or(Err(RequestError::NoProgram))
     }
 
-    /// Runs one instrumented machine measuring *every* listed metric at
-    /// `focus` in a single run, returning `(metric, result)` pairs in
-    /// request order.
-    ///
-    /// The run is **pure**: it instruments a private
-    /// [`InstrumentationManager`] (fresh registry and primitives, with the
-    /// tool's mapping instrumentation re-installed into it when the §5
-    /// toggle is on), so concurrent experiments never execute each other's
-    /// snippets against shared primitives. Instrumentation in the
-    /// simulator is passive — it mutates counters and timers, never the
-    /// simulated clock — so a batched run produces values byte-identical
-    /// to six single-metric runs.
+    /// Runs one instrumented machine measuring every metric in `metrics`
+    /// at one `focus`, returning `(metric, result)` pairs in request
+    /// order: the one-focus case of [`Paradyn::run_experiments`].
     pub fn run_experiment_batch(
         &self,
         metrics: &[String],
         focus: &Focus,
     ) -> Vec<(String, Result<Measured, RequestError>)> {
+        self.run_experiments(metrics, std::slice::from_ref(focus))
+            .pop()
+            .expect("one batch per focus")
+    }
+
+    /// Runs one instrumented machine measuring every metric in `metrics`
+    /// at every focus in `foci`, returning one batch per focus, in `foci`
+    /// order, of `(metric, result)` pairs in `metrics` order.
+    ///
+    /// The run is **pure**: it instruments a private
+    /// [`InstrumentationManager`] (fresh registry and primitives, with the
+    /// tool's mapping instrumentation re-installed into it when the §5
+    /// toggle is on), so concurrent runs never execute each other's
+    /// snippets against shared primitives. Every (metric, focus) request
+    /// gets its own primitive; each focus's guard is resolved once and
+    /// shared by its metrics. Instrumentation in the simulator is passive —
+    /// it mutates counters and timers, never the simulated clock — so one
+    /// run over many foci produces values and walls bit-identical to one
+    /// single-metric [`Paradyn::run_experiment`] per (metric, focus).
+    pub fn run_experiments(
+        &self,
+        metrics: &[String],
+        foci: &[Focus],
+    ) -> Vec<Vec<(String, Result<Measured, RequestError>)>> {
         let Some(program) = self.program.clone() else {
-            return metrics
+            let batch: Vec<_> = metrics
                 .iter()
                 .map(|m| (m.clone(), Err(RequestError::NoProgram)))
                 .collect();
+            return vec![batch; foci.len()];
         };
         let (coverage, _max_cost, _epoch) = self.session_stamp();
         let tps = self.config.cost.ticks_per_second;
@@ -378,13 +404,17 @@ impl Paradyn {
         let _mapping = self
             .mapping_installed()
             .then(|| MappingInstrumentation::install(&mgr));
-        let reqs: Vec<(String, Result<MetricRequest, RequestError>)> = metrics
+        let reqs: Vec<Vec<(String, Result<MetricRequest, RequestError>)>> = foci
             .iter()
-            .map(|m| {
-                (
-                    m.clone(),
-                    self.metrics.request_in(&mgr, m, &self.data, focus, tps),
-                )
+            .map(|focus| {
+                let guard = self.data.resolve_focus(focus);
+                metrics
+                    .iter()
+                    .map(|m| {
+                        let req = self.metrics.request_resolved(&mgr, m, focus, &guard, tps);
+                        (m.clone(), req)
+                    })
+                    .collect()
             })
             .collect();
         let mut machine = Machine::new(self.config.clone(), self.ns.clone(), mgr, program)
@@ -393,13 +423,18 @@ impl Paradyn {
         machine.run();
         let wall = machine.wall_clock() as f64 / tps;
         reqs.into_iter()
-            .map(|(name, r)| {
-                let out = r.map(|req| Measured {
-                    value: req.value(&machine),
-                    wall,
-                    coverage,
-                });
-                (name, out)
+            .map(|batch| {
+                batch
+                    .into_iter()
+                    .map(|(name, r)| {
+                        let out = r.map(|req| Measured {
+                            value: req.value(&machine),
+                            wall,
+                            coverage,
+                        });
+                        (name, out)
+                    })
+                    .collect()
             })
             .collect()
     }
@@ -431,9 +466,14 @@ impl Paradyn {
         }
     }
 
-    /// Hit/miss counters of the measurement cache.
+    /// Hit, miss and run counters of the measurement cache.
     pub fn measurement_cache_stats(&self) -> McacheStats {
         self.mcache.stats()
+    }
+
+    /// The measurement cache, for searches that fill it a run at a time.
+    pub(crate) fn measurement_cache(&self) -> &MeasurementCache {
+        &self.mcache
     }
 
     /// Drops every cached measurement and zeroes the counters (bench

@@ -41,8 +41,11 @@ fn main() {
     print!("{}", render(&results));
     let st = tool.measurement_cache_stats();
     println!(
-        "\nmeasurement cache: {} hits / {} misses (machine runs saved: {})",
-        st.hits, st.misses, st.hits
+        "\nmeasurement cache: {} hits / {} misses ({} machine runs for {} experiments)",
+        st.hits,
+        st.misses,
+        st.runs,
+        st.hits + st.misses
     );
 
     // Summarise the confirmed bottlenecks; undecided hypotheses (possible
