@@ -388,7 +388,8 @@ fn main() -> ExitCode {
 }
 
 /// Runs the consultant twice over an in-process workload — once at full
-/// coverage, once stamped with the drill's degraded [`SessionCoverage`] —
+/// coverage, once stamped with the drill's degraded
+/// [`SessionCoverage`](paradyn_tool::SessionCoverage) —
 /// and checks the flip rules: decided verdicts may weaken to Unknown but
 /// never cross to the opposite decided answer, at least one borderline
 /// hypothesis *does* weaken, and the audit invariant (no decided verdict

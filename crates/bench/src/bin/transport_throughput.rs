@@ -17,7 +17,8 @@
 //! latency histogram per frame type, diffed across the cell so concurrent
 //! cells don't pollute each other. A final `drop_window` section runs a
 //! deliberately overloaded `DropOldest` link and feeds its rising
-//! [`TransportStats::drops`] into an [`AdaptiveSampler`], printing the
+//! [`TransportStats::drops`](pdmap_transport::TransportStats::drops) into
+//! an [`AdaptiveSampler`], printing the
 //! interval trajectory (multiplicative back-off, additive recovery) and
 //! the `sent == delivered + drops` conservation check.
 

@@ -32,7 +32,7 @@ pub enum AssignPolicy {
     /// Prism/IPS approach cited as refs [1, 9]).
     SplitEvenly,
     /// Merge all destinations into one inseparable set and assign the whole
-    /// cost to the set (the Paradyn approach, ref [6]). Identifies
+    /// cost to the set (the Paradyn approach, ref \[6\]). Identifies
     /// constructs whose implementations were merged by an optimizing
     /// compiler.
     Merge,

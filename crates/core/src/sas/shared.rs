@@ -131,7 +131,7 @@ impl ShardedSas {
 
     /// Registers a conjunction question on **every** node, returning the
     /// (identical) per-node id. Paper: "Each individual SAS can operate
-    /// independently of others as long [as] performance questions are not
+    /// independently of others as long \[as\] performance questions are not
     /// asked that require information from several SASs."
     pub fn register_question_all(&self, q: &Question) -> QuestionId {
         let mut last = None;

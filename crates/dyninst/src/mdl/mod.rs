@@ -8,9 +8,8 @@
 //! code that is inserted into running applications at precisely the moment
 //! when the particular metric is requested."
 //!
-//! Pipeline: [`lex`](lex::lex) → [`parse_mdl`](parse::parse_mdl) →
-//! [`MetricDecl`](ast::MetricDecl) → instantiation into snippets by
-//! [`crate::metrics::instantiate`] at request time.
+//! Pipeline: [`lex()`] → [`parse_mdl`] → [`MetricDecl`] → instantiation
+//! into snippets by [`crate::metrics::instantiate`] at request time.
 
 pub mod ast;
 pub mod lex;

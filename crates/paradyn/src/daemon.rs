@@ -336,7 +336,7 @@ impl MappingSink for InstrLibEndpoint {
 impl InstrLibEndpoint {
     /// Wraps an already-connected transport — how `pdmapd` builds its
     /// endpoint over the TCP server it listens on, rather than over one
-    /// half of an in-process [`Link`].
+    /// half of an in-process [`Link`](pdmap_transport::Link).
     pub fn over_transport(tx: Arc<dyn Transport>) -> Self {
         Self { tx }
     }

@@ -3,7 +3,7 @@
 //! §5: "PIF files are emitted by compilers ... Paradyn daemons import
 //! static mapping information via Paradyn Information Format (PIF) files
 //! just after they load each application executable", and "the daemons
-//! forward the [dynamic] mapping information to the Data Manager. The Data
+//! forward the \[dynamic\] mapping information to the Data Manager. The Data
 //! Manager uses the dynamic mapping information in exactly the same way as
 //! it uses static mapping information."
 //!
@@ -19,7 +19,7 @@
 //! The paper's distributed SAS (§4.2.3) runs one daemon per node and merges
 //! their streams in the tool. To let N daemon connections import mapping
 //! information and deliver samples concurrently, the manager is **sharded
-//! by where-axis subtree**: each daemon connection owns one [`Shard`] —
+//! by where-axis subtree**: each daemon connection owns one `Shard` —
 //! a small mutex-protected store for the dynamic arrays that daemon
 //! allocated (its subtree of `CMFarrays`, plus its `Machine` nodes) — while
 //! the **read-mostly shared catalogue** (mapping table, PIF metrics, the

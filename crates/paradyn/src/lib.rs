@@ -17,7 +17,7 @@
 //!   parent (the tool or a relay) keeps per child link;
 //! * [`daemonset`] — the §4.2.3 multi-daemon session: N TCP links, clock
 //!   alignment, and one merged sample stream over the sharded manager;
-//! * [`tool`] — the [`Paradyn`](tool::Paradyn) facade tying it together.
+//! * [`tool`] — the [`Paradyn`] facade tying it together.
 //!
 //! ```
 //! use paradyn_tool::tool::Paradyn;

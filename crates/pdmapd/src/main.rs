@@ -22,10 +22,12 @@
 //! | 4    | session error: no tool connected before `--connect-timeout-ms` |
 //! | 5    | relay session error: no parent, or no child ever synced |
 
-use pdmapd::{serve, DaemonConfig, RelayConfig};
+use pdmap_transport::TcpServer;
+use pdmapd::{serve_relay_until, serve_until, DaemonConfig, RelayConfig, UpstreamConfig};
 use std::io::Write;
 use std::process::ExitCode;
 use std::sync::atomic::AtomicBool;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Bad arguments.
@@ -55,118 +57,59 @@ fn usage() -> ! {
     std::process::exit(EXIT_USAGE as i32);
 }
 
-/// Both modes' flags, parsed together; `relay` selects which config wins.
-struct Args {
-    relay: bool,
-    daemon: DaemonConfig,
-    tree: RelayConfig,
+/// Parses a flag's value, or prints the usage and exits.
+fn parse<T: std::str::FromStr>(value: String) -> T {
+    value.parse().unwrap_or_else(|_| usage())
 }
 
-fn parse_args() -> Args {
+/// Parses a flag's value in milliseconds.
+fn millis(value: String) -> Duration {
+    Duration::from_millis(parse(value))
+}
+
+/// The node the command line asks for.
+enum Mode {
+    Leaf(DaemonConfig),
+    Relay(RelayConfig),
+}
+
+/// Parses the flags: the parent-link ones both modes share into one
+/// [`UpstreamConfig`], each mode's own into its config; `--relay` picks
+/// the mode.
+fn parse_args() -> Mode {
     let mut relay = false;
+    let mut upstream = UpstreamConfig::default();
+    // `--batch` means samples per frame to a leaf and the flush threshold
+    // to a relay; each mode keeps its own default.
+    let mut batch = None;
     let mut daemon = DaemonConfig::default();
     let mut tree = RelayConfig::default();
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
-        let mut val = |what: &str| {
+        let mut val = || {
             args.next().unwrap_or_else(|| {
-                eprintln!("pdmapd: {what} requires a value");
+                eprintln!("pdmapd: {flag} requires a value");
                 usage()
             })
         };
         match flag.as_str() {
             "--relay" => relay = true,
-            "--child" => match val("--child").parse() {
-                Ok(addr) => tree.children.push(addr),
-                Err(_) => usage(),
-            },
-            "--listen" => {
-                daemon.listen = val("--listen");
-                tree.listen = daemon.listen.clone();
-            }
-            "--skew-ns" => match val("--skew-ns").parse() {
-                Ok(v) => {
-                    daemon.skew_ns = v;
-                    tree.skew_ns = v;
-                }
-                Err(_) => usage(),
-            },
-            "--samples" => match val("--samples").parse() {
-                Ok(v) => daemon.samples = v,
-                Err(_) => usage(),
-            },
-            "--period-ms" => match val("--period-ms").parse() {
-                Ok(v) => daemon.period = Duration::from_millis(v),
-                Err(_) => usage(),
-            },
-            "--linger-ms" => match val("--linger-ms").parse() {
-                Ok(v) => {
-                    daemon.linger = Duration::from_millis(v);
-                    tree.linger = daemon.linger;
-                }
-                Err(_) => usage(),
-            },
-            "--connect-timeout-ms" => match val("--connect-timeout-ms").parse() {
-                Ok(v) => {
-                    daemon.connect_timeout = Duration::from_millis(v);
-                    tree.connect_timeout = daemon.connect_timeout;
-                }
-                Err(_) => usage(),
-            },
-            "--nodes" => match val("--nodes").parse() {
-                Ok(v) => daemon.nodes = v,
-                Err(_) => usage(),
-            },
-            "--batch" => match val("--batch").parse() {
-                Ok(v) => {
-                    daemon.batch = v;
-                    tree.batch = v;
-                }
-                Err(_) => usage(),
-            },
-            "--flush-ms" => match val("--flush-ms").parse() {
-                Ok(v) => tree.flush_interval = Duration::from_millis(v),
-                Err(_) => usage(),
-            },
-            "--secret" => {
-                let secret = pdmap_transport::secret_from_str(&val("--secret"));
-                daemon.secret = Some(secret);
-                tree.secret = Some(secret);
-            }
-            "--obs-period" => match val("--obs-period").parse() {
-                Ok(v) => {
-                    let period = Some(Duration::from_millis(v));
-                    daemon.obs_period = period;
-                    tree.obs_period = period;
-                }
-                Err(_) => usage(),
-            },
-            "--obs-trace" => {
-                let path = std::path::PathBuf::from(val("--obs-trace"));
-                daemon.obs_trace = Some(path.clone());
-                tree.obs_trace = Some(path);
-            }
-            "--parent" => match val("--parent").parse() {
-                Ok(addr) => {
-                    daemon.parents.push(addr);
-                    tree.parents.push(addr);
-                }
-                Err(_) => usage(),
-            },
-            "--failover-ms" => match val("--failover-ms").parse() {
-                Ok(v) => {
-                    daemon.failover_timeout = Duration::from_millis(v);
-                    tree.failover_timeout = daemon.failover_timeout;
-                }
-                Err(_) => usage(),
-            },
-            "--replay-ring" => match val("--replay-ring").parse() {
-                Ok(v) => {
-                    daemon.replay_ring = v;
-                    tree.replay_ring = v;
-                }
-                Err(_) => usage(),
-            },
+            "--child" => tree.children.push(parse(val())),
+            "--listen" => upstream.listen = val(),
+            "--skew-ns" => upstream.skew_ns = parse(val()),
+            "--samples" => daemon.samples = parse(val()),
+            "--period-ms" => daemon.period = millis(val()),
+            "--linger-ms" => upstream.linger = millis(val()),
+            "--connect-timeout-ms" => upstream.connect_timeout = millis(val()),
+            "--nodes" => daemon.nodes = parse(val()),
+            "--batch" => batch = Some(parse(val())),
+            "--flush-ms" => tree.flush_interval = millis(val()),
+            "--secret" => upstream.secret = Some(pdmap_transport::secret_from_str(&val())),
+            "--obs-period" => upstream.obs_period = Some(millis(val())),
+            "--obs-trace" => upstream.obs_trace = Some(val().into()),
+            "--parent" => upstream.parents.push(parse(val())),
+            "--failover-ms" => upstream.failover_timeout = millis(val()),
+            "--replay-ring" => upstream.replay_ring = parse(val()),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("pdmapd: unknown flag '{other}'");
@@ -177,7 +120,7 @@ fn parse_args() -> Args {
     // A relay with no children is a *standby*: it binds, waits for a
     // parent, and adopts orphans that beacon it — but only when failover
     // is in play, otherwise it is a configuration mistake.
-    if relay && tree.children.is_empty() && tree.failover_timeout.is_zero() {
+    if relay && tree.children.is_empty() && upstream.failover_timeout.is_zero() {
         eprintln!("pdmapd: --relay without --child requires --failover-ms (standby mode)");
         usage();
     }
@@ -185,25 +128,23 @@ fn parse_args() -> Args {
         eprintln!("pdmapd: --child only makes sense with --relay");
         usage();
     }
-    Args {
-        relay,
-        daemon,
-        tree,
+    if relay {
+        Mode::Relay(RelayConfig {
+            upstream,
+            batch: batch.unwrap_or(tree.batch),
+            ..tree
+        })
+    } else {
+        Mode::Leaf(DaemonConfig {
+            upstream,
+            batch: batch.unwrap_or(daemon.batch),
+            ..daemon
+        })
     }
 }
 
-fn run_leaf(cfg: DaemonConfig) -> ExitCode {
-    let server = match pdmap_transport::TcpServer::bind_with_secret(&cfg.listen, cfg.secret) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("pdmapd: cannot bind {}: {e}", cfg.listen);
-            return ExitCode::from(EXIT_BIND);
-        }
-    };
-    println!("PDMAPD LISTENING {}", server.local_addr());
-    let _ = std::io::stdout().flush();
-
-    let report = serve(server, &cfg);
+fn run_leaf(server: Arc<TcpServer>, cfg: DaemonConfig) -> ExitCode {
+    let report = serve_until(server, &cfg, &AtomicBool::new(false));
     eprintln!(
         "pdmapd: connected={} samples={} batches={} probes={} steps={} graceful={} skew_ns={} \
          obs_samples={} obs_snapshots={} failovers={} replayed={} epoch={}",
@@ -213,7 +154,7 @@ fn run_leaf(cfg: DaemonConfig) -> ExitCode {
         report.probes_answered,
         report.workload_steps,
         report.graceful_shutdown,
-        cfg.skew_ns,
+        cfg.upstream.skew_ns,
         report.obs_samples_sent,
         report.obs_snapshots,
         report.failovers,
@@ -228,18 +169,8 @@ fn run_leaf(cfg: DaemonConfig) -> ExitCode {
     }
 }
 
-fn run_relay(cfg: RelayConfig) -> ExitCode {
-    let server = match pdmap_transport::TcpServer::bind_with_secret(&cfg.listen, cfg.secret) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("pdmapd: cannot bind {}: {e}", cfg.listen);
-            return ExitCode::from(EXIT_BIND);
-        }
-    };
-    println!("PDMAPD LISTENING {}", server.local_addr());
-    let _ = std::io::stdout().flush();
-
-    let report = pdmapd::serve_relay_until(server, &cfg, &AtomicBool::new(false));
+fn run_relay(server: Arc<TcpServer>, cfg: RelayConfig) -> ExitCode {
+    let report = serve_relay_until(server, &cfg, &AtomicBool::new(false));
     eprintln!(
         "pdmapd-relay: parent={} synced={}/{} forwarded={} batches={} goodbyes={} lost={} \
          graceful={} skew_ns={} obs_samples={} obs_snapshots={} failovers={} replayed={} \
@@ -252,7 +183,7 @@ fn run_relay(cfg: RelayConfig) -> ExitCode {
         report.child_goodbyes,
         report.samples_lost,
         report.graceful_shutdown,
-        cfg.skew_ns,
+        cfg.upstream.skew_ns,
         report.obs_samples_sent,
         report.obs_snapshots,
         report.failovers,
@@ -274,10 +205,22 @@ fn run_relay(cfg: RelayConfig) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let args = parse_args();
-    if args.relay {
-        run_relay(args.tree)
-    } else {
-        run_leaf(args.daemon)
+    let mode = parse_args();
+    let upstream = match &mode {
+        Mode::Leaf(cfg) => &cfg.upstream,
+        Mode::Relay(cfg) => &cfg.upstream,
+    };
+    let server = match upstream.bind() {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("pdmapd: cannot bind {}: {e}", upstream.listen);
+            return ExitCode::from(EXIT_BIND);
+        }
+    };
+    println!("PDMAPD LISTENING {}", server.local_addr());
+    let _ = std::io::stdout().flush();
+    match mode {
+        Mode::Leaf(cfg) => run_leaf(server, cfg),
+        Mode::Relay(cfg) => run_relay(server, cfg),
     }
 }

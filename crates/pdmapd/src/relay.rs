@@ -29,24 +29,31 @@
 //!    [`LinkLedger`], the type the tool keeps per connection, so the
 //!    rules are the same code at every level.
 //! 3. **Batched forwarding.** Samples travel upward in
-//!    [`SampleBatch`] frames (shared metric/focus dictionary,
-//!    delta-encoded stamps), so a relay with `F` children costs the
-//!    parent one frame per flush instead of one per sample. A flush sends
-//!    everything pending as one frame; [`RelayConfig::batch`] is the
-//!    pending count that triggers it, not a cap on the frame. Relayed
-//!    samples stay columns end to end: a child batch decodes to
-//!    [`BatchColumns`], its dictionary is remapped into the pending
-//!    [`BatchBuilder`] once per entry and its walls re-timed in one column
-//!    pass, and the flush encodes the columns directly.
+//!    [`SampleBatch`](pdmap_transport::SampleBatch) frames (shared
+//!    metric/focus dictionary, delta-encoded stamps), so a relay with `F`
+//!    children costs the parent one frame per flush instead of one per
+//!    sample. A flush sends everything pending as one frame;
+//!    [`RelayConfig::batch`] is the pending count that triggers it, not a
+//!    cap on the frame. Relayed samples stay columns end to end: a child
+//!    batch decodes to [`BatchColumns`], its dictionary is remapped into
+//!    the pending [`BatchBuilder`] once per entry and its walls re-timed
+//!    in one column pass, and the flush encodes the columns directly.
 //!
 //! Mapping information is forwarded too: dynamic allocation messages pass
 //! through verbatim, and PIF blobs are deduplicated by content — a fleet
 //! running one executable ships its static mapping once per relay, not
 //! once per leaf.
+//!
+//! Toward its parent a relay is a node like a leaf: it serves the parent
+//! link with the same session code (the `upstream` module — probe
+//! replies, seeds, failover wait, self-sampling, Goodbye). What is its own
+//! is the subtree: its children, the pending builder, coverage and
+//! topology, and one place (`RelaySession::serve_parent`) where it
+//! reacts to a seed or beacon the parent link brought.
 
-use crate::daemon_now;
-use crate::failover::{self, Uplink};
-use paradyn_tool::daemon::{is_beacon, DaemonMsg, LinkLedger};
+use crate::upstream::{Running, Upstream, UpstreamConfig};
+use paradyn_tool::daemon::{DaemonMsg, LinkLedger};
+use paradyn_tool::selfmap::{OBS_SUBTREE_LOST, OBS_SUBTREE_REPORTING, OBS_SUBTREE_TOTAL};
 use paradyn_tool::Coverage;
 use pdmap::columns::align;
 use pdmap_transport::{
@@ -57,83 +64,46 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Configuration for one relay process (CLI flags map onto this 1:1).
 #[derive(Clone, Debug)]
 pub struct RelayConfig {
-    /// Listen address for the parent (tool or higher relay); port 0 lets
-    /// the OS pick.
-    pub listen: String,
+    /// The link to the parent (tool or higher relay) above this relay.
+    pub upstream: UpstreamConfig,
     /// Child endpoints to dial — leaf daemons or further relays.
     pub children: Vec<SocketAddr>,
-    /// Injected skew (ns) on the relay's own reported clock, so tests can
-    /// prove the transitive correction does something.
-    pub skew_ns: i64,
     /// Flush threshold: once this many samples are pending, the next
-    /// flush sends them all upward as one [`SampleBatch`] frame (which
+    /// flush sends them all upward as one `SampleBatch` frame (which
     /// may carry more than `batch` samples when children deliver faster
     /// than the relay flushes).
     pub batch: u32,
     /// Flush a partial batch after this long, so a trickle of samples
     /// never waits for a full frame.
     pub flush_interval: Duration,
-    /// How long to wait for the parent to connect before giving up.
-    pub connect_timeout: Duration,
     /// Clock-probe rounds per child during the initial sync.
     pub sync_rounds: u32,
     /// Bound on the whole child sync phase (and on each drain-for-goodbye
     /// wait during shutdown).
     pub sync_timeout: Duration,
-    /// How long to keep answering parent probes after the subtree ends.
-    pub linger: Duration,
-    /// Shared secret for both the upward listener and the child dials.
-    pub secret: Option<[u8; 16]>,
     /// Transport tuning for the child dials (liveness timeout, reconnect
     /// policy). Tests shrink these so dead-child detection is immediate;
-    /// the secret is applied on top.
+    /// the upstream secret is applied on top.
     pub child_transport: TransportConfig,
-    /// Self-observation period: every this long, snapshot the relay's own
-    /// `pdmap-obs` registry (plus its subtree rollup) and enqueue it on
-    /// the upward stream. `None` (the default) sends none.
-    pub obs_period: Option<Duration>,
-    /// Write a `pdmap_obs::span_dump` of this process's spans here at
-    /// session end, for the merged fleet trace exporter.
-    pub obs_trace: Option<std::path::PathBuf>,
-    /// Standby parents, in escalation order. When the upstream link dies
-    /// and nobody re-adopts this relay within half of `failover_timeout`,
-    /// it beacons these addresses one by one, inviting a dial-back.
-    pub parents: Vec<SocketAddr>,
-    /// Total budget for surviving an upstream death: pause upward sends,
-    /// answer probes from whoever dials in, replay the ring on a watermark
-    /// seed. `Duration::ZERO` (the default) disables failover — an
-    /// upstream death ends the session as before.
-    pub failover_timeout: Duration,
-    /// Bound on the upward replay ring (batches retained for handover).
-    pub replay_ring: usize,
 }
 
 impl Default for RelayConfig {
     fn default() -> Self {
         Self {
-            listen: "127.0.0.1:0".into(),
+            upstream: UpstreamConfig::default(),
             children: Vec::new(),
-            skew_ns: 0,
             batch: 64,
             flush_interval: Duration::from_millis(5),
-            connect_timeout: Duration::from_secs(30),
             sync_rounds: 4,
             sync_timeout: Duration::from_secs(10),
-            linger: Duration::from_millis(500),
-            secret: None,
             child_transport: TransportConfig::default(),
-            obs_period: None,
-            obs_trace: None,
-            parents: Vec::new(),
-            failover_timeout: Duration::ZERO,
-            replay_ring: 64,
         }
     }
 }
@@ -147,7 +117,7 @@ pub struct RelayReport {
     pub children_synced: usize,
     /// Samples forwarded upward (the count the final Goodbye announces).
     pub samples_forwarded: u64,
-    /// Upward [`SampleBatch`] frames sent.
+    /// Upward `SampleBatch` frames sent.
     pub batches_sent: u64,
     /// Parent clock probes answered.
     pub probes_answered: u64,
@@ -222,62 +192,21 @@ impl Child {
 
 /// A relay running on a background thread (in-process stand-in for the
 /// `pdmapd --relay` binary, used by tests and the fleet bench).
-pub struct RunningRelay {
-    /// The bound upward listen address.
-    pub addr: SocketAddr,
-    server: Arc<TcpServer>,
-    stop: Arc<AtomicBool>,
-    handle: std::thread::JoinHandle<RelayReport>,
-}
+pub type RunningRelay = Running<RelayReport>;
 
-impl RunningRelay {
-    /// Waits for the relay to finish and returns its report, or the
-    /// panic's diagnostic if the serve thread panicked — a poisoned relay
-    /// is a report for the caller, never a second panic on the reaper.
-    pub fn join(self) -> Result<RelayReport, String> {
-        self.handle.join().map_err(crate::panic_diagnostic)
-    }
-
-    /// SIGTERM-equivalent: drain the subtree, flush, send the final
-    /// coverage + Goodbye upward, exit.
-    pub fn stop(&self) {
-        self.stop.store(true, Ordering::Release);
-    }
-
-    /// SIGKILL-equivalent: tears the upward transport down mid-session —
-    /// no flush, no Goodbye — and reaps the serve thread. The parent sees
-    /// the whole subtree go dark at once.
-    pub fn kill(self) -> Result<RelayReport, String> {
-        self.server.close();
-        self.stop.store(true, Ordering::Release);
-        self.handle.join().map_err(crate::panic_diagnostic)
-    }
-}
-
-/// Binds `cfg.listen` and runs [`serve_relay_until`] on a background
-/// thread.
+/// Binds `cfg.upstream.listen` and runs [`serve_relay_until`] on a
+/// background thread.
 pub fn spawn_relay(cfg: RelayConfig) -> std::io::Result<RunningRelay> {
-    let server = TcpServer::bind_with_secret(&cfg.listen, cfg.secret)?;
-    let addr = server.local_addr();
-    let stop = Arc::new(AtomicBool::new(false));
-    let handle = {
-        let server = server.clone();
-        let stop = stop.clone();
-        std::thread::Builder::new()
-            .name("pdmapd-relay".into())
-            .spawn(move || serve_relay_until(server, &cfg, &stop))?
-    };
-    Ok(RunningRelay {
-        addr,
-        server,
-        stop,
-        handle,
+    let server = cfg.upstream.bind()?;
+    Running::start(server, "pdmapd-relay", move |server, stop| {
+        serve_relay_until(server, &cfg, stop)
     })
 }
 
 /// Everything mutable the relay session threads through its loop.
 struct RelaySession<'a> {
-    server: &'a TcpServer,
+    /// The session with the parent: probes, seeds, the uplink, failover.
+    up: Upstream<'a>,
     cfg: &'a RelayConfig,
     report: RelayReport,
     children: Vec<Child>,
@@ -288,32 +217,19 @@ struct RelaySession<'a> {
     pifs_seen: HashSet<u64>,
     /// The last coverage sent upward, to only resend on change.
     last_coverage: Option<Coverage>,
-    /// Raised by a wire-level [`DaemonMsg::Shutdown`] from the parent.
-    shutdown_msg: bool,
-    /// Periodic self-sampling (None with `obs_period: None`).
-    obs: Option<crate::selfobs::SelfSampler>,
-    /// Upward batch sequencing, epoch, and the handover replay ring.
-    uplink: Uplink,
     /// Transport tuning for child dials — kept so adoption dials use the
     /// same liveness/secret settings as the configured children.
     tcfg: TransportConfig,
     /// `(epoch, child addrs)` last announced upward, to only resend the
     /// topology on membership or epoch change.
     last_topology: Option<(u64, Vec<String>)>,
-    /// Set by [`RelaySession::serve_parent`] when a watermark seed for
-    /// this relay arrived — the signal that a new parent adopted us.
-    reseeded: bool,
 }
 
 impl<'a> RelaySession<'a> {
     /// A session with no children yet, serving the parent on `server`.
     fn new(server: &'a TcpServer, cfg: &'a RelayConfig) -> Self {
-        let mut tcfg = cfg.child_transport;
-        if let Some(secret) = cfg.secret {
-            tcfg = tcfg.with_secret(secret);
-        }
         RelaySession {
-            server,
+            up: Upstream::new(server, &cfg.upstream, "relay"),
             cfg,
             report: RelayReport::default(),
             children: Vec::new(),
@@ -321,65 +237,25 @@ impl<'a> RelaySession<'a> {
             last_flush: Instant::now(),
             pifs_seen: HashSet::new(),
             last_coverage: None,
-            shutdown_msg: false,
-            obs: cfg.obs_period.map(|p| {
-                crate::selfobs::SelfSampler::new(
-                    p,
-                    paradyn_tool::selfmap::obs_focus("relay", &server.local_addr().to_string()),
-                )
-            }),
-            uplink: Uplink::new(cfg.replay_ring),
-            tcfg,
+            tcfg: cfg.upstream.dial_transport(cfg.child_transport),
             last_topology: None,
-            reseeded: false,
         }
     }
 
-    fn now(&self) -> u64 {
-        daemon_now(self.cfg.skew_ns)
-    }
-
-    /// Drains parent→relay frames: answers clock probes from the relay's
-    /// reported clock, notes a Shutdown request, and handles the two
-    /// topology roles that arrive on the upward socket — a watermark
-    /// **seed** from a parent that just adopted this relay (replay the
-    /// ring past it), and a **beacon** from an orphan asking this relay to
-    /// become its parent.
-    fn serve_parent(&mut self) {
-        while let Ok(Some(frame)) = self.server.try_recv() {
-            if frame.kind == FrameKind::Topology {
-                if let Ok(msg) = TopologyMsg::from_frame(&frame) {
-                    if is_beacon(&msg) {
-                        self.adopt_orphan(&msg);
-                    } else {
-                        let me = self.server.local_addr().to_string();
-                        if let Some(tc) = msg.children.iter().find(|c| c.addr == me) {
-                            self.report.batches_replayed += self
-                                .uplink
-                                .replay(self.server as &dyn Transport, tc.watermark);
-                            self.report.failovers += 1;
-                            self.reseeded = true;
-                            self.announce_topology(true);
-                        }
-                    }
-                }
-                continue;
-            }
-            match DaemonMsg::from_frame(&frame) {
-                Ok(DaemonMsg::ClockProbe { token, t_tool_ns }) => {
-                    let reply = DaemonMsg::ClockReply {
-                        token,
-                        t_tool_ns,
-                        t_daemon_ns: self.now(),
-                    };
-                    if send_wire(self.server as &dyn Transport, &reply).is_ok() {
-                        self.report.probes_answered += 1;
-                    }
-                }
-                Ok(DaemonMsg::Shutdown) => self.shutdown_msg = true,
-                _ => {}
-            }
+    /// Polls the parent link ([`Upstream::poll`]) in any phase and reacts:
+    /// adopts each beaconing orphan, and after a seed re-sends the
+    /// topology and the coverage, which the new parent lacks (unchanged
+    /// coverage would never be re-sent otherwise). True after a seed.
+    fn serve_parent(&mut self) -> bool {
+        let polled = self.up.poll();
+        for beacon in &polled.beacons {
+            self.adopt_orphan(beacon);
         }
+        if polled.seeded {
+            self.announce_topology(true);
+            self.report_coverage(true);
+        }
+        polled.seeded
     }
 
     /// Dials an adopted child at `tc.addr` — unless a live child already
@@ -409,7 +285,7 @@ impl<'a> RelaySession<'a> {
     fn adopt_orphan(&mut self, msg: &TopologyMsg) {
         if self.adopt(&msg.children[0]) {
             self.report.children_adopted += 1;
-            self.uplink.epoch += 1;
+            self.up.uplink.epoch += 1;
             self.announce_topology(true);
         }
     }
@@ -431,7 +307,7 @@ impl<'a> RelaySession<'a> {
             let adopted = plan.iter().filter(|tc| self.adopt(tc)).count();
             if adopted > 0 {
                 self.report.children_adopted += adopted;
-                self.uplink.epoch += 1;
+                self.up.uplink.epoch += 1;
                 self.announce_topology(true);
             }
         }
@@ -450,13 +326,13 @@ impl<'a> RelaySession<'a> {
             return;
         }
         let addrs: Vec<String> = live.iter().map(|c| c.addr.to_string()).collect();
-        let key = (self.uplink.epoch, addrs);
+        let key = (self.up.uplink.epoch, addrs);
         if !force && self.last_topology.as_ref() == Some(&key) {
             return;
         }
         let msg = TopologyMsg {
-            epoch: self.uplink.epoch,
-            origin: self.server.local_addr().to_string(),
+            epoch: self.up.uplink.epoch,
+            origin: self.up.addr.clone(),
             children: live
                 .iter()
                 .map(|c| {
@@ -469,43 +345,29 @@ impl<'a> RelaySession<'a> {
                 })
                 .collect(),
         };
-        if send_wire(self.server as &dyn Transport, &msg).is_ok() {
+        if send_wire(self.up.server as &dyn Transport, &msg).is_ok() {
             self.last_topology = Some(key);
         }
     }
 
-    /// The relay's own failover: the upstream link died, so pause upward
-    /// sends (children keep streaming into `pending`) and wait for a new
-    /// parent to dial in and seed a replay. At half the budget, beacon
-    /// the standby parents one by one. Returns true once re-adopted.
-    fn await_upstream(&mut self, stop: &AtomicBool) -> bool {
-        if self.cfg.failover_timeout.is_zero() {
-            return false;
+    /// Whether the link to the parent is up. When it died — the relay's
+    /// own failover — pause upward sends (children keep streaming into
+    /// `pending`) and wait for a new parent to dial in and seed a replay
+    /// (see [`Upstream::orphaned`]): true again once re-adopted.
+    fn parent_up(&mut self, stop: &AtomicBool) -> bool {
+        if self.up.server.is_alive() {
+            return true;
         }
-        let start = Instant::now();
-        let deadline = start + self.cfg.failover_timeout;
-        let mut next_beacon = start + self.cfg.failover_timeout / 2;
-        let spacing = self.cfg.failover_timeout / (2 * self.cfg.parents.len().max(1) as u32);
-        let mut standby = 0usize;
-        self.reseeded = false;
-        while Instant::now() < deadline && !stop.load(Ordering::Acquire) && !self.shutdown_msg {
-            self.serve_parent();
-            if self.reseeded {
-                self.reseeded = false;
+        let Some(mut wait) = self.up.orphaned() else {
+            return false;
+        };
+        while self.up.keep_waiting(&mut wait, stop) {
+            if self.serve_parent() {
                 return true;
             }
             for i in 0..self.children.len() {
                 self.pump_child(i);
             }
-            if standby < self.cfg.parents.len() && Instant::now() >= next_beacon {
-                let msg = self
-                    .uplink
-                    .beacon_msg(&self.server.local_addr().to_string());
-                failover::send_beacon(self.cfg.parents[standby], &msg, self.tcfg);
-                standby += 1;
-                next_beacon += spacing;
-            }
-            std::thread::sleep(Duration::from_millis(1));
         }
         false
     }
@@ -514,7 +376,7 @@ impl<'a> RelaySession<'a> {
     /// as the reference — the step that makes alignment transitive.
     fn probe_child(&mut self, i: usize) {
         let token = (i as u64) << 32 | u64::from(self.children[i].ledger.clock().rounds);
-        let t0 = self.now();
+        let t0 = self.up.now();
         let probe = DaemonMsg::ClockProbe {
             token,
             t_tool_ns: t0,
@@ -542,7 +404,7 @@ impl<'a> RelaySession<'a> {
                     if let Some((want, t0)) = child.pending_probe {
                         if token == want {
                             let clock = child.ledger.clock_mut();
-                            clock.observe(t0, t_daemon_ns, daemon_now(self.cfg.skew_ns));
+                            clock.observe(t0, t_daemon_ns, self.up.now());
                             child.pending_probe = None;
                             if clock.rounds >= self.cfg.sync_rounds {
                                 child.synced = true;
@@ -550,11 +412,12 @@ impl<'a> RelaySession<'a> {
                                 // An adopted child gets its watermark seed
                                 // the moment its clock is aligned — its
                                 // ring replay lands before live traffic.
-                                let origin = self.server.local_addr().to_string();
                                 let addr = child.addr.to_string();
-                                if let Some(seed) =
-                                    child.ledger.seed_msg(self.uplink.epoch, &origin, &addr)
-                                {
+                                if let Some(seed) = child.ledger.seed_msg(
+                                    self.up.uplink.epoch,
+                                    &self.up.addr,
+                                    &addr,
+                                ) {
                                     if send_wire(&*child.tx as &dyn Transport, &seed).is_ok() {
                                         child.ledger.seed_paid();
                                     }
@@ -603,7 +466,10 @@ impl<'a> RelaySession<'a> {
                 if self.pifs_seen.insert(h.finish()) {
                     // The payload is already an encoded `PifBlob`:
                     // forward it unchanged.
-                    let _ = self.server.send(FrameKind::PifBlob, frame.payload.clone());
+                    let _ = self
+                        .up
+                        .server
+                        .send(FrameKind::PifBlob, frame.payload.clone());
                 }
             }
             FrameKind::Daemon => match DaemonMsg::from_frame(frame) {
@@ -617,7 +483,7 @@ impl<'a> RelaySession<'a> {
                             value,
                         } => self.pending.push(metric, focus, align(wall, offset), value),
                         DaemonMsg::ArrayAllocated { .. } | DaemonMsg::ArrayFreed { .. } => {
-                            let _ = send_wire(self.server as &dyn Transport, &msg);
+                            let _ = send_wire(self.up.server as &dyn Transport, &msg);
                         }
                         _ => {}
                     }
@@ -628,22 +494,10 @@ impl<'a> RelaySession<'a> {
         }
     }
 
-    /// Composes the subtree's coverage from every child's books: a child
-    /// reports while its transport is alive or after it said Goodbye.
-    fn coverage(&self) -> Coverage {
-        self.children
-            .iter()
-            .map(|c| {
-                let reporting = c.ledger.announced_sent().is_some() || c.tx.is_alive();
-                c.ledger.coverage(reporting)
-            })
-            .sum()
-    }
-
     /// Sends [`DaemonMsg::SubtreeCoverage`] upward iff it changed since
     /// the last send (`force` for the final flush).
     fn report_coverage(&mut self, force: bool) {
-        let cov = self.coverage();
+        let cov = coverage(&self.children);
         if !force && self.last_coverage == Some(cov) {
             return;
         }
@@ -652,7 +506,7 @@ impl<'a> RelaySession<'a> {
             nodes_total: cov.nodes_total as u32,
             samples_lost: cov.samples_lost,
         };
-        if send_wire(self.server as &dyn Transport, &msg).is_ok() {
+        if send_wire(self.up.server as &dyn Transport, &msg).is_ok() {
             self.last_coverage = Some(cov);
         }
         self.report.samples_lost = cov.samples_lost;
@@ -688,69 +542,59 @@ impl<'a> RelaySession<'a> {
                 }
             })
             .collect();
-        if self.uplink.send(self.server as &dyn Transport, batch) {
+        if self.up.uplink.send(self.up.server, batch) {
             self.report.batches_sent += 1;
         }
         self.report.samples_forwarded += n;
         self.last_flush = Instant::now();
     }
 
-    /// If an obs period has elapsed, snapshots this relay's own registry
-    /// plus its subtree rollup and enqueues the rows on `pending` — the
-    /// interior node's health folded into the same upward stream as its
-    /// children's. Stamps are already on the relay clock (no rewrite),
-    /// and the ordinary [`RelaySession::flush`] counts the rows into
-    /// `samples_forwarded`, keeping conservation exact.
+    /// If an obs period has elapsed, enqueues this relay's own telemetry
+    /// plus its subtree rollup on `pending` ([`Upstream::sample_self`]) —
+    /// the interior node's health folded into the same upward stream as
+    /// its children's. Stamps are already on the relay clock (no
+    /// rewrite), and the ordinary [`RelaySession::flush`] counts the rows
+    /// into `samples_forwarded`, keeping conservation exact.
     fn sample_self(&mut self) {
-        let (mut rows, focus) = {
-            let Some(sampler) = self.obs.as_mut() else {
-                return;
-            };
-            let Some(rows) = sampler.due_rows() else {
-                return;
-            };
-            (rows, sampler.focus().to_string())
-        };
-        let cov = self.coverage();
-        rows.push((
-            paradyn_tool::selfmap::OBS_SUBTREE_REPORTING.into(),
-            cov.nodes_reporting as f64,
-        ));
-        rows.push((
-            paradyn_tool::selfmap::OBS_SUBTREE_TOTAL.into(),
-            cov.nodes_total as f64,
-        ));
-        rows.push((
-            paradyn_tool::selfmap::OBS_SUBTREE_LOST.into(),
-            cov.samples_lost as f64,
-        ));
-        let wall = daemon_now(self.cfg.skew_ns);
-        self.report.obs_samples_sent += rows.len() as u64;
-        for (metric, value) in rows {
-            self.pending.push(metric, focus.clone(), wall, value);
-        }
+        let children = &self.children;
+        let n = self.up.sample_self(&mut self.pending, || {
+            let cov = coverage(children);
+            vec![
+                (OBS_SUBTREE_REPORTING.into(), cov.nodes_reporting as f64),
+                (OBS_SUBTREE_TOTAL.into(), cov.nodes_total as f64),
+                (OBS_SUBTREE_LOST.into(), cov.samples_lost as f64),
+            ]
+        });
+        self.report.obs_samples_sent += u64::from(n);
     }
 }
 
+/// Composes the subtree's coverage from every child's books: a child
+/// reports while its transport is alive or after it said Goodbye.
+fn coverage(children: &[Child]) -> Coverage {
+    children
+        .iter()
+        .map(|c| {
+            let reporting = c.ledger.announced_sent().is_some() || c.tx.is_alive();
+            c.ledger.coverage(reporting)
+        })
+        .sum()
+}
+
 /// Session epilogue shared by every exit path: totals the children's books
-/// (Goodbyes, suppressed replays), records how many obs snapshots ran and
+/// (Goodbyes, suppressed replays) and the parent session's, which also
 /// writes the span dump if one was requested.
 fn finish(mut s: RelaySession<'_>) -> RelayReport {
-    s.report.epoch = s.uplink.epoch;
     for c in &s.children {
         s.report.child_goodbyes += usize::from(c.ledger.announced_sent().is_some());
         s.report.replays_suppressed += c.ledger.replays_suppressed();
     }
-    if let Some(sampler) = &s.obs {
-        s.report.obs_snapshots = sampler.snapshots;
-    }
-    if let Some(path) = &s.cfg.obs_trace {
-        let dump = pdmap_obs::span_dump(
-            &pdmap_obs::snapshot(),
-            crate::selfobs::SelfSampler::origin_delta_ns(s.cfg.skew_ns),
-        );
-        let _ = std::fs::write(path, dump);
-    }
+    s.up.close();
+    s.report.probes_answered = s.up.probes_answered;
+    s.report.failovers = s.up.failovers;
+    s.report.batches_replayed = s.up.batches_replayed;
+    s.report.epoch = s.up.uplink.epoch;
+    s.report.obs_snapshots = s.up.obs.map_or(0, |o| o.snapshots);
     s.report
 }
 
@@ -766,12 +610,8 @@ pub fn serve_relay_until(
     let mut s = RelaySession::new(&server, cfg);
 
     // Phase 0: wait for the parent, exactly like a leaf waits for its tool.
-    let deadline = Instant::now() + cfg.connect_timeout;
-    while server.connections() == 0 {
-        if Instant::now() >= deadline || stop.load(Ordering::Acquire) {
-            return finish(s);
-        }
-        std::thread::sleep(Duration::from_millis(1));
+    if !s.up.await_parent(stop) {
+        return finish(s);
     }
     s.report.parent_connected = true;
 
@@ -796,8 +636,7 @@ pub fn serve_relay_until(
             }
         }
         let all = s.children.iter().all(|c| c.synced || !c.tx.is_alive());
-        if all || Instant::now() >= sync_deadline || stop.load(Ordering::Acquire) || s.shutdown_msg
-        {
+        if all || Instant::now() >= sync_deadline || s.up.stopping(stop) {
             break;
         }
         std::thread::sleep(Duration::from_micros(500));
@@ -817,8 +656,11 @@ pub fn serve_relay_until(
     // is done (Goodbye, dark, or re-parented) or a shutdown is requested.
     // Children adopted mid-stream sync here; a dead child relay with a
     // known topology gets its subtree adopted; an upstream death enters
-    // the failover wait instead of ending the session (when budgeted). A
-    // standby relay (no children yet) keeps serving until told to stop.
+    // the failover wait instead of ending the session (when budgeted),
+    // and a seed — in the wait or here, when an adopter dials in before
+    // this relay noticed its parent died — re-sends coverage and topology
+    // from `serve_parent`. A standby relay (no children yet) keeps
+    // serving until told to stop.
     loop {
         s.serve_parent();
         for i in 0..s.children.len() {
@@ -834,16 +676,10 @@ pub fn serve_relay_until(
         s.sample_self();
         s.flush(false);
         s.report_coverage(false);
-        if stop.load(Ordering::Acquire) || s.shutdown_msg {
+        if s.up.stopping(stop) {
             break;
         }
-        if !server.is_alive() {
-            if s.await_upstream(stop) {
-                // A new parent folded us in: it has the replayed ring but
-                // not the last coverage snapshot — resend unconditionally.
-                s.report_coverage(true);
-                continue;
-            }
+        if !s.parent_up(stop) {
             break;
         }
         if !s.children.is_empty() && s.children.iter().all(Child::done) {
@@ -882,21 +718,19 @@ pub fn serve_relay_until(
     s.flush(true);
 
     // Phase 4: linger so parent probe rounds racing the end still get
-    // answers, then the final flush: last batch, final coverage, Goodbye
-    // announcing the forwarded count — in that order, so the parent's
-    // conservation check sees a complete ledger.
-    let linger_until = Instant::now() + cfg.linger;
-    while Instant::now() < linger_until && server.is_alive() && !s.shutdown_msg {
+    // answers — a stop request skips straight on — then the final flush:
+    // last batch, final coverage, Goodbye announcing the forwarded count —
+    // in that order, so the parent's conservation check sees a complete
+    // ledger.
+    let linger_until = Instant::now() + cfg.upstream.linger;
+    while Instant::now() < linger_until && server.is_alive() && !s.up.stopping(stop) {
         s.serve_parent();
         std::thread::sleep(Duration::from_millis(1));
     }
     s.serve_parent();
     s.flush(true);
     s.report_coverage(true);
-    let goodbye = DaemonMsg::Goodbye {
-        samples_sent: u32::try_from(s.report.samples_forwarded).unwrap_or(u32::MAX),
-    };
-    s.report.graceful_shutdown = send_wire(&*server as &dyn Transport, &goodbye).is_ok();
+    s.report.graceful_shutdown = s.up.goodbye(s.report.samples_forwarded);
     finish(s)
 }
 
@@ -945,5 +779,107 @@ mod tests {
         assert_eq!(s.children[0].ledger.samples_received(), 2);
         assert_eq!(s.pending.len(), 2);
         assert_eq!(s.report.decode_errors, 2);
+    }
+
+    /// Receives frames on `t` until `done` holds for one, returning every
+    /// frame before it; panics after 10 s.
+    fn frames_until(
+        t: &dyn Transport,
+        done: impl Fn(&pdmap_transport::Frame) -> bool,
+    ) -> Vec<pdmap_transport::Frame> {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut before = Vec::new();
+        loop {
+            match t.try_recv() {
+                Ok(Some(f)) if done(&f) => return before,
+                Ok(Some(f)) => before.push(f),
+                _ => {
+                    assert!(Instant::now() < deadline, "frame never arrived");
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_seed_in_the_stream_phase_resends_coverage_to_the_new_parent() {
+        let server = TcpServer::bind("127.0.0.1:0").expect("bind");
+        let cfg = RelayConfig::default();
+        let mut s = RelaySession::new(&server, &cfg);
+        // One dark child: the subtree reads 0/1.
+        let tcfg = TransportConfig {
+            reconnect: pdmap_transport::ReconnectPolicy {
+                max_attempts: 0,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let child = Child::link("127.0.0.1:9".parse().unwrap(), tcfg, LinkLedger::default());
+        child.tx.close();
+        s.children.push(child);
+        let is_coverage = |f: &pdmap_transport::Frame| {
+            matches!(
+                DaemonMsg::from_frame(f),
+                Ok(DaemonMsg::SubtreeCoverage { .. })
+            )
+        };
+
+        // The old parent received that coverage, then went away.
+        let old = TcpClient::connect(server.local_addr(), TransportConfig::default());
+        while server.connections() == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        s.report_coverage(false);
+        frames_until(&*old, is_coverage);
+        old.close();
+
+        // A new parent dials in and seeds the relay before the relay
+        // noticed the old link died: the seed lands in the main loop.
+        let new = TcpClient::connect(server.local_addr(), TransportConfig::default());
+        let seed = TopologyMsg {
+            epoch: 1,
+            origin: "tool".into(),
+            children: vec![TopoChild {
+                addr: server.local_addr().to_string(),
+                watermark: 0,
+                received: 0,
+            }],
+        };
+        send_wire(&*new as &dyn Transport, &seed).expect("send seed");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while s.up.failovers == 0 {
+            assert!(Instant::now() < deadline, "seed never applied");
+            // One main-loop pass.
+            s.serve_parent();
+            s.flush(false);
+            s.report_coverage(false);
+            std::thread::sleep(Duration::from_millis(1));
+        }
+
+        // A probe's reply marks the end of what the pass sent.
+        let probe = DaemonMsg::ClockProbe {
+            token: 7,
+            t_tool_ns: 0,
+        };
+        send_wire(&*new as &dyn Transport, &probe).expect("send probe");
+        while s.up.probes_answered == 0 {
+            assert!(Instant::now() < deadline, "probe never answered");
+            s.serve_parent();
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let sent = frames_until(&*new, |f| {
+            matches!(DaemonMsg::from_frame(f), Ok(DaemonMsg::ClockReply { .. }))
+        });
+        let kinds: Vec<_> = sent.iter().map(|f| f.kind).collect();
+        assert_eq!(kinds, vec![FrameKind::Topology, FrameKind::Daemon]);
+        assert_eq!(
+            DaemonMsg::from_frame(&sent[1]).unwrap(),
+            DaemonMsg::SubtreeCoverage {
+                nodes_reporting: 0,
+                nodes_total: 1,
+                samples_lost: 0,
+            },
+            "the new parent learns the subtree's coverage"
+        );
     }
 }

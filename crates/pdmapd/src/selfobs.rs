@@ -3,12 +3,15 @@
 //! Every `--obs-period`, a leaf or relay snapshots its own `pdmap-obs`
 //! registry and restates it as ordinary metric samples — span-site Time
 //! and Count rows under the `selfmap` metric names, named counters, and
-//! a perturbation estimate — all under a `Tool/<role>:<addr>` focus.
-//! The rows ride the same `SampleBatch` frames as application data, are
-//! clock-rewritten by relays like any other sample, and are counted into
-//! the sender's conservation ledger (`samples_sent` /
-//! `samples_forwarded`), so turning telemetry on cannot silently skew
-//! the loss accounting it is meant to illuminate.
+//! a perturbation estimate — all under a `Tool/<role>:<addr>` focus. The
+//! sampler belongs to the node's upstream session
+//! (`Upstream::sample_self`), which stamps the rows on the node's
+//! reported clock; a relay appends its subtree rollup. The rows ride the
+//! same `SampleBatch` frames as application data, are clock-rewritten by
+//! relays like any other sample, and are counted into the sender's
+//! conservation ledger (`samples_sent` / `samples_forwarded`), so turning
+//! telemetry on cannot silently skew the loss accounting it is meant to
+//! illuminate.
 //!
 //! Perturbation accounting follows `pdmap_obs::PerturbationReport`: the
 //! null span cost is calibrated **once** at sampler construction (a few

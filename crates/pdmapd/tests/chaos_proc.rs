@@ -162,6 +162,49 @@ fn exit_codes_are_distinct_per_failure_class() {
         .output()
         .expect("run pdmapd");
     assert_eq!(out.status.code(), Some(4), "no-tool session exit 4");
+
+    // The relay's classes: its own bad arguments → 2, bind failure → 3,
+    // session error (no parent ever connects) → 5.
+    let relay_exit = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_pdmapd"))
+            .args(args)
+            .output()
+            .expect("run pdmapd")
+            .status
+            .code()
+    };
+    assert_eq!(
+        relay_exit(&["--child", "127.0.0.1:9"]),
+        Some(2),
+        "--child without --relay exits 2"
+    );
+    assert_eq!(
+        relay_exit(&["--relay"]),
+        Some(2),
+        "--relay with neither --child nor --failover-ms exits 2"
+    );
+    assert_eq!(
+        relay_exit(&[
+            "--relay",
+            "--child",
+            "127.0.0.1:9",
+            "--listen",
+            "203.0.113.1:1"
+        ]),
+        Some(3),
+        "relay bind failure exit 3"
+    );
+    assert_eq!(
+        relay_exit(&[
+            "--relay",
+            "--child",
+            "127.0.0.1:9",
+            "--connect-timeout-ms",
+            "200"
+        ]),
+        Some(5),
+        "no-parent relay session exit 5"
+    );
 }
 
 #[test]

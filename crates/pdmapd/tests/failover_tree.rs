@@ -1,8 +1,8 @@
 //! Relay failover end to end: re-parenting orphaned subtrees with exact
 //! conservation through topology changes.
 //!
-//! Three drills, one per adoption path (ISSUE: no double count, no silent
-//! gap, through any topology change):
+//! Four drills, one per adoption path (no double count, no silent gap,
+//! through any topology change):
 //!
 //! * **Grandchild adoption.** In a 3-level tree (leaves → mid relays →
 //!   root relay → tool), SIGKILL one mid relay. The root adopts the dead
@@ -14,6 +14,11 @@
 //! * **Beaconed standby.** A leaf with an ordered standby list loses its
 //!   parent, beacons the standby relay, and is dialed back and adopted —
 //!   samples keep flowing through the new route with no duplicates.
+//! * **A relay's own failover.** In tool → root relay → mid relay →
+//!   leaves, SIGKILL the root. The tool adopts the mid relay from the
+//!   root's last announcement and seeds it; the mid relay, waiting out its
+//!   own failover budget, replays its ring past the seed, and the tool
+//!   ends with exactly what the leaves sent.
 //! * **Seeded fault plan.** A partition window plus duplicate injection
 //!   on an uplink, then a watermark-seeded replay: the sequence watermark
 //!   suppresses every transport-level duplicate, the replay fills every
@@ -26,7 +31,9 @@ use pdmap_transport::{
     send_wire, BatchSample, FaultInjector, FaultPlan, InProcEnd, ReconnectPolicy, SampleBatch,
     Transport, TransportConfig,
 };
-use pdmapd::{spawn, spawn_relay, DaemonConfig, RelayConfig, RunningDaemon, RunningRelay};
+use pdmapd::{
+    spawn, spawn_relay, DaemonConfig, RelayConfig, RunningDaemon, RunningRelay, UpstreamConfig,
+};
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -67,13 +74,16 @@ fn fast_policy() -> SupervisorPolicy {
 /// list it beacons when nobody shows up.
 fn failover_leaf(skew_ns: i64, parents: Vec<SocketAddr>) -> RunningDaemon {
     spawn(DaemonConfig {
-        skew_ns,
+        upstream: UpstreamConfig {
+            skew_ns,
+            linger: Duration::from_secs(20),
+            parents,
+            failover_timeout: Duration::from_secs(10),
+            ..UpstreamConfig::default()
+        },
         samples: 100_000,
         batch: 4,
         period: Duration::from_millis(1),
-        linger: Duration::from_secs(20),
-        parents,
-        failover_timeout: Duration::from_secs(10),
         ..DaemonConfig::default()
     })
     .expect("bind leaf")
@@ -81,13 +91,16 @@ fn failover_leaf(skew_ns: i64, parents: Vec<SocketAddr>) -> RunningDaemon {
 
 fn relay_over(children: Vec<SocketAddr>, skew_ns: i64) -> RunningRelay {
     spawn_relay(RelayConfig {
+        upstream: UpstreamConfig {
+            skew_ns,
+            linger: Duration::from_secs(20),
+            failover_timeout: Duration::from_secs(10),
+            ..UpstreamConfig::default()
+        },
         children,
-        skew_ns,
         batch: 16,
         flush_interval: Duration::from_millis(2),
-        linger: Duration::from_secs(20),
         child_transport: fast_transport(),
-        failover_timeout: Duration::from_secs(10),
         ..RelayConfig::default()
     })
     .expect("bind relay")
@@ -225,12 +238,15 @@ fn beaconed_standby_adopts_an_orphaned_leaf() {
     // Short failover budget so the beacon goes out quickly after the leaf
     // notices its parent died.
     let leaf = spawn(DaemonConfig {
+        upstream: UpstreamConfig {
+            linger: Duration::from_secs(20),
+            parents: vec![standby.addr],
+            failover_timeout: Duration::from_secs(4),
+            ..UpstreamConfig::default()
+        },
         samples: 100_000,
         batch: 4,
         period: Duration::from_millis(1),
-        linger: Duration::from_secs(20),
-        parents: vec![standby.addr],
-        failover_timeout: Duration::from_secs(4),
         ..DaemonConfig::default()
     })
     .expect("bind leaf");
@@ -288,6 +304,75 @@ fn beaconed_standby_adopts_an_orphaned_leaf() {
     let received = set.conn(0).samples_received() + set.conn(1).samples_received();
     assert!(received <= u64::from(leaf_rep.samples_sent));
     assert!(received >= 16, "both routes contributed");
+}
+
+#[test]
+fn tool_adopts_a_mid_relay_when_the_root_dies() {
+    let leaves: Vec<_> = [120_000_000i64, -120_000_000]
+        .iter()
+        .map(|&s| failover_leaf(s, Vec::new()))
+        .collect();
+    let mid = relay_over(vec![leaves[0].addr, leaves[1].addr], 70_000_000);
+    let root = relay_over(vec![mid.addr], -50_000_000);
+    let mut set = tool_over(&[root.addr], 2);
+    set.set_policy(SupervisorPolicy {
+        adopt_orphans: true,
+        ..fast_policy()
+    });
+    set.clock_sync(4, Duration::from_secs(15)).expect("sync");
+    let deadline = Instant::now() + Duration::from_secs(15);
+    loop {
+        set.pump_parallel();
+        let cov = set.coverage();
+        if (cov.nodes_reporting, cov.nodes_total) == (2, 2) && set.samples().len() >= 16 {
+            break;
+        }
+        assert!(Instant::now() < deadline, "tree never reported 2/2");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+
+    // SIGKILL the root: the supervisor quarantines it and adopts the mid
+    // relay from the root's last announcement, seeded with the source
+    // mark the root's batches carried; the stream resumes on the new link.
+    let _ = root.kill();
+    let deadline = Instant::now() + Duration::from_secs(25);
+    loop {
+        set.supervise();
+        set.pump_parallel();
+        let cov = set.coverage();
+        if set.reparents().len() == 1
+            && set.len() == 2
+            && (cov.nodes_reporting, cov.nodes_total) == (2, 2)
+            && set.conn(1).samples_received() >= 16
+        {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "mid relay never adopted: {cov}",
+            cov = set.coverage()
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+
+    let cov = set.shutdown_all(Duration::from_secs(15));
+    assert_eq!((cov.nodes_reporting, cov.nodes_total), (2, 2));
+    assert_eq!(cov.samples_lost, 0, "zero loss across the relay's handover");
+    let mid_rep = mid.join().expect("mid report");
+    assert_eq!(mid_rep.failovers, 1, "the mid relay was re-seeded once");
+    assert!(mid_rep.graceful_shutdown);
+    let mut total_sent = 0u64;
+    for l in leaves {
+        let rep = l.join().expect("leaf report");
+        assert!(rep.graceful_shutdown);
+        assert_eq!(rep.failovers, 0, "the leaves never lost their parent");
+        total_sent += u64::from(rep.samples_sent);
+    }
+    assert_eq!(
+        set.conn(0).samples_received() + set.conn(1).samples_received(),
+        total_sent,
+        "received == sent exactly, through the relay's re-parenting"
+    );
 }
 
 #[test]

@@ -24,7 +24,9 @@ use paradyn_tool::selfmap::{
 use paradyn_tool::{DaemonHealth, DaemonSet, DataManager, SupervisorPolicy};
 use pdmap::model::Namespace;
 use pdmap_transport::{ReconnectPolicy, TransportConfig};
-use pdmapd::{spawn, spawn_relay, DaemonConfig, RelayConfig, RunningDaemon, RunningRelay};
+use pdmapd::{
+    spawn, spawn_relay, DaemonConfig, RelayConfig, RunningDaemon, RunningRelay, UpstreamConfig,
+};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -62,12 +64,15 @@ fn fast_policy() -> SupervisorPolicy {
 /// A leaf that watches itself every 5 ms.
 fn obs_leaf(skew_ns: i64, samples: u32) -> RunningDaemon {
     spawn(DaemonConfig {
-        skew_ns,
+        upstream: UpstreamConfig {
+            skew_ns,
+            linger: Duration::from_secs(20),
+            obs_period: Some(Duration::from_millis(5)),
+            ..UpstreamConfig::default()
+        },
         samples,
         batch: 4,
         period: Duration::from_millis(1),
-        linger: Duration::from_secs(20),
-        obs_period: Some(Duration::from_millis(5)),
         ..DaemonConfig::default()
     })
     .expect("bind leaf")
@@ -76,13 +81,16 @@ fn obs_leaf(skew_ns: i64, samples: u32) -> RunningDaemon {
 /// A relay that rolls up its subtree's health every 5 ms.
 fn obs_relay_over(children: &[&RunningDaemon], skew_ns: i64) -> RunningRelay {
     spawn_relay(RelayConfig {
+        upstream: UpstreamConfig {
+            skew_ns,
+            linger: Duration::from_secs(20),
+            obs_period: Some(Duration::from_millis(5)),
+            ..UpstreamConfig::default()
+        },
         children: children.iter().map(|d| d.addr).collect(),
-        skew_ns,
         batch: 16,
         flush_interval: Duration::from_millis(2),
-        linger: Duration::from_secs(20),
         child_transport: fast_transport(),
-        obs_period: Some(Duration::from_millis(5)),
         ..RelayConfig::default()
     })
     .expect("bind relay")

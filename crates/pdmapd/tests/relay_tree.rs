@@ -19,7 +19,9 @@
 use paradyn_tool::{DaemonSet, DataManager, SupervisorPolicy};
 use pdmap::model::Namespace;
 use pdmap_transport::{ReconnectPolicy, TransportConfig};
-use pdmapd::{spawn, spawn_relay, DaemonConfig, RelayConfig, RunningDaemon, RunningRelay};
+use pdmapd::{
+    spawn, spawn_relay, DaemonConfig, RelayConfig, RunningDaemon, RunningRelay, UpstreamConfig,
+};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -56,11 +58,14 @@ fn fast_policy() -> SupervisorPolicy {
 
 fn leaf(skew_ns: i64, samples: u32) -> RunningDaemon {
     spawn(DaemonConfig {
-        skew_ns,
+        upstream: UpstreamConfig {
+            skew_ns,
+            linger: Duration::from_secs(20),
+            ..UpstreamConfig::default()
+        },
         samples,
         batch: 4,
         period: Duration::from_millis(1),
-        linger: Duration::from_secs(20),
         ..DaemonConfig::default()
     })
     .expect("bind leaf")
@@ -68,11 +73,14 @@ fn leaf(skew_ns: i64, samples: u32) -> RunningDaemon {
 
 fn relay_over(children: &[&RunningDaemon], skew_ns: i64) -> RunningRelay {
     spawn_relay(RelayConfig {
+        upstream: UpstreamConfig {
+            skew_ns,
+            linger: Duration::from_secs(20),
+            ..UpstreamConfig::default()
+        },
         children: children.iter().map(|d| d.addr).collect(),
-        skew_ns,
         batch: 16,
         flush_interval: Duration::from_millis(2),
-        linger: Duration::from_secs(20),
         child_transport: fast_transport(),
         ..RelayConfig::default()
     })
@@ -288,18 +296,24 @@ fn relay_sends_its_tail_before_lingering() {
     // its 60 s flush interval never elapses: only the end of the subtree
     // can send them, and it must do so before the 30 s linger.
     let leaf = spawn(DaemonConfig {
+        upstream: UpstreamConfig {
+            linger: Duration::from_millis(300),
+            ..UpstreamConfig::default()
+        },
         samples: 10,
         batch: 4,
         period: Duration::from_millis(1),
-        linger: Duration::from_millis(300),
         ..DaemonConfig::default()
     })
     .expect("bind leaf");
     let relay = spawn_relay(RelayConfig {
+        upstream: UpstreamConfig {
+            linger: Duration::from_secs(30),
+            ..UpstreamConfig::default()
+        },
         children: vec![leaf.addr],
         batch: 1000,
         flush_interval: Duration::from_secs(60),
-        linger: Duration::from_secs(30),
         child_transport: fast_transport(),
         ..RelayConfig::default()
     })

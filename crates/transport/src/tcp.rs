@@ -461,10 +461,6 @@ struct ServerShared {
     last_seen: Mutex<Instant>,
     closed: AtomicBool,
     next_seq: AtomicU64,
-    /// Total connections ever admitted (monotonic generation counter):
-    /// lets a session detect "a new parent has dialed in" after an old
-    /// one died, even when the connection count returns to its old value.
-    accepted: AtomicU64,
     stats: Arc<StatsCell>,
 }
 
@@ -500,7 +496,6 @@ impl TcpServer {
             last_seen: Mutex::new(Instant::now()),
             closed: AtomicBool::new(false),
             next_seq: AtomicU64::new(1),
-            accepted: AtomicU64::new(0),
             stats: Arc::new(StatsCell::default()),
         });
         {
@@ -529,13 +524,6 @@ impl TcpServer {
             c.alive.store(false, Ordering::Release);
             let _ = lock(&c.stream).shutdown(Shutdown::Both);
         }
-    }
-
-    /// Total connections ever admitted — a monotonic generation counter
-    /// that advances when a (new or returning) peer completes the
-    /// handshake, so sessions can notice a standby parent dialing in.
-    pub fn accepted(&self) -> u64 {
-        self.shared.accepted.load(Ordering::Acquire)
     }
 
     /// Number of currently live connections.
@@ -569,7 +557,6 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>) {
                 // connection.
                 if shared.secret.is_none() {
                     lock(&shared.conns).push(handle.clone());
-                    shared.accepted.fetch_add(1, Ordering::AcqRel);
                 }
                 let sh = shared.clone();
                 std::thread::Builder::new()
@@ -629,7 +616,6 @@ fn conn_loop(mut stream: TcpStream, handle: &Arc<ConnHandle>, shared: &Arc<Serve
             Some(id) => {
                 client_id = id;
                 lock(&shared.conns).push(handle.clone());
-                shared.accepted.fetch_add(1, Ordering::AcqRel);
             }
             None => {
                 shared.stats.on_auth_failure();

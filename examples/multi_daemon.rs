@@ -15,7 +15,7 @@
 use paradyn_tool::{export_shard_obs, DaemonSet, DataManager};
 use pdmap::model::Namespace;
 use pdmap_transport::TransportConfig;
-use pdmapd::{DaemonConfig, RunningDaemon};
+use pdmapd::{DaemonConfig, RunningDaemon, UpstreamConfig};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -26,10 +26,13 @@ fn main() {
         .iter()
         .map(|&skew_ns| {
             pdmapd::spawn(DaemonConfig {
-                skew_ns,
+                upstream: UpstreamConfig {
+                    skew_ns,
+                    linger: Duration::from_secs(2),
+                    ..UpstreamConfig::default()
+                },
                 samples: 5,
                 period: Duration::from_millis(4),
-                linger: Duration::from_secs(2),
                 ..DaemonConfig::default()
             })
             .expect("bind a daemon listener")

@@ -11,7 +11,7 @@
 use paradyn_tool::{DaemonHealth, DaemonSet, DataManager, SupervisorPolicy};
 use pdmap::model::Namespace;
 use pdmap_transport::{ReconnectPolicy, TcpClient, Transport, TransportConfig};
-use pdmapd::{DaemonConfig, RunningDaemon};
+use pdmapd::{DaemonConfig, RunningDaemon, UpstreamConfig};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -50,10 +50,13 @@ fn chaos_policy() -> SupervisorPolicy {
 
 fn daemon(skew_ns: i64, samples: u32) -> RunningDaemon {
     pdmapd::spawn(DaemonConfig {
-        skew_ns,
+        upstream: UpstreamConfig {
+            skew_ns,
+            linger: Duration::from_secs(10),
+            ..UpstreamConfig::default()
+        },
         samples,
         period: Duration::from_millis(5),
-        linger: Duration::from_secs(10),
         ..DaemonConfig::default()
     })
     .expect("bind daemon listener")

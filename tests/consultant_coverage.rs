@@ -22,7 +22,7 @@ use pdmap_transport::{
     send_wire, Backend, FaultInjector, FaultPlan, ReconnectPolicy, Transport, TransportConfig,
     WirePayload,
 };
-use pdmapd::{DaemonConfig, RunningDaemon};
+use pdmapd::{DaemonConfig, RunningDaemon, UpstreamConfig};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -50,10 +50,13 @@ fn tool_for(nodes: usize) -> Paradyn {
 
 fn daemon(skew_ns: i64, samples: u32) -> RunningDaemon {
     pdmapd::spawn(DaemonConfig {
-        skew_ns,
+        upstream: UpstreamConfig {
+            skew_ns,
+            linger: Duration::from_secs(10),
+            ..UpstreamConfig::default()
+        },
         samples,
         period: Duration::from_millis(5),
-        linger: Duration::from_secs(10),
         ..DaemonConfig::default()
     })
     .expect("bind daemon listener")

@@ -9,7 +9,7 @@ use pdmap_transport::{
     send_wire, Backend, FaultDecision, FaultInjector, FaultPlan, Transport, TransportConfig,
     WirePayload,
 };
-use pdmapd::{DaemonConfig, CLOCK_BASE_NS};
+use pdmapd::{DaemonConfig, UpstreamConfig, CLOCK_BASE_NS};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -18,10 +18,13 @@ fn session(skews: &[i64], samples: u32) -> (DaemonSet, Vec<pdmapd::RunningDaemon
         .iter()
         .map(|&skew_ns| {
             pdmapd::spawn(DaemonConfig {
-                skew_ns,
+                upstream: UpstreamConfig {
+                    skew_ns,
+                    linger: Duration::from_secs(3),
+                    ..UpstreamConfig::default()
+                },
                 samples,
                 period: Duration::from_millis(4),
-                linger: Duration::from_secs(3),
                 ..DaemonConfig::default()
             })
             .expect("bind daemon listener")
