@@ -637,7 +637,8 @@ fn chaos_main(opts: &Options) -> ExitCode {
     for i in 0..n {
         // `conn(i)` returns a lock guard; in edition 2021 an `if let`
         // scrutinee's temporaries live through the whole body, so a second
-        // `conn(i)` inside would self-deadlock. Bind both values first.
+        // `conn(i)` inside would panic as a second borrow. Bind both values
+        // first.
         let announced = set.conn(i).announced_sent();
         let received = set.conn(i).samples_received();
         if let Some(a) = announced {
@@ -817,7 +818,7 @@ fn conservation_audit(
     for i in 0..conns {
         // Two statements, not one match: `conn(i)` returns a lock guard,
         // and a guard born in a match scrutinee lives for every arm — the
-        // second `conn(i)` inside an arm would self-deadlock the session.
+        // second `conn(i)` inside an arm would panic as a second borrow.
         let announced = set.conn(i).announced_sent();
         let received = set.conn(i).samples_received();
         match announced {
@@ -1369,7 +1370,11 @@ fn health_session(
         &format!("{label}: every application sample arrived"),
         set.merged_samples()
             .iter()
-            .filter(|s| !s.focus.starts_with(paradyn_tool::selfmap::OBS_FOCUS_PREFIX))
+            .filter(|s| {
+                !s.focus
+                    .as_str()
+                    .starts_with(paradyn_tool::selfmap::OBS_FOCUS_PREFIX)
+            })
             .count()
             >= HEALTH_N * HEALTH_SAMPLES,
     );
@@ -1467,7 +1472,7 @@ fn health_main() -> ExitCode {
     let telemetry_samples = set
         .merged_samples()
         .iter()
-        .filter(|s| s.focus.starts_with(selfmap::OBS_FOCUS_PREFIX))
+        .filter(|s| s.focus.as_str().starts_with(selfmap::OBS_FOCUS_PREFIX))
         .count();
     let telemetry_share_pct = telemetry_samples as f64 * 100.0 / set.samples().len().max(1) as f64;
 

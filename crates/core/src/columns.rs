@@ -1,34 +1,32 @@
 //! Columnar (structure-of-arrays) sample storage — the tool's one sample
 //! store.
 //!
-//! A [`SampleColumns`] holds parallel `daemon`/`metric`/`focus`/`wall`/
-//! `aligned`/`value` columns instead of a vector of per-sample structs.
-//! Batches land via [`SampleColumns::extend_batch`]: the frame's small
-//! (metric, focus) dictionary is interned to [`Symbol`]s once, then the
+//! A [`SampleColumns`] holds parallel `daemon`/`key`/`wall`/`aligned`/
+//! `value` columns instead of a vector of per-sample structs: 32 bytes a
+//! row. Batches land via [`SampleColumns::extend_batch`]: the frame's
+//! small (metric, focus) dictionary is interned to [`Key`]s once, then the
 //! sample columns are bulk-appended with skew correction applied as a
 //! column pass — no per-sample string handling, no per-sample `Arc`
 //! refcount traffic. A loose sample is a one-row [`SampleColumns::push`].
 //! Downstream stages stay columnar: clock re-alignment
 //! ([`SampleColumns::realign_all`]), the merge of per-worker landings
 //! ([`SampleColumns::append`]), the merge order
-//! ([`SampleColumns::aligned_order`]), and the per-key fold with
-//! histogram fills and coverage interval widening
-//! ([`SampleColumns::fold`]). String names are materialized only at the
-//! render edge, via [`Symbol::as_str`].
+//! ([`SampleColumns::merge_walk`]), and the per-key fold with histogram
+//! fills and coverage interval widening ([`SampleColumns::fold`]). String
+//! names are materialized only at the render edge, via [`Symbol::as_str`].
 
-use crate::intern::{self, Symbol};
+use crate::intern::{self, Key, Symbol};
 use crate::interval::Interval;
-use crate::util::FxHashMap;
 use pdmap_transport::BatchColumns;
+use std::ops::Range;
 
-/// Parallel sample columns. All six columns always have equal length;
+/// Parallel sample columns. All five columns always have equal length;
 /// every mutator preserves that invariant, which is why the columns are
 /// private behind slice accessors.
 #[derive(Clone, Debug, Default)]
 pub struct SampleColumns {
     daemon: Vec<u32>,
-    metric: Vec<Symbol>,
-    focus: Vec<Symbol>,
+    key: Vec<Key>,
     wall: Vec<u64>,
     aligned: Vec<u64>,
     value: Vec<f64>,
@@ -47,8 +45,7 @@ impl SampleColumns {
     pub fn with_capacity(n: usize) -> Self {
         Self {
             daemon: Vec::with_capacity(n),
-            metric: Vec::with_capacity(n),
-            focus: Vec::with_capacity(n),
+            key: Vec::with_capacity(n),
             wall: Vec::with_capacity(n),
             aligned: Vec::with_capacity(n),
             value: Vec::with_capacity(n),
@@ -66,19 +63,21 @@ impl SampleColumns {
         self.wall.is_empty()
     }
 
+    /// Drops every row but keeps the columns' capacity, so columns reused
+    /// for the next landing write into pages already faulted in.
+    pub fn clear(&mut self) {
+        self.daemon.clear();
+        self.key.clear();
+        self.wall.clear();
+        self.aligned.clear();
+        self.value.clear();
+        self.max_value = 0.0;
+    }
+
     /// Appends one sample row.
-    pub fn push(
-        &mut self,
-        daemon: u32,
-        metric: Symbol,
-        focus: Symbol,
-        wall: u64,
-        aligned: u64,
-        value: f64,
-    ) {
+    pub fn push(&mut self, daemon: u32, key: Key, wall: u64, aligned: u64, value: f64) {
         self.daemon.push(daemon);
-        self.metric.push(metric);
-        self.focus.push(focus);
+        self.key.push(key);
         self.wall.push(wall);
         self.aligned.push(aligned);
         self.value.push(value);
@@ -88,32 +87,27 @@ impl SampleColumns {
     /// Bulk-appends a decoded wire batch from `daemon`, applying the
     /// daemon's clock offset as it lands (`aligned = wall − offset`,
     /// clamped at zero). The batch dictionary is interned once; each
-    /// sample then costs four integer column pushes and one float push.
+    /// sample then costs three integer column pushes and one float push.
     pub fn extend_batch(&mut self, daemon: u32, offset_ns: i64, batch: &BatchColumns) {
-        let dict: Vec<(Symbol, Symbol)> = batch
+        let dict: Vec<Key> = batch
             .dict
             .iter()
-            .map(|(m, f)| (intern::sym(m), intern::sym(f)))
+            .map(|(m, f)| intern::key(intern::sym(m), intern::sym(f)))
             .collect();
         let n = batch.len();
         self.daemon.resize(self.daemon.len() + n, daemon);
-        self.metric.reserve(n);
-        self.focus.reserve(n);
         self.value.extend_from_slice(&batch.value);
         self.max_value = batch.value.iter().copied().fold(self.max_value, f64::max);
         self.wall.extend_from_slice(&batch.wall);
         self.aligned
             .extend(batch.wall.iter().map(|&w| align(w, offset_ns)));
-        for &k in &batch.key {
-            let (m, f) = dict[k as usize];
-            self.metric.push(m);
-            self.focus.push(f);
-        }
+        self.key.extend(batch.key.iter().map(|&k| dict[k as usize]));
     }
 
     /// Re-applies skew correction to every sample in one pass, each under
     /// its daemon's offset: `offsets` is indexed by daemon id (daemons
-    /// beyond the table keep offset 0).
+    /// beyond the table keep offset 0). [`align`] is monotone at a fixed
+    /// offset, so a daemon's rows that were in aligned order stay so.
     pub fn realign_all(&mut self, offsets: &[i64]) {
         for i in 0..self.len() {
             let off = offsets.get(self.daemon[i] as usize).copied().unwrap_or(0);
@@ -121,24 +115,78 @@ impl SampleColumns {
         }
     }
 
-    /// Appends all of `other` — how per-worker landings merge.
+    /// Appends all of `other` — how per-worker landings merge. Keys are
+    /// process-wide ids, so this is a plain copy of every column.
     pub fn append(&mut self, other: &SampleColumns) {
         self.daemon.extend_from_slice(&other.daemon);
-        self.metric.extend_from_slice(&other.metric);
-        self.focus.extend_from_slice(&other.focus);
+        self.key.extend_from_slice(&other.key);
         self.wall.extend_from_slice(&other.wall);
         self.aligned.extend_from_slice(&other.aligned);
         self.value.extend_from_slice(&other.value);
         self.max_value = self.max_value.max(other.max_value);
     }
 
-    /// The rows' merge order: row indices stably sorted by aligned
-    /// (tool-clock) time, so same-instant samples keep arrival order. The
-    /// columns themselves stay in arrival order.
-    pub fn aligned_order(&self) -> Vec<u32> {
-        let mut perm: Vec<u32> = (0..self.len() as u32).collect();
-        perm.sort_by_key(|&i| self.aligned[i as usize]);
-        perm
+    /// The rows' merge order, as a walk: row indices in aligned (tool-clock)
+    /// time, same-instant rows in arrival order — exactly a stable sort of
+    /// the rows by aligned time, without an n-entry permutation.
+    ///
+    /// Each daemon's rows form one run. A daemon's rows normally arrive in
+    /// aligned order already, so its run is just its row ranges; a daemon
+    /// whose rows did not (a relay merging several children, a clock that
+    /// restarted) has its own rows sorted first. The walk then merges the
+    /// runs through a loser tree over their heads keyed by `(aligned,
+    /// row)`, so a tie across daemons breaks by arrival and each step costs
+    /// `log2(daemons)` comparisons, not a scan of every head. The columns
+    /// themselves stay in arrival order.
+    pub fn merge_walk(&self) -> MergeWalk<'_> {
+        struct Scan {
+            ranges: Vec<Range<u32>>,
+            ordered: bool,
+            last: u64,
+        }
+        let mut scans: Vec<Scan> = Vec::new();
+        let mut i = 0;
+        while i < self.len() {
+            let d = self.daemon[i] as usize;
+            let start = i;
+            while i < self.len() && self.daemon[i] as usize == d {
+                i += 1;
+            }
+            if scans.len() <= d {
+                scans.resize_with(d + 1, || Scan {
+                    ranges: Vec::new(),
+                    ordered: true,
+                    last: 0,
+                });
+            }
+            let scan = &mut scans[d];
+            let seg = &self.aligned[start..i];
+            scan.ordered &= scan.last <= seg[0] && seg.windows(2).all(|w| w[0] <= w[1]);
+            scan.last = seg[seg.len() - 1];
+            scan.ranges.push(start as u32..i as u32);
+        }
+        let runs = scans
+            .into_iter()
+            .map(|scan| {
+                if scan.ordered {
+                    return scan.ranges;
+                }
+                let mut rows: Vec<u32> = scan.ranges.into_iter().flatten().collect();
+                rows.sort_by_key(|&r| self.aligned[r as usize]);
+                let mut ranges: Vec<Range<u32>> = Vec::new();
+                for r in rows {
+                    match ranges.last_mut() {
+                        Some(last) if last.end == r => last.end += 1,
+                        _ => ranges.push(r..r + 1),
+                    }
+                }
+                ranges
+            })
+            .map(|ranges| Run {
+                ranges: ranges.into_iter(),
+                at: 0..0,
+            });
+        MergeWalk::new(&self.aligned, runs.collect())
     }
 
     /// The daemon column.
@@ -146,14 +194,9 @@ impl SampleColumns {
         &self.daemon
     }
 
-    /// The interned metric column.
-    pub fn metrics(&self) -> &[Symbol] {
-        &self.metric
-    }
-
-    /// The interned focus column.
-    pub fn foci(&self) -> &[Symbol] {
-        &self.focus
+    /// The interned (metric, focus) key column.
+    pub fn keys(&self) -> &[Key] {
+        &self.key
     }
 
     /// The sender-clock wall column (nanoseconds).
@@ -180,25 +223,150 @@ impl SampleColumns {
 
     /// Folds the columns into one [`KeyFold`] per (metric, focus) key, in
     /// first-seen order. "Last" means "latest delivered", not "latest on
-    /// the tool clock". Key comparisons are u32 pairs; no strings are
-    /// touched.
+    /// the tool clock". Each row indexes a slot table by its key id; no
+    /// row is hashed and no string is touched.
     pub fn fold(&self) -> Vec<((Symbol, Symbol), KeyFold)> {
-        // The two u32 symbol ids pack into one u64 hash key, so the
-        // per-sample lookup hashes a single integer.
-        let mut index: FxHashMap<u64, usize> = FxHashMap::default();
+        let pairs = intern::key_pairs();
+        let mut slot = vec![u32::MAX; pairs.len()];
         let mut out: Vec<((Symbol, Symbol), KeyFold)> = Vec::new();
         for i in 0..self.len() {
-            let key = (self.metric[i], self.focus[i]);
-            let packed = (key.0.index() as u64) << 32 | key.1.index() as u64;
-            let slot = *index.entry(packed).or_insert_with(|| {
-                out.push((key, KeyFold::default()));
-                out.len() - 1
-            });
-            out[slot].1.observe(self.aligned[i], self.value[i]);
+            let k = self.key[i].index();
+            if slot[k] == u32::MAX {
+                slot[k] = out.len() as u32;
+                out.push((pairs[k], KeyFold::default()));
+            }
+            out[slot[k] as usize]
+                .1
+                .observe(self.aligned[i], self.value[i]);
         }
         out
     }
 }
+
+/// One daemon's rows in merge order (see [`SampleColumns::merge_walk`]):
+/// the stretch being read and the stretches after it.
+struct Run {
+    ranges: std::vec::IntoIter<Range<u32>>,
+    at: Range<u32>,
+}
+
+impl Run {
+    #[inline]
+    fn next(&mut self) -> Option<u32> {
+        loop {
+            if let Some(row) = self.at.next() {
+                return Some(row);
+            }
+            self.at = self.ranges.next()?;
+        }
+    }
+}
+
+/// A run's head as a tournament key: aligned time, then row index. An
+/// exhausted run holds [`DONE`], which loses to every row.
+type Head = (u64, u32);
+const DONE: Head = (u64::MAX, u32::MAX);
+
+/// `a < b`, without branches: which run wins a match is a coin toss when
+/// daemons interleave finely, and a mispredicted branch costs more than
+/// evaluating both halves.
+#[inline]
+fn precedes(a: Head, b: Head) -> bool {
+    (a.0 < b.0) | ((a.0 == b.0) & (a.1 < b.1))
+}
+
+/// The merge order of a [`SampleColumns`], one row index at a time: see
+/// [`SampleColumns::merge_walk`].
+pub struct MergeWalk<'a> {
+    aligned: &'a [u64],
+    runs: Vec<Run>,
+    /// Each run's head ([`DONE`] past its end, and for padding runs).
+    heads: Vec<Head>,
+    /// A loser tree over the heads: node `n`'s children are `2n` and
+    /// `2n + 1`, the leaves sit at `width + run`, and each inner node
+    /// holds the run that lost the match there; `winner` won them all.
+    losers: Vec<u32>,
+    winner: u32,
+    width: usize,
+    left: usize,
+}
+
+impl<'a> MergeWalk<'a> {
+    fn new(aligned: &'a [u64], mut runs: Vec<Run>) -> Self {
+        let width = runs.len().next_power_of_two();
+        let mut heads = vec![DONE; width];
+        for (head, run) in heads.iter_mut().zip(&mut runs) {
+            if let Some(row) = run.next() {
+                *head = Self::head(aligned, row);
+            }
+        }
+        // Play the first tournament bottom-up, keeping each match's loser.
+        let mut won = vec![0u32; 2 * width];
+        for run in 0..width {
+            won[width + run] = run as u32;
+        }
+        let mut losers = vec![0u32; width];
+        for n in (1..width).rev() {
+            let (a, b) = (won[2 * n], won[2 * n + 1]);
+            let b_wins = precedes(heads[b as usize], heads[a as usize]);
+            won[n] = if b_wins { b } else { a };
+            losers[n] = if b_wins { a } else { b };
+        }
+        MergeWalk {
+            aligned,
+            runs,
+            heads,
+            losers,
+            winner: won[1],
+            width,
+            left: aligned.len(),
+        }
+    }
+
+    #[inline]
+    fn head(aligned: &[u64], row: u32) -> Head {
+        (aligned[row as usize], row)
+    }
+}
+
+impl Iterator for MergeWalk<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        let run = self.winner as usize;
+        let head = self.heads[run];
+        if head == DONE {
+            return None;
+        }
+        let mut key = match self.runs[run].next() {
+            Some(row) => Self::head(self.aligned, row),
+            None => DONE,
+        };
+        self.heads[run] = key;
+        // Replay the winner's matches on its way to the root.
+        let mut winner = run as u32;
+        let mut n = (self.width + run) / 2;
+        while n > 0 {
+            let loser = self.losers[n];
+            let loser_key = self.heads[loser as usize];
+            let swap = precedes(loser_key, key);
+            self.losers[n] = if swap { winner } else { loser };
+            winner = if swap { loser } else { winner };
+            key = if swap { loser_key } else { key };
+            n /= 2;
+        }
+        self.winner = winner;
+        self.left -= 1;
+        Some(head.1 as usize)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for MergeWalk<'_> {}
 
 /// Skew correction: sender wall minus the estimated offset, clamped at
 /// zero (a daemon whose clock runs behind the tool cannot produce samples
@@ -281,6 +449,7 @@ impl KeyFold {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::util::SplitMix64;
 
     fn batch() -> BatchColumns {
         BatchColumns {
@@ -297,6 +466,11 @@ mod tests {
         }
     }
 
+    /// Interns the pair `(metric, focus)` as a key.
+    fn key(metric: &str, focus: &str) -> Key {
+        intern::key(intern::sym(metric), intern::sym(focus))
+    }
+
     #[test]
     fn extend_batch_interns_once_and_aligns_on_landing() {
         let mut cols = SampleColumns::new();
@@ -305,11 +479,12 @@ mod tests {
         assert_eq!(cols.daemons(), &[7, 7, 7, 7]);
         assert_eq!(cols.aligneds(), &[900, 1_000, 1_100, 1_200]);
         assert_eq!(cols.walls(), &[1_000, 1_100, 1_200, 1_300]);
-        assert_eq!(cols.metrics()[0].as_str(), "Messages");
-        assert_eq!(cols.foci()[1].as_str(), "Machine/node#1");
-        // Repeated keys share one symbol pair.
-        assert_eq!(cols.metrics()[0], cols.metrics()[2]);
-        assert_eq!(cols.foci()[0], cols.foci()[2]);
+        let (m, f) = cols.keys()[1].pair();
+        assert_eq!((m.as_str(), f.as_str()), ("Messages", "Machine/node#1"));
+        // Repeated keys share one id, the same id a loose sample gets.
+        assert_eq!(cols.keys()[0], cols.keys()[2]);
+        assert_eq!(cols.keys()[0], key("Messages", "<whole program>"));
+        assert_ne!(cols.keys()[0], cols.keys()[1]);
         // Negative corrected times clamp at zero.
         let mut late = SampleColumns::new();
         late.extend_batch(0, 2_000, &batch());
@@ -336,37 +511,109 @@ mod tests {
     }
 
     #[test]
-    fn append_and_aligned_order_merge_landings() {
-        let m = intern::sym("m");
-        let fa = intern::sym("a");
-        let fb = intern::sym("b");
+    fn append_and_merge_walk_merge_landings() {
+        let (ka, kb) = (key("m", "a"), key("m", "b"));
         let mut s0 = SampleColumns::new();
-        s0.push(0, m, fa, 30, 30, 1.0);
-        s0.push(0, m, fa, 10, 10, 2.0);
+        s0.push(0, ka, 30, 30, 1.0);
+        s0.push(0, ka, 10, 10, 2.0);
         let mut s1 = SampleColumns::new();
-        s1.push(1, m, fb, 10, 10, 3.0);
+        s1.push(1, kb, 10, 10, 3.0);
         let mut merged = SampleColumns::new();
         merged.append(&s0);
         merged.append(&s1);
         assert_eq!(merged.daemons(), &[0, 0, 1], "append keeps arrival order");
-        // Stable: the tie at t=10 keeps arrival order (s0 before s1).
-        assert_eq!(merged.aligned_order(), vec![1, 2, 0]);
+        assert_eq!(merged.keys(), &[ka, ka, kb], "keys copy as ids");
+        // Daemon 0's rows are out of order, so its run is sorted first;
+        // the tie at t=10 keeps arrival order (s0 before s1).
+        assert_eq!(merged.merge_walk().collect::<Vec<_>>(), vec![1, 2, 0]);
+        assert_eq!(merged.merge_walk().len(), 3, "the walk knows its length");
+        assert_eq!(SampleColumns::new().merge_walk().next(), None);
+    }
+
+    /// The reference merge order: row indices stably sorted by aligned time.
+    fn stable_sort_order(cols: &SampleColumns) -> Vec<usize> {
+        let mut perm: Vec<usize> = (0..cols.len()).collect();
+        perm.sort_by_key(|&i| cols.aligneds()[i]);
+        perm
+    }
+
+    /// A seeded random store shaped like a session's: up to 5 daemons
+    /// whose rows land in chunks of 1-8 interleaved across daemons, each
+    /// stamped from its own rising clock with coarse steps so that rows
+    /// tie within and across daemons. Daemon 2 never sends (an empty
+    /// link) and, when `disorder` holds, daemon 3's clock jumps back
+    /// mid-stream (a restart), so its rows are out of aligned order.
+    fn random_store(seed: u64, disorder: bool) -> SampleColumns {
+        let mut rng = SplitMix64::new(seed);
+        let daemons = 1 + rng.usize_in(0..5) as u32;
+        let k = key("m", "f");
+        let mut clock = vec![0u64; daemons as usize];
+        let mut cols = SampleColumns::new();
+        let rows = rng.usize_in(0..400);
+        while cols.len() < rows {
+            let d = rng.usize_in(0..daemons as usize) as u32;
+            if d == 2 {
+                continue;
+            }
+            for _ in 0..1 + rng.usize_in(0..8) {
+                if disorder && d == 3 && rng.usize_in(0..40) == 0 {
+                    clock[3] /= 2;
+                }
+                clock[d as usize] += 10 * rng.usize_in(0..3) as u64;
+                let wall = clock[d as usize];
+                cols.push(d, k, wall, wall, cols.len() as f64);
+            }
+        }
+        cols
+    }
+
+    #[test]
+    fn merge_walk_visits_rows_in_stable_sort_order() {
+        let mut disordered = 0;
+        for seed in 0..300u64 {
+            let mut cols = random_store(seed, seed % 2 == 1);
+            let walked: Vec<usize> = cols.merge_walk().collect();
+            assert_eq!(walked, stable_sort_order(&cols), "seed {seed}");
+            let d3: Vec<u64> = (0..cols.len())
+                .filter(|&i| cols.daemons()[i] == 3)
+                .map(|i| cols.aligneds()[i])
+                .collect();
+            disordered += usize::from(d3.windows(2).any(|w| w[0] > w[1]));
+            // Realignment moves each daemon by its own offset (and clamps
+            // some rows to zero): the walk still matches the sort.
+            cols.realign_all(&[0, 25, -40, 1_000, 5]);
+            let walked: Vec<usize> = cols.merge_walk().collect();
+            assert_eq!(walked, stable_sort_order(&cols), "seed {seed}, realigned");
+        }
+        assert!(disordered > 10, "the stores exercise the sorted fallback");
+    }
+
+    #[test]
+    fn clear_keeps_capacity_and_resets_the_running_max() {
+        let mut cols = SampleColumns::new();
+        cols.extend_batch(0, 0, &batch());
+        let cap = cols.walls().as_ptr();
+        cols.clear();
+        assert!(cols.is_empty());
+        assert_eq!(cols.max_value(), 0.0);
+        cols.extend_batch(1, 0, &batch());
+        assert_eq!(cols.walls().as_ptr(), cap, "the same allocation is reused");
+        assert_eq!(cols.daemons(), &[1, 1, 1, 1]);
     }
 
     #[test]
     fn running_max_equals_a_fold_of_the_value_column() {
-        let m = intern::sym("m");
-        let f = intern::sym("f");
+        let k = key("m", "f");
         let scan = |c: &SampleColumns| c.values().iter().copied().fold(0.0, f64::max);
         let mut cols = SampleColumns::new();
         assert_eq!(cols.max_value(), 0.0, "empty columns start at 0.0");
-        cols.push(0, m, f, 1, 1, -5.0);
+        cols.push(0, k, 1, 1, -5.0);
         assert_eq!(cols.max_value(), scan(&cols), "a negative value keeps 0.0");
         cols.extend_batch(1, 0, &batch());
         assert_eq!((cols.max_value(), scan(&cols)), (4.0, 4.0));
-        cols.push(2, m, f, 2, 2, 2.5);
+        cols.push(2, k, 2, 2, 2.5);
         let mut landing = SampleColumns::new();
-        landing.push(3, m, f, 3, 3, 9.5);
+        landing.push(3, k, 3, 3, 9.5);
         landing.extend_batch(3, 10, &batch());
         cols.append(&landing);
         assert_eq!((cols.max_value(), scan(&cols)), (9.5, 9.5));

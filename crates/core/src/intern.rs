@@ -17,6 +17,13 @@
 //! lock at the call site. The leak is bounded by the number of *distinct*
 //! names a session ever sees — the same bound the old `String`-keyed maps
 //! paid in live memory, paid here exactly once.
+//!
+//! The same table interns (metric, focus) symbol pairs to dense [`Key`]s,
+//! the sample store's one key column: every landing in the process shares
+//! the ids, so merging landings is a plain column copy, and per-key
+//! grouping indexes a table by key instead of hashing every row. A key
+//! interned after the freeze is counted in
+//! [`SymbolTable::post_freeze_key_interns`], the way a late name is.
 
 use crate::util::{FxHashMap, RwLock};
 use std::fmt;
@@ -55,9 +62,29 @@ impl fmt::Display for Symbol {
     }
 }
 
+/// A dense id for one interned (metric, focus) [`Symbol`] pair. Two keys
+/// from the same process are equal iff their pairs are equal.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
+pub struct Key(u32);
+
+impl Key {
+    /// Dense index for direct storage (keys are handed out 0, 1, 2, …).
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+
+    /// The (metric, focus) pair. Each call takes the table's read lock;
+    /// a pass over many rows reads [`key_pairs`] once instead.
+    pub fn pair(self) -> (Symbol, Symbol) {
+        table().key_pair(self)
+    }
+}
+
 struct Inner {
     by_name: FxHashMap<&'static str, Symbol>,
     names: Vec<&'static str>,
+    by_key: FxHashMap<(Symbol, Symbol), Key>,
+    keys: Vec<(Symbol, Symbol)>,
 }
 
 /// The intern table itself. Normal code uses the process-global instance
@@ -67,6 +94,7 @@ pub struct SymbolTable {
     inner: RwLock<Inner>,
     frozen: AtomicBool,
     post_freeze: AtomicU64,
+    post_freeze_keys: AtomicU64,
 }
 
 impl SymbolTable {
@@ -76,9 +104,12 @@ impl SymbolTable {
             inner: RwLock::new(Inner {
                 by_name: FxHashMap::default(),
                 names: Vec::new(),
+                by_key: FxHashMap::default(),
+                keys: Vec::new(),
             }),
             frozen: AtomicBool::new(false),
             post_freeze: AtomicU64::new(0),
+            post_freeze_keys: AtomicU64::new(0),
         }
     }
 
@@ -107,6 +138,40 @@ impl SymbolTable {
     /// The symbol for `name` if it was ever interned, without interning.
     pub fn lookup(&self, name: &str) -> Option<Symbol> {
         self.inner.read().by_name.get(name).copied()
+    }
+
+    /// Interns the (metric, focus) pair, returning its key — the same
+    /// double-checked read-then-write path as [`SymbolTable::intern`].
+    pub fn intern_key(&self, metric: Symbol, focus: Symbol) -> Key {
+        let pair = (metric, focus);
+        if let Some(&k) = self.inner.read().by_key.get(&pair) {
+            return k;
+        }
+        let mut g = self.inner.write();
+        if let Some(&k) = g.by_key.get(&pair) {
+            return k;
+        }
+        let key = Key(g.keys.len() as u32);
+        g.keys.push(pair);
+        g.by_key.insert(pair, key);
+        if self.frozen.load(Ordering::Relaxed) {
+            self.post_freeze_keys.fetch_add(1, Ordering::Relaxed);
+        }
+        key
+    }
+
+    /// The (metric, focus) pair behind `key`.
+    ///
+    /// # Panics
+    /// On a key that was never handed out by this table.
+    pub fn key_pair(&self, key: Key) -> (Symbol, Symbol) {
+        self.inner.read().keys[key.index()]
+    }
+
+    /// Every interned pair, indexed by [`Key::index`]: a copy taken under
+    /// one read lock, so a pass over many rows resolves keys lock-free.
+    pub fn key_pairs(&self) -> Vec<(Symbol, Symbol)> {
+        self.inner.read().keys.clone()
     }
 
     /// The string behind `sym`.
@@ -144,6 +209,13 @@ impl SymbolTable {
     pub fn post_freeze_interns(&self) -> u64 {
         self.post_freeze.load(Ordering::Relaxed)
     }
+
+    /// How many (metric, focus) keys were interned after the freeze: a
+    /// pair first seen on the wire, even when both of its names were
+    /// imported before the freeze.
+    pub fn post_freeze_key_interns(&self) -> u64 {
+        self.post_freeze_keys.load(Ordering::Relaxed)
+    }
 }
 
 impl Default for SymbolTable {
@@ -158,6 +230,7 @@ impl fmt::Debug for SymbolTable {
             .field("len", &self.len())
             .field("frozen", &self.is_frozen())
             .field("post_freeze_interns", &self.post_freeze_interns())
+            .field("post_freeze_key_interns", &self.post_freeze_key_interns())
             .finish()
     }
 }
@@ -171,6 +244,16 @@ pub fn table() -> &'static SymbolTable {
 /// Interns `name` in the global table.
 pub fn sym(name: &str) -> Symbol {
     table().intern(name)
+}
+
+/// Interns the (metric, focus) pair in the global table.
+pub fn key(metric: Symbol, focus: Symbol) -> Key {
+    table().intern_key(metric, focus)
+}
+
+/// Every pair of the global table, indexed by [`Key::index`].
+pub fn key_pairs() -> Vec<(Symbol, Symbol)> {
+    table().key_pairs()
 }
 
 /// Looks `name` up in the global table without interning it.
@@ -222,6 +305,24 @@ mod tests {
         // Re-interning an existing name after freeze is a pure read.
         t.intern("static");
         assert_eq!(t.post_freeze_interns(), 1);
+    }
+
+    #[test]
+    fn keys_collapse_per_pair_and_count_late_interns() {
+        let t = SymbolTable::new();
+        let (m, f, g) = (t.intern("M"), t.intern("/a"), t.intern("/b"));
+        let a = t.intern_key(m, f);
+        assert_eq!(t.intern_key(m, f), a, "one key per pair");
+        let b = t.intern_key(m, g);
+        assert_ne!(a, b);
+        assert_eq!(t.key_pair(b), (m, g));
+        assert_eq!(t.key_pairs(), vec![(m, f), (m, g)]);
+        t.freeze();
+        t.intern_key(m, f);
+        assert_eq!(t.post_freeze_key_interns(), 0, "a known pair is a read");
+        t.intern_key(f, m);
+        assert_eq!(t.post_freeze_key_interns(), 1, "a new pair of old names");
+        assert_eq!(t.post_freeze_interns(), 0, "no name was new");
     }
 
     #[test]

@@ -190,13 +190,14 @@ impl LocalSas {
         }
     }
 
-    /// Returns the atom-match mask for `sid`, computing and caching it if
-    /// stale.
-    fn match_mask(&mut self, sid: SentenceId) -> BitSet {
+    /// Brings the cached atom-match mask for `sid` up to date, computing
+    /// it if stale. Callers then read `match_cache[sid]` in place, borrowed
+    /// apart from the atoms and questions they update, so an activation
+    /// allocates nothing.
+    fn refresh_mask(&mut self, sid: SentenceId) {
         self.ensure_sentence_slot(sid);
-        let (ver, mask) = &self.match_cache[sid.index()];
-        if *ver == self.cache_version {
-            return mask.clone();
+        if self.match_cache[sid.index()].0 == self.cache_version {
+            return;
         }
         // Zero-clone: the pattern probes only read the sentence, so borrow
         // it in place instead of cloning its noun list per recompute.
@@ -210,14 +211,14 @@ impl LocalSas {
             }
             mask
         });
-        self.match_cache[sid.index()] = (self.cache_version, mask.clone());
-        mask
+        self.match_cache[sid.index()] = (self.cache_version, mask);
     }
 
     /// Notifies the SAS that `sid` has become active.
     pub fn activate(&mut self, sid: SentenceId) {
         self.stats.activations += 1;
-        let mask = self.match_mask(sid);
+        self.refresh_mask(sid);
+        let mask = &self.match_cache[sid.index()].1;
         if self.filter_uninteresting && mask.is_empty() {
             self.stats.filtered += 1;
             return;
@@ -255,7 +256,8 @@ impl LocalSas {
             self.stats.unbalanced_deactivations += 1;
             return;
         }
-        let mask = self.match_mask(sid);
+        self.refresh_mask(sid);
+        let mask = &self.match_cache[sid.index()].1;
         let count = &mut self.counts[sid.index()];
         *count -= 1;
         if *count == 0 {
@@ -474,7 +476,8 @@ impl LocalSas {
     /// pruning mechanism (§4.2.4 limitation 2: uninteresting notifications
     /// can be dynamically removed from the executing code).
     pub fn is_interesting(&mut self, sid: SentenceId) -> bool {
-        !self.match_mask(sid).is_empty()
+        self.refresh_mask(sid);
+        !self.match_cache[sid.index()].1.is_empty()
     }
 }
 

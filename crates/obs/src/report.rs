@@ -17,18 +17,43 @@ pub const CALIBRATION_COMPONENT: &str = "obs";
 /// Verb of the calibration site.
 pub const CALIBRATION_VERB: &str = "calibrate";
 
+/// Short batches [`calibrate_null_span_ns`] splits its rounds into.
+const CALIBRATION_BATCHES: u32 = 8;
+
 /// Measures the fixed cost of recording one span by timing `rounds`
-/// back-to-back null spans at the `obs`/`calibrate` site. Returns the
-/// mean cost in ns (at least 1).
+/// back-to-back null spans at the `obs`/`calibrate` site, in eight short
+/// batches. Returns the median of the batches' per-span costs in ns (at
+/// least 1): a preemption inside one batch inflates that batch alone,
+/// where one timed batch would carry it into every estimate built on the
+/// result.
 pub fn calibrate_null_span_ns(rounds: u32) -> u64 {
     let rounds = rounds.max(1);
     let site = span_site(CALIBRATION_COMPONENT, CALIBRATION_VERB);
-    let start = now_ns();
-    for _ in 0..rounds {
-        let _g = span(&site);
+    let batches = CALIBRATION_BATCHES.min(rounds);
+    let per_span: Vec<u64> = (0..batches)
+        .map(|b| {
+            // The first `rounds % batches` batches take one extra round.
+            let n = rounds / batches + u32::from(b < rounds % batches);
+            let start = now_ns();
+            for _ in 0..n {
+                let _g = span(&site);
+            }
+            now_ns().saturating_sub(start) / n as u64
+        })
+        .collect();
+    median(per_span).max(1)
+}
+
+/// The median of `costs`: the mean of the middle two for an even count.
+/// Not the minimum, which would bias the estimate low.
+fn median(mut costs: Vec<u64>) -> u64 {
+    costs.sort_unstable();
+    let mid = costs.len() / 2;
+    if costs.len().is_multiple_of(2) {
+        (costs[mid - 1] + costs[mid]) / 2
+    } else {
+        costs[mid]
     }
-    let elapsed = now_ns().saturating_sub(start);
-    (elapsed / rounds as u64).max(1)
 }
 
 /// The perturbation model applied to one snapshot: estimated recording
@@ -168,6 +193,31 @@ mod tests {
         let snap = snapshot();
         let cal = snap.site(CALIBRATION_COMPONENT, CALIBRATION_VERB).unwrap();
         assert!(cal.count >= 256);
+    }
+
+    #[test]
+    fn a_preempted_batch_does_not_move_the_median() {
+        // Eight batches at 40 ns a span, one of them hit by a 1 ms
+        // preemption over 32 spans: one timed batch would have read ~3.9 µs.
+        let mut costs = vec![40u64; 8];
+        costs[3] = 40 + 1_000_000 / 32;
+        assert_eq!(median(costs), 40);
+        assert_eq!(median(vec![10, 50, 30]), 30);
+        assert_eq!(median(vec![10, 20, 40, 50]), 30);
+    }
+
+    #[test]
+    fn calibration_spends_all_its_rounds() {
+        let count = || {
+            let snap = snapshot();
+            snap.site(CALIBRATION_COMPONENT, CALIBRATION_VERB)
+                .map_or(0, |s| s.count)
+        };
+        let before = count();
+        calibrate_null_span_ns(3);
+        calibrate_null_span_ns(100);
+        // Other tests calibrate concurrently, so the count can only exceed.
+        assert!(count() - before >= 103);
     }
 
     #[test]

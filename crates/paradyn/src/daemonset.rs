@@ -41,10 +41,13 @@
 //! dictionary is interned once per frame; a loose [`DaemonMsg::Sample`]
 //! is a one-row push. The pooled drain partitions by owner — each worker
 //! fills its own columns and the set appends them after the pass — so no
-//! sample store is shared while links drain. Readers stay columnar
-//! (re-alignment after [`DaemonSet::clock_sync`], the cost bound, the
-//! per-key streams); [`DaemonSet::merged_samples`] is the render edge
-//! that materializes [`AlignedSample`] rows. `Obs *` telemetry is
+//! sample store is shared while links drain. A worker's landing columns
+//! are recycled across passes, and a link lands at most 16,384 rows a
+//! pass, so what a worker retains stays small. Readers stay columnar (re-alignment after
+//! [`DaemonSet::clock_sync`], the cost bound, the per-key streams), and
+//! visit rows in merge order through [`SampleColumns::merge_walk`], a
+//! merge of each link's run; [`DaemonSet::merged_samples`] is the render
+//! edge that materializes [`AlignedSample`] rows. `Obs *` telemetry is
 //! classified while a frame's strings still exist and handed to the
 //! fleet-health view as rows.
 //!
@@ -95,11 +98,11 @@ use pdmap::columns::{align, SampleColumns};
 use pdmap::intern::{self, Symbol};
 use pdmap::interval::Interval;
 use pdmap::model::Namespace;
-use pdmap::util::FxHashMap;
 use pdmap_transport::{
     send_wire, BatchColumns, Frame, FrameKind, PifBlob, TcpClient, TopologyMsg, Transport,
     TransportConfig, WirePayload,
 };
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 use std::net::SocketAddr;
@@ -110,12 +113,6 @@ use std::time::{Duration, Instant};
 
 /// Locks a mutex, surviving poison: a panicked drain thread must not take
 /// the whole session down with it.
-///
-/// NOTE for callers: [`DaemonSet::conn`] hands out a guard backed by one
-/// of these mutexes, and the locks are not reentrant. Never let a `conn(i)`
-/// temporary live across a second `conn(i)` — in edition 2021 a `match` or
-/// `if let` scrutinee keeps its temporaries alive for every arm, which
-/// turns the second lookup into a silent self-deadlock.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -129,16 +126,17 @@ static TOKENS: AtomicU64 = AtomicU64::new(1);
 /// The session stores samples as columns ([`DaemonSet::samples`]); rows
 /// exist only at the edges: [`DaemonSet::merged_samples`] materializes
 /// them for rendering, and drains hand `Obs *` telemetry to the
-/// fleet-health view as rows. Names are shared `Arc<str>`s, one
-/// allocation per distinct name, so a row costs pointer copies.
+/// fleet-health view as rows. Names are interned [`Symbol`]s
+/// ([`Symbol::as_str`] gives the string), so a row is 40 bytes of plain
+/// data with no refcount to touch.
 #[derive(Clone, Debug, PartialEq)]
 pub struct AlignedSample {
     /// Index of the daemon connection that delivered it.
     pub daemon: usize,
     /// Metric display name.
-    pub metric: Arc<str>,
+    pub metric: Symbol,
     /// Focus, rendered.
-    pub focus: Arc<str>,
+    pub focus: Symbol,
     /// The daemon's original wall stamp (its own clock).
     pub wall: u64,
     /// The stamp mapped onto the tool clock (`wall − offset`).
@@ -148,13 +146,29 @@ pub struct AlignedSample {
 }
 
 /// What one drain lands: its samples as columns, plus the `Obs *`
-/// telemetry rows among them, classified while the frame's strings still
-/// exist (resolving a [`Symbol`] takes the symbol table's read lock).
+/// telemetry rows among them as [`Symbol`]-named rows, classified while
+/// the frame's strings still exist (resolving a [`Symbol`] takes the
+/// symbol table's read lock). The drain pool recycles a worker's landing
+/// across passes, cleared with its capacity kept.
 #[derive(Default)]
 struct Landing {
     cols: SampleColumns,
     telemetry: Vec<AlignedSample>,
 }
+
+impl Landing {
+    fn clear(&mut self) {
+        self.cols.clear();
+        self.telemetry.clear();
+    }
+}
+
+/// Rows one link lands in one drain pass: the pass stops taking the
+/// link's frames once it has landed this many, and the rest of a backlog
+/// stays queued for the next pass. It bounds what a recycled landing
+/// retains; being per link, a backlogged link cannot starve the links a
+/// worker claims after it.
+const MAX_ROWS_PER_PASS: usize = 16_384;
 
 /// True for fleet-health telemetry: an `Obs *` metric under a
 /// [`selfmap::OBS_FOCUS_PREFIX`] focus. Everything else is application
@@ -458,18 +472,18 @@ pub struct NodeHealth {
     /// Telemetry samples received from this node so far.
     pub samples: u64,
     /// Latest value per telemetry metric name.
-    metrics: HashMap<Arc<str>, f64>,
+    metrics: HashMap<Symbol, f64>,
 }
 
 impl NodeHealth {
     /// The latest value of one telemetry metric, if the node reported it.
     pub fn metric(&self, name: &str) -> Option<f64> {
-        self.metrics.get(name).copied()
+        self.metrics.get(&intern::lookup(name)?).copied()
     }
 
     /// All metric names this node has reported (unordered).
     pub fn metric_names(&self) -> impl Iterator<Item = &str> {
-        self.metrics.keys().map(|k| &**k)
+        self.metrics.keys().map(|k| k.as_str())
     }
 
     /// Rebuilds `(component, verb, count, total_ns)` span-site totals from
@@ -479,7 +493,7 @@ impl NodeHealth {
     pub fn site_totals(&self) -> Vec<selfmap::SiteTotal> {
         let mut by_site: HashMap<(String, String), (u64, u64)> = HashMap::new();
         for (name, &v) in &self.metrics {
-            let Some((component, verb, is_time)) = selfmap::parse_obs_metric(name) else {
+            let Some((component, verb, is_time)) = selfmap::parse_obs_metric(name.as_str()) else {
                 continue;
             };
             let entry = by_site
@@ -558,20 +572,21 @@ impl FleetHealth {
 
     /// Folds one telemetry sample into the node it describes.
     fn observe(&mut self, s: &AlignedSample) {
-        match self.nodes.iter_mut().find(|n| *n.label == *s.focus) {
+        let focus = s.focus.as_str();
+        match self.nodes.iter_mut().find(|n| n.label == focus) {
             Some(n) => {
                 n.daemon = s.daemon;
                 n.last_seen = Instant::now();
                 n.last_aligned_ns = n.last_aligned_ns.max(s.aligned_ns);
                 n.samples += 1;
-                n.metrics.insert(s.metric.clone(), s.value);
+                n.metrics.insert(s.metric, s.value);
             }
             None => {
                 let mut metrics = HashMap::new();
-                metrics.insert(s.metric.clone(), s.value);
+                metrics.insert(s.metric, s.value);
                 self.nodes.push(NodeHealth {
                     daemon: s.daemon,
-                    label: s.focus.to_string(),
+                    label: focus.to_string(),
                     last_seen: Instant::now(),
                     last_aligned_ns: s.aligned_ns,
                     samples: 1,
@@ -716,9 +731,10 @@ impl DaemonConn {
             .push(track_error(DaemonError::Codec(detail)));
     }
 
-    /// Drains every frame currently queued on this link, landing samples
-    /// in `out` and forwarding mapping information to `data`'s shard. If
-    /// `want_token` is set, a matching clock reply is returned (and not
+    /// Drains the frames currently queued on this link, landing samples
+    /// in `out` and forwarding mapping information to `data`'s shard,
+    /// until the link is empty or has landed [`MAX_ROWS_PER_PASS`] rows.
+    /// If `want_token` is set, a matching clock reply is returned (and not
     /// dispatched). Returns `(frames_processed, matched_reply_t_daemon)`.
     /// A pass that handled frames is one `daemon`/`deliver` span, timed
     /// from its first frame; polling an empty link reads no clock.
@@ -731,7 +747,11 @@ impl DaemonConn {
     ) -> (usize, Option<u64>) {
         let mut t0 = None;
         let mut n = 0;
+        let start = out.cols.len();
         let reply = loop {
+            if out.cols.len() - start >= MAX_ROWS_PER_PASS {
+                break None;
+            }
             match self.tx.try_recv() {
                 Ok(Some(frame)) => {
                     if n == 0 && pdmap_obs::enabled() {
@@ -779,18 +799,18 @@ impl DaemonConn {
         let offset = self.clock().offset_ns;
         data.note_samples_on(self.shard, batch.len() as u64);
         out.cols.extend_batch(index as u32, offset, &batch);
-        let obs: Vec<Option<(Arc<str>, Arc<str>)>> = batch
+        let obs: Vec<Option<(Symbol, Symbol)>> = batch
             .dict
             .iter()
-            .map(|(m, f)| is_telemetry(m, f).then(|| (m.as_str().into(), f.as_str().into())))
+            .map(|(m, f)| is_telemetry(m, f).then(|| (intern::sym(m), intern::sym(f))))
             .collect();
         if obs.iter().any(Option::is_some) {
             for (i, &k) in batch.key.iter().enumerate() {
-                if let Some((metric, focus)) = &obs[k as usize] {
+                if let Some((metric, focus)) = obs[k as usize] {
                     out.telemetry.push(AlignedSample {
                         daemon: index,
-                        metric: metric.clone(),
-                        focus: focus.clone(),
+                        metric,
+                        focus,
                         wall: batch.wall[i],
                         aligned_ns: align(batch.wall[i], offset),
                         value: batch.value[i],
@@ -846,19 +866,14 @@ impl DaemonConn {
                     } => {
                         data.note_samples_on(self.shard, 1);
                         let aligned_ns = align(wall, self.clock().offset_ns);
-                        out.cols.push(
-                            index as u32,
-                            intern::sym(&metric),
-                            intern::sym(&focus),
-                            wall,
-                            aligned_ns,
-                            value,
-                        );
+                        let (m, f) = (intern::sym(&metric), intern::sym(&focus));
+                        out.cols
+                            .push(index as u32, intern::key(m, f), wall, aligned_ns, value);
                         if is_telemetry(&metric, &focus) {
                             out.telemetry.push(AlignedSample {
                                 daemon: index,
-                                metric: metric.into(),
-                                focus: focus.into(),
+                                metric: m,
+                                focus: f,
                                 wall,
                                 aligned_ns,
                                 value,
@@ -940,15 +955,17 @@ fn set_obs() -> &'static SetObs {
 /// One parallel-drain dispatch: the admitted connections to drain this
 /// epoch, a shared cursor, and the accumulated results.
 struct PoolEpoch {
-    /// `(connection index, connection)` pairs still to drain; workers claim
-    /// them through `cursor` so a slow link never blocks the others.
-    jobs: Vec<(usize, Arc<Mutex<DaemonConn>>)>,
+    /// Connections still to drain; workers claim them through `cursor` so
+    /// a slow link never blocks the others.
+    jobs: Vec<Arc<ConnCell>>,
     cursor: usize,
     /// Workers that have not finished the current epoch.
     active: usize,
     frames: usize,
     /// Each worker's own landing, appended whole when it finishes.
     landed: Vec<Landing>,
+    /// Landings the set has absorbed, cleared for the next epoch's workers.
+    spare: Vec<Landing>,
     data: Option<Arc<DataManager>>,
 }
 
@@ -980,6 +997,7 @@ impl DrainPool {
                     active: 0,
                     frames: 0,
                     landed: Vec::new(),
+                    spare: Vec::new(),
                     data: None,
                 },
             )),
@@ -1020,26 +1038,15 @@ impl DrainPool {
             seen_epoch = st.0;
             let data = st.2.data.clone();
             let mut local_frames = 0usize;
-            let mut local = Landing::default();
-            loop {
-                let job = if st.2.cursor < st.2.jobs.len() {
-                    let j = st.2.jobs[st.2.cursor].clone();
-                    st.2.cursor += 1;
-                    Some(j)
-                } else {
-                    None
-                };
-                match job {
-                    Some((index, cell)) => {
-                        drop(st); // drain off-lock so workers overlap
-                        if let Some(data) = data.as_deref() {
-                            let mut conn = lock(&cell);
-                            local_frames += conn.drain(data, &mut local, index, None).0;
-                        }
-                        st = lock(&shared.state);
-                    }
-                    None => break,
+            let mut local = st.2.spare.pop().unwrap_or_default();
+            while let Some(cell) = st.2.jobs.get(st.2.cursor).cloned() {
+                st.2.cursor += 1;
+                drop(st); // drain off-lock so workers overlap
+                if let Some(data) = data.as_deref() {
+                    let mut conn = cell.lock();
+                    local_frames += conn.drain(data, &mut local, cell.index, None).0;
                 }
+                st = lock(&shared.state);
             }
             st.2.frames += local_frames;
             st.2.landed.push(local);
@@ -1051,12 +1058,9 @@ impl DrainPool {
     }
 
     /// Dispatches one drain pass over `jobs` and blocks until every job has
-    /// been drained. Returns the frames drained and each worker's landing.
-    fn run(
-        &self,
-        jobs: Vec<(usize, Arc<Mutex<DaemonConn>>)>,
-        data: Arc<DataManager>,
-    ) -> (usize, Vec<Landing>) {
+    /// been drained. Returns the frames drained and each worker's landing;
+    /// hand the landings back through [`DrainPool::recycle`].
+    fn run(&self, jobs: Vec<Arc<ConnCell>>, data: Arc<DataManager>) -> (usize, Vec<Landing>) {
         set_obs().pool_drains.incr();
         let mut st = lock(&self.shared.state);
         st.2.jobs = jobs;
@@ -1079,6 +1083,17 @@ impl DrainPool {
         st.2.jobs.clear();
         st.2.data = None;
         (st.2.frames, std::mem::take(&mut st.2.landed))
+    }
+
+    /// Takes back a pass's landings once the set has absorbed them: each
+    /// is cleared with its capacity kept for a worker of the next pass, so
+    /// drains land into pages already faulted in instead of fresh ones.
+    fn recycle(&self, landed: Vec<Landing>) {
+        let mut st = lock(&self.shared.state);
+        for mut l in landed {
+            l.clear();
+            st.2.spare.push(l);
+        }
     }
 
     fn size(&self) -> usize {
@@ -1160,7 +1175,7 @@ fn sync_conn(
 /// `&mut self`, so the locks are uncontended outside a parallel drain.
 pub struct DaemonSet {
     data: Arc<DataManager>,
-    conns: Vec<Arc<Mutex<DaemonConn>>>,
+    conns: Vec<Arc<ConnCell>>,
     /// Every sample landed so far, in arrival order.
     samples: SampleColumns,
     policy: SupervisorPolicy,
@@ -1179,15 +1194,83 @@ pub struct DaemonSet {
     health_view: FleetHealth,
 }
 
+/// One connection's cell: the lock the drain pool and the accessors share,
+/// plus the thread holding a [`ConnRef`] on it. The lock is not reentrant,
+/// so a second borrow on that thread — say, two `set.conn(i)` temporaries
+/// in one statement — would wait on itself forever; the cell turns that
+/// into an immediate panic naming the connection. A lock from another
+/// thread (a drain worker) still just waits.
+struct ConnCell {
+    index: usize,
+    addr: String,
+    /// [`thread_token`] of the thread holding a [`ConnRef`], 0 when none
+    /// does. It publishes no data, so `Relaxed` suffices: only that thread
+    /// stores its own token, and a thread sees its own stores in program
+    /// order, so a check can neither miss its own hold nor see another's.
+    holder: AtomicU64,
+    conn: Mutex<DaemonConn>,
+}
+
+/// A nonzero id of the calling thread, fixed for its life.
+fn thread_token() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    thread_local!(static TOKEN: Cell<u64> = const { Cell::new(0) });
+    TOKEN.with(|t| {
+        if t.get() == 0 {
+            t.set(NEXT.fetch_add(1, Ordering::Relaxed));
+        }
+        t.get()
+    })
+}
+
+impl ConnCell {
+    fn new(index: usize, conn: DaemonConn) -> Arc<Self> {
+        Arc::new(Self {
+            index,
+            addr: conn.addr.clone(),
+            holder: AtomicU64::new(0),
+            conn: Mutex::new(conn),
+        })
+    }
+
+    /// Locks the connection, surviving poison like [`lock`]. The set's own
+    /// locks never outlive the method that takes them, so only a
+    /// [`ConnRef`] records its thread.
+    ///
+    /// # Panics
+    /// When the calling thread holds a [`ConnRef`] on this connection.
+    fn lock(&self) -> MutexGuard<'_, DaemonConn> {
+        // Nobody holds a `ConnRef` almost always: skip the token then.
+        let holder = self.holder.load(Ordering::Relaxed);
+        if holder != 0 && holder == thread_token() {
+            panic!(
+                "connection {} ({}) is already borrowed on this thread: \
+                 drop the first `DaemonSet::conn` guard before taking another",
+                self.index, self.addr
+            );
+        }
+        lock(&self.conn)
+    }
+}
+
 /// A borrowed view of one connection — a lock guard that derefs to
 /// [`DaemonConn`], so `set.conn(i).clock()`-style call sites read exactly
 /// as they did when connections were plain fields.
-pub struct ConnRef<'a>(MutexGuard<'a, DaemonConn>);
+pub struct ConnRef<'a> {
+    guard: MutexGuard<'a, DaemonConn>,
+    holder: &'a AtomicU64,
+}
+
+impl Drop for ConnRef<'_> {
+    fn drop(&mut self) {
+        self.holder.store(0, Ordering::Relaxed);
+    }
+}
 
 impl Deref for ConnRef<'_> {
     type Target = DaemonConn;
     fn deref(&self) -> &DaemonConn {
-        &self.0
+        &self.guard
     }
 }
 
@@ -1214,7 +1297,7 @@ impl DaemonSet {
             .collect();
         let mut set = Self::over_transports(transports, data);
         for (cell, &addr) in set.conns.iter().zip(addrs) {
-            lock(cell).reconnect = Some(Box::new(move || {
+            cell.lock().reconnect = Some(Box::new(move || {
                 TcpClient::connect(addr, cfg) as Arc<dyn Transport>
             }));
         }
@@ -1238,8 +1321,10 @@ impl DaemonSet {
             .into_iter()
             .enumerate()
             .map(|(i, (addr, tx))| {
-                let conn = DaemonConn::new(addr, tx, i % shards, LinkLedger::default());
-                Arc::new(Mutex::new(conn))
+                ConnCell::new(
+                    i,
+                    DaemonConn::new(addr, tx, i % shards, LinkLedger::default()),
+                )
             })
             .collect();
         Self {
@@ -1272,8 +1357,20 @@ impl DaemonSet {
     }
 
     /// Connection `i` (a lock-guard view; hold it briefly).
+    ///
+    /// # Panics
+    /// When this thread still holds a guard on connection `i`, or on any
+    /// connection while a set method locks them all (`coverage`, say):
+    /// the lock is not reentrant, and the panic replaces a silent
+    /// self-deadlock.
     pub fn conn(&self, i: usize) -> ConnRef<'_> {
-        ConnRef(lock(&self.conns[i]))
+        let cell = &self.conns[i];
+        let guard = cell.lock();
+        cell.holder.store(thread_token(), Ordering::Relaxed);
+        ConnRef {
+            guard,
+            holder: &cell.holder,
+        }
     }
 
     /// The drain-pool size, once the pool exists (after the first
@@ -1296,12 +1393,12 @@ impl DaemonSet {
     /// Installs the reconnect factory used to re-dial daemon `i` after
     /// quarantine — e.g. pointing at the new port of a restarted daemon.
     pub fn set_reconnect(&mut self, i: usize, f: ReconnectFn) {
-        lock(&self.conns[i]).reconnect = Some(f);
+        self.conns[i].lock().reconnect = Some(f);
     }
 
     /// Supervisor state of daemon `i`.
     pub fn health(&self, i: usize) -> DaemonHealth {
-        lock(&self.conns[i]).health
+        self.conns[i].lock().health
     }
 
     /// Installs the dialer used to adopt orphaned subtree members —
@@ -1353,7 +1450,7 @@ impl DaemonSet {
         self.conns
             .iter()
             .map(|cell| {
-                let c = lock(cell);
+                let c = cell.lock();
                 c.coverage(c.health != DaemonHealth::Quarantined)
             })
             .sum()
@@ -1370,7 +1467,7 @@ impl DaemonSet {
         let mut first_err: Option<ClockSyncError> = None;
         let mut landed = Landing::default();
         for (i, cell) in self.conns.iter().enumerate() {
-            let mut conn = lock(cell);
+            let mut conn = cell.lock();
             if conn.health == DaemonHealth::Quarantined {
                 continue;
             }
@@ -1401,12 +1498,12 @@ impl DaemonSet {
         let offsets: Vec<i64> = self
             .conns
             .iter()
-            .map(|c| lock(c).clock().offset_ns)
+            .map(|c| c.lock().clock().offset_ns)
             .collect();
         for row in &mut landed.telemetry {
             row.aligned_ns = align(row.wall, offsets[row.daemon]);
         }
-        self.absorb(landed);
+        self.absorb(&landed);
         self.samples.realign_all(&offsets);
         match first_err {
             Some(e) => Err(e),
@@ -1430,7 +1527,7 @@ impl DaemonSet {
             .map(|i| self.health_view.conn_stale(i, now, policy.degrade_after))
             .collect();
         for (i, cell) in self.conns.iter().enumerate() {
-            let mut conn = lock(cell);
+            let mut conn = cell.lock();
             match conn.health {
                 // Readmitted last pass; traffic (or its absence) now speaks
                 // for itself again.
@@ -1520,7 +1617,7 @@ impl DaemonSet {
                 }
             }
         }
-        self.absorb(landed);
+        self.absorb(&landed);
         if policy.adopt_orphans {
             self.adopt_orphans();
         }
@@ -1544,7 +1641,7 @@ impl DaemonSet {
         // relays.
         let mut work = Vec::new();
         for (i, cell) in self.conns.iter().enumerate() {
-            let mut c = lock(cell);
+            let mut c = cell.lock();
             if c.health == DaemonHealth::Quarantined {
                 if let Some(plan) = c.ledger.orphans() {
                     work.push((i, c.addr.clone(), plan));
@@ -1560,7 +1657,7 @@ impl DaemonSet {
             let mut subtree = Vec::new();
             for tc in plan {
                 subtree.push(tc.addr.clone());
-                if self.conns.iter().any(|c| lock(c).addr == tc.addr) {
+                if self.conns.iter().any(|c| c.addr == tc.addr) {
                     // Already a direct connection (e.g. adopted from an
                     // earlier failure, or dual-homed): never dial twice.
                     continue;
@@ -1591,7 +1688,7 @@ impl DaemonSet {
                     conn.next_retry = Some(Instant::now() + policy.retry.delay_for(0));
                     set_obs().quarantine.incr();
                 }
-                self.conns.push(Arc::new(Mutex::new(conn)));
+                self.conns.push(ConnCell::new(idx, conn));
             }
             self.reparents.push(ReparentReport {
                 daemon: i,
@@ -1600,14 +1697,14 @@ impl DaemonSet {
                 epoch: self.epoch,
             });
         }
-        self.absorb(landed);
+        self.absorb(&landed);
     }
 
     /// Asks daemon `i` to shut down gracefully (drain, then announce its
     /// send count in a [`DaemonMsg::Goodbye`]). Returns false if the
     /// request could not even be queued.
     pub fn shutdown(&self, i: usize) -> bool {
-        let tx = lock(&self.conns[i]).tx.clone();
+        let tx = self.conns[i].lock().tx.clone();
         send_wire(&*tx, &DaemonMsg::Shutdown).is_ok()
     }
 
@@ -1620,7 +1717,7 @@ impl DaemonSet {
             // sending: a full send queue blocks on backpressure, and that
             // wait must never happen while holding a connection lock.
             let tx = {
-                let conn = lock(cell);
+                let conn = cell.lock();
                 (conn.health != DaemonHealth::Quarantined).then(|| conn.tx.clone())
             };
             if let Some(tx) = tx {
@@ -1631,7 +1728,7 @@ impl DaemonSet {
         loop {
             self.pump_parallel();
             let all_announced = self.conns.iter().all(|c| {
-                let c = lock(c);
+                let c = c.lock();
                 c.health == DaemonHealth::Quarantined || c.announced_sent().is_some()
             });
             if all_announced || Instant::now() >= deadline {
@@ -1647,17 +1744,17 @@ impl DaemonSet {
     /// workers claim connections off a shared cursor, each feeding its own
     /// data-manager shard (the contention the sharded manager exists to
     /// absorb) and its own landing columns, which the set appends after
-    /// the pass. The pool is built at the first call and reused for the
-    /// session: a drain pass costs a condvar wakeup, not one thread spawn
-    /// per connection. Quarantined connections are never dispatched.
-    /// Returns frames processed.
+    /// the pass and hands back for the next. The pool is built at the
+    /// first call and reused for the session: a drain pass costs a condvar
+    /// wakeup, not one thread spawn per connection. Quarantined
+    /// connections are never dispatched, and each link lands at most
+    /// 16,384 rows a pass. Returns frames processed.
     pub fn pump_parallel(&mut self) -> usize {
-        let jobs: Vec<(usize, Arc<Mutex<DaemonConn>>)> = self
+        let jobs: Vec<Arc<ConnCell>> = self
             .conns
             .iter()
-            .enumerate()
-            .filter(|(_, cell)| lock(cell).health != DaemonHealth::Quarantined)
-            .map(|(i, cell)| (i, cell.clone()))
+            .filter(|cell| cell.lock().health != DaemonHealth::Quarantined)
+            .cloned()
             .collect();
         if jobs.is_empty() {
             return 0;
@@ -1667,8 +1764,11 @@ impl DaemonSet {
             DrainPool::new(self.conns.len().min(cores))
         });
         let (frames, landed) = pool.run(jobs, self.data.clone());
-        for l in landed {
+        for l in &landed {
             self.absorb(l);
+        }
+        if let Some(pool) = &self.pool {
+            pool.recycle(landed);
         }
         frames
     }
@@ -1689,13 +1789,12 @@ impl DaemonSet {
             let handles: Vec<_> = self
                 .conns
                 .iter()
-                .enumerate()
-                .filter(|(_, cell)| lock(cell).health != DaemonHealth::Quarantined)
-                .map(|(i, cell)| {
+                .filter(|cell| cell.lock().health != DaemonHealth::Quarantined)
+                .map(|cell| {
                     let data = &data;
                     s.spawn(move || {
                         let mut local = Landing::default();
-                        let n = lock(cell).drain(data, &mut local, i, None).0;
+                        let n = cell.lock().drain(data, &mut local, cell.index, None).0;
                         (n, local)
                     })
                 })
@@ -1706,7 +1805,7 @@ impl DaemonSet {
                 landed.push(local);
             }
         });
-        for l in landed {
+        for l in &landed {
             self.absorb(l);
         }
         total
@@ -1714,7 +1813,7 @@ impl DaemonSet {
 
     /// Appends one drain's landing to the session: its columns to the
     /// sample store, its telemetry rows to the fleet-health view.
-    fn absorb(&mut self, landed: Landing) {
+    fn absorb(&mut self, landed: &Landing) {
         self.samples.append(&landed.cols);
         for row in &landed.telemetry {
             self.health_view.observe(row);
@@ -1808,23 +1907,21 @@ impl DaemonSet {
     /// The merged sample stream, sorted by aligned (tool-clock) time —
     /// the single stream the paper's front end consumes. Stable, so
     /// same-instant samples keep arrival order. The render edge of the
-    /// sample columns: rows are materialized here, sharing one `Arc<str>`
-    /// per distinct name. The result carries the session's [`Coverage`],
-    /// so a merge computed over a degraded fleet is labeled as such
-    /// instead of silently reading low.
+    /// sample columns: the [`SampleColumns::merge_walk`] writes each row
+    /// once, into a vector of exactly the session's length. The result
+    /// carries the session's [`Coverage`], so a merge computed over a
+    /// degraded fleet is labeled as such instead of silently reading low.
     pub fn merged_samples(&self) -> Merged {
         let cols = &self.samples;
-        let mut names: FxHashMap<Symbol, Arc<str>> = FxHashMap::default();
-        let mut name = |s: Symbol| names.entry(s).or_insert_with(|| s.as_str().into()).clone();
+        let pairs = intern::key_pairs();
         let samples = cols
-            .aligned_order()
-            .into_iter()
+            .merge_walk()
             .map(|i| {
-                let i = i as usize;
+                let (metric, focus) = pairs[cols.keys()[i].index()];
                 AlignedSample {
                     daemon: cols.daemons()[i] as usize,
-                    metric: name(cols.metrics()[i]),
-                    focus: name(cols.foci()[i]),
+                    metric,
+                    focus,
                     wall: cols.walls()[i],
                     aligned_ns: cols.aligneds()[i],
                     value: cols.values()[i],
@@ -1838,28 +1935,34 @@ impl DaemonSet {
     }
 
     /// Groups the merged stream into one [`Stream`] per (metric, focus)
-    /// pair, in first-seen order on the tool clock. Grouping compares
-    /// interned symbol pairs; each key's strings are materialized once,
-    /// when its stream opens. Units are unknown at this layer (the wire
-    /// protocol does not carry them). Carries the same [`Coverage`] label
-    /// as [`DaemonSet::merged_samples`].
+    /// pair, in first-seen order on the tool clock. Rows are counted per
+    /// key first, so each stream is allocated once at its exact length;
+    /// the merge walk then fills them, each row indexing its stream by key
+    /// id. A key's strings are materialized once, when its stream opens.
+    /// Units are unknown at this layer (the wire protocol does not carry
+    /// them). Carries the same [`Coverage`] label as
+    /// [`DaemonSet::merged_samples`].
     pub fn merged_streams(&self) -> MergedStreams {
         let cols = &self.samples;
-        let mut index: FxHashMap<(Symbol, Symbol), usize> = FxHashMap::default();
+        let pairs = intern::key_pairs();
+        let mut rows = vec![0usize; pairs.len()];
+        for k in cols.keys() {
+            rows[k.index()] += 1;
+        }
+        let mut slot = vec![usize::MAX; pairs.len()];
         let mut out: Vec<Stream> = Vec::new();
-        for i in cols.aligned_order() {
-            let i = i as usize;
-            let key = (cols.metrics()[i], cols.foci()[i]);
-            let slot = *index.entry(key).or_insert_with(|| {
+        for i in cols.merge_walk() {
+            let k = cols.keys()[i].index();
+            if slot[k] == usize::MAX {
+                slot[k] = out.len();
                 out.push(Stream {
-                    metric: key.0.as_str().to_string(),
-                    focus: key.1.as_str().to_string(),
+                    metric: pairs[k].0.as_str().to_string(),
+                    focus: pairs[k].1.as_str().to_string(),
                     units: String::new(),
-                    samples: Vec::new(),
+                    samples: Vec::with_capacity(rows[k]),
                 });
-                out.len() - 1
-            });
-            out[slot]
+            }
+            out[slot[k]]
                 .samples
                 .push((cols.aligneds()[i], cols.values()[i]));
         }
@@ -2116,6 +2219,176 @@ mod tests {
             set.data().shard_stats(0).samples + set.data().shard_stats(1).samples,
             n as u64
         );
+    }
+
+    /// The merge before the walk: a stable sort of every row by aligned
+    /// time, each row carrying its names as strings.
+    fn sorted_rows(cols: &SampleColumns) -> Vec<(usize, String, String, u64, u64, f64)> {
+        let mut perm: Vec<usize> = (0..cols.len()).collect();
+        perm.sort_by_key(|&i| cols.aligneds()[i]);
+        perm.into_iter()
+            .map(|i| {
+                let (m, f) = cols.keys()[i].pair();
+                (
+                    cols.daemons()[i] as usize,
+                    m.to_string(),
+                    f.to_string(),
+                    cols.walls()[i],
+                    cols.aligneds()[i],
+                    cols.values()[i],
+                )
+            })
+            .collect()
+    }
+
+    /// A seeded store of `rows` rows over five links landing in chunks:
+    /// three keys, coarse clock steps (so rows tie within and across
+    /// links), link 2 silent, and link 3's clock restarting mid-stream.
+    fn seeded_store(seed: u64, rows: usize) -> SampleColumns {
+        let mut rng = pdmap::util::SplitMix64::new(seed);
+        let keys: Vec<_> = [("M", "/a"), ("M", "/b"), ("N", "/a")]
+            .iter()
+            .map(|(m, f)| intern::key(intern::sym(m), intern::sym(f)))
+            .collect();
+        let mut clock = [0u64; 5];
+        let mut cols = SampleColumns::new();
+        while cols.len() < rows {
+            let d = [0, 1, 3, 4][rng.usize_in(0..4)];
+            for _ in 0..1 + rng.usize_in(0..12) {
+                if d == 3 && rng.usize_in(0..50) == 0 {
+                    clock[3] /= 3;
+                }
+                clock[d] += 10 * rng.usize_in(0..3) as u64;
+                let key = keys[rng.usize_in(0..keys.len())];
+                let value = rng.usize_in(0..1000) as f64;
+                cols.push(d as u32, key, clock[d], clock[d], value);
+            }
+        }
+        cols
+    }
+
+    #[test]
+    fn merged_outputs_match_the_sorted_merge_on_seeded_stores() {
+        let (mut set, _daemons) = set_with_skews(&[0]);
+        for seed in 0..40u64 {
+            set.samples = seeded_store(seed, 200 + 40 * seed as usize);
+            for realigned in [false, true] {
+                if realigned {
+                    set.samples.realign_all(&[0, 15, 0, 2_000, -30]);
+                }
+                let want = sorted_rows(&set.samples);
+                let merged: Vec<_> = set
+                    .merged_samples()
+                    .iter()
+                    .map(|s| {
+                        let (m, f) = (s.metric.to_string(), s.focus.to_string());
+                        (s.daemon, m, f, s.wall, s.aligned_ns, s.value)
+                    })
+                    .collect();
+                assert_eq!(merged, want, "seed {seed}, realigned {realigned}");
+                // The streams: the sorted rows grouped per key, keys in
+                // first-seen order.
+                let mut streams: Vec<Stream> = Vec::new();
+                for (_, m, f, _, aligned, value) in &want {
+                    let at = streams.iter().position(|s| s.metric == *m && s.focus == *f);
+                    let at = at.unwrap_or_else(|| {
+                        streams.push(Stream {
+                            metric: m.clone(),
+                            focus: f.clone(),
+                            ..Stream::default()
+                        });
+                        streams.len() - 1
+                    });
+                    streams[at].samples.push((*aligned, *value));
+                }
+                let got = set.merged_streams();
+                assert_eq!(format!("{:?}", *got), format!("{streams:?}"), "seed {seed}");
+                assert!(
+                    got.iter().all(|s| s.samples.capacity() == s.samples.len()),
+                    "each stream is allocated at its exact length"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_merged_row_stays_lean() {
+        assert!(
+            std::mem::size_of::<AlignedSample>() <= 40,
+            "{} bytes",
+            std::mem::size_of::<AlignedSample>()
+        );
+    }
+
+    #[test]
+    fn a_backlog_past_the_per_link_bound_lands_over_several_passes() {
+        let (mut set, daemons) = set_with_skews(&[0, 0]);
+        let wall = daemons[0].now();
+        let per_frame = 4_096;
+        let frames = 2 * MAX_ROWS_PER_PASS / per_frame + 3;
+        for seq in 0..frames {
+            let batch = seq_batch(
+                seq as u64 + 1,
+                0,
+                per_frame,
+                wall + (seq * per_frame) as u64,
+            );
+            send_wire(&*daemons[0].tx, &batch).unwrap();
+        }
+        daemons[1].send_sample("M", 1.0);
+        let backlog = frames * per_frame;
+        set.pump_parallel();
+        let landed =
+            |set: &DaemonSet, d: u32| set.samples().daemons().iter().filter(|&&x| x == d).count();
+        let first = landed(&set, 0);
+        assert!(
+            (MAX_ROWS_PER_PASS..MAX_ROWS_PER_PASS + per_frame).contains(&first),
+            "one pass lands {first} of link 0's {backlog} rows"
+        );
+        assert_eq!(
+            landed(&set, 1),
+            1,
+            "the link after a backlog is not starved"
+        );
+        let want = backlog + 1;
+        assert_eq!(set.pump_until_samples(want, Duration::from_secs(5)), want);
+        assert_eq!(set.conn(0).samples_received(), backlog as u64);
+        let values: Vec<f64> = set
+            .merged_samples()
+            .iter()
+            .filter(|s| s.daemon == 0)
+            .map(|s| s.value)
+            .collect();
+        let sent: Vec<f64> = (0..frames)
+            .flat_map(|_| (0..per_frame).map(|i| i as f64))
+            .collect();
+        assert_eq!(values, sent, "every row landed once, in order");
+    }
+
+    #[test]
+    fn a_second_conn_borrow_on_one_thread_panics_instead_of_hanging() {
+        let (set, _daemons) = set_with_skews(&[0]);
+        let (tx, rx) = std::sync::mpsc::channel();
+        // A helper thread, so a hang fails the test instead of stalling it.
+        let helper = std::thread::spawn(move || {
+            let twice = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                eprintln!(
+                    "{} {}",
+                    set.conn(0).samples_received(),
+                    set.conn(0).pif_imports()
+                );
+            }));
+            let msg = twice.map_err(|e| e.downcast_ref::<String>().cloned().unwrap_or_default());
+            // Once unwound, the connection is free again.
+            let _ = tx.send((msg, set.conn(0).samples_received()));
+        });
+        let (msg, received) = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("a second borrow on one thread must panic at once, not hang");
+        helper.join().expect("the helper caught the panic");
+        let msg = msg.expect_err("the second borrow panics");
+        assert!(msg.contains("connection 0 (fake#0)"), "{msg}");
+        assert_eq!(received, 0);
     }
 
     #[test]

@@ -165,7 +165,7 @@ fn telemetry_streams_through_the_tree_and_answers_remote_questions() {
     pump_until(&mut set, "all 48 application samples", |s| {
         s.merged_samples()
             .iter()
-            .filter(|x| !x.focus.starts_with("Tool/"))
+            .filter(|x| !x.focus.as_str().starts_with("Tool/"))
             .count()
             >= 48
     });
