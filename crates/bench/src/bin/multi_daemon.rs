@@ -2,7 +2,8 @@
 //! deliberately skewed clocks, connects a [`DaemonSet`] to all of them
 //! over TCP, and verifies the §4.2.3 topology end to end — mappings
 //! imported from every daemon, one merged clock-aligned sample stream,
-//! and datamgr shard counters proving the imports ran in parallel shards.
+//! and per-link datamgr shard counters (imports, samples, lock wait)
+//! showing every daemon's mapping information and samples arrived.
 //!
 //! ```sh
 //! cargo run -p pdmap-bench --release --bin multi_daemon            # 4 daemons

@@ -295,19 +295,27 @@ fn run_drop_window(budget: Duration) -> DropWindowReport {
     }
 }
 
+/// Parses `s`, or prints the usage line to stderr and exits 2.
+fn parse_or_exit<T: std::str::FromStr>(s: &str, what: &str) -> T {
+    s.parse().unwrap_or_else(|_| {
+        eprintln!("{what} must be an integer, got {s:?}");
+        eprintln!("usage: transport_throughput [budget_ms] [cap1,cap2,...]");
+        std::process::exit(2);
+    })
+}
+
 fn main() {
     let budget_ms: u64 = std::env::args()
         .nth(1)
-        .map(|s| s.parse().expect("budget must be an integer (milliseconds)"))
-        .unwrap_or(100);
-    let capacities: Vec<usize> = std::env::args()
-        .nth(2)
-        .map(|s| {
+        .map_or(100, |s| parse_or_exit(&s, "budget_ms"));
+    let capacities: Vec<usize> = std::env::args().nth(2).map_or_else(
+        || vec![16, 64, 256, 1024],
+        |s| {
             s.split(',')
-                .map(|c| c.parse().expect("capacities must be integers"))
+                .map(|c| parse_or_exit(c, "each capacity"))
                 .collect()
-        })
-        .unwrap_or_else(|| vec![16, 64, 256, 1024]);
+        },
+    );
     let budget = Duration::from_millis(budget_ms);
 
     let mut cells = Vec::new();

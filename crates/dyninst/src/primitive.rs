@@ -45,11 +45,14 @@ struct Timer {
 
 /// Shared storage for counters and timers.
 ///
-/// Allocation (`new_counter`/`new_timer`) takes a write lock; updates and
-/// reads are lock-free. Each timer is only ever driven from one node thread
-/// (its snippets run on that node), so the relaxed orderings are sufficient;
-/// cross-thread sampling sees a consistent *monotone under-estimate* while a
-/// timer is running, and the exact value once stopped.
+/// Allocation (`new_counter`/`new_timer`) takes its vector's write lock.
+/// Every update and read takes that vector's read lock to find the
+/// primitive, then moves plain atomics; readers share the lock, so only an
+/// allocation makes them wait. Each timer is only ever driven from one
+/// node thread (its snippets run on that node), so the relaxed orderings
+/// are sufficient; cross-thread sampling sees a consistent *monotone
+/// under-estimate* while a timer is running, and the exact value once
+/// stopped.
 #[derive(Default)]
 pub struct PrimitiveStore {
     counters: pdmap::util::RwLock<Vec<std::sync::Arc<AtomicI64>>>,

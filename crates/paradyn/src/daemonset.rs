@@ -4,7 +4,7 @@
 //! sample streams into one Data Manager. A [`DaemonSet`] is the tool side
 //! of that topology: it connects to N daemon addresses over the
 //! `pdmap-transport` frame protocol, pumps every link, routes each
-//! connection's mapping information to its own [`DataManager`] shard, and
+//! connection's mapping information into the one [`DataManager`], and
 //! aligns each daemon's `wall` stamps onto the tool clock so the merged
 //! stream sorts correctly.
 //!
@@ -28,11 +28,13 @@
 //! daemon is then mapped to tool time as `aligned = wall − offset`
 //! ([`pdmap::columns::align`]).
 //!
-//! # Sharding
+//! # Shards
 //!
-//! Connection `i` owns shard `i % shard_count` of the data manager, so N
-//! daemons import mappings and deliver samples concurrently without
-//! sharing a lock (see `datamgr`'s module docs for the invariants).
+//! Connection `i` keeps its books in shard `i % shard_count` of the data
+//! manager: relaxed import, sample and lock-wait counters. Its mapping
+//! information merges into the manager's one where axis, under the
+//! catalogue lock; samples move only the shard's counters (see
+//! `datamgr`'s module docs for the invariants).
 //!
 //! # The sample spine
 //!
@@ -692,7 +694,8 @@ impl DaemonConn {
         &self.addr
     }
 
-    /// The data-manager shard this connection feeds.
+    /// The data-manager shard that counts this connection's imports and
+    /// samples.
     pub fn shard(&self) -> usize {
         self.shard
     }
@@ -732,7 +735,7 @@ impl DaemonConn {
     }
 
     /// Drains the frames currently queued on this link, landing samples
-    /// in `out` and forwarding mapping information to `data`'s shard,
+    /// in `out` and forwarding mapping information to `data`,
     /// until the link is empty or has landed [`MAX_ROWS_PER_PASS`] rows.
     /// If `want_token` is set, a matching clock reply is returned (and not
     /// dispatched). Returns `(frames_processed, matched_reply_t_daemon)`.
@@ -857,7 +860,6 @@ impl DaemonConn {
                             },
                         );
                     }
-                    DaemonMsg::ArrayFreed { id } => data.array_freed_on(self.shard, ArrayId(id)),
                     DaemonMsg::Sample {
                         metric,
                         focus,
@@ -883,10 +885,11 @@ impl DaemonConn {
                     DaemonMsg::ClockReply {
                         token, t_daemon_ns, ..
                     } if want_token == Some(token) => return Some(t_daemon_ns),
-                    // Goodbye and SubtreeCoverage are the ledger's alone. A
-                    // reply for an abandoned round, a probe echoed back, or
-                    // a shutdown request bouncing to the tool side: stale,
-                    // carries nothing to forward.
+                    // Goodbye and SubtreeCoverage are the ledger's alone. An
+                    // array free keeps nothing: the where axis lists every
+                    // array allocated. A reply for an abandoned round, a
+                    // probe echoed back, or a shutdown request bouncing to
+                    // the tool side: stale, carries nothing to forward.
                     _ => {}
                 }
             }
@@ -897,7 +900,7 @@ impl DaemonConn {
                     match String::from_utf8(blob.0) {
                         Ok(text) => {
                             if let Err(e) = data.import_pif_text(self.shard, &text) {
-                                self.reject(format!("pif parse: {e}"));
+                                self.reject(e.to_string());
                             }
                         }
                         Err(_) => self.reject("pif blob is not utf-8".into()),
@@ -1276,7 +1279,7 @@ impl Deref for ConnRef<'_> {
 
 impl DaemonSet {
     /// Connects to `addrs` over TCP, one [`TcpClient`] per daemon,
-    /// assigning connection `i` to data-manager shard `i % shard_count`.
+    /// counting connection `i` on data-manager shard `i % shard_count`.
     /// Connection establishment is asynchronous (the transport reconnects
     /// until the server appears), so this returns immediately;
     /// [`DaemonSet::clock_sync`] is the natural "is everyone up" barrier.
@@ -1742,9 +1745,8 @@ impl DaemonSet {
     /// Drains every admitted link concurrently through the persistent
     /// drain pool — `min(connections, available_parallelism)` long-lived
     /// workers claim connections off a shared cursor, each feeding its own
-    /// data-manager shard (the contention the sharded manager exists to
-    /// absorb) and its own landing columns, which the set appends after
-    /// the pass and hands back for the next. The pool is built at the
+    /// landing columns, which the set appends after the pass and hands
+    /// back for the next. The pool is built at the
     /// first call and reused for the session: a drain pass costs a condvar
     /// wakeup, not one thread spawn per connection. Quarantined
     /// connections are never dispatched, and each link lands at most
@@ -2409,7 +2411,6 @@ mod tests {
             d.send_sample("Computation Time", 1.0 + i as f64);
         }
         set.pump_until_samples(2, Duration::from_secs(5));
-        assert_eq!(set.data().dynamic_arrays().len(), 2);
         assert_eq!(set.data().shard_stats(0).imports, 1);
         assert_eq!(set.data().shard_stats(1).imports, 1);
         let axis = set.data().render_where_axis();
@@ -3317,13 +3318,17 @@ mod tests {
 
     #[test]
     fn machine_drives_the_wire_end_to_end() {
-        // The machine's sink is the wire endpoint; the drain forwards to
-        // the data manager exactly like the direct-sink path.
-        let mut tool = crate::tool::Paradyn::new(cmrts_sim::MachineConfig {
-            nodes: 2,
-            ..cmrts_sim::MachineConfig::default()
-        });
-        tool.load_source(cmf_lang::samples::FIGURE4).unwrap();
+        // The machine's sink is the wire endpoint; the drain runs the same
+        // merge as the direct-sink path, so both build one where axis.
+        let loaded = || {
+            let mut tool = crate::tool::Paradyn::new(cmrts_sim::MachineConfig {
+                nodes: 2,
+                ..cmrts_sim::MachineConfig::default()
+            });
+            tool.load_source(cmf_lang::samples::FIGURE4).unwrap();
+            tool
+        };
+        let tool = loaded();
         let (mut set, _, far_end) = one_link(tool.data().clone());
         let mut m = tool.new_machine().unwrap();
         let endpoint = crate::daemon::InstrLibEndpoint::over_transport(far_end);
@@ -3331,6 +3336,26 @@ mod tests {
         m.run();
         let n = set.pump_parallel();
         assert!(n >= 2, "A and B allocations crossed the wire, got {n}");
-        assert!(tool.render_where_axis().contains("sub#0"));
+        let direct = loaded();
+        direct.new_machine().unwrap().run();
+        let axis = tool.render_where_axis();
+        assert!(axis.contains("sub#0"), "{axis}");
+        assert_eq!(axis, direct.render_where_axis());
+    }
+
+    #[test]
+    fn an_unapplicable_wire_pif_is_rejected_once() {
+        let data = Arc::new(DataManager::new(Namespace::new(), "CM Fortran"));
+        let (mut set, _, far_end) = one_link(data);
+        let text = "MAPPING\nsource = {a, NoSuchVerb}\ndestination = {b, AlsoMissing}\n";
+        for _ in 0..2 {
+            send_wire(&*far_end, &PifBlob(text.as_bytes().to_vec())).unwrap();
+        }
+        set.pump_parallel();
+        let conn = set.conn(0);
+        assert_eq!(conn.pif_imports(), 2);
+        let errors: Vec<&str> = conn.decode_errors().iter().map(|e| e.detail()).collect();
+        // The re-shipment is a duplicate of a text already seen.
+        assert_eq!(errors, ["pif apply: unknown verb 'NoSuchVerb' in mapping"]);
     }
 }

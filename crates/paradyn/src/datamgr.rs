@@ -11,34 +11,30 @@
 //! the static path, and the [`MappingSink`] implementation for the dynamic
 //! path (array allocations arriving from the run-time system, which build
 //! the CMFarrays hierarchy of Figure 8 including per-node subregions).
+//! Both merge into the one where axis, the manager's only mapping store.
 //! It also resolves where-axis foci into instrumentation guard predicates —
 //! the §6.1 "check the array's node-global boolean variable" step.
 //!
-//! # Sharding (multi-daemon sessions)
+//! # One lock, per-link counters
 //!
-//! The paper's distributed SAS (§4.2.3) runs one daemon per node and merges
-//! their streams in the tool. To let N daemon connections import mapping
-//! information and deliver samples concurrently, the manager is **sharded
-//! by where-axis subtree**: each daemon connection owns one `Shard` —
-//! a small mutex-protected store for the dynamic arrays that daemon
-//! allocated (its subtree of `CMFarrays`, plus its `Machine` nodes) — while
-//! the **read-mostly shared catalogue** (mapping table, PIF metrics, the
-//! merged where axis) sits behind one `RwLock`. The write paths taken per
-//! message (`array_allocated_on`, `note_samples_on`) touch only their
-//! shard: allocations are appended locally and queued as *pending axis
-//! updates*; readers ([`DataManager::render_where_axis`],
-//! [`DataManager::resolve_focus`], …) merge every shard's pending queue
-//! into the shared axis before reading — per-subtree state, merged at the
-//! edges. Two daemons therefore never contend on the import path, which is
-//! what the per-shard `lock_wait_ns` counter makes visible.
+//! The catalogue (mapping table, where axis, hashes of wire PIFs) sits
+//! behind one `RwLock`, the manager's only lock. An allocation merges into
+//! the `CMFarrays` tree under the write lock, so readers
+//! ([`DataManager::render_where_axis`], [`DataManager::resolve_focus`], …)
+//! merge nothing. Each daemon connection of a multi-daemon session keeps
+//! its books in a *shard*: a slot of relaxed counters. Allocations are too
+//! rare (once per link at start, once per machine run) for a partitioned
+//! catalogue to remove any contention.
 //!
 //! Invariants:
 //! * an array name maps to exactly one axis node no matter which shard
 //!   announced it (merge is idempotent, like [`ResourceTree::child`]);
-//! * `dynamic_arrays()` is the shard-order concatenation, so the 1-shard
-//!   manager behaves exactly like the pre-sharding one;
-//! * sample delivery never takes any DataManager lock — only per-shard
-//!   relaxed counters move.
+//! * a re-announced allocation (every machine run announces its arrays
+//!   again) adds no node, counts no import and keeps nothing;
+//! * sample delivery never takes the lock — only relaxed counters move;
+//! * the lock is a leaf: no obs counter, span or other tool lock is
+//!   touched under it. PIF apply and focus resolution read the namespace
+//!   and the symbol table under it; their locks never call back.
 //!
 //! [`ResourceTree::child`]: pdmap::hierarchy::ResourceTree::child
 
@@ -50,8 +46,8 @@ use pdmap::cost::{Cost, UnitMismatch};
 use pdmap::hierarchy::{Focus, WhereAxis};
 use pdmap::mapping::MappingTable;
 use pdmap::model::{Namespace, SentenceId};
-use pdmap::util::{FxHasher, Mutex, RwLock};
-use pdmap_pif::{Applied, ApplyError, MetricRecord, PifFile};
+use pdmap::util::{FxHasher, RwLock};
+use pdmap_pif::{Applied, ApplyError, ParseError, PifFile};
 use std::collections::HashSet;
 use std::fmt;
 use std::hash::Hasher;
@@ -83,6 +79,27 @@ impl fmt::Display for FocusError {
 
 impl std::error::Error for FocusError {}
 
+/// Why a wire-shipped PIF was rejected ([`DataManager::import_pif_text`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum PifImportError {
+    /// The text does not parse; nothing was applied.
+    Parse(ParseError),
+    /// A record could not be applied. Every record before it stays
+    /// applied, as on the static [`DataManager::import_pif`] path.
+    Apply(ApplyError),
+}
+
+impl fmt::Display for PifImportError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            PifImportError::Parse(e) => write!(f, "pif parse: {e}"),
+            PifImportError::Apply(e) => write!(f, "pif apply: {e}"),
+        }
+    }
+}
+
+impl std::error::Error for PifImportError {}
+
 /// Span site for mapping-information import (static PIF and dynamic
 /// allocations both count as `datamgr`/`import` in the self-mapping).
 fn datamgr_import_site() -> &'static pdmap_obs::SpanSite {
@@ -90,79 +107,67 @@ fn datamgr_import_site() -> &'static pdmap_obs::SpanSite {
     SITE.get_or_init(|| pdmap_obs::span_site("datamgr", "import"))
 }
 
-/// The read-mostly shared catalogue: everything every shard's consumer
-/// needs merged — the mapping table, imported PIF metrics, and the where
-/// axis (static resources plus every merged dynamic subtree).
-struct DmShared {
+/// Everything behind the manager's one lock: the mapping table, the where
+/// axis (static resources plus every merged allocation), and the content
+/// hashes of PIF texts imported over the wire, so N daemons shipping the
+/// same executable's PIF populate the catalogue once.
+struct Catalogue {
     mappings: MappingTable,
     axis: WhereAxis,
-    pif_metrics: Vec<MetricRecord>,
-    /// Content hashes of PIF texts imported over the wire, so N daemons
-    /// shipping the same executable's PIF populate the catalogue once.
     imported_pif_hashes: HashSet<u64>,
-}
-
-/// A dynamic allocation's axis contribution, queued in its shard until a
-/// reader merges it into the shared axis.
-struct PendingAlloc {
-    name: String,
-    nodes: Vec<usize>,
-}
-
-#[derive(Default)]
-struct ShardInner {
-    dynamic_arrays: Vec<ArrayAllocInfo>,
-    freed: Vec<ArrayId>,
-    pending: Vec<PendingAlloc>,
 }
 
 /// Point-in-time counters for one shard (see [`DataManager::shard_stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ShardStats {
-    /// Mapping-information imports routed to this shard (dynamic
-    /// allocations plus wire-shipped PIF files).
+    /// Mapping-information imports on this shard's link: dynamic
+    /// allocations that added a where-axis node, plus every wire-shipped
+    /// PIF arrival (duplicates included).
     pub imports: u64,
     /// Metric samples delivered by this shard's daemon connection.
     pub samples: u64,
-    /// Nanoseconds spent waiting to acquire this shard's lock — near zero
-    /// while shards really are independent.
+    /// Nanoseconds this shard's allocations waited for the catalogue write
+    /// lock.
     pub lock_wait_ns: u64,
 }
 
-/// One daemon connection's slice of the manager: private mutable state
-/// behind its own lock, counters mirrored into the global `pdmap-obs`
-/// registry as `datamgr.shard<K>.{imports,samples,lock_wait_ns}`.
+/// A relaxed count of one manager, mirrored into the process-wide
+/// `pdmap-obs` counter of the same name.
+struct Tally(AtomicU64, std::sync::Arc<pdmap_obs::Counter>);
+
+impl Tally {
+    fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
+        self.1.add(n);
+    }
+
+    fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+/// One daemon connection's slot of counters, exported as
+/// `datamgr.shard<K>.{imports,samples,lock_wait_ns}`. Drain workers bump
+/// different links' slots at once, so each slot has a cache line of its
+/// own.
+#[repr(align(64))]
 struct Shard {
-    inner: Mutex<ShardInner>,
-    imports: AtomicU64,
-    samples: AtomicU64,
-    lock_wait_ns: AtomicU64,
-    obs_imports: std::sync::Arc<pdmap_obs::Counter>,
-    obs_samples: std::sync::Arc<pdmap_obs::Counter>,
-    obs_lock_wait: std::sync::Arc<pdmap_obs::Counter>,
+    imports: Tally,
+    samples: Tally,
+    lock_wait_ns: Tally,
 }
 
 impl Shard {
     fn new(index: usize) -> Self {
+        let tally = |field: &str| {
+            let name = format!("datamgr.shard{index}.{field}");
+            Tally(AtomicU64::new(0), pdmap_obs::counter(&name))
+        };
         Self {
-            inner: Mutex::new(ShardInner::default()),
-            imports: AtomicU64::new(0),
-            samples: AtomicU64::new(0),
-            lock_wait_ns: AtomicU64::new(0),
-            obs_imports: pdmap_obs::counter(&format!("datamgr.shard{index}.imports")),
-            obs_samples: pdmap_obs::counter(&format!("datamgr.shard{index}.samples")),
-            obs_lock_wait: pdmap_obs::counter(&format!("datamgr.shard{index}.lock_wait_ns")),
+            imports: tally("imports"),
+            samples: tally("samples"),
+            lock_wait_ns: tally("lock_wait_ns"),
         }
-    }
-
-    /// Locks the shard, charging the acquisition wait to `lock_wait_ns`.
-    fn lock(&self) -> std::sync::MutexGuard<'_, ShardInner> {
-        let t0 = pdmap_obs::now_ns();
-        let g = self.inner.lock();
-        let waited = pdmap_obs::now_ns().saturating_sub(t0);
-        self.lock_wait_ns.fetch_add(waited, Ordering::Relaxed);
-        self.obs_lock_wait.add(waited);
-        g
     }
 }
 
@@ -170,7 +175,7 @@ impl Shard {
 pub struct DataManager {
     ns: Namespace,
     source_level: String,
-    shared: RwLock<DmShared>,
+    catalogue: RwLock<Catalogue>,
     shards: Box<[Shard]>,
 }
 
@@ -182,16 +187,15 @@ impl DataManager {
         Self::sharded(ns, source_level, 1)
     }
 
-    /// Creates a data manager with `shards` independent shards — one per
+    /// Creates a data manager with `shards` counter slots — one per
     /// expected daemon connection. `shards` is clamped to at least 1.
     pub fn sharded(ns: Namespace, source_level: &str, shards: usize) -> Self {
         Self {
             ns,
             source_level: source_level.to_string(),
-            shared: RwLock::new(DmShared {
+            catalogue: RwLock::new(Catalogue {
                 mappings: MappingTable::new(),
                 axis: WhereAxis::new(),
-                pif_metrics: Vec::new(),
                 imported_pif_hashes: HashSet::new(),
             }),
             shards: (0..shards.max(1)).map(Shard::new).collect(),
@@ -208,29 +212,26 @@ impl DataManager {
         self.shards.len()
     }
 
+    fn shard(&self, k: usize) -> &Shard {
+        &self.shards[k % self.shards.len()]
+    }
+
     /// Counter snapshot for shard `k` (panics if out of range).
     pub fn shard_stats(&self, k: usize) -> ShardStats {
         let s = &self.shards[k];
         ShardStats {
-            imports: s.imports.load(Ordering::Relaxed),
-            samples: s.samples.load(Ordering::Relaxed),
-            lock_wait_ns: s.lock_wait_ns.load(Ordering::Relaxed),
+            imports: s.imports.get(),
+            samples: s.samples.get(),
+            lock_wait_ns: s.lock_wait_ns.get(),
         }
     }
 
-    /// Imports a PIF file (static mapping information, §3/§5). Static
-    /// imports go straight to the shared catalogue.
+    /// Imports a PIF file (static mapping information, §3/§5). On an
+    /// error, every record before the failing one stays applied.
     pub fn import_pif(&self, file: &PifFile) -> Result<Applied, ApplyError> {
         let _span = pdmap_obs::span(datamgr_import_site());
-        let mut g = self.shared.write();
-        let DmShared { mappings, axis, .. } = &mut *g;
-        let applied = pdmap_pif::apply(file, &self.ns, mappings, axis)?;
-        g.pif_metrics.extend(applied.metrics.iter().cloned());
-        // Import complete: the symbol table is expected to be read-only
-        // from here (late interns — dynamic arrays — are counted, not
-        // rejected; see `pdmap::intern`).
-        pdmap::intern::freeze();
-        Ok(applied)
+        let mut g = self.catalogue.write();
+        self.apply_pif(&mut g, file)
     }
 
     /// Imports PIF text shipped over the wire by daemon `shard` (the §5
@@ -238,102 +239,62 @@ impl DataManager {
     /// each application executable" path, crossing a process boundary).
     /// Identical texts arriving from several daemons of one SPMD program
     /// are applied once; every arrival still counts as that shard's import.
-    /// Returns `Ok(None)` for a duplicate.
+    /// Returns `Ok(None)` for a duplicate. A text that fails to apply is
+    /// still recorded as seen: its re-shipment is a duplicate.
     pub fn import_pif_text(
         &self,
         shard: usize,
         text: &str,
-    ) -> Result<Option<Applied>, pdmap_pif::ParseError> {
-        let s = &self.shards[shard % self.shards.len()];
-        s.imports.fetch_add(1, Ordering::Relaxed);
-        s.obs_imports.incr();
+    ) -> Result<Option<Applied>, PifImportError> {
+        self.shard(shard).imports.add(1);
         let mut h = FxHasher::default();
         h.write(text.as_bytes());
         let key = h.finish();
-        if self.shared.read().imported_pif_hashes.contains(&key) {
+        if self.catalogue.read().imported_pif_hashes.contains(&key) {
             return Ok(None);
         }
-        let file = pdmap_pif::parse(text)?;
-        // Racing importers may both parse; `apply` runs once per winner of
-        // the hash insertion below.
-        let mut g = self.shared.write();
+        let file = pdmap_pif::parse(text).map_err(PifImportError::Parse)?;
+        let _span = pdmap_obs::span(datamgr_import_site());
+        // Racing importers may both parse; the winner of the hash
+        // insertion applies, and a loser returns only after it has.
+        let mut g = self.catalogue.write();
         if !g.imported_pif_hashes.insert(key) {
             return Ok(None);
         }
-        let _span = pdmap_obs::span(datamgr_import_site());
-        let DmShared { mappings, axis, .. } = &mut *g;
-        match pdmap_pif::apply(&file, &self.ns, mappings, axis) {
-            Ok(applied) => {
-                g.pif_metrics.extend(applied.metrics.iter().cloned());
-                pdmap::intern::freeze();
-                Ok(Some(applied))
-            }
-            // An unapplicable wire PIF is recorded as "seen" but contributes
-            // nothing; daemons are untrusted input, never a panic source.
-            Err(_) => Ok(None),
-        }
+        self.apply_pif(&mut g, &file)
+            .map(Some)
+            .map_err(PifImportError::Apply)
+    }
+
+    /// The apply-and-freeze step of both PIF paths. `apply` stops at the
+    /// first record it cannot apply and keeps every record before it.
+    fn apply_pif(&self, g: &mut Catalogue, file: &PifFile) -> Result<Applied, ApplyError> {
+        let applied = pdmap_pif::apply(file, &self.ns, &mut g.mappings, &mut g.axis)?;
+        // Import complete: the symbol table is expected to be read-only
+        // from here (late interns — dynamic arrays — are counted, not
+        // rejected; see `pdmap::intern`).
+        pdmap::intern::freeze();
+        Ok(applied)
     }
 
     /// Ensures the Machine hierarchy has `nodes` node resources.
     pub fn ensure_machine(&self, nodes: usize) {
-        let mut g = self.shared.write();
+        let mut g = self.catalogue.write();
         let tree = g.axis.tree_mut("Machine");
         for i in 0..nodes {
             tree.add_path(&[&format!("node#{i}")]);
         }
     }
 
-    /// Merges every shard's pending axis updates into the shared axis.
-    /// Called by readers; cheap (one uncontended lock per shard) when
-    /// nothing is pending.
-    fn sync_pending(&self) {
-        let mut pending: Vec<PendingAlloc> = Vec::new();
-        for shard in self.shards.iter() {
-            let mut g = shard.lock();
-            pending.append(&mut g.pending);
-        }
-        if pending.is_empty() {
-            return;
-        }
-        let mut g = self.shared.write();
-        let tree = g.axis.tree_mut("CMFarrays");
-        for p in pending {
-            // The static PIF usually placed the array already; otherwise
-            // park it at the root. Idempotent across shards by name.
-            let array_node = tree
-                .find_by_name(&p.name)
-                .into_iter()
-                .next()
-                .unwrap_or_else(|| tree.add_path(&[&p.name]));
-            for node in p.nodes {
-                tree.child(array_node, &format!("sub#{node}"));
-            }
-        }
-    }
-
-    /// Runs `f` against the mapping table.
+    /// Runs `f` against the mapping table, under the catalogue read lock:
+    /// `f` must not call back into the manager.
     pub fn with_mappings<R>(&self, f: impl FnOnce(&MappingTable) -> R) -> R {
-        f(&self.shared.read().mappings)
-    }
-
-    /// Metric records imported from PIF files.
-    pub fn pif_metrics(&self) -> Vec<MetricRecord> {
-        self.shared.read().pif_metrics.clone()
-    }
-
-    /// Dynamic array-allocation records received so far, in shard order.
-    pub fn dynamic_arrays(&self) -> Vec<ArrayAllocInfo> {
-        let mut out = Vec::new();
-        for shard in self.shards.iter() {
-            out.extend(shard.lock().dynamic_arrays.iter().cloned());
-        }
-        out
+        f(&self.catalogue.read().mappings)
     }
 
     /// Renders the full (merged) where-axis display (Figure 8).
     pub fn render_where_axis(&self) -> String {
-        self.sync_pending();
-        self.shared.read().axis.render()
+        self.catalogue.read().axis.render()
     }
 
     /// Maps measured low-level costs upward through the mapping table.
@@ -342,44 +303,50 @@ impl DataManager {
         measured: &[(SentenceId, Cost)],
         policy: AssignPolicy,
     ) -> Result<AssignmentResult, UnitMismatch> {
-        let g = self.shared.read();
+        let g = self.catalogue.read();
         assign_per_source(&g.mappings, measured, policy)
     }
 
     /// Dynamic mapping information routed to an explicit shard — the entry
     /// point used by multi-daemon sessions ([`crate::daemonset::DaemonSet`]
     /// hands each connection its own shard index). Compiler temporaries are
-    /// filtered exactly as on the [`MappingSink`] path.
+    /// filtered exactly as on the [`MappingSink`] path. The allocation
+    /// merges into the `CMFarrays` tree under the catalogue write lock,
+    /// idempotently by name; it counts as an import only if it added a
+    /// node.
     pub fn array_allocated_on(&self, shard: usize, info: &ArrayAllocInfo) {
         let _span = pdmap_obs::span(datamgr_import_site());
         if info.name.starts_with("CMF_TMP") {
             return; // compiler temporaries are not user resources
         }
-        let s = &self.shards[shard % self.shards.len()];
-        s.imports.fetch_add(1, Ordering::Relaxed);
-        s.obs_imports.incr();
-        let mut g = s.lock();
-        g.dynamic_arrays.push(info.clone());
-        g.pending.push(PendingAlloc {
-            name: info.name.clone(),
-            nodes: info.subgrids.iter().map(|&(n, _, _)| n).collect(),
-        });
-    }
-
-    /// An array free routed to an explicit shard.
-    pub fn array_freed_on(&self, shard: usize, array: ArrayId) {
-        self.shards[shard % self.shards.len()]
-            .lock()
-            .freed
-            .push(array);
+        let t0 = pdmap_obs::now_ns();
+        let mut g = self.catalogue.write();
+        let waited = pdmap_obs::now_ns().saturating_sub(t0);
+        let tree = g.axis.tree_mut("CMFarrays");
+        let before = tree.len();
+        // The static PIF usually placed the array already; otherwise park
+        // it at the root.
+        let array_node = tree
+            .find_by_name(&info.name)
+            .into_iter()
+            .next()
+            .unwrap_or_else(|| tree.add_path(&[&info.name]));
+        for &(node, _, _) in &info.subgrids {
+            tree.child(array_node, &format!("sub#{node}"));
+        }
+        let added = tree.len() > before;
+        drop(g);
+        let s = self.shard(shard);
+        s.lock_wait_ns.add(waited);
+        if added {
+            s.imports.add(1);
+        }
     }
 
     /// Records `n` metric samples delivered via `shard`. Lock-free: the
-    /// sample path moves only relaxed counters, never a manager lock.
+    /// sample path moves only relaxed counters, never the manager's lock.
     pub fn note_samples_on(&self, shard: usize, n: u64) {
-        let s = &self.shards[shard % self.shards.len()];
-        s.samples.fetch_add(n, Ordering::Relaxed);
-        s.obs_samples.add(n);
+        self.shard(shard).samples.add(n);
     }
 
     fn array_active_sentence(&self, array: &str) -> Option<SentenceId> {
@@ -407,8 +374,7 @@ impl DataManager {
     ///   (Figure 9: metrics constrained to "subsections of arrays");
     /// * `CMFstmts/.../line#N` → `{lineN} Executes` active.
     pub fn resolve_focus(&self, focus: &Focus) -> Result<Vec<Pred>, FocusError> {
-        self.sync_pending();
-        let g = self.shared.read();
+        let g = self.catalogue.read();
         self.resolve_focus_locked(&g, focus)
     }
 
@@ -419,17 +385,17 @@ impl DataManager {
     /// refinement cache shares one allocation across every hypothesis
     /// instead of cloning the list on each hit.
     pub fn refinement_candidates(&self, focus: &Focus) -> std::sync::Arc<[Focus]> {
-        self.sync_pending();
-        let g = self.shared.read();
+        let g = self.catalogue.read();
         let mut out = Vec::new();
         for tree in g.axis.trees() {
             let hier = tree.name().to_string();
             let Some(start) = tree.resolve(focus.selection(&hier)) else {
                 continue;
             };
-            // BFS: stop descending at the first constrainable node.
-            let mut queue: Vec<_> = tree.children(start).to_vec();
-            while let Some(n) = queue.pop() {
+            // Depth-first, last child first (the walk pops a stack): stop
+            // descending at the first constrainable node.
+            let mut stack: Vec<_> = tree.children(start).to_vec();
+            while let Some(n) = stack.pop() {
                 let path = tree.path_of(n);
                 let candidate = focus.clone().select(&hier, &path);
                 if self.resolve_focus_locked(&g, &candidate).is_ok() {
@@ -437,14 +403,14 @@ impl DataManager {
                         out.push(candidate);
                     }
                 } else {
-                    queue.extend(tree.children(n).iter().copied());
+                    stack.extend(tree.children(n).iter().copied());
                 }
             }
         }
         out.into()
     }
 
-    fn resolve_focus_locked(&self, g: &DmShared, focus: &Focus) -> Result<Vec<Pred>, FocusError> {
+    fn resolve_focus_locked(&self, g: &Catalogue, focus: &Focus) -> Result<Vec<Pred>, FocusError> {
         let mut preds = Vec::new();
         for (hier, path) in focus.selection_names() {
             if path == "/" {
@@ -511,9 +477,9 @@ impl MappingSink for DataManager {
         self.array_allocated_on(0, info);
     }
 
-    fn array_freed(&self, array: ArrayId) {
-        self.array_freed_on(0, array);
-    }
+    /// A free keeps nothing: the where axis lists every array the program
+    /// allocated (Figure 8), freed or not.
+    fn array_freed(&self, _array: ArrayId) {}
 }
 
 #[cfg(test)]
@@ -562,7 +528,11 @@ mod tests {
         let shown = dm.render_where_axis();
         assert!(shown.contains("sub#0"));
         assert!(shown.contains("sub#3"));
-        assert_eq!(dm.dynamic_arrays().len(), 1);
+        assert_eq!(dm.shard_stats(0).imports, 1);
+        // A re-announcement (the next machine run's) adds nothing.
+        dm.array_allocated(&alloc("A", 0..4));
+        dm.array_freed(ArrayId(0));
+        assert_eq!(dm.render_where_axis(), shown);
         assert_eq!(dm.shard_stats(0).imports, 1);
     }
 
@@ -576,7 +546,7 @@ mod tests {
             dist: Distribution::Block,
             subgrids: vec![],
         });
-        assert!(dm.dynamic_arrays().is_empty());
+        assert_eq!(dm.shard_stats(0).imports, 0);
         assert!(!dm.render_where_axis().contains("CMF_TMP"));
     }
 
@@ -672,9 +642,9 @@ mod tests {
         // One axis node per array name, with subregions, regardless of shard.
         assert_eq!(shown.matches("  A\n").count(), 1, "{shown}");
         assert!(shown.contains("sub#2"));
-        assert_eq!(dm.dynamic_arrays().len(), 3);
         assert_eq!(dm.shard_stats(0).imports, 1);
         assert_eq!(dm.shard_stats(1).imports, 1);
+        assert_eq!(dm.shard_stats(2).imports, 0, "A was already merged");
         assert_eq!(dm.shard_stats(1).samples, 5);
         assert_eq!(dm.shard_stats(2).samples, 0);
     }
@@ -721,7 +691,6 @@ mod tests {
                 });
             }
         });
-        assert_eq!(dm.dynamic_arrays().len(), 2 * N);
         for shard in 0..2 {
             let st = dm.shard_stats(shard);
             assert_eq!(st.imports, N as u64, "shard {shard} imports");

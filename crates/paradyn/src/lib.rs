@@ -60,7 +60,7 @@ pub use daemonset::{
     FleetHealth, FleetPerturbation, Merged, MergedStreams, NodeHealth, ReconnectFn, RecoveryReport,
     RecoverySummary, ReparentReport, SessionCoverage, SupervisorPolicy,
 };
-pub use datamgr::{DataManager, FocusError, ShardStats};
+pub use datamgr::{DataManager, FocusError, PifImportError, ShardStats};
 pub use mcache::{McacheStats, Measured, MeasurementCache};
 pub use metrics::{MappingInstrumentation, MetricManager, MetricRequest, RequestError};
 pub use report::{profile, run_report, Profile};

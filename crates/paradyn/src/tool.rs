@@ -576,7 +576,11 @@ mod tests {
         let axis = t.render_where_axis();
         assert!(axis.contains("sub#0"), "axis:\n{axis}");
         assert!(axis.contains("node#3"));
-        assert_eq!(t.data().dynamic_arrays().len(), 2);
+        assert_eq!(t.data().shard_stats(0).imports, 2, "A and B");
+        // The next run re-announces both arrays and adds nothing.
+        t.new_machine().unwrap().run();
+        assert_eq!(t.render_where_axis(), axis);
+        assert_eq!(t.data().shard_stats(0).imports, 2);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! degrade loudly-but-gracefully, never silently corrupt a measurement.
 
 use cmrts_sim::{Distribution, MachineConfig, NodeOp, Operand, ProgramBuilder};
-use paradyn_tool::tool::Paradyn;
+use paradyn_tool::tool::{Experiment, Paradyn};
 use pdmap::hierarchy::Focus;
 use pdmap::model::Namespace;
 use pdmap::sas::{LocalSas, Question, SentencePattern};
@@ -257,6 +257,26 @@ fn metric_requests_survive_multiple_runs() {
     let mut m2 = tool.new_machine().unwrap();
     m2.run();
     assert_eq!(req.value(&m2), after_one * 2.0);
+}
+
+#[test]
+fn repeated_experiments_leave_the_mapping_store_unchanged() {
+    // Every experiment run announces the program's arrays to the session's
+    // data manager again; a long session must not grow with its runs.
+    let tool = tool_for(cmf_lang::samples::FIGURE4, 8);
+    let exp = Experiment {
+        metric: "Summations".into(),
+        focus: Focus::whole_program(),
+    };
+    tool.run_experiment(&exp).unwrap();
+    let imports = tool.data().shard_stats(0).imports;
+    let axis = tool.render_where_axis();
+    assert!(imports > 0 && axis.contains("sub#7"), "{imports}\n{axis}");
+    for _ in 0..200 {
+        tool.run_experiment(&exp).unwrap();
+    }
+    assert_eq!(tool.data().shard_stats(0).imports, imports);
+    assert_eq!(tool.render_where_axis(), axis);
 }
 
 #[test]
