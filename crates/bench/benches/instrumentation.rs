@@ -3,6 +3,8 @@
 //! * "Any point that does not contain instrumentation does not cause any
 //!   execution perturbations" — cost of executing an empty point;
 //! * incremental cost of counters, timers, guards, and SAS notifications;
+//! * a point instrumented for many foci, of which few can match one
+//!   execution (`guarded_fanout`);
 //! * limitation 2 of §4.2.4 — a notification the SAS ignores still costs
 //!   time, recoverable by removing the snippet dynamically.
 
@@ -156,6 +158,45 @@ fn bench_guards_and_sas(c: &mut Criterion) {
     g.finish();
 }
 
+/// One point of a consultant wave chunk: 64 requests, half guarded by
+/// `NodeIs` over 8 nodes and half by `SentenceActive` over 8 sentences,
+/// each with its own counter, executed on one node with one sentence
+/// active. 8 of the 64 guards can hold.
+fn bench_guarded_fanout(c: &mut Criterion) {
+    let mut g = c.benchmark_group("guarded_fanout");
+    g.sample_size(60);
+    let ns = Namespace::new();
+    let l = ns.level("L");
+    let v = ns.verb(l, "v", "");
+    let sids: Vec<_> = (0..8)
+        .map(|i| ns.say(v, [ns.noun(l, &format!("A{i}"), "")]))
+        .collect();
+    g.bench_function("64_snippets_8_nodes_8_sentences", |b| {
+        let m = InstrumentationManager::new();
+        let p = m.point("hot");
+        for k in 0..64u32 {
+            let guard = if k % 2 == 0 {
+                Pred::NodeIs(k / 2 % 8)
+            } else {
+                Pred::SentenceActive(sids[(k / 2 % 8) as usize])
+            };
+            let cnt = m.primitives().new_counter();
+            m.insert(
+                p,
+                Snippet::guarded(vec![guard], vec![Op::IncrCounter(cnt, 1)]),
+            );
+        }
+        let mut sas = LocalSas::new(ns.clone());
+        sas.activate(sids[3]);
+        b.iter(|| {
+            let mut ctx = ExecCtx::basic(3, 0);
+            ctx.sas = Some(&mut sas);
+            m.execute(black_box(p), &mut ctx);
+        });
+    });
+    g.finish();
+}
+
 /// Limitation 2 (§4.2.4): an ignored notification still costs; "we could
 /// eliminate this cost by dynamically removing such notifications from the
 /// executing code [5]". Three rungs: notify-and-ignore, notify-filtered,
@@ -243,6 +284,7 @@ criterion_group!(
     benches,
     bench_point_execution,
     bench_guards_and_sas,
+    bench_guarded_fanout,
     bench_ignored_notifications
 );
 criterion_main!(benches);

@@ -303,6 +303,14 @@ impl LocalSas {
         self.order.is_empty()
     }
 
+    /// The distinct active sentences in first-activation order, borrowed:
+    /// what [`LocalSas::snapshot`] copies, without the copy. The
+    /// instrumentation manager reads it at every point execution to visit
+    /// only the snippets keyed by an active sentence.
+    pub fn active_sentences(&self) -> &[SentenceId] {
+        &self.order
+    }
+
     /// Copies the current contents (Figure 5's display).
     pub fn snapshot(&self) -> Snapshot {
         Snapshot {

@@ -29,7 +29,7 @@ pub mod snippet;
 
 pub use manager::{InstrumentationManager, ManagerStats, SnippetHandle};
 pub use mdl::{parse_mdl, MdlError, MdlFile, MetricDecl};
-pub use metrics::{instantiate, MetricInstance, MetricPrimitive};
+pub use metrics::{instantiate, instantiate_all, MetricInstance, MetricPrimitive};
 pub use point::{PointId, PointRegistry};
 pub use primitive::{CounterId, PrimitiveStore, TimerId};
 pub use snippet::{run_snippet, ExecCtx, Op, Pred, SentenceArg, Snippet};

@@ -8,17 +8,49 @@
 //! not cause any execution perturbations."
 //!
 //! The substrate calls [`InstrumentationManager::execute`] at every point;
-//! an uninstrumented point costs a shared-lock acquire and an empty-slot
-//! check (measured in `benches/instrumentation.rs`). Tools insert and
+//! an uninstrumented or disabled point costs a shared-lock acquire and an
+//! empty-slot check, and an instrumented one the snippets its plan visits
+//! (both measured in `benches/instrumentation.rs`). Tools insert and
 //! remove snippets at any time — Paradyn's "insert mapping instrumentation
 //! once at the beginning of execution and leave it in, or insert and delete
 //! mapping instrumentation throughout execution" both reduce to these
 //! operations. Whole-point enable/disable supports §5's "turn on or turn
 //! off all dynamic mapping instrumentation points at once".
+//!
+//! # The plan
+//!
+//! An instrumented point does not walk its snippets one by one. Every
+//! insertion or removal rebuilds the point's *plan* (one sort of the point's
+//! snippets; [`InstrumentationManager::insert_all`] rebuilds each touched
+//! point once per batch), and `execute` runs the plan, which visits only
+//! the snippets whose guard can hold. The plan is a sequence of stages in
+//! `(priority, id)` order:
+//!
+//! * a snippet that activates or deactivates a sentence is a stage by
+//!   itself, so every guard after it reads the SAS it left;
+//! * a maximal run of same-priority snippets that leave the SAS alone is
+//!   one *keyed* stage. Its snippets sit in three buckets, each in
+//!   insertion order: unkeyed (no `NodeIs`, no `SentenceActive`), by node
+//!   (the guard's first `NodeIs`, when it has no `SentenceActive`) and by
+//!   sentence (the guard's first `SentenceActive`).
+//!
+//! On node k a keyed stage runs its unkeyed bucket, then node k's bucket,
+//! then, for each sentence active on the node's SAS in first-activation
+//! order, that sentence's bucket. A snippet in another bucket has a
+//! conjunct that cannot hold, so skipping it changes nothing; every visited
+//! snippet still evaluates its whole guard. Within a keyed stage no snippet
+//! changes the SAS, so every guard reads the same state whatever the visit
+//! order; and when two buckets of a stage drive one primitive, that stage
+//! keeps all its snippets unkeyed, so each primitive's operations still
+//! happen in insertion order. A point measuring many foci — one machine
+//! run of the Performance Consultant's wave search installs up to
+//! 64 foci × 6 metrics — then pays, per execution, for the snippets keyed
+//! to its node and its active sentences, not for every request.
 
 use crate::point::{PointId, PointRegistry};
 use crate::primitive::PrimitiveStore;
-use crate::snippet::{run_snippet, ExecCtx, Snippet};
+use crate::snippet::{run_snippet, ExecCtx, Op, Pred, Snippet};
+use pdmap::model::SentenceId;
 use pdmap::util::RwLock;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -37,14 +69,175 @@ impl SnippetHandle {
     }
 }
 
+/// One installed snippet.
+struct Entry {
+    id: u64,
+    priority: i32,
+    key: Key,
+    snippet: Snippet,
+}
+
 #[derive(Default)]
 struct Slot {
     enabled: bool,
-    /// `(id, priority, snippet)`, kept sorted by (priority, id): lower
-    /// priorities run first. Mapping instrumentation uses negative
-    /// priorities for activations (before any guard reads the SAS) and
-    /// positive ones for deactivations (after guarded stops have run).
-    snippets: Vec<(u64, i32, Arc<Snippet>)>,
+    /// Installed snippets, sorted by (priority, id): lower priorities run
+    /// first. Mapping instrumentation uses negative priorities for
+    /// activations (before any guard reads the SAS) and positive ones for
+    /// deactivations (after guarded stops have run).
+    entries: Vec<Entry>,
+    /// The plan: indices into `entries`, stage after stage and, within a
+    /// stage, bucket after bucket. Rebuilt after every insertion or
+    /// removal.
+    order: Vec<u32>,
+    plan: Vec<Stage>,
+}
+
+/// One stage of a point's plan: bucket ranges of its slot's `order`.
+struct Stage {
+    /// The unkeyed bucket is `order[start..unkeyed]`.
+    start: u32,
+    unkeyed: u32,
+    /// `(node, start, end)`, sorted by node.
+    by_node: Vec<(u32, u32, u32)>,
+    /// `(sentence, start, end)`, sorted by sentence.
+    by_sentence: Vec<(SentenceId, u32, u32)>,
+}
+
+/// The bucket a snippet goes in; the variant order is the bucket order.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Key {
+    Unkeyed,
+    Node(u32),
+    Sentence(SentenceId),
+}
+
+fn key_of(snippet: &Snippet) -> Key {
+    // A snippet that changes the SAS stands alone, unkeyed: its stage
+    // visits it exactly once, however it changes the active list.
+    if changes_sas(snippet) {
+        return Key::Unkeyed;
+    }
+    let mut key = Key::Unkeyed;
+    for p in &snippet.preds {
+        match *p {
+            Pred::SentenceActive(s) => return Key::Sentence(s),
+            Pred::NodeIs(n) if key == Key::Unkeyed => key = Key::Node(n),
+            _ => {}
+        }
+    }
+    key
+}
+
+fn changes_sas(snippet: &Snippet) -> bool {
+    snippet
+        .ops
+        .iter()
+        .any(|op| matches!(op, Op::SasActivate(_) | Op::SasDeactivate(_)))
+}
+
+/// The primitive an operation drives: `(is a timer, index)`.
+fn primitive_of(op: &Op) -> Option<(bool, u32)> {
+    match *op {
+        Op::IncrCounter(c, _) | Op::IncrCounterByArg(c) => Some((false, c.0)),
+        Op::StartProcessTimer(t)
+        | Op::StopProcessTimer(t)
+        | Op::StartWallTimer(t)
+        | Op::StopWallTimer(t) => Some((true, t.0)),
+        Op::SasActivate(_) | Op::SasDeactivate(_) => None,
+    }
+}
+
+/// True when snippets of two different buckets drive one primitive, so
+/// bucketing could reorder that primitive's operations.
+fn drives_a_primitive_from_two(entries: &[Entry], stage: &[u32]) -> bool {
+    let entry = |i: u32| &entries[i as usize];
+    if stage.iter().all(|&i| entry(i).key == entry(stage[0]).key) {
+        return false;
+    }
+    let mut owners: Vec<((bool, u32), Key)> = stage
+        .iter()
+        .map(|&i| entry(i))
+        .flat_map(|e| {
+            e.snippet
+                .ops
+                .iter()
+                .filter_map(primitive_of)
+                .map(|p| (p, e.key))
+        })
+        .collect();
+    owners.sort_unstable();
+    owners
+        .windows(2)
+        .any(|w| w[0].0 == w[1].0 && w[0].1 != w[1].1)
+}
+
+impl Stage {
+    /// Sorts `stage` (its entries' indices, in insertion order, at offset
+    /// `base` of the slot's `order`) into buckets and records them.
+    fn build(entries: &[Entry], stage: &mut [u32], base: usize) -> Self {
+        let bucketed = !drives_a_primitive_from_two(entries, stage);
+        let key = |i: u32| {
+            if bucketed {
+                entries[i as usize].key
+            } else {
+                Key::Unkeyed
+            }
+        };
+        // Sorting by (key, index) keeps insertion order within a bucket.
+        stage.sort_unstable_by_key(|&i| (key(i), i));
+        let mut start = base as u32;
+        let mut built = Stage {
+            start,
+            unkeyed: start,
+            by_node: Vec::new(),
+            by_sentence: Vec::new(),
+        };
+        for run in stage.chunk_by(|&a, &b| key(a) == key(b)) {
+            let end = start + run.len() as u32;
+            match key(run[0]) {
+                Key::Unkeyed => built.unkeyed = end,
+                Key::Node(n) => built.by_node.push((n, start, end)),
+                Key::Sentence(s) => built.by_sentence.push((s, start, end)),
+            }
+            start = end;
+        }
+        built
+    }
+}
+
+impl Slot {
+    /// Rebuilds the plan from `entries`: a snippet that changes the SAS is
+    /// a stage alone; any other joins its same-priority neighbours up to
+    /// the next one that changes the SAS.
+    fn rebuild(&mut self) {
+        let Slot {
+            entries,
+            order,
+            plan,
+            ..
+        } = self;
+        order.clear();
+        order.extend(0..entries.len() as u32);
+        plan.clear();
+        let mut start = 0;
+        while start < entries.len() {
+            let mut end = start + 1;
+            if !changes_sas(&entries[start].snippet) {
+                while end < entries.len()
+                    && entries[end].priority == entries[start].priority
+                    && !changes_sas(&entries[end].snippet)
+                {
+                    end += 1;
+                }
+            }
+            plan.push(Stage::build(entries, &mut order[start..end], start));
+            start = end;
+        }
+    }
+
+    fn bucket(&self, start: u32, end: u32) -> &[u32] {
+        &self.order[start as usize..end as usize]
+    }
 }
 
 /// Counters describing instrumentation activity.
@@ -52,8 +245,11 @@ struct Slot {
 pub struct ManagerStats {
     /// Point executions observed (instrumented or not).
     pub executions: u64,
-    /// Snippets actually run (guards may still have suppressed the body).
+    /// Snippets installed at each executed, enabled point, summed over its
+    /// executions: what a walk of every snippet would visit.
     pub snippets_run: u64,
+    /// Snippets whose guard the plan evaluated: the ones it visited.
+    pub guards_evaluated: u64,
 }
 
 /// Shared, thread-safe snippet tables per point.
@@ -64,6 +260,10 @@ pub struct InstrumentationManager {
     next_id: AtomicU64,
     executions: AtomicU64,
     snippets_run: AtomicU64,
+    /// Snippets installed at an executed point that the plan did not
+    /// visit. `guards_evaluated` is `snippets_run` minus this, so an
+    /// execution that visits every snippet adds to one shared counter.
+    skipped: AtomicU64,
 }
 
 impl InstrumentationManager {
@@ -81,6 +281,7 @@ impl InstrumentationManager {
             next_id: AtomicU64::new(1),
             executions: AtomicU64::new(0),
             snippets_run: AtomicU64::new(0),
+            skipped: AtomicU64::new(0),
         }
     }
 
@@ -106,25 +307,57 @@ impl InstrumentationManager {
     }
 
     /// Inserts a snippet with an explicit priority. Lower priorities run
-    /// first; equal priorities run in insertion order.
+    /// first. Equal priorities keep insertion order wherever a snippet
+    /// could observe it: a snippet that changes the SAS runs after every
+    /// earlier-inserted one of its priority and before every later one,
+    /// and each primitive sees its operations in insertion order. Only
+    /// the visits of same-priority snippets that merely read the SAS are
+    /// regrouped (see the module doc's plan).
     pub fn insert_with_priority(
         &self,
         point: PointId,
         snippet: Snippet,
         priority: i32,
     ) -> SnippetHandle {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        self.insert_all(vec![(point, snippet, priority)])[0]
+    }
+
+    /// Inserts a batch of `(point, snippet, priority)` under one write
+    /// lock, returning the handles in batch order; each touched point's
+    /// plan is rebuilt once. Ordering is as for
+    /// [`InstrumentationManager::insert_with_priority`], batch order being
+    /// insertion order.
+    pub fn insert_all(&self, batch: Vec<(PointId, Snippet, i32)>) -> Vec<SnippetHandle> {
+        let mut handles = Vec::with_capacity(batch.len());
         let mut slots = self.slots.write();
-        if slots.len() <= point.index() {
-            slots.resize_with(point.index() + 1, Slot::default);
+        for (point, snippet, priority) in batch {
+            let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+            if slots.len() <= point.index() {
+                slots.resize_with(point.index() + 1, Slot::default);
+            }
+            let slot = &mut slots[point.index()];
+            slot.enabled = true;
+            let pos = slot
+                .entries
+                .partition_point(|e| (e.priority, e.id) <= (priority, id));
+            slot.entries.insert(
+                pos,
+                Entry {
+                    id,
+                    priority,
+                    key: key_of(&snippet),
+                    snippet,
+                },
+            );
+            handles.push(SnippetHandle { point, id });
         }
-        let slot = &mut slots[point.index()];
-        slot.enabled = true;
-        let pos = slot
-            .snippets
-            .partition_point(|&(sid, p, _)| (p, sid) <= (priority, id));
-        slot.snippets.insert(pos, (id, priority, Arc::new(snippet)));
-        SnippetHandle { point, id }
+        let mut touched: Vec<PointId> = handles.iter().map(|h| h.point).collect();
+        touched.sort_unstable();
+        touched.dedup();
+        for point in touched {
+            slots[point.index()].rebuild();
+        }
+        handles
     }
 
     /// Removes a previously inserted snippet. Returns `true` if it was
@@ -134,9 +367,12 @@ impl InstrumentationManager {
         let Some(slot) = slots.get_mut(handle.point.index()) else {
             return false;
         };
-        let before = slot.snippets.len();
-        slot.snippets.retain(|(id, _, _)| *id != handle.id);
-        slot.snippets.len() != before
+        let Some(pos) = slot.entries.iter().position(|e| e.id == handle.id) else {
+            return false;
+        };
+        slot.entries.remove(pos);
+        slot.rebuild();
+        true
     }
 
     /// Enables or disables every snippet at one point without removing it.
@@ -163,12 +399,13 @@ impl InstrumentationManager {
         self.slots
             .read()
             .get(point.index())
-            .map(|s| s.snippets.len())
+            .map(|s| s.entries.len())
             .unwrap_or(0)
     }
 
-    /// Executes a point: runs every installed, enabled snippet against the
-    /// context. This is the substrate's hot path.
+    /// Executes a point: runs its plan against the context, visiting every
+    /// installed, enabled snippet whose guard can hold. This is the
+    /// substrate's hot path.
     #[inline]
     pub fn execute(&self, point: PointId, ctx: &mut ExecCtx<'_>) {
         self.executions.fetch_add(1, Ordering::Relaxed);
@@ -176,23 +413,65 @@ impl InstrumentationManager {
         let Some(slot) = slots.get(point.index()) else {
             return;
         };
-        if !slot.enabled || slot.snippets.is_empty() {
+        if !slot.enabled || slot.entries.is_empty() {
             return;
+        }
+        self.run_plan(slot, ctx);
+    }
+
+    /// Runs an enabled, instrumented point's plan (kept out of
+    /// [`InstrumentationManager::execute`] so its uninstrumented path
+    /// stays small enough to inline).
+    fn run_plan(&self, slot: &Slot, ctx: &mut ExecCtx<'_>) {
+        let mut visited = 0;
+        let mut run = |bucket: &[u32], ctx: &mut ExecCtx<'_>| {
+            visited += bucket.len();
+            for &i in bucket {
+                run_snippet(&slot.entries[i as usize].snippet, ctx, &self.prims);
+            }
+        };
+        for stage in &slot.plan {
+            run(slot.bucket(stage.start, stage.unkeyed), ctx);
+            if let Ok(at) = stage.by_node.binary_search_by_key(&ctx.node, |b| b.0) {
+                let (_, start, end) = stage.by_node[at];
+                run(slot.bucket(start, end), ctx);
+            }
+            if stage.by_sentence.is_empty() {
+                continue;
+            }
+            // A stage with sentence buckets changes no SAS, so the active
+            // list is the same at every step of this loop.
+            let mut j = 0;
+            while let Some(s) = ctx
+                .sas
+                .as_deref()
+                .and_then(|sas| sas.active_sentences().get(j).copied())
+            {
+                j += 1;
+                if let Ok(at) = stage.by_sentence.binary_search_by_key(&s, |b| b.0) {
+                    let (_, start, end) = stage.by_sentence[at];
+                    run(slot.bucket(start, end), ctx);
+                }
+            }
         }
         // One shared-counter add per point, not per snippet: a run measuring
         // many foci installs hundreds of snippets at the hot points.
         self.snippets_run
-            .fetch_add(slot.snippets.len() as u64, Ordering::Relaxed);
-        for (_, _, snippet) in &slot.snippets {
-            run_snippet(snippet, ctx, &self.prims);
+            .fetch_add(slot.entries.len() as u64, Ordering::Relaxed);
+        let skipped = slot.entries.len() - visited;
+        if skipped > 0 {
+            self.skipped.fetch_add(skipped as u64, Ordering::Relaxed);
         }
     }
 
     /// Activity counters.
     pub fn stats(&self) -> ManagerStats {
+        let snippets_run = self.snippets_run.load(Ordering::Relaxed);
         ManagerStats {
             executions: self.executions.load(Ordering::Relaxed),
-            snippets_run: self.snippets_run.load(Ordering::Relaxed),
+            snippets_run,
+            // Saturating: a concurrent execution may land between the loads.
+            guards_evaluated: snippets_run.saturating_sub(self.skipped.load(Ordering::Relaxed)),
         }
     }
 }
@@ -217,7 +496,9 @@ impl std::fmt::Debug for InstrumentationManager {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snippet::{Op, Pred};
+    use crate::snippet::SentenceArg;
+    use pdmap::model::Namespace;
+    use pdmap::sas::LocalSas;
 
     #[test]
     fn uninstrumented_point_does_nothing() {
@@ -307,6 +588,96 @@ mod tests {
             2 + 3000,
             "guard and disable held"
         );
+    }
+
+    #[test]
+    fn plan_visits_only_the_snippets_keyed_to_the_node_and_active_sentences() {
+        let ns = Namespace::new();
+        let l = ns.level("L");
+        let s = ns.say(ns.verb(l, "v", ""), [ns.noun(l, "A", "")]);
+        let mut sas = LocalSas::new(ns);
+        let m = InstrumentationManager::new();
+        let p = m.point("p");
+        let c: Vec<_> = (0..4).map(|_| m.primitives().new_counter()).collect();
+        m.insert(p, Snippet::new(vec![Op::IncrCounter(c[0], 1)]));
+        for (guard, &counter) in [Pred::NodeIs(1), Pred::NodeIs(2), Pred::SentenceActive(s)]
+            .into_iter()
+            .zip(&c[1..])
+        {
+            m.insert(
+                p,
+                Snippet::guarded(vec![guard], vec![Op::IncrCounter(counter, 1)]),
+            );
+        }
+        let mut ctx = ExecCtx::basic(1, 0);
+        ctx.sas = Some(&mut sas);
+        // `s` inactive: the unguarded and the node-1 snippet.
+        m.execute(p, &mut ctx);
+        assert_eq!(m.stats().guards_evaluated, 2);
+        ctx.sas.as_mut().unwrap().activate(s);
+        // `s` active: its bucket too, never node 2's.
+        m.execute(p, &mut ctx);
+        let st = m.stats();
+        assert_eq!(st.executions, 2);
+        assert_eq!(st.snippets_run, 8, "every installed snippet, per execution");
+        assert_eq!(st.guards_evaluated, 5);
+        let counts: Vec<i64> = c.iter().map(|&c| m.primitives().read_counter(c)).collect();
+        assert_eq!(counts, [2, 2, 0, 1]);
+    }
+
+    #[test]
+    fn a_primitive_driven_from_two_buckets_keeps_its_stage_unkeyed() {
+        let m = InstrumentationManager::new();
+        let p = m.point("p");
+        let t = m.primitives().new_timer();
+        // Inserted start-then-stop: buckets would run the unguarded stop
+        // before the node-0 start and leave the timer running.
+        m.insert(
+            p,
+            Snippet::guarded(vec![Pred::NodeIs(0)], vec![Op::StartProcessTimer(t)]),
+        );
+        m.insert(p, Snippet::new(vec![Op::StopProcessTimer(t)]));
+        m.insert(
+            p,
+            Snippet::guarded(vec![Pred::NodeIs(1)], vec![Op::StopProcessTimer(t)]),
+        );
+        m.execute(p, &mut ExecCtx::basic(0, 10));
+        assert!(
+            !m.primitives().timer_running(t),
+            "the stop ran after the start"
+        );
+        assert_eq!(m.stats().guards_evaluated, 3, "the stage stayed flat");
+    }
+
+    #[test]
+    fn a_snippet_that_changes_the_sas_runs_once_per_execution() {
+        let ns = Namespace::new();
+        let l = ns.level("L");
+        let v = ns.verb(l, "v", "");
+        let s = ns.say(v, [ns.noun(l, "A", "")]);
+        let t = ns.say(v, [ns.noun(l, "B", "")]);
+        let mut sas = LocalSas::new(ns);
+        sas.activate(s);
+        sas.activate(t);
+        let m = InstrumentationManager::new();
+        let p = m.point("p");
+        let c = m.primitives().new_counter();
+        // Re-activating `s` moves it behind `t` in the active list.
+        m.insert(
+            p,
+            Snippet::guarded(
+                vec![Pred::SentenceActive(s)],
+                vec![
+                    Op::SasDeactivate(SentenceArg::Fixed(s)),
+                    Op::SasActivate(SentenceArg::Fixed(s)),
+                    Op::IncrCounter(c, 1),
+                ],
+            ),
+        );
+        let mut ctx = ExecCtx::basic(0, 0);
+        ctx.sas = Some(&mut sas);
+        m.execute(p, &mut ctx);
+        assert_eq!(m.primitives().read_counter(c), 1);
     }
 
     #[test]

@@ -2,17 +2,19 @@
 //!
 //! Paradyn "compiles the descriptions into code that is inserted into
 //! running applications at precisely the moment when the particular metric
-//! is requested" (§6.3). [`instantiate`] is that moment: it allocates one
-//! primitive (counter or timer) for the metric instance, compiles each
+//! is requested" (§6.3). [`instantiate_all`] is that moment: for each
+//! request it allocates one primitive (counter or timer), compiles each
 //! `foreach point` action list into a [`Snippet`] guarded by the request's
-//! predicates (the focus constraint), and inserts the snippets. Dropping a
-//! request is [`MetricInstance::uninstall`], which removes every snippet —
-//! returning those points to their unperturbed state.
+//! predicates (the focus constraint), and inserts every snippet of the
+//! batch under one lock. Dropping a request is
+//! [`MetricInstance::uninstall`], which removes every snippet — returning
+//! those points to their unperturbed state.
 
 use crate::manager::{InstrumentationManager, SnippetHandle};
 use crate::mdl::{MdlAction, MetricDecl};
 use crate::primitive::{CounterId, PrimitiveStore, TimerId};
 use crate::snippet::{Op, Pred, SentenceArg, Snippet};
+use std::sync::Arc;
 
 /// The primitive backing a metric instance.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -26,8 +28,9 @@ pub enum MetricPrimitive {
 /// A live, instrumented metric: one primitive plus the snippets feeding it.
 #[derive(Debug)]
 pub struct MetricInstance {
-    /// The declaration this instance was built from.
-    pub decl: MetricDecl,
+    /// The declaration this instance was built from, shared with the
+    /// catalogue that holds it.
+    pub decl: Arc<MetricDecl>,
     /// Where the measurement accumulates.
     pub primitive: MetricPrimitive,
     handles: Vec<SnippetHandle>,
@@ -87,36 +90,59 @@ fn compile_action(action: MdlAction, primitive: MetricPrimitive) -> Op {
 }
 
 /// Instantiates `decl` with guard predicates `guard` (the focus
-/// constraints: a question-satisfied check, a node restriction, ...).
-/// Allocates the primitive, compiles and inserts the snippets.
+/// constraints: a question-satisfied check, a node restriction, ...): a
+/// batch of one for [`instantiate_all`].
 pub fn instantiate(
     mgr: &InstrumentationManager,
     decl: &MetricDecl,
     guard: Vec<Pred>,
 ) -> MetricInstance {
+    instantiate_all(mgr, vec![(Arc::new(decl.clone()), guard)])
+        .pop()
+        .expect("one instance per request")
+}
+
+/// Instantiates a batch of `(declaration, guard)` requests, returning one
+/// instance per request in batch order. Each request gets its own
+/// primitive; every snippet of the batch is inserted under one write lock
+/// ([`InstrumentationManager::insert_all`]), so each touched point's plan
+/// is rebuilt once per batch, not once per snippet.
+pub fn instantiate_all(
+    mgr: &InstrumentationManager,
+    requests: Vec<(Arc<MetricDecl>, Vec<Pred>)>,
+) -> Vec<MetricInstance> {
     let prims = mgr.primitives();
-    let primitive = if decl.is_timer() {
-        MetricPrimitive::Timer(prims.new_timer())
-    } else {
-        MetricPrimitive::Counter(prims.new_counter())
-    };
-    let mut handles = Vec::with_capacity(decl.points.len());
-    for pa in &decl.points {
-        let point = mgr.point(&pa.point);
-        let ops: Vec<Op> = pa
-            .actions
-            .iter()
-            .map(|&a| compile_action(a, primitive))
-            .collect();
-        let snippet = Snippet::guarded(guard.clone(), ops);
-        handles.push(mgr.insert(point, snippet));
+    let mut snippets = Vec::new();
+    let mut instances: Vec<MetricInstance> = requests
+        .into_iter()
+        .map(|(decl, guard)| {
+            let primitive = if decl.is_timer() {
+                MetricPrimitive::Timer(prims.new_timer())
+            } else {
+                MetricPrimitive::Counter(prims.new_counter())
+            };
+            for pa in &decl.points {
+                let ops = pa
+                    .actions
+                    .iter()
+                    .map(|&a| compile_action(a, primitive))
+                    .collect();
+                let snippet = Snippet::guarded(guard.clone(), ops);
+                snippets.push((mgr.point(&pa.point), snippet, 0));
+            }
+            MetricInstance {
+                decl,
+                primitive,
+                handles: Vec::new(),
+                installed: true,
+            }
+        })
+        .collect();
+    let mut handles = mgr.insert_all(snippets).into_iter();
+    for inst in &mut instances {
+        inst.handles = handles.by_ref().take(inst.decl.points.len()).collect();
     }
-    MetricInstance {
-        decl: decl.clone(),
-        primitive,
-        handles,
-        installed: true,
-    }
+    instances
 }
 
 #[cfg(test)]

@@ -10,6 +10,7 @@
 //! passes its per-node virtual process clock for process timers and the
 //! machine clock for wall timers, keeping every measurement deterministic.
 
+use pdmap::util::RwLock;
 use std::fmt;
 use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, Ordering};
 
@@ -46,17 +47,18 @@ struct Timer {
 /// Shared storage for counters and timers.
 ///
 /// Allocation (`new_counter`/`new_timer`) takes its vector's write lock.
-/// Every update and read takes that vector's read lock to find the
-/// primitive, then moves plain atomics; readers share the lock, so only an
-/// allocation makes them wait. Each timer is only ever driven from one
-/// node thread (its snippets run on that node), so the relaxed orderings
-/// are sufficient; cross-thread sampling sees a consistent *monotone
-/// under-estimate* while a timer is running, and the exact value once
-/// stopped.
+/// Every update and read takes that vector's read lock and moves the
+/// primitive's atomics in place (primitives are stored inline, so a
+/// request allocates no heap cell of its own); readers share the lock, so
+/// only an allocation makes them wait. Each timer is only ever driven from
+/// one node thread (its snippets run on that node), so the relaxed
+/// orderings are sufficient; cross-thread sampling sees a consistent
+/// *monotone under-estimate* while a timer is running, and the exact value
+/// once stopped.
 #[derive(Default)]
 pub struct PrimitiveStore {
-    counters: pdmap::util::RwLock<Vec<std::sync::Arc<AtomicI64>>>,
-    timers: pdmap::util::RwLock<Vec<std::sync::Arc<Timer>>>,
+    counters: RwLock<Vec<AtomicI64>>,
+    timers: RwLock<Vec<Timer>>,
 }
 
 impl PrimitiveStore {
@@ -69,7 +71,7 @@ impl PrimitiveStore {
     pub fn new_counter(&self) -> CounterId {
         let mut g = self.counters.write();
         let id = CounterId(g.len() as u32);
-        g.push(std::sync::Arc::new(AtomicI64::new(0)));
+        g.push(AtomicI64::new(0));
         id
     }
 
@@ -77,16 +79,8 @@ impl PrimitiveStore {
     pub fn new_timer(&self) -> TimerId {
         let mut g = self.timers.write();
         let id = TimerId(g.len() as u32);
-        g.push(std::sync::Arc::new(Timer::default()));
+        g.push(Timer::default());
         id
-    }
-
-    fn counter(&self, id: CounterId) -> std::sync::Arc<AtomicI64> {
-        self.counters.read()[id.0 as usize].clone()
-    }
-
-    fn timer(&self, id: TimerId) -> std::sync::Arc<Timer> {
-        self.timers.read()[id.0 as usize].clone()
     }
 
     /// Adds `delta` to a counter.
@@ -98,12 +92,12 @@ impl PrimitiveStore {
 
     /// Reads a counter.
     pub fn read_counter(&self, id: CounterId) -> i64 {
-        self.counter(id).load(Ordering::Relaxed)
+        self.counters.read()[id.0 as usize].load(Ordering::Relaxed)
     }
 
     /// Resets a counter to zero, returning the previous value.
     pub fn reset_counter(&self, id: CounterId) -> i64 {
-        self.counter(id).swap(0, Ordering::Relaxed)
+        self.counters.read()[id.0 as usize].swap(0, Ordering::Relaxed)
     }
 
     /// Starts (or nests) a timer at tick `now`.
@@ -137,7 +131,8 @@ impl PrimitiveStore {
     /// Reads a timer's accumulated ticks; if it is currently running, the
     /// in-progress window up to `now` is included.
     pub fn read_timer(&self, id: TimerId, now: u64) -> u64 {
-        let t = self.timer(id);
+        let g = self.timers.read();
+        let t = &g[id.0 as usize];
         let mut acc = t.accumulated.load(Ordering::Relaxed);
         if t.depth.load(Ordering::Relaxed) > 0 {
             acc += now.saturating_sub(t.started_at.load(Ordering::Relaxed));
@@ -147,7 +142,10 @@ impl PrimitiveStore {
 
     /// True if the timer has an outstanding start.
     pub fn timer_running(&self, id: TimerId) -> bool {
-        self.timer(id).depth.load(Ordering::Relaxed) > 0
+        self.timers.read()[id.0 as usize]
+            .depth
+            .load(Ordering::Relaxed)
+            > 0
     }
 
     /// Number of allocated counters.

@@ -57,9 +57,12 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// The most foci one machine run measures: every (metric, focus) request
-/// installs its own snippets, so the cap bounds a run's host memory and
-/// per-point work (DESIGN §16 measures other caps).
+/// The most foci one machine run measures. Every (metric, focus) request
+/// installs its own snippets and primitive, so the cap bounds a run's host
+/// memory and install time. A point execution visits only the requests
+/// its node and active sentences can match (the instrumentation manager's
+/// plan), so per-point work does not grow with the other foci (DESIGN §16
+/// measures other caps).
 pub const MAX_FOCI_PER_RUN: usize = 64;
 
 /// Span site for evaluating one hypothesis experiment, interned once

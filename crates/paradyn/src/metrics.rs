@@ -11,7 +11,7 @@ use crate::datamgr::{DataManager, FocusError};
 use cmrts_sim::{CmrtsPoints, Machine};
 use dyninst_sim::mdl::{parse_mdl, MdlFile, MetricDecl};
 use dyninst_sim::{
-    instantiate, InstrumentationManager, MetricInstance, Op, Pred, SentenceArg, Snippet,
+    instantiate_all, InstrumentationManager, MetricInstance, Op, Pred, SentenceArg, Snippet,
     SnippetHandle,
 };
 use pdmap::hierarchy::Focus;
@@ -49,11 +49,14 @@ impl From<FocusError> for RequestError {
     }
 }
 
+/// A focus resolved to its guard predicates, or why it cannot be.
+pub(crate) type ResolvedFocus = Result<Vec<Pred>, FocusError>;
+
 /// A live metric request: metric × focus, instrumented and accumulating.
 #[derive(Debug)]
 pub struct MetricRequest {
-    /// The requested metric's declaration.
-    pub decl: MetricDecl,
+    /// The requested metric's declaration, shared with the catalogue.
+    pub decl: Arc<MetricDecl>,
     /// The focus it is constrained to.
     pub focus: Focus,
     /// How much of the fleet this request's value covers. A local
@@ -117,7 +120,8 @@ impl MetricRequest {
 /// The metric manager: the catalogue plus request machinery.
 pub struct MetricManager {
     mgr: Arc<InstrumentationManager>,
-    catalogue: MdlFile,
+    /// Catalogue order; every request shares its declaration.
+    decls: Vec<Arc<MetricDecl>>,
     by_key: BTreeMap<String, usize>,
 }
 
@@ -126,7 +130,7 @@ impl MetricManager {
     pub fn new(mgr: Arc<InstrumentationManager>) -> Self {
         let mut mm = Self {
             mgr,
-            catalogue: MdlFile::default(),
+            decls: Vec::new(),
             by_key: BTreeMap::new(),
         };
         mm.install_file(figure9_catalogue());
@@ -135,10 +139,10 @@ impl MetricManager {
 
     fn install_file(&mut self, file: MdlFile) {
         for m in file.metrics {
-            let idx = self.catalogue.metrics.len();
+            let idx = self.decls.len();
             self.by_key.insert(m.id.clone(), idx);
             self.by_key.insert(m.name.clone(), idx);
-            self.catalogue.metrics.push(m);
+            self.decls.push(Arc::new(m));
         }
     }
 
@@ -153,16 +157,12 @@ impl MetricManager {
 
     /// All metric display names, catalogue order.
     pub fn metric_names(&self) -> Vec<&str> {
-        self.catalogue
-            .metrics
-            .iter()
-            .map(|m| m.name.as_str())
-            .collect()
+        self.decls.iter().map(|m| m.name.as_str()).collect()
     }
 
     /// Looks up a declaration by id or display name.
     pub fn decl(&self, name: &str) -> Option<&MetricDecl> {
-        self.by_key.get(name).map(|&i| &self.catalogue.metrics[i])
+        self.by_key.get(name).map(|&i| &*self.decls[i])
     }
 
     /// Requests `metric` constrained to `focus`: resolves the focus to
@@ -192,33 +192,52 @@ impl MetricManager {
         ticks_per_second: f64,
     ) -> Result<MetricRequest, RequestError> {
         let guard = data.resolve_focus(focus);
-        self.request_resolved(mgr, metric, focus, &guard, ticks_per_second)
+        self.request_all(mgr, &[(metric, focus, &guard)], ticks_per_second)
+            .pop()
+            .expect("one result per request")
     }
 
-    /// Like [`MetricManager::request_in`], with `focus` already resolved
-    /// to its guard predicates (or its resolution error), so a run that
-    /// measures several metrics at one focus resolves it once. An unknown
-    /// metric is reported before a focus error, as `request_in` does.
-    pub(crate) fn request_resolved(
+    /// Requests a batch of `(metric, focus, resolved guard)` into `mgr`,
+    /// returning one result per request in batch order. Each focus arrives
+    /// already resolved to its guard predicates (or its resolution
+    /// error), so a run that measures several metrics at one focus
+    /// resolves it once. An unknown metric is reported before a focus
+    /// error, as [`MetricManager::request_in`] does. Every snippet of the
+    /// batch is installed under one lock, and each request shares its
+    /// catalogue declaration.
+    pub(crate) fn request_all(
         &self,
         mgr: &Arc<InstrumentationManager>,
-        metric: &str,
-        focus: &Focus,
-        guard: &Result<Vec<Pred>, FocusError>,
+        batch: &[(&str, &Focus, &ResolvedFocus)],
         ticks_per_second: f64,
-    ) -> Result<MetricRequest, RequestError> {
-        let decl = self
-            .decl(metric)
-            .ok_or_else(|| RequestError::UnknownMetric(metric.to_string()))?
-            .clone();
-        let instance = instantiate(mgr, &decl, guard.clone()?);
-        Ok(MetricRequest {
-            decl,
-            focus: focus.clone(),
-            coverage: crate::daemonset::Coverage::default(),
-            instance,
-            ticks_per_second,
-        })
+    ) -> Vec<Result<MetricRequest, RequestError>> {
+        let mut requests = Vec::with_capacity(batch.len());
+        let decls: Vec<Result<Arc<MetricDecl>, RequestError>> = batch
+            .iter()
+            .map(|&(metric, _, guard)| {
+                let decl = self
+                    .by_key
+                    .get(metric)
+                    .map(|&i| self.decls[i].clone())
+                    .ok_or_else(|| RequestError::UnknownMetric(metric.to_string()))?;
+                requests.push((decl.clone(), guard.clone()?));
+                Ok(decl)
+            })
+            .collect();
+        let mut instances = instantiate_all(mgr, requests).into_iter();
+        decls
+            .into_iter()
+            .zip(batch)
+            .map(|(decl, &(_, focus, _))| {
+                Ok(MetricRequest {
+                    decl: decl?,
+                    focus: focus.clone(),
+                    coverage: crate::daemonset::Coverage::default(),
+                    instance: instances.next().expect("one instance per request"),
+                    ticks_per_second,
+                })
+            })
+            .collect()
     }
 
     /// The shared instrumentation manager.
@@ -255,23 +274,16 @@ impl MappingInstrumentation {
             (points.io_entry, points.io_exit),
             (points.msg_send, points.msg_send_done),
         ];
-        let mut handles = Vec::with_capacity(pairs.len() * 2);
-        for (entry, exit) in pairs {
-            // Activations run before any metric guard reads the SAS;
-            // deactivations run after guarded timer stops have fired.
-            handles.push(mgr.insert_with_priority(
-                entry,
-                Snippet::new(vec![Op::SasActivate(SentenceArg::FromContext)]),
-                -10,
-            ));
-            handles.push(mgr.insert_with_priority(
-                exit,
-                Snippet::new(vec![Op::SasDeactivate(SentenceArg::FromContext)]),
-                10,
-            ));
-        }
+        // Activations run before any metric guard reads the SAS;
+        // deactivations run after guarded timer stops have fired.
+        let activate = || Snippet::new(vec![Op::SasActivate(SentenceArg::FromContext)]);
+        let deactivate = || Snippet::new(vec![Op::SasDeactivate(SentenceArg::FromContext)]);
+        let snippets = pairs
+            .into_iter()
+            .flat_map(|(entry, exit)| [(entry, activate(), -10), (exit, deactivate(), 10)])
+            .collect();
         Self {
-            handles,
+            handles: mgr.insert_all(snippets),
             installed: true,
         }
     }

@@ -86,10 +86,12 @@ pub struct Paradyn {
     /// `0` while nothing is loaded. Part of every measurement-cache key,
     /// so a reloaded tool can never serve another program's measurements.
     program_hash: AtomicU64,
-    /// Bumped by every session-coverage change, mapping toggle, and
-    /// program load. Part of every measurement-cache key: a fleet
-    /// degradation mid-search makes all cached intervals unreachable
-    /// instead of serving a stale narrow one.
+    /// Bumped by every session-coverage change, mapping toggle, program
+    /// load, and [`Paradyn::metrics_mut`] borrow (which may redefine a
+    /// metric). Part of every measurement-cache key: a fleet degradation
+    /// mid-search makes all cached intervals unreachable instead of
+    /// serving a stale narrow one, and a redefined metric is never
+    /// answered from its old definition's measurements.
     coverage_epoch: AtomicU64,
     /// The content-addressed measurement cache behind
     /// [`Paradyn::experiment_cached`].
@@ -140,8 +142,11 @@ impl Paradyn {
         &self.metrics
     }
 
-    /// Mutable metric manager (for adding user MDL).
+    /// Mutable metric manager (for adding user MDL). A caller may
+    /// redefine a metric through it, so it bumps the coverage epoch:
+    /// cached measurements of the old definitions become unreachable.
     pub fn metrics_mut(&mut self) -> &mut MetricManager {
+        self.coverage_epoch.fetch_add(1, Ordering::SeqCst);
         &mut self.metrics
     }
 
@@ -382,10 +387,12 @@ impl Paradyn {
     /// toggle is on), so concurrent runs never execute each other's
     /// snippets against shared primitives. Every (metric, focus) request
     /// gets its own primitive; each focus's guard is resolved once and
-    /// shared by its metrics. Instrumentation in the simulator is passive —
-    /// it mutates counters and timers, never the simulated clock — so one
-    /// run over many foci produces values and walls bit-identical to one
-    /// single-metric [`Paradyn::run_experiment`] per (metric, focus).
+    /// shared by its metrics, and the run's requests install as one batch
+    /// (one lock, each touched point's plan rebuilt once). Instrumentation
+    /// in the simulator is passive — it mutates counters and timers, never
+    /// the simulated clock — so one run over many foci produces values and
+    /// walls bit-identical to one single-metric [`Paradyn::run_experiment`]
+    /// per (metric, focus).
     pub fn run_experiments(
         &self,
         metrics: &[String],
@@ -404,35 +411,30 @@ impl Paradyn {
         let _mapping = self
             .mapping_installed()
             .then(|| MappingInstrumentation::install(&mgr));
-        let reqs: Vec<Vec<(String, Result<MetricRequest, RequestError>)>> = foci
+        let guards: Vec<_> = foci.iter().map(|f| self.data.resolve_focus(f)).collect();
+        let batch: Vec<_> = foci
             .iter()
-            .map(|focus| {
-                let guard = self.data.resolve_focus(focus);
-                metrics
-                    .iter()
-                    .map(|m| {
-                        let req = self.metrics.request_resolved(&mgr, m, focus, &guard, tps);
-                        (m.clone(), req)
-                    })
-                    .collect()
-            })
+            .zip(&guards)
+            .flat_map(|(focus, guard)| metrics.iter().map(move |m| (m.as_str(), focus, guard)))
             .collect();
+        let mut reqs = self.metrics.request_all(&mgr, &batch, tps).into_iter();
         let mut machine = Machine::new(self.config.clone(), self.ns.clone(), mgr, program)
             .expect("loaded program passed machine validation");
         machine.set_mapping_sink(self.data.clone());
         machine.run();
         let wall = machine.wall_clock() as f64 / tps;
-        reqs.into_iter()
-            .map(|batch| {
-                batch
-                    .into_iter()
-                    .map(|(name, r)| {
+        foci.iter()
+            .map(|_| {
+                metrics
+                    .iter()
+                    .map(|name| {
+                        let r = reqs.next().expect("one request per (focus, metric)");
                         let out = r.map(|req| Measured {
                             value: req.value(&machine),
                             wall,
                             coverage,
                         });
-                        (name, out)
+                        (name.clone(), out)
                     })
                     .collect()
             })

@@ -453,6 +453,38 @@ fn coverage_stamp_bumps_the_epoch_and_invalidates_the_cache() {
 }
 
 #[test]
+fn redefining_a_metric_invalidates_its_cached_measurements() {
+    // `metrics_mut` hands out the catalogue, whose `add_mdl` may rebind an
+    // existing display name: a search's cached measurements of the old
+    // definition must not answer a query about the new one.
+    use paradyn_tool::Experiment;
+    use pdmap::hierarchy::Focus;
+    let mut tool = tool_for(4);
+    let cfg = ConsultantConfig {
+        threshold: 0.05,
+        max_depth: 0,
+    };
+    search(&tool, &cfg);
+    let whole = Focus::whole_program();
+    let (timed, _) = tool.measure("Sort Time", &whole).unwrap();
+    tool.metrics_mut()
+        .add_mdl(
+            r#"metric sort_count { name "Sort Time"; units operations;
+               foreach point "cmrts::sort:entry" { incrCounter 1; } }"#,
+        )
+        .unwrap();
+    let (value, _) = tool.measure("Sort Time", &whole).unwrap();
+    let fresh = tool
+        .run_experiment(&Experiment {
+            metric: "Sort Time".to_string(),
+            focus: whole,
+        })
+        .unwrap();
+    assert_eq!(value, fresh.value, "the new definition answers");
+    assert_ne!(value, timed, "a count of sorts, not their seconds");
+}
+
+#[test]
 fn unloaded_tool_measures_to_an_error_not_a_panic() {
     // Asking an empty tool to measure is a user error, not a crash: every
     // measurement entry point reports `NoProgram`, and the consultant
