@@ -8,9 +8,9 @@
 //! sample columns are bulk-appended with skew correction applied as a
 //! column pass — no per-sample string handling, no per-sample `Arc`
 //! refcount traffic. A loose sample is a one-row [`SampleColumns::push`].
-//! Downstream stages stay columnar: clock re-alignment
-//! ([`SampleColumns::realign_all`]), the merge of per-worker landings
-//! ([`SampleColumns::append`]), the merge order
+//! A row is aligned once, as it lands, with the offset its link had then;
+//! nothing re-times a row afterwards. Downstream stages stay columnar: the
+//! merge of per-worker landings ([`SampleColumns::append`]), the merge order
 //! ([`SampleColumns::merge_walk`]), and the per-key fold with histogram
 //! fills and coverage interval widening ([`SampleColumns::fold`]). String
 //! names are materialized only at the render edge, via [`Symbol::as_str`].
@@ -102,17 +102,6 @@ impl SampleColumns {
         self.aligned
             .extend(batch.wall.iter().map(|&w| align(w, offset_ns)));
         self.key.extend(batch.key.iter().map(|&k| dict[k as usize]));
-    }
-
-    /// Re-applies skew correction to every sample in one pass, each under
-    /// its daemon's offset: `offsets` is indexed by daemon id (daemons
-    /// beyond the table keep offset 0). [`align`] is monotone at a fixed
-    /// offset, so a daemon's rows that were in aligned order stay so.
-    pub fn realign_all(&mut self, offsets: &[i64]) {
-        for i in 0..self.len() {
-            let off = offsets.get(self.daemon[i] as usize).copied().unwrap_or(0);
-            self.aligned[i] = align(self.wall[i], off);
-        }
     }
 
     /// Appends all of `other` — how per-worker landings merge. Keys are
@@ -499,18 +488,6 @@ mod tests {
     }
 
     #[test]
-    fn realign_all_recorrects_each_daemon_by_its_offset() {
-        let mut cols = SampleColumns::new();
-        cols.extend_batch(0, 0, &batch());
-        cols.extend_batch(1, 0, &batch());
-        cols.extend_batch(2, 0, &batch());
-        cols.realign_all(&[100, 500]);
-        assert_eq!(cols.aligneds()[0], 900, "daemon 0 by its offset");
-        assert_eq!(cols.aligneds()[4], 500, "daemon 1 by its offset");
-        assert_eq!(cols.aligneds()[8], 1_000, "past the table: offset 0");
-    }
-
-    #[test]
     fn append_and_merge_walk_merge_landings() {
         let (ka, kb) = (key("m", "a"), key("m", "b"));
         let mut s0 = SampleColumns::new();
@@ -540,10 +517,11 @@ mod tests {
     /// A seeded random store shaped like a session's: up to 5 daemons
     /// whose rows land in chunks of 1-8 interleaved across daemons, each
     /// stamped from its own rising clock with coarse steps so that rows
-    /// tie within and across daemons. Daemon 2 never sends (an empty
-    /// link) and, when `disorder` holds, daemon 3's clock jumps back
-    /// mid-stream (a restart), so its rows are out of aligned order.
-    fn random_store(seed: u64, disorder: bool) -> SampleColumns {
+    /// tie within and across daemons, and aligned as it lands with its
+    /// daemon's entry in `offsets`. Daemon 2 never sends (an empty link)
+    /// and, when `disorder` holds, daemon 3's clock jumps back mid-stream
+    /// (a restart), so its rows are out of aligned order.
+    fn random_store(seed: u64, disorder: bool, offsets: &[i64; 5]) -> SampleColumns {
         let mut rng = SplitMix64::new(seed);
         let daemons = 1 + rng.usize_in(0..5) as u32;
         let k = key("m", "f");
@@ -561,7 +539,8 @@ mod tests {
                 }
                 clock[d as usize] += 10 * rng.usize_in(0..3) as u64;
                 let wall = clock[d as usize];
-                cols.push(d, k, wall, wall, cols.len() as f64);
+                let aligned = align(wall, offsets[d as usize]);
+                cols.push(d, k, wall, aligned, cols.len() as f64);
             }
         }
         cols
@@ -571,7 +550,7 @@ mod tests {
     fn merge_walk_visits_rows_in_stable_sort_order() {
         let mut disordered = 0;
         for seed in 0..300u64 {
-            let mut cols = random_store(seed, seed % 2 == 1);
+            let cols = random_store(seed, seed % 2 == 1, &[0; 5]);
             let walked: Vec<usize> = cols.merge_walk().collect();
             assert_eq!(walked, stable_sort_order(&cols), "seed {seed}");
             let d3: Vec<u64> = (0..cols.len())
@@ -579,11 +558,11 @@ mod tests {
                 .map(|i| cols.aligneds()[i])
                 .collect();
             disordered += usize::from(d3.windows(2).any(|w| w[0] > w[1]));
-            // Realignment moves each daemon by its own offset (and clamps
-            // some rows to zero): the walk still matches the sort.
-            cols.realign_all(&[0, 25, -40, 1_000, 5]);
-            let walked: Vec<usize> = cols.merge_walk().collect();
-            assert_eq!(walked, stable_sort_order(&cols), "seed {seed}, realigned");
+            // Each link landing at its own offset (and some rows clamping
+            // to zero): the walk still matches the sort.
+            let shifted = random_store(seed, seed % 2 == 1, &[0, 25, -40, 1_000, 5]);
+            let walked: Vec<usize> = shifted.merge_walk().collect();
+            assert_eq!(walked, stable_sort_order(&shifted), "seed {seed}, shifted");
         }
         assert!(disordered > 10, "the stores exercise the sorted fallback");
     }
@@ -618,8 +597,13 @@ mod tests {
         cols.append(&landing);
         assert_eq!((cols.max_value(), scan(&cols)), (9.5, 9.5));
         cols.append(&SampleColumns::new());
-        cols.realign_all(&[100, 200, 300, 400]);
-        assert_eq!(cols.max_value(), scan(&cols), "realignment moves no value");
+        // Links landing at their own offsets, one clamped to zero, move no
+        // value.
+        cols.extend_batch(4, 400, &batch());
+        cols.extend_batch(5, 2_000, &batch());
+        cols.push(6, k, 3, align(3, 300), 1.0);
+        assert_eq!(cols.aligneds()[cols.len() - 5], 0, "clamped at zero");
+        assert_eq!((cols.max_value(), scan(&cols)), (9.5, 9.5));
         assert_eq!(cols.clone().max_value(), 9.5);
     }
 

@@ -17,21 +17,25 @@
 //! length-prefixed binary payloads ([`WirePayload`]); the codec rejects
 //! malformed input instead of guessing.
 //!
-//! A parent — the tool or a `pdmapd` relay — keeps the books of each child
-//! link in one [`LinkLedger`]: clock offset, conservation counts across
-//! lives, replay watermark, source marks, subtree report, topology and the
-//! adoption seed, so the conservation, dedup and adoption rules are one
-//! piece of code at every level of the tree.
+//! A parent — the tool or a `pdmapd` relay — reads each child link through
+//! one [`ChildLink`] and keeps its books in one [`LinkLedger`]: clock
+//! offset, conservation counts across lives, replay watermark, source
+//! marks, subtree report, topology and the adoption seed. The probe
+//! exchange, the decode and fold of every frame, the frames held while a
+//! clock sync is in flight, and the conservation, dedup and adoption rules
+//! are one piece of code at every level of the tree.
 
 use crate::daemonset::Coverage;
 use cmrts_sim::machine::{ArrayAllocInfo, MappingSink};
 use cmrts_sim::{ArrayId, Distribution};
 use pdmap_transport::{
-    send_wire, BatchColumns, CodecError, FrameKind, PayloadReader, TopoChild, TopologyMsg,
-    Transport, TransportStats, WirePayload,
+    send_wire, BatchColumns, CodecError, Frame, FrameKind, PayloadReader, PifBlob, TopoChild,
+    TopologyMsg, Transport, TransportError, TransportStats, WirePayload,
 };
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
+use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// Span sites for the daemon channel, interned once (see `pdmap-obs`).
@@ -179,6 +183,10 @@ impl fmt::Display for DaemonError {
 
 impl std::error::Error for DaemonError {}
 
+/// The payload tag of a [`DaemonMsg::ClockReply`]: a child link spots a
+/// reply by it without decoding frames it will hold.
+const CLOCK_REPLY_TAG: u8 = 4;
+
 impl WirePayload for DaemonMsg {
     const KIND: FrameKind = FrameKind::Daemon;
 
@@ -233,7 +241,7 @@ impl WirePayload for DaemonMsg {
                 t_tool_ns,
                 t_daemon_ns,
             } => {
-                put::u8(out, 4);
+                put::u8(out, CLOCK_REPLY_TAG);
                 put::u64(out, *token);
                 put::u64(out, *t_tool_ns);
                 put::u64(out, *t_daemon_ns);
@@ -289,7 +297,7 @@ impl WirePayload for DaemonMsg {
                 token: r.u64()?,
                 t_tool_ns: r.u64()?,
             }),
-            4 => Ok(DaemonMsg::ClockReply {
+            CLOCK_REPLY_TAG => Ok(DaemonMsg::ClockReply {
                 token: r.u64()?,
                 t_tool_ns: r.u64()?,
                 t_daemon_ns: r.u64()?,
@@ -420,8 +428,9 @@ pub fn is_beacon(msg: &TopologyMsg) -> bool {
 ///   those, its [`Coverage`] and its adoption plan;
 /// * the watermark seed still owed to an adopted child.
 ///
-/// The parent keeps the transport side (the link, probes in flight, decode
-/// errors) and its own verdict on whether the link is reporting.
+/// The link's [`ChildLink`] keeps the transport side (the link, the probe
+/// in flight, the frames a sync holds); the parent keeps its own verdict on
+/// whether the link is reporting.
 #[derive(Clone, Debug, Default)]
 pub struct LinkLedger {
     clock: ClockEstimate,
@@ -469,12 +478,6 @@ impl LinkLedger {
     /// The clock estimate from the last completed sync.
     pub fn clock(&self) -> ClockEstimate {
         self.clock
-    }
-
-    /// The clock estimate, for a parent folding probe rounds into it or
-    /// replacing it after a re-sync.
-    pub fn clock_mut(&mut self) -> &mut ClockEstimate {
-        &mut self.clock
     }
 
     /// Samples received over every life of the link.
@@ -529,7 +532,7 @@ impl LinkLedger {
     /// unannounced). A readmitted child is a restarted one with a fresh
     /// sequence space — unless it is an adopted child still owed its
     /// seed, whose watermark must stand so its ring replay dedups here.
-    pub fn new_life(&mut self) -> Option<u64> {
+    pub(crate) fn new_life(&mut self) -> Option<u64> {
         let gap = self.life_lost();
         self.lost_prior += gap.unwrap_or(0);
         self.life_received = 0;
@@ -550,7 +553,7 @@ impl LinkLedger {
     /// unsequenced batch, never deduped. A source mark proves the
     /// grandchild's data through its `through_seq` arrived here — the
     /// exact replay watermark should this child die.
-    pub fn fold_batch(&mut self, batch: &BatchColumns) -> bool {
+    pub(crate) fn fold_batch(&mut self, batch: &BatchColumns) -> bool {
         if batch.seq != 0 && batch.seq <= self.last_seq {
             self.replays_suppressed += 1;
             return false;
@@ -569,7 +572,7 @@ impl LinkLedger {
     /// Folds the books' part of one daemon-channel message: a loose sample
     /// counts as received, a Goodbye announces the life's send count, a
     /// subtree report replaces the last. The rest is the parent's to route.
-    pub fn fold_msg(&mut self, msg: &DaemonMsg) {
+    pub(crate) fn fold_msg(&mut self, msg: &DaemonMsg) {
         match *msg {
             DaemonMsg::Sample { .. } => self.count(1),
             DaemonMsg::Goodbye { samples_sent } => self.announced = Some(u64::from(samples_sent)),
@@ -590,7 +593,7 @@ impl LinkLedger {
 
     /// Keeps the child's topology announcement. An orphan's self-beacon
     /// carries no subtree and is not one.
-    pub fn fold_topology(&mut self, msg: TopologyMsg) {
+    pub(crate) fn fold_topology(&mut self, msg: TopologyMsg) {
         if !is_beacon(&msg) {
             self.topo = Some(msg);
         }
@@ -657,7 +660,7 @@ impl LinkLedger {
     /// and its prior delivery, so it replays exactly its ring suffix past
     /// the mark. Send it once the child's clock is synced; `None` once
     /// [`LinkLedger::seed_paid`].
-    pub fn seed_msg(&self, epoch: u64, origin: &str, addr: &str) -> Option<TopologyMsg> {
+    pub(crate) fn seed_msg(&self, epoch: u64, origin: &str, addr: &str) -> Option<TopologyMsg> {
         let (watermark, received) = self.seed?;
         Some(TopologyMsg {
             epoch,
@@ -671,8 +674,236 @@ impl LinkLedger {
     }
 
     /// Records the owed seed as delivered.
-    pub fn seed_paid(&mut self) {
+    pub(crate) fn seed_paid(&mut self) {
         self.seed = None;
+    }
+}
+
+/// Tokens correlate clock probes with their replies. One counter serves
+/// every child link in the process, so a reply matches only its probe.
+static PROBE_TOKENS: AtomicU64 = AtomicU64::new(1);
+
+/// What one frame from a child comes to once [`ChildLink::recv`] has
+/// decoded it and folded it into the link's books.
+#[derive(Debug)]
+pub enum Arrival {
+    /// A sample batch past the replay watermark: land its rows.
+    Batch(BatchColumns),
+    /// A loose [`DaemonMsg::Sample`] to land, or mapping information to
+    /// forward: a [`DaemonMsg::ArrayAllocated`] or [`DaemonMsg::ArrayFreed`].
+    Msg(DaemonMsg),
+    /// Static mapping information to import or forward.
+    Pif(PifBlob),
+    /// A frame that failed to decode, counted under `daemon.error.codec`.
+    Rejected(DaemonError),
+    /// Nothing to land: the books or the clock sync took the frame whole
+    /// (a suppressed replay, a Goodbye, a subtree report, a topology, a
+    /// probe reply), or the sync in flight holds it.
+    Absorbed,
+}
+
+/// One child link as its parent — the tool or a relay — reads it: the
+/// child's transport, address and [`LinkLedger`] (read through `Deref`).
+/// [`ChildLink::recv`] decodes a frame, folds it into the books and
+/// returns one [`Arrival`] to land or forward.
+///
+/// **Clock sync.** A sync runs from the first [`ChildLink::probe`] to
+/// [`ChildLink::end_sync`]: each reply folds into its minimum-RTT estimate
+/// and every other frame is held, so nothing lands on a clock about to be
+/// replaced. The held frames are read first once the sync ends, timed with
+/// its estimate (or the old one, if no probe was answered). How many
+/// probes, how long to wait and when to end is the parent's loop.
+pub struct ChildLink {
+    tx: Arc<dyn Transport>,
+    addr: String,
+    ledger: LinkLedger,
+    /// The probe in flight: `(token, t0 on the parent's clock)`.
+    probe: Option<(u64, u64)>,
+    /// The sync in flight: the estimate its replies have built so far.
+    sync: Option<ClockEstimate>,
+    /// Held frames: the first `released` an ended sync let go, then those
+    /// the sync in flight holds.
+    held: VecDeque<Frame>,
+    released: usize,
+}
+
+impl Deref for ChildLink {
+    type Target = LinkLedger;
+    fn deref(&self) -> &LinkLedger {
+        &self.ledger
+    }
+}
+
+impl DerefMut for ChildLink {
+    fn deref_mut(&mut self) -> &mut LinkLedger {
+        &mut self.ledger
+    }
+}
+
+impl ChildLink {
+    /// A link to the child at `addr` over `tx`, keeping its books in
+    /// `ledger`. Until a probe starts a sync, frames land as they arrive.
+    pub fn new(addr: impl Into<String>, tx: Arc<dyn Transport>, ledger: LinkLedger) -> Self {
+        Self {
+            tx,
+            addr: addr.into(),
+            ledger,
+            probe: None,
+            sync: None,
+            held: VecDeque::new(),
+            released: 0,
+        }
+    }
+
+    /// The child's address (or label): its identity in seeds, topology
+    /// announcements and source marks.
+    pub fn addr(&self) -> &str {
+        &self.addr
+    }
+
+    /// The link's transport.
+    pub fn transport(&self) -> &Arc<dyn Transport> {
+        &self.tx
+    }
+
+    /// Closes the transport and reads from `tx` instead, a readmitted
+    /// child's fresh link. The books start a new life that keeps the ended
+    /// life's loss, returned (`None` when it ended unannounced).
+    pub fn redial(&mut self, tx: Arc<dyn Transport>) -> Option<u64> {
+        self.tx.close();
+        self.tx = tx;
+        self.ledger.new_life()
+    }
+
+    /// True while a sync is in flight.
+    pub fn syncing(&self) -> bool {
+        self.sync.is_some()
+    }
+
+    /// Probe replies the sync in flight has folded in.
+    pub fn sync_replies(&self) -> u32 {
+        self.sync.map_or(0, |est| est.rounds)
+    }
+
+    /// Frames held by the sync in flight, or released and not read yet.
+    pub fn held(&self) -> usize {
+        self.held.len()
+    }
+
+    /// Sends one clock probe stamped `now` on the parent's clock, replacing
+    /// any probe still unanswered; the first starts a sync, and the link
+    /// holds every frame but the replies until [`ChildLink::end_sync`].
+    /// False when the probe could not be queued.
+    pub fn probe(&mut self, now: u64) -> bool {
+        self.sync.get_or_insert_with(ClockEstimate::default);
+        let token = PROBE_TOKENS.fetch_add(1, Ordering::Relaxed);
+        let probe = DaemonMsg::ClockProbe {
+            token,
+            t_tool_ns: now,
+        };
+        let sent = send_wire(&*self.tx, &probe).is_ok();
+        self.probe = sent.then_some((token, now));
+        sent
+    }
+
+    /// True while the last probe awaits its reply.
+    pub fn awaiting_reply(&self) -> bool {
+        self.probe.is_some()
+    }
+
+    /// Ends the sync in flight and releases what it held. When at least
+    /// one probe was answered, its estimate becomes the link's clock and an
+    /// adopted child is sent its owed seed, from `origin` and stamped with
+    /// the topology `epoch`. Returns whether the estimate was installed.
+    pub fn end_sync(&mut self, epoch: u64, origin: &str) -> bool {
+        self.probe = None;
+        self.released = self.held.len();
+        match self.sync.take() {
+            Some(est) if est.rounds > 0 => self.ledger.clock = est,
+            _ => return false,
+        }
+        if let Some(seed) = self.ledger.seed_msg(epoch, origin, &self.addr) {
+            if send_wire(&*self.tx, &seed).is_ok() {
+                self.ledger.seed_paid();
+            }
+        }
+        true
+    }
+
+    /// Reads the next frame (those the last sync released come first) and
+    /// returns what it comes to. A reply to the probe in flight folds into
+    /// the sync's estimate, `now` reading its receipt on the parent's
+    /// clock; while a sync is in flight, every other frame is held.
+    /// `Ok(None)` when nothing is queued.
+    pub fn recv(&mut self, now: impl FnOnce() -> u64) -> Result<Option<Arrival>, TransportError> {
+        if self.released > 0 {
+            self.released -= 1;
+            if let Some(frame) = self.held.pop_front() {
+                return Ok(Some(self.fold(&frame)));
+            }
+        }
+        let Some(frame) = self.tx.try_recv()? else {
+            return Ok(None);
+        };
+        // Only a reply is decoded before it is known whether the frame is
+        // held, so no frame is decoded twice.
+        if frame.kind == FrameKind::Daemon && frame.payload.first() == Some(&CLOCK_REPLY_TAG) {
+            if let Ok(DaemonMsg::ClockReply {
+                token, t_daemon_ns, ..
+            }) = DaemonMsg::from_frame(&frame)
+            {
+                match (self.probe, self.sync.as_mut()) {
+                    (Some((want, t0)), Some(est)) if token == want => {
+                        est.observe(t0, t_daemon_ns, now());
+                        self.probe = None;
+                    }
+                    _ => {} // stale: its round was abandoned
+                }
+                return Ok(Some(Arrival::Absorbed));
+            }
+        }
+        if self.sync.is_some() {
+            self.held.push_back(frame);
+            return Ok(Some(Arrival::Absorbed));
+        }
+        Ok(Some(self.fold(&frame)))
+    }
+
+    /// Decodes one frame and folds it into the books, returning what is
+    /// left for the parent.
+    fn fold(&mut self, frame: &Frame) -> Arrival {
+        let ledger = &mut self.ledger;
+        let arrival = match frame.kind {
+            // A replay at or below the watermark stops at the books.
+            FrameKind::SampleBatch => BatchColumns::from_frame(frame).map(|batch| {
+                if ledger.fold_batch(&batch) {
+                    Arrival::Batch(batch)
+                } else {
+                    Arrival::Absorbed
+                }
+            }),
+            FrameKind::Daemon => DaemonMsg::from_frame(frame).map(|msg| {
+                ledger.fold_msg(&msg);
+                match msg {
+                    DaemonMsg::Sample { .. }
+                    | DaemonMsg::ArrayAllocated { .. }
+                    | DaemonMsg::ArrayFreed { .. } => Arrival::Msg(msg),
+                    // Goodbye and SubtreeCoverage are the books' alone; a
+                    // probe echoed back or a shutdown request bouncing to
+                    // the parent's side carries nothing.
+                    _ => Arrival::Absorbed,
+                }
+            }),
+            FrameKind::PifBlob => PifBlob::from_frame(frame).map(Arrival::Pif),
+            FrameKind::Topology => TopologyMsg::from_frame(frame).map(|msg| {
+                ledger.fold_topology(msg);
+                Arrival::Absorbed
+            }),
+            // Heartbeats, acks and hellos are consumed inside the transport;
+            // anything else surfacing here has no daemon-channel meaning.
+            _ => Ok(Arrival::Absorbed),
+        };
+        arrival.unwrap_or_else(|e| Arrival::Rejected(track_error(DaemonError::Codec(e.0))))
     }
 }
 

@@ -23,10 +23,17 @@
 //! ```
 //!
 //! The estimate's error is bounded by `rtt/2`; over several rounds the
-//! minimum-RTT round wins (least queueing noise, [`ClockEstimate::observe`]
-//! — a relay estimates its children the same way). Every sample from that
-//! daemon is then mapped to tool time as `aligned = wall − offset`
-//! ([`pdmap::columns::align`]).
+//! minimum-RTT round wins (least queueing noise,
+//! [`ClockEstimate::observe`](crate::daemon::ClockEstimate::observe)).
+//! Every sample from that daemon is then mapped to tool time as
+//! `aligned = wall − offset` ([`pdmap::columns::align`]) as it lands.
+//!
+//! Each connection reads its daemon through a [`ChildLink`], as a relay
+//! reads each child, so both parents follow one hold rule: a frame that
+//! arrives while its link's sync is in flight lands when the sync ends,
+//! timed with that sync's estimate (a failed sync lands it with the
+//! estimate the link already had). A readmitted daemon's first samples
+//! land on its new clock, and no row is re-timed after it lands.
 //!
 //! # Shards
 //!
@@ -45,13 +52,13 @@
 //! fills its own columns and the set appends them after the pass — so no
 //! sample store is shared while links drain. A worker's landing columns
 //! are recycled across passes, and a link lands at most 16,384 rows a
-//! pass, so what a worker retains stays small. Readers stay columnar (re-alignment after
-//! [`DaemonSet::clock_sync`], the cost bound, the per-key streams), and
-//! visit rows in merge order through [`SampleColumns::merge_walk`], a
-//! merge of each link's run; [`DaemonSet::merged_samples`] is the render
-//! edge that materializes [`AlignedSample`] rows. `Obs *` telemetry is
-//! classified while a frame's strings still exist and handed to the
-//! fleet-health view as rows.
+//! pass, so what a worker retains stays small. A row is aligned once, as it
+//! lands, with its link's offset at that moment. Readers stay columnar
+//! (the cost bound, the per-key streams), and visit rows in merge order
+//! through [`SampleColumns::merge_walk`], a merge of each link's run;
+//! [`DaemonSet::merged_samples`] is the render edge that materializes
+//! [`AlignedSample`] rows. `Obs *` telemetry is classified while a frame's
+//! strings still exist and handed to the fleet-health view as rows.
 //!
 //! # Supervision and partial failure
 //!
@@ -90,7 +97,9 @@
 //! connection's [`LinkLedger`], the type a relay keeps per child; a
 //! readmission starts a new life that keeps the ended life's loss.
 
-use crate::daemon::{daemon_obs, track_error, ClockEstimate, DaemonError, DaemonMsg, LinkLedger};
+use crate::daemon::{
+    daemon_obs, track_error, Arrival, ChildLink, DaemonError, DaemonMsg, LinkLedger,
+};
 use crate::datamgr::DataManager;
 use crate::selfmap;
 use crate::stream::Stream;
@@ -100,10 +109,7 @@ use pdmap::columns::{align, SampleColumns};
 use pdmap::intern::{self, Symbol};
 use pdmap::interval::Interval;
 use pdmap::model::Namespace;
-use pdmap_transport::{
-    send_wire, BatchColumns, Frame, FrameKind, PifBlob, TcpClient, TopologyMsg, Transport,
-    TransportConfig, WirePayload,
-};
+use pdmap_transport::{send_wire, TcpClient, Transport, TransportConfig};
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
@@ -118,10 +124,6 @@ use std::time::{Duration, Instant};
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
-
-/// Tokens correlate clock probes with replies across all sessions in the
-/// process; uniqueness is all that matters.
-static TOKENS: AtomicU64 = AtomicU64::new(1);
 
 /// A metric sample stamped onto the tool clock, as one row.
 ///
@@ -642,15 +644,13 @@ impl fmt::Display for FleetPerturbation {
     }
 }
 
-/// One daemon connection: the books of its link — a [`LinkLedger`], read
-/// through `Deref`, the same type a relay keeps per child — plus the
-/// tool's side of the link: the transport, its shard, its supervisor
-/// state and its decode errors.
+/// One daemon connection: the link as the tool reads it — a [`ChildLink`],
+/// the type a relay keeps per child, read through `Deref` (and through it
+/// the link's [`LinkLedger`] books) — plus the tool's own side: its shard,
+/// its supervisor state and its decode errors.
 pub struct DaemonConn {
-    addr: String,
-    tx: Arc<dyn Transport>,
+    link: ChildLink,
     shard: usize,
-    ledger: LinkLedger,
     pif_imports: u64,
     decode_errors: Vec<DaemonError>,
     health: DaemonHealth,
@@ -665,19 +665,17 @@ pub struct DaemonConn {
 }
 
 impl Deref for DaemonConn {
-    type Target = LinkLedger;
-    fn deref(&self) -> &LinkLedger {
-        &self.ledger
+    type Target = ChildLink;
+    fn deref(&self) -> &ChildLink {
+        &self.link
     }
 }
 
 impl DaemonConn {
     fn new(addr: String, tx: Arc<dyn Transport>, shard: usize, ledger: LinkLedger) -> Self {
         Self {
-            addr,
-            tx,
+            link: ChildLink::new(addr, tx, ledger),
             shard,
-            ledger,
             pif_imports: 0,
             decode_errors: Vec::new(),
             health: DaemonHealth::Healthy,
@@ -687,11 +685,6 @@ impl DaemonConn {
             next_retry: None,
             reconnect: None,
         }
-    }
-
-    /// Address or label this connection was opened with.
-    pub fn addr(&self) -> &str {
-        &self.addr
     }
 
     /// The data-manager shard that counts this connection's imports and
@@ -718,7 +711,16 @@ impl DaemonConn {
 
     /// This end's transport self-metrics.
     pub fn transport_stats(&self) -> pdmap_transport::TransportStats {
-        self.tx.stats()
+        self.link.transport().stats()
+    }
+
+    /// Quarantines the link: it is not pumped until a retry, due at `now`
+    /// plus the policy's first backoff, readmits it.
+    fn quarantine(&mut self, now: Instant, policy: &SupervisorPolicy) {
+        self.health = DaemonHealth::Quarantined;
+        self.retry_attempt = 0;
+        self.next_retry = Some(now + policy.retry.delay_for(0));
+        set_obs().quarantine.incr();
     }
 
     /// Decode errors in the current life (since connect or readmission).
@@ -728,45 +730,20 @@ impl DaemonConn {
             .saturating_sub(self.errors_at_life_start)
     }
 
-    /// Logs (and counts) a frame that failed to decode.
-    fn reject(&mut self, detail: String) {
-        self.decode_errors
-            .push(track_error(DaemonError::Codec(detail)));
-    }
-
-    /// Drains the frames currently queued on this link, landing samples
-    /// in `out` and forwarding mapping information to `data`,
-    /// until the link is empty or has landed [`MAX_ROWS_PER_PASS`] rows.
-    /// If `want_token` is set, a matching clock reply is returned (and not
-    /// dispatched). Returns `(frames_processed, matched_reply_t_daemon)`.
-    /// A pass that handled frames is one `daemon`/`deliver` span, timed
-    /// from its first frame; polling an empty link reads no clock.
-    fn drain(
-        &mut self,
-        data: &DataManager,
-        out: &mut Landing,
-        index: usize,
-        want_token: Option<u64>,
-    ) -> (usize, Option<u64>) {
+    /// Drains the frames currently queued on this link — those an ended
+    /// clock sync released come first — landing samples in `out` and
+    /// forwarding mapping information to `data`, until the link is empty
+    /// or has landed [`MAX_ROWS_PER_PASS`] rows. Returns the frames read.
+    /// A pass that read frames is one `daemon`/`deliver` span, timed from
+    /// its first frame; polling an empty link reads no clock.
+    fn drain(&mut self, data: &DataManager, out: &mut Landing, index: usize) -> usize {
         let mut t0 = None;
         let mut n = 0;
         let start = out.cols.len();
-        let reply = loop {
-            if out.cols.len() - start >= MAX_ROWS_PER_PASS {
-                break None;
-            }
-            match self.tx.try_recv() {
-                Ok(Some(frame)) => {
-                    if n == 0 && pdmap_obs::enabled() {
-                        t0 = Some(pdmap_obs::now_ns());
-                    }
-                    n += 1;
-                    self.last_frame = Instant::now();
-                    if let Some(t_d) = self.dispatch(frame, data, out, index, want_token) {
-                        break Some(t_d);
-                    }
-                }
-                Ok(None) => break None,
+        while out.cols.len() - start < MAX_ROWS_PER_PASS {
+            let arrival = match self.link.recv(pdmap_obs::now_ns) {
+                Ok(Some(arrival)) => arrival,
+                Ok(None) => break,
                 Err(e) => {
                     // A link failure is recorded (and counted as
                     // `daemon.error.recv`), never silently swallowed; it
@@ -776,147 +753,142 @@ impl DaemonConn {
                     if self.decode_errors.last() != Some(&err) {
                         self.decode_errors.push(err);
                     }
-                    break None;
+                    break;
                 }
+            };
+            if n == 0 && pdmap_obs::enabled() {
+                t0 = Some(pdmap_obs::now_ns());
             }
-        };
+            n += 1;
+            self.last_frame = Instant::now();
+            self.land(arrival, data, out, index);
+        }
         if let Some(t0) = t0 {
             let dur = pdmap_obs::now_ns().saturating_sub(t0);
             pdmap_obs::record_span(&daemon_obs().deliver, t0, dur);
         }
-        (n, reply)
+        n
     }
 
-    /// Lands one `SampleBatch` frame: decoded straight to columns, folded
-    /// into the link's books (a replay stops there), its dictionary
-    /// interned once, telemetry classified per dictionary entry, and its
-    /// samples counted on the shard.
-    fn land_batch(&mut self, frame: &Frame, data: &DataManager, out: &mut Landing, index: usize) {
-        let batch = match BatchColumns::from_frame(frame) {
-            Ok(batch) => batch,
-            Err(e) => return self.reject(e.0),
-        };
-        if !self.ledger.fold_batch(&batch) {
-            return;
-        }
-        let offset = self.clock().offset_ns;
-        data.note_samples_on(self.shard, batch.len() as u64);
-        out.cols.extend_batch(index as u32, offset, &batch);
-        let obs: Vec<Option<(Symbol, Symbol)>> = batch
-            .dict
-            .iter()
-            .map(|(m, f)| is_telemetry(m, f).then(|| (intern::sym(m), intern::sym(f))))
-            .collect();
-        if obs.iter().any(Option::is_some) {
-            for (i, &k) in batch.key.iter().enumerate() {
-                if let Some((metric, focus)) = obs[k as usize] {
+    /// Lands one arrival. A batch or a loose sample goes into `out` at the
+    /// link's offset and is counted on the shard, its `Obs *` telemetry
+    /// classified while the names are still strings (a batch's once per
+    /// dictionary entry); an allocation merges into the where axis; a PIF
+    /// blob is imported; a rejected frame is logged.
+    fn land(&mut self, arrival: Arrival, data: &DataManager, out: &mut Landing, index: usize) {
+        let offset = self.link.clock().offset_ns;
+        match arrival {
+            Arrival::Batch(batch) => {
+                data.note_samples_on(self.shard, batch.len() as u64);
+                out.cols.extend_batch(index as u32, offset, &batch);
+                let obs: Vec<Option<(Symbol, Symbol)>> = batch
+                    .dict
+                    .iter()
+                    .map(|(m, f)| is_telemetry(m, f).then(|| (intern::sym(m), intern::sym(f))))
+                    .collect();
+                if obs.iter().any(Option::is_some) {
+                    for (i, &k) in batch.key.iter().enumerate() {
+                        if let Some((metric, focus)) = obs[k as usize] {
+                            out.telemetry.push(AlignedSample {
+                                daemon: index,
+                                metric,
+                                focus,
+                                wall: batch.wall[i],
+                                aligned_ns: align(batch.wall[i], offset),
+                                value: batch.value[i],
+                            });
+                        }
+                    }
+                }
+            }
+            Arrival::Msg(DaemonMsg::Sample {
+                metric,
+                focus,
+                wall,
+                value,
+            }) => {
+                data.note_samples_on(self.shard, 1);
+                let aligned_ns = align(wall, offset);
+                let (m, f) = (intern::sym(&metric), intern::sym(&focus));
+                out.cols
+                    .push(index as u32, intern::key(m, f), wall, aligned_ns, value);
+                if is_telemetry(&metric, &focus) {
                     out.telemetry.push(AlignedSample {
                         daemon: index,
-                        metric,
-                        focus,
-                        wall: batch.wall[i],
-                        aligned_ns: align(batch.wall[i], offset),
-                        value: batch.value[i],
+                        metric: m,
+                        focus: f,
+                        wall,
+                        aligned_ns,
+                        value,
                     });
                 }
             }
-        }
-    }
-
-    fn dispatch(
-        &mut self,
-        frame: Frame,
-        data: &DataManager,
-        out: &mut Landing,
-        index: usize,
-        want_token: Option<u64>,
-    ) -> Option<u64> {
-        match frame.kind {
-            FrameKind::Daemon => {
-                let msg = match DaemonMsg::from_frame(&frame) {
-                    Ok(msg) => msg,
-                    Err(e) => {
-                        self.reject(e.0);
-                        return None;
-                    }
-                };
-                self.ledger.fold_msg(&msg);
-                match msg {
-                    DaemonMsg::ArrayAllocated {
-                        id,
+            Arrival::Msg(DaemonMsg::ArrayAllocated {
+                id,
+                name,
+                extents,
+                dist,
+                subgrids,
+            }) => {
+                data.array_allocated_on(
+                    self.shard,
+                    &ArrayAllocInfo {
+                        array: ArrayId(id),
                         name,
                         extents,
                         dist,
                         subgrids,
-                    } => {
-                        data.array_allocated_on(
-                            self.shard,
-                            &ArrayAllocInfo {
-                                array: ArrayId(id),
-                                name,
-                                extents,
-                                dist,
-                                subgrids,
-                            },
-                        );
-                    }
-                    DaemonMsg::Sample {
-                        metric,
-                        focus,
-                        wall,
-                        value,
-                    } => {
-                        data.note_samples_on(self.shard, 1);
-                        let aligned_ns = align(wall, self.clock().offset_ns);
-                        let (m, f) = (intern::sym(&metric), intern::sym(&focus));
-                        out.cols
-                            .push(index as u32, intern::key(m, f), wall, aligned_ns, value);
-                        if is_telemetry(&metric, &focus) {
-                            out.telemetry.push(AlignedSample {
-                                daemon: index,
-                                metric: m,
-                                focus: f,
-                                wall,
-                                aligned_ns,
-                                value,
-                            });
-                        }
-                    }
-                    DaemonMsg::ClockReply {
-                        token, t_daemon_ns, ..
-                    } if want_token == Some(token) => return Some(t_daemon_ns),
-                    // Goodbye and SubtreeCoverage are the ledger's alone. An
-                    // array free keeps nothing: the where axis lists every
-                    // array allocated. A reply for an abandoned round, a
-                    // probe echoed back, or a shutdown request bouncing to
-                    // the tool side: stale, carries nothing to forward.
-                    _ => {}
+                    },
+                );
+            }
+            Arrival::Pif(blob) => {
+                self.pif_imports += 1;
+                let failed = match String::from_utf8(blob.0) {
+                    Ok(text) => data
+                        .import_pif_text(self.shard, &text)
+                        .err()
+                        .map(|e| e.to_string()),
+                    Err(_) => Some("pif blob is not utf-8".into()),
+                };
+                if let Some(detail) = failed {
+                    let err = track_error(DaemonError::Codec(detail));
+                    self.decode_errors.push(err);
                 }
             }
-            FrameKind::SampleBatch => self.land_batch(&frame, data, out, index),
-            FrameKind::PifBlob => match PifBlob::from_frame(&frame) {
-                Ok(blob) => {
-                    self.pif_imports += 1;
-                    match String::from_utf8(blob.0) {
-                        Ok(text) => {
-                            if let Err(e) = data.import_pif_text(self.shard, &text) {
-                                self.reject(e.to_string());
-                            }
-                        }
-                        Err(_) => self.reject("pif blob is not utf-8".into()),
-                    }
-                }
-                Err(e) => self.reject(e.0),
-            },
-            FrameKind::Topology => match TopologyMsg::from_frame(&frame) {
-                Ok(msg) => self.ledger.fold_topology(msg),
-                Err(e) => self.reject(e.0),
-            },
-            // Heartbeats/acks/hellos are consumed inside the transport;
-            // anything else surfacing here has no daemon-channel meaning.
-            _ => {}
+            Arrival::Rejected(e) => self.decode_errors.push(e),
+            // An array free keeps nothing: the where axis lists every array
+            // allocated.
+            Arrival::Msg(_) | Arrival::Absorbed => {}
         }
-        None
+    }
+
+    /// The tool's clock sync of this link: `rounds` probes, each waiting up
+    /// to `timeout` for its reply, completing once one reply arrived. Then
+    /// the frames the link held land on the new estimate (the old one if no
+    /// reply came); an adopted child's seed carries the set's `epoch`.
+    fn sync(
+        &mut self,
+        data: &DataManager,
+        out: &mut Landing,
+        index: usize,
+        rounds: u32,
+        timeout: Duration,
+        epoch: u64,
+    ) -> bool {
+        for _ in 0..rounds.max(1) {
+            if !self.link.probe(pdmap_obs::now_ns()) {
+                continue;
+            }
+            let deadline = Instant::now() + timeout;
+            while self.link.awaiting_reply() && Instant::now() < deadline {
+                if self.drain(data, out, index) == 0 {
+                    std::thread::yield_now();
+                }
+            }
+        }
+        let synced = self.link.end_sync(epoch, "tool");
+        while self.link.held() > 0 && self.drain(data, out, index) > 0 {}
+        synced
     }
 }
 
@@ -1047,7 +1019,7 @@ impl DrainPool {
                 drop(st); // drain off-lock so workers overlap
                 if let Some(data) = data.as_deref() {
                     let mut conn = cell.lock();
-                    local_frames += conn.drain(data, &mut local, cell.index, None).0;
+                    local_frames += conn.drain(data, &mut local, cell.index);
                 }
                 st = lock(&shared.state);
             }
@@ -1117,60 +1089,6 @@ impl Drop for DrainPool {
     }
 }
 
-/// Runs `rounds` bounded-round-trip probe rounds against one daemon and,
-/// if any completed, makes their minimum-RTT estimate the link's clock and
-/// pays the watermark seed an adopted child is owed (stamped with the set's
-/// topology `epoch`). Frames that arrive while waiting (samples, mappings)
-/// are dispatched normally, not dropped. Returns whether the sync completed.
-fn sync_conn(
-    conn: &mut DaemonConn,
-    data: &DataManager,
-    out: &mut Landing,
-    index: usize,
-    rounds: u32,
-    timeout: Duration,
-    epoch: u64,
-) -> bool {
-    let mut est = ClockEstimate::default();
-    for _ in 0..rounds.max(1) {
-        let token = TOKENS.fetch_add(1, Ordering::Relaxed);
-        let t0 = pdmap_obs::now_ns();
-        if send_wire(
-            &*conn.tx,
-            &DaemonMsg::ClockProbe {
-                token,
-                t_tool_ns: t0,
-            },
-        )
-        .is_err()
-        {
-            continue;
-        }
-        let deadline = Instant::now() + timeout;
-        let mut reply = None;
-        while reply.is_none() && Instant::now() < deadline {
-            let (n, r) = conn.drain(data, out, index, Some(token));
-            reply = r;
-            if reply.is_none() && n == 0 {
-                std::thread::yield_now();
-            }
-        }
-        if let Some(t_daemon) = reply {
-            est.observe(t0, t_daemon, pdmap_obs::now_ns());
-        }
-    }
-    if est.rounds == 0 {
-        return false;
-    }
-    *conn.ledger.clock_mut() = est;
-    if let Some(seed) = conn.seed_msg(epoch, "tool", &conn.addr) {
-        if send_wire(&*conn.tx, &seed).is_ok() {
-            conn.ledger.seed_paid();
-        }
-    }
-    true
-}
-
 /// The tool side of a multi-daemon session (see the module docs).
 ///
 /// Connections are individually locked so the persistent drain pool can
@@ -1230,7 +1148,7 @@ impl ConnCell {
     fn new(index: usize, conn: DaemonConn) -> Arc<Self> {
         Arc::new(Self {
             index,
-            addr: conn.addr.clone(),
+            addr: conn.addr().to_string(),
             holder: AtomicU64::new(0),
             conn: Mutex::new(conn),
         })
@@ -1464,9 +1382,13 @@ impl DaemonSet {
     /// daemon that never answers is quarantined (scheduled for retry) and
     /// reported in the returned error — the *other* daemons still get
     /// their estimates, so the set stays usable around the failure.
+    ///
+    /// Frames that arrive during a link's sync land when it ends, on its
+    /// estimate (the old one if it failed). Landed rows are never re-timed:
+    /// rows a caller drains before the set's first `clock_sync` keep
+    /// offset 0, so sync before pumping.
     pub fn clock_sync(&mut self, rounds: u32, timeout: Duration) -> Result<(), ClockSyncError> {
         let data = self.data.clone();
-        let policy = self.policy;
         let mut first_err: Option<ClockSyncError> = None;
         let mut landed = Landing::default();
         for (i, cell) in self.conns.iter().enumerate() {
@@ -1474,40 +1396,17 @@ impl DaemonSet {
             if conn.health == DaemonHealth::Quarantined {
                 continue;
             }
-            if !sync_conn(
-                &mut conn,
-                &data,
-                &mut landed,
-                i,
-                rounds,
-                timeout,
-                self.epoch,
-            ) {
-                conn.health = DaemonHealth::Quarantined;
-                conn.retry_attempt = 0;
-                conn.next_retry = Some(Instant::now() + policy.retry.delay_for(0));
-                set_obs().quarantine.incr();
+            if !conn.sync(&data, &mut landed, i, rounds, timeout, self.epoch) {
+                conn.quarantine(Instant::now(), &self.policy);
                 if first_err.is_none() {
                     first_err = Some(ClockSyncError {
                         daemon: i,
-                        addr: conn.addr.clone(),
+                        addr: conn.addr().to_string(),
                     });
                 }
             }
         }
-        // Re-align anything that arrived before (or during) the handshake:
-        // one pass over the columns, and the telemetry rows before they
-        // reach the fleet-health view.
-        let offsets: Vec<i64> = self
-            .conns
-            .iter()
-            .map(|c| c.lock().clock().offset_ns)
-            .collect();
-        for row in &mut landed.telemetry {
-            row.aligned_ns = align(row.wall, offsets[row.daemon]);
-        }
         self.absorb(&landed);
-        self.samples.realign_all(&offsets);
         match first_err {
             Some(e) => Err(e),
             None => Ok(()),
@@ -1538,14 +1437,11 @@ impl DaemonSet {
                 DaemonHealth::Healthy | DaemonHealth::Degraded => {
                     let silence = now.duration_since(conn.last_frame);
                     let errs = conn.life_errors();
-                    let dead = !conn.tx.is_alive();
+                    let dead = !conn.link.transport().is_alive();
                     if errs >= policy.quarantine_errors
                         || (dead && silence >= policy.quarantine_after)
                     {
-                        conn.health = DaemonHealth::Quarantined;
-                        conn.retry_attempt = 0;
-                        conn.next_retry = Some(now + policy.retry.delay_for(0));
-                        set_obs().quarantine.incr();
+                        conn.quarantine(now, &policy);
                     } else if dead
                         || errs >= policy.degrade_errors
                         || silence >= policy.degrade_after
@@ -1586,20 +1482,10 @@ impl DaemonSet {
                     // re-ships its PIF on reconnect; the data manager's
                     // content-hash dedup absorbs the duplicate.
                     let fresh = factory();
-                    let gap = conn.ledger.new_life();
-                    conn.tx.close();
-                    conn.tx = fresh;
+                    let gap = conn.link.redial(fresh);
                     conn.errors_at_life_start = conn.decode_errors.len();
                     let (rounds, timeout) = (policy.retry_sync_rounds, policy.retry_sync_timeout);
-                    if sync_conn(
-                        &mut conn,
-                        &data,
-                        &mut landed,
-                        i,
-                        rounds,
-                        timeout,
-                        self.epoch,
-                    ) {
+                    if conn.sync(&data, &mut landed, i, rounds, timeout, self.epoch) {
                         conn.health = DaemonHealth::Recovered;
                         conn.last_frame = now;
                         let attempts = conn.retry_attempt;
@@ -1608,12 +1494,12 @@ impl DaemonSet {
                         set_obs().recovered.incr();
                         self.recoveries.push(RecoveryReport {
                             daemon: i,
-                            addr: conn.addr.clone(),
+                            addr: conn.addr().to_string(),
                             attempts,
                             gap,
                         });
                     } else {
-                        conn.tx.close();
+                        conn.link.transport().close();
                         conn.retry_attempt = conn.retry_attempt.saturating_add(1);
                         conn.next_retry = Some(now + policy.retry.delay_for(conn.retry_attempt));
                     }
@@ -1646,8 +1532,8 @@ impl DaemonSet {
         for (i, cell) in self.conns.iter().enumerate() {
             let mut c = cell.lock();
             if c.health == DaemonHealth::Quarantined {
-                if let Some(plan) = c.ledger.orphans() {
-                    work.push((i, c.addr.clone(), plan));
+                if let Some(plan) = c.link.orphans() {
+                    work.push((i, c.addr().to_string(), plan));
                 }
             }
         }
@@ -1675,21 +1561,11 @@ impl DaemonSet {
                 conn.health = DaemonHealth::Recovered;
                 conn.reconnect = Some(Box::new(move || d(sock)));
                 set_obs().adopted.incr();
-                if !sync_conn(
-                    &mut conn,
-                    &data,
-                    &mut landed,
-                    idx,
-                    rounds,
-                    timeout,
-                    self.epoch,
-                ) {
+                if !conn.sync(&data, &mut landed, idx, rounds, timeout, self.epoch) {
                     // Keep the connection (and its owed seed): the
                     // ordinary retry machinery readmits it and pays the
                     // seed once the orphan answers.
-                    conn.health = DaemonHealth::Quarantined;
-                    conn.next_retry = Some(Instant::now() + policy.retry.delay_for(0));
-                    set_obs().quarantine.incr();
+                    conn.quarantine(Instant::now(), &policy);
                 }
                 self.conns.push(ConnCell::new(idx, conn));
             }
@@ -1707,7 +1583,7 @@ impl DaemonSet {
     /// send count in a [`DaemonMsg::Goodbye`]). Returns false if the
     /// request could not even be queued.
     pub fn shutdown(&self, i: usize) -> bool {
-        let tx = self.conns[i].lock().tx.clone();
+        let tx = self.conns[i].lock().link.transport().clone();
         send_wire(&*tx, &DaemonMsg::Shutdown).is_ok()
     }
 
@@ -1721,7 +1597,7 @@ impl DaemonSet {
             // wait must never happen while holding a connection lock.
             let tx = {
                 let conn = cell.lock();
-                (conn.health != DaemonHealth::Quarantined).then(|| conn.tx.clone())
+                (conn.health != DaemonHealth::Quarantined).then(|| conn.link.transport().clone())
             };
             if let Some(tx) = tx {
                 let _ = send_wire(&*tx, &DaemonMsg::Shutdown);
@@ -1796,7 +1672,7 @@ impl DaemonSet {
                     let data = &data;
                     s.spawn(move || {
                         let mut local = Landing::default();
-                        let n = cell.lock().drain(data, &mut local, cell.index, None).0;
+                        let n = cell.lock().drain(data, &mut local, cell.index);
                         (n, local)
                     })
                 })
@@ -2069,7 +1945,7 @@ mod tests {
         OBS_PERTURB_REPORTED, OBS_PERTURB_SPANS,
     };
     use pdmap::model::Namespace;
-    use pdmap_transport::Backend;
+    use pdmap_transport::{Backend, FrameKind, PifBlob, TopologyMsg, WirePayload};
 
     /// An in-process fake `pdmapd`: answers clock probes with a skewed
     /// clock and lets the test send samples with the same skew — the
@@ -2246,7 +2122,8 @@ mod tests {
     /// A seeded store of `rows` rows over five links landing in chunks:
     /// three keys, coarse clock steps (so rows tie within and across
     /// links), link 2 silent, and link 3's clock restarting mid-stream.
-    fn seeded_store(seed: u64, rows: usize) -> SampleColumns {
+    /// Each row is aligned as it lands with its link's entry in `offsets`.
+    fn seeded_store(seed: u64, rows: usize, offsets: &[i64; 5]) -> SampleColumns {
         let mut rng = pdmap::util::SplitMix64::new(seed);
         let keys: Vec<_> = [("M", "/a"), ("M", "/b"), ("N", "/a")]
             .iter()
@@ -2263,7 +2140,7 @@ mod tests {
                 clock[d] += 10 * rng.usize_in(0..3) as u64;
                 let key = keys[rng.usize_in(0..keys.len())];
                 let value = rng.usize_in(0..1000) as f64;
-                cols.push(d as u32, key, clock[d], clock[d], value);
+                cols.push(d as u32, key, clock[d], align(clock[d], offsets[d]), value);
             }
         }
         cols
@@ -2273,11 +2150,10 @@ mod tests {
     fn merged_outputs_match_the_sorted_merge_on_seeded_stores() {
         let (mut set, _daemons) = set_with_skews(&[0]);
         for seed in 0..40u64 {
-            set.samples = seeded_store(seed, 200 + 40 * seed as usize);
-            for realigned in [false, true] {
-                if realigned {
-                    set.samples.realign_all(&[0, 15, 0, 2_000, -30]);
-                }
+            // Every link at offset 0, then links shifted by their own
+            // offsets (link 3's early rows clamping to zero).
+            for offsets in [[0; 5], [0, 15, 0, 2_000, -30]] {
+                set.samples = seeded_store(seed, 200 + 40 * seed as usize, &offsets);
                 let want = sorted_rows(&set.samples);
                 let merged: Vec<_> = set
                     .merged_samples()
@@ -2287,7 +2163,7 @@ mod tests {
                         (s.daemon, m, f, s.wall, s.aligned_ns, s.value)
                     })
                     .collect();
-                assert_eq!(merged, want, "seed {seed}, realigned {realigned}");
+                assert_eq!(merged, want, "seed {seed}, offsets {offsets:?}");
                 // The streams: the sorted rows grouped per key, keys in
                 // first-seen order.
                 let mut streams: Vec<Stream> = Vec::new();
@@ -2532,6 +2408,80 @@ mod tests {
     }
 
     #[test]
+    fn a_readmitted_daemons_first_sample_lands_on_its_new_clock() {
+        // A daemon synced at skew 0 dies. Its restart runs 500 ms ahead
+        // and sends a sample before it answers any probe: the readmission
+        // sync holds the sample and lands it on the new estimate, not on
+        // the dead process's clock.
+        let (mut set, daemons) = set_with_skews(&[0]);
+        sync(&mut set, &daemons);
+        set.set_policy(SupervisorPolicy {
+            retry_sync_timeout: Duration::from_secs(5),
+            ..fast_policy()
+        });
+        daemons[0].tx.close();
+        supervise_until(&mut set, |s| s.health(0) == DaemonHealth::Quarantined);
+        assert_eq!(set.health(0), DaemonHealth::Quarantined);
+
+        let skew_ns = 500_000_000;
+        let sent_at = Arc::new(AtomicU64::new(0));
+        let stamp = sent_at.clone();
+        set.set_reconnect(
+            0,
+            Box::new(move || {
+                let link = Backend::InProc.link(&TransportConfig::default());
+                let fd = FakeDaemon {
+                    tx: link.server.clone(),
+                    skew_ns,
+                };
+                let stamp = stamp.clone();
+                std::thread::spawn(move || {
+                    let t = pdmap_obs::now_ns();
+                    stamp.store(t, Ordering::Relaxed);
+                    let wall = (t as i64 + FAKE_CLOCK_BASE_NS + skew_ns) as u64;
+                    let first = DaemonMsg::Sample {
+                        metric: "restarted".into(),
+                        focus: "/".into(),
+                        wall,
+                        value: 1.0,
+                    };
+                    let _ = send_wire(&*fd.tx, &first);
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    while fd.tx.is_alive() && Instant::now() < deadline {
+                        fd.answer_probes();
+                        std::thread::yield_now();
+                    }
+                });
+                link.client
+            }),
+        );
+        supervise_until(&mut set, |s| !s.recoveries().is_empty());
+        assert_eq!(set.recoveries().len(), 1, "readmitted on the first retry");
+
+        let est = set.conn(0).clock();
+        let bound = est.rtt_ns / 2 + 5_000_000;
+        let moved = (est.offset_ns - (FAKE_CLOCK_BASE_NS + skew_ns)).unsigned_abs();
+        assert!(
+            moved <= bound,
+            "new offset {} (rtt {})",
+            est.offset_ns,
+            est.rtt_ns
+        );
+        let cols = set.samples();
+        let row = (0..cols.len())
+            .find(|&i| cols.keys()[i].pair().0.as_str() == "restarted")
+            .expect("the sample landed with the readmission");
+        let sent = sent_at.load(Ordering::Relaxed);
+        let off = (cols.aligneds()[row] as i64 - sent as i64).unsigned_abs();
+        assert!(
+            off <= bound,
+            "the first sample landed {off} ns from its send time (offset {}, rtt {})",
+            est.offset_ns,
+            est.rtt_ns
+        );
+    }
+
+    #[test]
     fn clock_sync_failure_names_the_daemon_and_spares_the_rest() {
         // Daemon 1 never answers probes; daemon 0 is healthy.
         let (mut set, daemons) = set_with_skews(&[0, 0]);
@@ -2744,8 +2694,8 @@ mod tests {
     fn batches_loose_samples_and_telemetry_land_on_one_spine() {
         // One link 40 ms fast: a sequenced batch lands before the clock
         // sync, then loose samples on the same keys and a batch of `Obs *`
-        // telemetry rows. Walls rise with send order, so the merged order
-        // is the send order.
+        // telemetry rows. Walls rise with send order; the rows drained
+        // before the sync keep offset 0, so they sort after the synced ones.
         let (mut set, daemons) = set_with_skews(&[40_000_000]);
         let d = &daemons[0];
         let base = d.now();
@@ -2802,22 +2752,23 @@ mod tests {
             "the skew was estimated: {offset}"
         );
         let tool = |k: usize| (wall(k) as i64 - offset).max(0) as u64;
+        let landed = |k: usize| if k < 2 { wall(k) } else { tool(k) };
         assert_eq!(
-            &set.samples().aligneds()[..2],
-            &[tool(0), tool(1)],
-            "the sync re-aligned the samples that preceded it"
+            set.samples().aligneds(),
+            (0..7).map(landed).collect::<Vec<_>>(),
+            "each row keeps the offset its link had when it landed"
         );
 
-        // One stream per key, keys in first-seen order, tool-clock times.
+        // One stream per key, keys in first-seen merge order.
         let stream = |ks: &[usize]| Stream {
             metric: sent[ks[0]].0.into(),
             focus: sent[ks[0]].1.into(),
-            samples: ks.iter().map(|&k| (tool(k), sent[k].2)).collect(),
+            samples: ks.iter().map(|&k| (landed(k), sent[k].2)).collect(),
             ..Stream::default()
         };
         let want = vec![
-            stream(&[0, 2, 4]),
-            stream(&[1, 3]),
+            stream(&[2, 4, 0]),
+            stream(&[3, 1]),
             stream(&[5]),
             stream(&[6]),
         ];

@@ -10,11 +10,13 @@
 //!
 //! Three invariants make the tree transparent to the analyses upstream:
 //!
-//! 1. **Transitive clock alignment.** The relay probes each child with
-//!    [`DaemonMsg::ClockProbe`]s stamped from its *own reported clock*
-//!    (the skewed clock it answers its parent's probes with) and keeps the
-//!    minimum-RTT offset, exactly like `DaemonSet::clock_sync`. Every
-//!    forwarded sample's wall stamp is moved by that offset
+//! 1. **Transitive clock alignment.** The relay reads each child through
+//!    a [`ChildLink`], the type the tool reads each daemon through. It
+//!    probes the child with [`DaemonMsg::ClockProbe`]s stamped from its
+//!    *own reported clock* (the skewed clock it answers its parent's
+//!    probes with), keeps the minimum-RTT offset, and holds the child's
+//!    frames until that sync ends, so none lands on an unknown clock.
+//!    Every forwarded sample's wall stamp is moved by the offset
 //!    ([`pdmap::columns::align`]), so it lands on the relay's reported
 //!    clock — and the parent's ordinary sync of the relay completes the
 //!    chain. Skew correction composes level by level; no one needs a
@@ -35,14 +37,15 @@
 //!    sample. A flush sends everything pending as one frame;
 //!    [`RelayConfig::batch`] is the pending count that triggers it, not a
 //!    cap on the frame. Relayed samples stay columns end to end: a child
-//!    batch decodes to [`BatchColumns`], its dictionary is remapped into
-//!    the pending [`BatchBuilder`] once per entry and its walls re-timed
-//!    in one column pass, and the flush encodes the columns directly.
+//!    batch decodes to [`BatchColumns`](pdmap_transport::BatchColumns),
+//!    its dictionary is remapped into the pending [`BatchBuilder`] once
+//!    per entry and its walls re-timed in one column pass, and the flush
+//!    encodes the columns directly.
 //!
 //! Mapping information is forwarded too: dynamic allocation messages pass
-//! through verbatim, and PIF blobs are deduplicated by content — a fleet
-//! running one executable ships its static mapping once per relay, not
-//! once per leaf.
+//! through verbatim, and PIF blobs, decoded like every child frame, are
+//! deduplicated by content — a fleet running one executable ships its
+//! static mapping once per relay, not once per leaf.
 //!
 //! Toward its parent a relay is a node like a leaf: it serves the parent
 //! link with the same session code (the `upstream` module — probe
@@ -52,17 +55,15 @@
 //! reacts to a seed or beacon the parent link brought.
 
 use crate::upstream::{Running, Upstream, UpstreamConfig};
-use paradyn_tool::daemon::{DaemonMsg, LinkLedger};
+use paradyn_tool::daemon::{Arrival, ChildLink, DaemonMsg, LinkLedger};
 use paradyn_tool::selfmap::{OBS_SUBTREE_LOST, OBS_SUBTREE_REPORTING, OBS_SUBTREE_TOTAL};
 use paradyn_tool::Coverage;
 use pdmap::columns::align;
 use pdmap_transport::{
-    send_wire, BatchBuilder, BatchColumns, FrameKind, SourceMark, TcpClient, TcpServer, TopoChild,
-    TopologyMsg, Transport, TransportConfig, WirePayload,
+    send_wire, BatchBuilder, SourceMark, TcpClient, TcpServer, TopoChild, TopologyMsg, Transport,
+    TransportConfig,
 };
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashSet;
-use std::hash::{Hash, Hasher};
 use std::net::SocketAddr;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
@@ -83,10 +84,11 @@ pub struct RelayConfig {
     /// Flush a partial batch after this long, so a trickle of samples
     /// never waits for a full frame.
     pub flush_interval: Duration,
-    /// Clock-probe rounds per child during the initial sync.
+    /// Clock-probe replies that end a child's sync (its frames wait).
     pub sync_rounds: u32,
-    /// Bound on the whole child sync phase (and on each drain-for-goodbye
-    /// wait during shutdown).
+    /// Bound on the whole child sync phase (a sync still in flight carries
+    /// on into the stream phase) and on each drain-for-goodbye wait during
+    /// shutdown.
     pub sync_timeout: Duration,
     /// Transport tuning for the child dials (liveness timeout, reconnect
     /// policy). Tests shrink these so dead-child detection is immediate;
@@ -113,7 +115,7 @@ impl Default for RelayConfig {
 pub struct RelayReport {
     /// Whether a parent connected before the timeout.
     pub parent_connected: bool,
-    /// Children whose clock sync completed.
+    /// Children whose clock sync got its `sync_rounds` replies.
     pub children_synced: usize,
     /// Samples forwarded upward (the count the final Goodbye announces).
     pub samples_forwarded: u64,
@@ -148,46 +150,15 @@ pub struct RelayReport {
     /// Final topology epoch (bumps on every handover and adoption).
     pub epoch: u64,
     /// Child frames dropped because they failed to decode — samples they
-    /// carried surface as the child's loss, this names the cause.
+    /// carried surface as the child's loss, this names the cause. Each is
+    /// also counted under `daemon.error.codec`, as at the tool.
     pub decode_errors: u64,
 }
 
-/// One child link: its books ([`LinkLedger`]) and the relay's side of the
-/// link — the transport, the probe in flight, the pre-sync backlog.
-struct Child {
-    tx: Arc<TcpClient>,
-    /// The child's listen address — the identity that survives
-    /// re-parenting (topology announcements and source marks key on it).
-    addr: SocketAddr,
-    ledger: LinkLedger,
-    synced: bool,
-    /// Probe in flight: `(token, t0_on_relay_clock)`.
-    pending_probe: Option<(u64, u64)>,
-    /// Frames that arrived before the child's sync finished; replayed
-    /// through the normal dispatch once the offset is known.
-    backlog: Vec<pdmap_transport::Frame>,
-}
-
-impl Child {
-    /// A fresh link to `addr`, keeping the books in `ledger`.
-    fn link(addr: SocketAddr, tcfg: TransportConfig, ledger: LinkLedger) -> Self {
-        Child {
-            tx: TcpClient::connect(addr, tcfg),
-            addr,
-            ledger,
-            synced: false,
-            pending_probe: None,
-            backlog: Vec::new(),
-        }
-    }
-
-    /// The child finished: announced its Goodbye, went dark, or was
-    /// re-parented.
-    fn done(&self) -> bool {
-        self.ledger.is_subtree_adopted()
-            || self.ledger.announced_sent().is_some()
-            || !self.tx.is_alive()
-    }
+/// The child finished: announced its Goodbye, went dark, or was
+/// re-parented.
+fn done(child: &ChildLink) -> bool {
+    child.is_subtree_adopted() || child.announced_sent().is_some() || !child.transport().is_alive()
 }
 
 /// A relay running on a background thread (in-process stand-in for the
@@ -209,12 +180,15 @@ struct RelaySession<'a> {
     up: Upstream<'a>,
     cfg: &'a RelayConfig,
     report: RelayReport,
-    children: Vec<Child>,
+    /// The child links, each keyed by the child's listen address — the
+    /// identity that survives re-parenting (topology announcements and
+    /// source marks key on it).
+    children: Vec<ChildLink>,
     /// Samples rewritten onto the relay clock, awaiting the next flush.
     pending: BatchBuilder,
     last_flush: Instant,
-    /// Content hashes of PIF blobs already forwarded.
-    pifs_seen: HashSet<u64>,
+    /// PIF blobs already forwarded, by content.
+    pifs_seen: HashSet<Vec<u8>>,
     /// The last coverage sent upward, to only resend on change.
     last_coverage: Option<Coverage>,
     /// Transport tuning for child dials — kept so adoption dials use the
@@ -258,6 +232,16 @@ impl<'a> RelaySession<'a> {
         polled.seeded
     }
 
+    /// Dials the child at `addr`, keeping its books in `ledger`, and
+    /// starts its clock sync with a first probe from the relay's reported
+    /// clock — the reference that makes alignment transitive.
+    fn dial(&mut self, addr: SocketAddr, ledger: LinkLedger) {
+        let tx = TcpClient::connect(addr, self.tcfg);
+        let mut child = ChildLink::new(addr.to_string(), tx, ledger);
+        child.probe(self.up.now());
+        self.children.push(child);
+    }
+
     /// Dials an adopted child at `tc.addr` — unless a live child already
     /// has that address — and starts its clock sync. Its books start from
     /// the watermark and prior delivery in `tc`, so its replay dedups here
@@ -267,16 +251,15 @@ impl<'a> RelaySession<'a> {
         let Ok(addr) = tc.addr.parse::<SocketAddr>() else {
             return false;
         };
+        let key = addr.to_string();
         if self
             .children
             .iter()
-            .any(|c| c.addr == addr && !c.ledger.is_subtree_adopted())
+            .any(|c| c.addr() == key && !c.is_subtree_adopted())
         {
             return false;
         }
-        let ledger = LinkLedger::adopted(tc.watermark, tc.received);
-        self.children.push(Child::link(addr, self.tcfg, ledger));
-        self.probe_child(self.children.len() - 1);
+        self.dial(addr, LinkLedger::adopted(tc.watermark, tc.received));
         true
     }
 
@@ -298,10 +281,10 @@ impl<'a> RelaySession<'a> {
     /// and duplicate-free).
     fn adopt_grandchildren(&mut self) {
         for i in 0..self.children.len() {
-            if self.children[i].tx.is_alive() {
+            if self.children[i].transport().is_alive() {
                 continue;
             }
-            let Some(plan) = self.children[i].ledger.orphans() else {
+            let Some(plan) = self.children[i].orphans() else {
                 continue;
             };
             let adopted = plan.iter().filter(|tc| self.adopt(tc)).count();
@@ -317,15 +300,15 @@ impl<'a> RelaySession<'a> {
     /// upward, iff membership or epoch changed since the last send — the
     /// parent's dial list should this relay die.
     fn announce_topology(&mut self, force: bool) {
-        let live: Vec<&Child> = self
+        let live: Vec<&ChildLink> = self
             .children
             .iter()
-            .filter(|c| !c.ledger.is_subtree_adopted())
+            .filter(|c| !c.is_subtree_adopted())
             .collect();
         if live.is_empty() {
             return;
         }
-        let addrs: Vec<String> = live.iter().map(|c| c.addr.to_string()).collect();
+        let addrs: Vec<String> = live.iter().map(|c| c.addr().to_string()).collect();
         let key = (self.up.uplink.epoch, addrs);
         if !force && self.last_topology.as_ref() == Some(&key) {
             return;
@@ -336,9 +319,9 @@ impl<'a> RelaySession<'a> {
             children: live
                 .iter()
                 .map(|c| {
-                    let (watermark, received) = c.ledger.watermark();
+                    let (watermark, received) = c.watermark();
                     TopoChild {
-                        addr: c.addr.to_string(),
+                        addr: c.addr().to_string(),
                         watermark,
                         received,
                     }
@@ -365,132 +348,61 @@ impl<'a> RelaySession<'a> {
             if self.serve_parent() {
                 return true;
             }
-            for i in 0..self.children.len() {
-                self.pump_child(i);
-            }
+            self.pump_children();
         }
         false
     }
 
-    /// One probe round against child `i` using the relay's reported clock
-    /// as the reference — the step that makes alignment transitive.
-    fn probe_child(&mut self, i: usize) {
-        let token = (i as u64) << 32 | u64::from(self.children[i].ledger.clock().rounds);
-        let t0 = self.up.now();
-        let probe = DaemonMsg::ClockProbe {
-            token,
-            t_tool_ns: t0,
-        };
-        if send_wire(&*self.children[i].tx as &dyn Transport, &probe).is_ok() {
-            self.children[i].pending_probe = Some((token, t0));
+    /// Pumps every child once: lands what its link reads (a sync in flight
+    /// holds it) and drives its sync one step, the relay's budget: a probe
+    /// at a time until `sync_rounds` replied, or until the link died.
+    fn pump_children(&mut self) {
+        let budget = self.cfg.sync_rounds.max(1);
+        for i in 0..self.children.len() {
+            loop {
+                while let Ok(Some(arrival)) = self.children[i].recv(|| self.up.now()) {
+                    self.land(i, arrival);
+                }
+                let child = &mut self.children[i];
+                let alive = child.transport().is_alive();
+                if !child.syncing() || (alive && child.awaiting_reply()) {
+                    break;
+                }
+                let replies = child.sync_replies();
+                if alive && replies < budget {
+                    child.probe(self.up.now());
+                    break;
+                }
+                // An adopted child's watermark seed goes out the moment its
+                // clock is aligned: its ring replay lands before live traffic.
+                child.end_sync(self.up.uplink.epoch, &self.up.addr);
+                self.report.children_synced += usize::from(replies >= budget);
+            }
         }
     }
 
-    /// Pumps child `i` once. During sync, `ClockReply`s feed the offset
-    /// estimate and everything else is backlogged; after sync, frames go
-    /// straight to [`RelaySession::dispatch_child_frame`].
-    fn pump_child(&mut self, i: usize) {
-        while let Ok(Some(frame)) = self.children[i].tx.try_recv() {
-            if self.children[i].synced {
-                self.dispatch_child_frame(i, &frame);
-                continue;
+    /// Lands one arrival from child `i`: samples move onto the relay clock
+    /// and join the pending batch, mapping information is forwarded (PIFs
+    /// once per content), a rejected frame is counted.
+    fn land(&mut self, i: usize, arrival: Arrival) {
+        let offset = self.children[i].clock().offset_ns;
+        match arrival {
+            Arrival::Batch(batch) => self.pending.append(batch, |wall| align(wall, offset)),
+            Arrival::Msg(DaemonMsg::Sample {
+                metric,
+                focus,
+                wall,
+                value,
+            }) => self.pending.push(metric, focus, align(wall, offset), value),
+            Arrival::Msg(mapping) => {
+                let _ = send_wire(self.up.server as &dyn Transport, &mapping);
             }
-            if frame.kind == FrameKind::Daemon {
-                if let Ok(DaemonMsg::ClockReply {
-                    token, t_daemon_ns, ..
-                }) = DaemonMsg::from_frame(&frame)
-                {
-                    let child = &mut self.children[i];
-                    if let Some((want, t0)) = child.pending_probe {
-                        if token == want {
-                            let clock = child.ledger.clock_mut();
-                            clock.observe(t0, t_daemon_ns, self.up.now());
-                            child.pending_probe = None;
-                            if clock.rounds >= self.cfg.sync_rounds {
-                                child.synced = true;
-                                self.report.children_synced += 1;
-                                // An adopted child gets its watermark seed
-                                // the moment its clock is aligned — its
-                                // ring replay lands before live traffic.
-                                let addr = child.addr.to_string();
-                                if let Some(seed) = child.ledger.seed_msg(
-                                    self.up.uplink.epoch,
-                                    &self.up.addr,
-                                    &addr,
-                                ) {
-                                    if send_wire(&*child.tx as &dyn Transport, &seed).is_ok() {
-                                        child.ledger.seed_paid();
-                                    }
-                                }
-                                self.replay_backlog(i);
-                            } else {
-                                self.probe_child(i);
-                            }
-                        }
-                    }
-                    continue;
-                }
+            Arrival::Pif(blob) if !self.pifs_seen.contains(&blob.0) => {
+                let _ = send_wire(self.up.server as &dyn Transport, &blob);
+                self.pifs_seen.insert(blob.0);
             }
-            self.children[i].backlog.push(frame);
-        }
-    }
-
-    fn replay_backlog(&mut self, i: usize) {
-        for frame in std::mem::take(&mut self.children[i].backlog) {
-            self.dispatch_child_frame(i, &frame);
-        }
-    }
-
-    /// Routes one post-sync child frame: the child's books fold it first
-    /// (a replayed batch stops there); samples are moved onto the relay
-    /// clock and batched, mapping info is forwarded (PIFs deduped by
-    /// content). A frame that fails to decode is dropped and counted.
-    fn dispatch_child_frame(&mut self, i: usize, frame: &pdmap_transport::Frame) {
-        let ledger = &mut self.children[i].ledger;
-        let offset = ledger.clock().offset_ns;
-        match frame.kind {
-            FrameKind::SampleBatch => match BatchColumns::from_frame(frame) {
-                Ok(batch) if ledger.fold_batch(&batch) => {
-                    self.pending.append(batch, |wall| align(wall, offset));
-                }
-                Ok(_) => {}
-                Err(_) => self.report.decode_errors += 1,
-            },
-            FrameKind::Topology => match TopologyMsg::from_frame(frame) {
-                Ok(msg) => ledger.fold_topology(msg),
-                Err(_) => self.report.decode_errors += 1,
-            },
-            FrameKind::PifBlob => {
-                let mut h = DefaultHasher::new();
-                frame.payload.hash(&mut h);
-                if self.pifs_seen.insert(h.finish()) {
-                    // The payload is already an encoded `PifBlob`:
-                    // forward it unchanged.
-                    let _ = self
-                        .up
-                        .server
-                        .send(FrameKind::PifBlob, frame.payload.clone());
-                }
-            }
-            FrameKind::Daemon => match DaemonMsg::from_frame(frame) {
-                Ok(msg) => {
-                    ledger.fold_msg(&msg);
-                    match msg {
-                        DaemonMsg::Sample {
-                            metric,
-                            focus,
-                            wall,
-                            value,
-                        } => self.pending.push(metric, focus, align(wall, offset), value),
-                        DaemonMsg::ArrayAllocated { .. } | DaemonMsg::ArrayFreed { .. } => {
-                            let _ = send_wire(self.up.server as &dyn Transport, &msg);
-                        }
-                        _ => {}
-                    }
-                }
-                Err(_) => self.report.decode_errors += 1,
-            },
-            _ => {}
+            Arrival::Rejected(_) => self.report.decode_errors += 1,
+            Arrival::Pif(_) | Arrival::Absorbed => {}
         }
     }
 
@@ -532,11 +444,11 @@ impl<'a> RelaySession<'a> {
         batch.sources = self
             .children
             .iter()
-            .filter(|c| !c.ledger.is_subtree_adopted())
+            .filter(|c| !c.is_subtree_adopted())
             .map(|c| {
-                let (through_seq, samples) = c.ledger.watermark();
+                let (through_seq, samples) = c.watermark();
                 SourceMark {
-                    origin: c.addr.to_string(),
+                    origin: c.addr().to_string(),
                     through_seq,
                     samples,
                 }
@@ -571,12 +483,12 @@ impl<'a> RelaySession<'a> {
 
 /// Composes the subtree's coverage from every child's books: a child
 /// reports while its transport is alive or after it said Goodbye.
-fn coverage(children: &[Child]) -> Coverage {
+fn coverage(children: &[ChildLink]) -> Coverage {
     children
         .iter()
         .map(|c| {
-            let reporting = c.ledger.announced_sent().is_some() || c.tx.is_alive();
-            c.ledger.coverage(reporting)
+            let reporting = c.announced_sent().is_some() || c.transport().is_alive();
+            c.coverage(reporting)
         })
         .sum()
 }
@@ -586,8 +498,8 @@ fn coverage(children: &[Child]) -> Coverage {
 /// writes the span dump if one was requested.
 fn finish(mut s: RelaySession<'_>) -> RelayReport {
     for c in &s.children {
-        s.report.child_goodbyes += usize::from(c.ledger.announced_sent().is_some());
-        s.report.replays_suppressed += c.ledger.replays_suppressed();
+        s.report.child_goodbyes += usize::from(c.announced_sent().is_some());
+        s.report.replays_suppressed += c.replays_suppressed();
     }
     s.up.close();
     s.report.probes_answered = s.up.probes_answered;
@@ -615,38 +527,23 @@ pub fn serve_relay_until(
     }
     s.report.parent_connected = true;
 
-    // Phase 1: dial the children and start their clock sync. The relay is
-    // the "tool" of its children: the same transport handshake, the same
-    // probe protocol, just referenced to this relay's reported clock.
-    for (i, &addr) in cfg.children.iter().enumerate() {
-        s.children
-            .push(Child::link(addr, s.tcfg, LinkLedger::default()));
-        s.probe_child(i);
+    // Phase 1: dial the children and sync their clocks. The relay is the
+    // "tool" of its children: the same transport handshake, the same child
+    // link, just referenced to this relay's reported clock. Leaves answer
+    // probes only once their workload phase ends, so a sync still in
+    // flight at the deadline carries on into the stream phase.
+    for &addr in &cfg.children {
+        s.dial(addr, LinkLedger::default());
     }
     let sync_deadline = Instant::now() + cfg.sync_timeout;
     loop {
         s.serve_parent();
-        for i in 0..s.children.len() {
-            s.pump_child(i);
-            // Leaves answer probes only once their workload phase ends, so
-            // a probe can sit unanswered for a while; re-send rather than
-            // stall the round.
-            if !s.children[i].synced && s.children[i].pending_probe.is_none() {
-                s.probe_child(i);
-            }
-        }
-        let all = s.children.iter().all(|c| c.synced || !c.tx.is_alive());
+        s.pump_children();
+        let all = s.children.iter().all(|c| !c.syncing());
         if all || Instant::now() >= sync_deadline || s.up.stopping(stop) {
             break;
         }
         std::thread::sleep(Duration::from_micros(500));
-    }
-    // A child that never synced is treated as dark from the start; replay
-    // whatever it did send (mapping info is offset-free).
-    for i in 0..s.children.len() {
-        if !s.children[i].synced {
-            s.replay_backlog(i);
-        }
     }
     s.report_coverage(true);
     s.announce_topology(true);
@@ -663,15 +560,7 @@ pub fn serve_relay_until(
     // serving until told to stop.
     loop {
         s.serve_parent();
-        for i in 0..s.children.len() {
-            s.pump_child(i);
-            if !s.children[i].synced
-                && s.children[i].pending_probe.is_none()
-                && s.children[i].tx.is_alive()
-            {
-                s.probe_child(i);
-            }
-        }
+        s.pump_children();
         s.adopt_grandchildren();
         s.sample_self();
         s.flush(false);
@@ -682,7 +571,7 @@ pub fn serve_relay_until(
         if !s.parent_up(stop) {
             break;
         }
-        if !s.children.is_empty() && s.children.iter().all(Child::done) {
+        if !s.children.is_empty() && s.children.iter().all(done) {
             break;
         }
         std::thread::sleep(Duration::from_micros(500));
@@ -697,22 +586,22 @@ pub fn serve_relay_until(
         return finish(s);
     }
     for c in &s.children {
-        if c.ledger.announced_sent().is_none() && c.tx.is_alive() {
-            let _ = send_wire(&*c.tx as &dyn Transport, &DaemonMsg::Shutdown);
+        if c.announced_sent().is_none() && c.transport().is_alive() {
+            let _ = send_wire(&**c.transport(), &DaemonMsg::Shutdown);
         }
     }
     let drain_deadline = Instant::now() + cfg.sync_timeout;
-    while !s.children.iter().all(Child::done) && Instant::now() < drain_deadline {
+    while !s.children.iter().all(done) && Instant::now() < drain_deadline {
         s.serve_parent();
-        for i in 0..s.children.len() {
-            s.pump_child(i);
-        }
+        s.pump_children();
         s.flush(false);
         std::thread::sleep(Duration::from_micros(500));
     }
-    for i in 0..s.children.len() {
-        s.pump_child(i);
+    // A sync still in flight ends here, so nothing it held is left behind.
+    for c in &mut s.children {
+        c.end_sync(s.up.uplink.epoch, &s.up.addr);
     }
+    s.pump_children();
     // The subtree is done: send the tail now rather than after the
     // linger, which can be far longer than `flush_interval`.
     s.flush(true);
@@ -737,23 +626,27 @@ pub fn serve_relay_until(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pdmap_transport::{BatchColumns, Frame, FrameKind, PifBlob, WirePayload};
 
     #[test]
     fn undecodable_child_frames_are_counted_not_folded() {
         let server = TcpServer::bind("127.0.0.1:0").expect("bind");
         let cfg = RelayConfig::default();
         let mut s = RelaySession::new(&server, &cfg);
-        let tcfg = TransportConfig {
-            reconnect: pdmap_transport::ReconnectPolicy {
-                max_attempts: 0,
-                ..Default::default()
-            },
-            ..Default::default()
+        // An in-process link stands in for a synced child: the test writes
+        // its frames and the relay reads them through the child link.
+        let link = pdmap_transport::Backend::InProc.link(&TransportConfig::default());
+        s.children
+            .push(ChildLink::new("child", link.client, LinkLedger::default()));
+        let child = link.server;
+        let feed = |s: &mut RelaySession<'_>, frame: &Frame| {
+            child.send(frame.kind, frame.payload.clone()).unwrap();
+            s.pump_children();
         };
-        let addr: SocketAddr = "127.0.0.1:9".parse().unwrap();
-        let child = Child::link(addr, tcfg, LinkLedger::default());
-        child.tx.close();
-        s.children.push(child);
+        // The registry is global to the test binary, so check the counter
+        // moved rather than its value.
+        let codec = || pdmap_obs::counter("daemon.error.codec").get();
+        let before = codec();
         let mut rows = BatchBuilder::default();
         rows.push("m".into(), "f".into(), 10, 1.0);
         rows.push("m".into(), "f".into(), 20, 2.0);
@@ -765,20 +658,30 @@ mod tests {
         // The count claims more samples than the payload carries.
         let mut corrupt = good.clone();
         corrupt.payload[0] = 9;
-        s.dispatch_child_frame(0, &corrupt);
+        feed(&mut s, &corrupt);
         assert_eq!(s.report.decode_errors, 1);
-        assert_eq!(s.children[0].ledger.samples_received(), 0, "nothing folded");
+        assert_eq!(s.children[0].samples_received(), 0, "nothing folded");
         assert!(s.pending.is_empty());
         // An undecodable Daemon frame counts too; a good batch still folds.
-        s.dispatch_child_frame(
-            0,
-            &pdmap_transport::Frame::data(FrameKind::Daemon, vec![0xFF]),
-        );
+        feed(&mut s, &Frame::data(FrameKind::Daemon, vec![0xFF]));
         assert_eq!(s.report.decode_errors, 2);
-        s.dispatch_child_frame(0, &good);
-        assert_eq!(s.children[0].ledger.samples_received(), 2);
+        feed(&mut s, &good);
+        assert_eq!(s.children[0].samples_received(), 2);
         assert_eq!(s.pending.len(), 2);
         assert_eq!(s.report.decode_errors, 2);
+        // A PIF blob is decoded before it is forwarded: a truncated one is
+        // counted and never reaches the parent; a good one is forwarded.
+        let pif = PifBlob(b"MAPPING\n".to_vec()).to_frame();
+        let mut truncated = pif.clone();
+        truncated.payload.pop();
+        feed(&mut s, &truncated);
+        assert_eq!(s.report.decode_errors, 3);
+        assert!(s.pifs_seen.is_empty(), "nothing forwarded");
+        feed(&mut s, &pif);
+        assert_eq!(s.pifs_seen.len(), 1, "the good blob is forwarded");
+        assert_eq!(s.report.decode_errors, 3);
+        // Every rejection is counted as the tool counts its own.
+        assert!(codec() >= before + 3, "daemon.error.codec moved by each");
     }
 
     /// Receives frames on `t` until `done` holds for one, returning every
@@ -814,8 +717,13 @@ mod tests {
             },
             ..Default::default()
         };
-        let child = Child::link("127.0.0.1:9".parse().unwrap(), tcfg, LinkLedger::default());
-        child.tx.close();
+        let addr: SocketAddr = "127.0.0.1:9".parse().unwrap();
+        let child = ChildLink::new(
+            addr.to_string(),
+            TcpClient::connect(addr, tcfg),
+            LinkLedger::default(),
+        );
+        child.transport().close();
         s.children.push(child);
         let is_coverage = |f: &pdmap_transport::Frame| {
             matches!(

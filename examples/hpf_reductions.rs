@@ -18,8 +18,12 @@ fn main() {
     });
     tool.load_source(cmf_lang::samples::FIGURE4).unwrap();
     let ns = tool.namespace().clone();
+    // Building the machine interns the run-time system's vocabulary (the
+    // CMRTS level and its SendsMessage verb), so build it before the
+    // lookups.
+    let mut machine = tool.new_machine().unwrap();
 
-    // Vocabulary the compiler interned for this program.
+    // Vocabulary the compiler and the run-time system interned.
     let cmf = ns.find_level("CM Fortran").unwrap();
     let cmrts = ns.find_level("CMRTS").unwrap();
     let sums = ns.find_verb(cmf, "Sums").unwrap();
@@ -27,8 +31,6 @@ fn main() {
     let sends = ns.find_verb(cmrts, "SendsMessage").unwrap();
     let a = ns.find_noun(cmf, "A").unwrap();
     let b = ns.find_noun(cmf, "B").unwrap();
-
-    let mut machine = tool.new_machine().unwrap();
 
     // Performance questions, asked at run time (§4.2.2):
     //   How many messages are sent for summations of A? For MAXVAL of B?
