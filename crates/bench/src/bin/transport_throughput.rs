@@ -11,7 +11,12 @@
 //! (default `16,64,256,1024`). The workload is a sender thread pushing
 //! fixed-size [`PifBlob`] frames as fast as the bounded queue admits them
 //! (Block backpressure — nothing drops, so frames/sec measures true
-//! end-to-end delivery) while the main thread drains the server end.
+//! end-to-end delivery) while the main thread drains the other end. Every
+//! capacity runs client → server over both backends, and server → client
+//! over TCP: the direction every `pdmapd` link streams in, where the
+//! server's outbox, not the queue capacity, bounds what is in flight.
+//! Each TCP cell prints `frames_per_write`, the sender's frames sent per
+//! socket write: the mean burst.
 //!
 //! Each cell also reports `frame_type_latency_ns`: the pdmap-obs receive
 //! latency histogram per frame type, diffed across the cell so concurrent
@@ -66,13 +71,32 @@ fn latency_json(h: &HistogramSnapshot) -> String {
     )
 }
 
+/// Which end of the link sends.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Direction {
+    ClientToServer,
+    ServerToClient,
+}
+
+impl Direction {
+    fn name(self) -> &'static str {
+        match self {
+            Direction::ClientToServer => "client_to_server",
+            Direction::ServerToClient => "server_to_client",
+        }
+    }
+}
+
 struct Cell {
     backend: &'static str,
+    direction: Direction,
     capacity: usize,
     frames: u64,
     bytes: u64,
     elapsed: Duration,
     max_queue_depth: u64,
+    /// The sender's frames per socket write (TCP only).
+    frames_per_write: Option<f64>,
     /// Per-frame-type receive latency recorded during this cell only.
     recv_latency: Vec<(&'static str, HistogramSnapshot)>,
 }
@@ -92,14 +116,18 @@ impl Cell {
             .iter()
             .map(|(kind, h)| format!("\"{}\":{}", kind, latency_json(h)))
             .collect();
+        let per_write = self
+            .frames_per_write
+            .map_or(String::new(), |r| format!("\"frames_per_write\":{r:.2},"));
         format!(
             concat!(
-                "{{\"backend\":\"{}\",\"queue_capacity\":{},",
+                "{{\"backend\":\"{}\",\"direction\":\"{}\",\"queue_capacity\":{},",
                 "\"frames\":{},\"wire_bytes\":{},\"elapsed_ms\":{:.3},",
                 "\"frames_per_sec\":{:.1},\"bytes_per_sec\":{:.1},",
-                "\"max_queue_depth\":{},\"frame_type_latency_ns\":{{{}}}}}"
+                "\"max_queue_depth\":{},{}\"frame_type_latency_ns\":{{{}}}}}"
             ),
             self.backend,
+            self.direction.name(),
             self.capacity,
             self.frames,
             self.bytes,
@@ -107,26 +135,31 @@ impl Cell {
             self.frames_per_sec(),
             self.bytes_per_sec(),
             self.max_queue_depth,
+            per_write,
             latency.join(","),
         )
     }
 }
 
-/// Runs one (backend, capacity) cell for roughly `budget`, returning the
-/// measured delivery rate.
-fn run_cell(backend: Backend, capacity: usize, budget: Duration) -> Cell {
+/// Runs one (backend, direction, capacity) cell for roughly `budget`,
+/// returning the measured delivery rate.
+fn run_cell(backend: Backend, direction: Direction, capacity: usize, budget: Duration) -> Cell {
     let cfg = TransportConfig::with_capacity(capacity);
     let link = backend.link(&cfg);
+    let (tx, rx) = match direction {
+        Direction::ClientToServer => (&link.client, &link.server),
+        Direction::ServerToClient => (&link.server, &link.client),
+    };
     let stop = Arc::new(AtomicBool::new(false));
     let before = recv_hist_snaps();
 
     let sender = {
-        let client = Arc::clone(&link.client);
+        let tx = Arc::clone(tx);
         let stop = Arc::clone(&stop);
         std::thread::spawn(move || {
             let blob = PifBlob(vec![0xAB; PAYLOAD_LEN]);
             while !stop.load(Ordering::Relaxed) {
-                if send_wire(client.as_ref(), &blob).is_err() {
+                if send_wire(tx.as_ref(), &blob).is_err() {
                     break;
                 }
             }
@@ -136,7 +169,7 @@ fn run_cell(backend: Backend, capacity: usize, budget: Duration) -> Cell {
     let start = Instant::now();
     let mut frames = 0u64;
     while start.elapsed() < budget {
-        let drained = drain_frames(link.server.as_ref());
+        let drained = drain_frames(rx.as_ref());
         if drained.is_empty() {
             std::thread::yield_now();
         }
@@ -146,12 +179,12 @@ fn run_cell(backend: Backend, capacity: usize, budget: Duration) -> Cell {
     stop.store(true, Ordering::Relaxed);
     // Unblock a sender stuck on a full queue, then drain its tail so the
     // thread can observe the stop flag and exit.
-    for f in drain_frames(link.server.as_ref()) {
+    for f in drain_frames(rx.as_ref()) {
         drop(f);
     }
     sender.join().expect("sender thread must not panic");
 
-    let stats = link.client.stats();
+    let stats = tx.stats();
     link.close();
     let recv_latency: Vec<(&'static str, HistogramSnapshot)> = before
         .iter()
@@ -166,11 +199,14 @@ fn run_cell(backend: Backend, capacity: usize, budget: Duration) -> Cell {
             Backend::InProc => "inproc",
             Backend::Tcp => "tcp",
         },
+        direction,
         capacity,
         frames,
         bytes: frames * (PAYLOAD_LEN as u64 + 4), // put::bytes length prefix
         elapsed,
         max_queue_depth: stats.max_queue_depth,
+        frames_per_write: (backend == Backend::Tcp)
+            .then(|| stats.frames_sent as f64 / stats.writes.max(1) as f64),
         recv_latency,
     }
 }
@@ -319,9 +355,13 @@ fn main() {
     let budget = Duration::from_millis(budget_ms);
 
     let mut cells = Vec::new();
-    for backend in [Backend::InProc, Backend::Tcp] {
+    for (backend, direction) in [
+        (Backend::InProc, Direction::ClientToServer),
+        (Backend::Tcp, Direction::ClientToServer),
+        (Backend::Tcp, Direction::ServerToClient),
+    ] {
         for &capacity in &capacities {
-            cells.push(run_cell(backend, capacity, budget));
+            cells.push(run_cell(backend, direction, capacity, budget));
         }
     }
     let drop_window = run_drop_window(budget);

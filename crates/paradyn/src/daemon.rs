@@ -349,14 +349,6 @@ impl InstrLibEndpoint {
         Self { tx }
     }
 
-    /// Sends any daemon-channel message, surfacing transport failures
-    /// (the sink paths deliberately swallow them; process drivers that own
-    /// their lifecycle want to see a dead link).
-    pub fn send_msg(&self, msg: &DaemonMsg) -> Result<(), pdmap_transport::TransportError> {
-        let _span = pdmap_obs::span(&daemon_obs().send);
-        send_wire(&*self.tx, msg)
-    }
-
     /// Sends a metric sample over the same channel (performance data and
     /// mapping information share the wire, as in the paper).
     pub fn send_sample(&self, metric: &str, focus: &str, wall: u64, value: f64) {

@@ -1792,7 +1792,7 @@ impl DaemonSet {
     pub fn merged_samples(&self) -> Merged {
         let cols = &self.samples;
         let pairs = intern::key_pairs();
-        let samples = cols
+        let rows = cols
             .merge_walk()
             .map(|i| {
                 let (metric, focus) = pairs[cols.keys()[i].index()];
@@ -1806,8 +1806,8 @@ impl DaemonSet {
                 }
             })
             .collect();
-        Merged {
-            samples,
+        Labelled {
+            rows,
             coverage: self.coverage(),
         }
     }
@@ -1844,96 +1844,57 @@ impl DaemonSet {
                 .samples
                 .push((cols.aligneds()[i], cols.values()[i]));
         }
-        MergedStreams {
-            streams: out,
+        Labelled {
+            rows: out,
             coverage: self.coverage(),
         }
     }
 }
 
-/// The merged, aligned sample stream plus the [`Coverage`] it was computed
-/// under. Derefs to the sample vector, so existing slice-style consumers
-/// keep working; the label rides along for anyone who asks.
+/// Rows merged across the fleet — [`DaemonSet::merged_samples`]'s aligned
+/// samples or [`DaemonSet::merged_streams`]'s per-key streams — plus the
+/// [`Coverage`] they were computed under. Derefs to the row vector, so
+/// slice-style consumers keep working; the label rides along for anyone
+/// who asks.
 #[derive(Clone, Debug)]
-pub struct Merged {
-    samples: Vec<AlignedSample>,
+pub struct Labelled<T> {
+    rows: Vec<T>,
     coverage: Coverage,
 }
 
-impl Merged {
-    /// How much of the fleet this merge covers.
+/// The merged, aligned sample stream and its [`Coverage`] label.
+pub type Merged = Labelled<AlignedSample>;
+
+/// The merged per-(metric, focus) streams and their [`Coverage`] label.
+pub type MergedStreams = Labelled<Stream>;
+
+impl<T> Labelled<T> {
+    /// How much of the fleet these rows cover.
     pub fn coverage(&self) -> Coverage {
         self.coverage
     }
+}
 
-    /// Consumes the wrapper, keeping just the samples.
-    pub fn into_vec(self) -> Vec<AlignedSample> {
-        self.samples
+impl<T> Deref for Labelled<T> {
+    type Target = Vec<T>;
+    fn deref(&self) -> &Vec<T> {
+        &self.rows
     }
 }
 
-impl Deref for Merged {
-    type Target = Vec<AlignedSample>;
-    fn deref(&self) -> &Vec<AlignedSample> {
-        &self.samples
-    }
-}
-
-impl IntoIterator for Merged {
-    type Item = AlignedSample;
-    type IntoIter = std::vec::IntoIter<AlignedSample>;
+impl<T> IntoIterator for Labelled<T> {
+    type Item = T;
+    type IntoIter = std::vec::IntoIter<T>;
     fn into_iter(self) -> Self::IntoIter {
-        self.samples.into_iter()
+        self.rows.into_iter()
     }
 }
 
-impl<'a> IntoIterator for &'a Merged {
-    type Item = &'a AlignedSample;
-    type IntoIter = std::slice::Iter<'a, AlignedSample>;
+impl<'a, T> IntoIterator for &'a Labelled<T> {
+    type Item = &'a T;
+    type IntoIter = std::slice::Iter<'a, T>;
     fn into_iter(self) -> Self::IntoIter {
-        self.samples.iter()
-    }
-}
-
-/// The merged per-(metric, focus) streams plus their [`Coverage`] label.
-#[derive(Clone, Debug)]
-pub struct MergedStreams {
-    streams: Vec<Stream>,
-    coverage: Coverage,
-}
-
-impl MergedStreams {
-    /// How much of the fleet these streams cover.
-    pub fn coverage(&self) -> Coverage {
-        self.coverage
-    }
-
-    /// Consumes the wrapper, keeping just the streams.
-    pub fn into_vec(self) -> Vec<Stream> {
-        self.streams
-    }
-}
-
-impl Deref for MergedStreams {
-    type Target = Vec<Stream>;
-    fn deref(&self) -> &Vec<Stream> {
-        &self.streams
-    }
-}
-
-impl IntoIterator for MergedStreams {
-    type Item = Stream;
-    type IntoIter = std::vec::IntoIter<Stream>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.streams.into_iter()
-    }
-}
-
-impl<'a> IntoIterator for &'a MergedStreams {
-    type Item = &'a Stream;
-    type IntoIter = std::slice::Iter<'a, Stream>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.streams.iter()
+        self.rows.iter()
     }
 }
 

@@ -57,8 +57,8 @@ pub use consultant::{
 pub use daemon::{ClockEstimate, DaemonError, DaemonMsg, InstrLibEndpoint, LinkLedger};
 pub use daemonset::{
     AlignedSample, ClockSyncError, ConnRef, Coverage, DaemonConn, DaemonHealth, DaemonSet, DialFn,
-    FleetHealth, FleetPerturbation, Merged, MergedStreams, NodeHealth, ReconnectFn, RecoveryReport,
-    RecoverySummary, ReparentReport, SessionCoverage, SupervisorPolicy,
+    FleetHealth, FleetPerturbation, Labelled, Merged, MergedStreams, NodeHealth, ReconnectFn,
+    RecoveryReport, RecoverySummary, ReparentReport, SessionCoverage, SupervisorPolicy,
 };
 pub use datamgr::{DataManager, FocusError, PifImportError, ShardStats};
 pub use mcache::{McacheStats, Measured, MeasurementCache};

@@ -203,18 +203,13 @@ impl Uplink {
     }
 }
 
-/// Dials `standby` just long enough to deliver `msg`, then closes. The
-/// standby answers by dialing the orphan's listen address back — the
-/// beacon connection itself never carries session traffic.
+/// Dials `standby` just long enough to deliver `msg`: close flushes it
+/// (or counts it lost) before returning. The standby answers by dialing
+/// the orphan's listen address back — the beacon connection itself never
+/// carries session traffic.
 fn send_beacon(standby: SocketAddr, msg: &TopologyMsg, tcfg: TransportConfig) {
     let tx = TcpClient::connect(standby, tcfg);
-    if send_wire(&*tx as &dyn Transport, msg).is_err() {
-        return;
-    }
-    let deadline = Instant::now() + Duration::from_millis(500);
-    while tx.backlog() > 0 && Instant::now() < deadline {
-        std::thread::sleep(Duration::from_millis(1));
-    }
+    let _ = send_wire(&*tx as &dyn Transport, msg);
     tx.close();
 }
 

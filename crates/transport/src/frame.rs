@@ -183,6 +183,17 @@ impl Frame {
         HEADER_LEN + self.payload.len()
     }
 
+    /// The frame's 16-byte header; the payload follows it on the wire.
+    pub fn header(&self) -> [u8; HEADER_LEN] {
+        let mut h = [0u8; HEADER_LEN];
+        h[0..2].copy_from_slice(&MAGIC);
+        h[2] = VERSION;
+        h[3] = self.kind.to_u8();
+        h[4..12].copy_from_slice(&self.seq.to_le_bytes());
+        h[12..16].copy_from_slice(&(self.payload.len() as u32).to_le_bytes());
+        h
+    }
+
     /// Appends the encoded frame to `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         let t0 = if pdmap_obs::enabled() {
@@ -190,11 +201,7 @@ impl Frame {
         } else {
             None
         };
-        out.extend_from_slice(&MAGIC);
-        out.push(VERSION);
-        out.push(self.kind.to_u8());
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&self.header());
         out.extend_from_slice(&self.payload);
         if let Some(t0) = t0 {
             crate::obs::obs()

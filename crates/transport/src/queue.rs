@@ -139,6 +139,28 @@ impl BoundedQueue {
         }
     }
 
+    /// Moves queued frames to `out`, oldest first, under one lock hold:
+    /// it stops at the first frame whose encoded size would overrun
+    /// `budget` bytes, or once `out` holds `max` frames. How a writer
+    /// takes a whole burst at once.
+    pub fn pop_burst(&self, out: &mut Vec<Frame>, mut budget: usize, max: usize) {
+        let mut g = self.lock();
+        let before = out.len();
+        while out.len() < max {
+            match g.front() {
+                Some(f) if f.encoded_len() <= budget => {
+                    budget -= f.encoded_len();
+                    out.extend(g.pop_front());
+                }
+                _ => break,
+            }
+        }
+        drop(g);
+        if out.len() > before {
+            self.not_full.notify_all();
+        }
+    }
+
     /// Current depth.
     pub fn len(&self) -> usize {
         self.lock().len()
@@ -259,6 +281,25 @@ mod tests {
         let start = std::time::Instant::now();
         assert!(q.pop_timeout(Duration::from_millis(30)).is_none());
         assert!(start.elapsed() >= Duration::from_millis(25));
+    }
+
+    #[test]
+    fn pop_burst_stops_at_the_byte_budget_and_the_frame_cap() {
+        let (q, _) = q(10, Backpressure::Block);
+        for i in 0..6 {
+            q.push(frame(i)).unwrap();
+        }
+        let one = frame(0).encoded_len();
+        let mut out = Vec::new();
+        // Three frames fit the budget; the fourth would overrun it.
+        q.pop_burst(&mut out, 3 * one + one / 2, 10);
+        assert_eq!(out.len(), 3);
+        // The frame cap counts what `out` already holds.
+        q.pop_burst(&mut out, usize::MAX, 4);
+        assert_eq!(out.len(), 4);
+        let order: Vec<u8> = out.iter().map(|f| f.payload[0]).collect();
+        assert_eq!(order, vec![0, 1, 2, 3]);
+        assert_eq!(q.len(), 2);
     }
 
     #[test]

@@ -26,6 +26,7 @@ pub struct StatsCell {
     auth_failures: AtomicU64,
     samples_batched_sent: AtomicU64,
     samples_batched_received: AtomicU64,
+    writes: AtomicU64,
 }
 
 impl StatsCell {
@@ -98,6 +99,11 @@ impl StatsCell {
             .fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Records one socket write call.
+    pub fn on_write(&self) {
+        self.writes.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Folds an observed queue depth into the high-water mark.
     pub fn observe_queue_depth(&self, depth: usize) {
         self.max_queue_depth
@@ -123,6 +129,7 @@ impl StatsCell {
             auth_failures: self.auth_failures.load(Ordering::Relaxed),
             samples_batched_sent: self.samples_batched_sent.load(Ordering::Relaxed),
             samples_batched_received: self.samples_batched_received.load(Ordering::Relaxed),
+            writes: self.writes.load(Ordering::Relaxed),
         }
     }
 }
@@ -164,13 +171,16 @@ pub struct TransportStats {
     pub samples_batched_sent: u64,
     /// Samples carried in by `SampleBatch` frames.
     pub samples_batched_received: u64,
+    /// Socket write calls issued (zero in-process). `frames_sent / writes`
+    /// is the mean number of frames a write carries.
+    pub writes: u64,
 }
 
 /// The "Transport" level of the tool's self-measurement, one row per
 /// [`TransportStats`] counter in catalogue order: `(metric name, MDL units,
 /// description)`. The tool generates its "Transport" metric catalogue from
 /// this table, and [`TransportStats::rows`] pairs it with values.
-pub const TRANSPORT_ROWS: [(&str, &str, &str); 16] = [
+pub const TRANSPORT_ROWS: [(&str, &str, &str); 17] = [
     (
         "Transport Frames Sent",
         "operations",
@@ -251,6 +261,11 @@ pub const TRANSPORT_ROWS: [(&str, &str, &str); 16] = [
         "operations",
         "Samples carried in by SampleBatch frames.",
     ),
+    (
+        "Transport Writes",
+        "operations",
+        "Socket write calls issued; frames sent per write is the mean burst.",
+    ),
 ];
 
 impl TransportStats {
@@ -273,6 +288,7 @@ impl TransportStats {
             self.auth_failures,
             self.samples_batched_sent,
             self.samples_batched_received,
+            self.writes,
         ];
         TRANSPORT_ROWS
             .iter()
@@ -310,9 +326,9 @@ mod tests {
     #[test]
     fn rows_cover_every_field() {
         let s = TransportStats::default();
-        assert_eq!(s.rows().len(), 16);
+        assert_eq!(s.rows().len(), 17);
         let names: std::collections::BTreeSet<_> = s.rows().iter().map(|&(n, _)| n).collect();
-        assert_eq!(names.len(), 16, "metric names must be distinct");
+        assert_eq!(names.len(), 17, "metric names must be distinct");
     }
 
     #[test]
