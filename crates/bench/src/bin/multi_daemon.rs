@@ -636,15 +636,10 @@ fn chaos_main(opts: &Options) -> ExitCode {
     let mut announced_total = 0u64;
     let mut received_total = 0u64;
     for i in 0..n {
-        // `conn(i)` returns a lock guard; in edition 2021 an `if let`
-        // scrutinee's temporaries live through the whole body, so a second
-        // `conn(i)` inside would panic as a second borrow. Bind both values
-        // first.
-        let announced = set.conn(i).announced_sent();
-        let received = set.conn(i).samples_received();
-        if let Some(a) = announced {
+        let conn = set.conn(i);
+        if let Some(a) = conn.announced_sent() {
             announced_total += a;
-            received_total += received;
+            received_total += conn.samples_received();
         } else {
             check(&format!("daemon {i} announced its send count"), false);
         }
@@ -817,15 +812,11 @@ fn conservation_audit(
         cov.samples_lost == 0,
     );
     for i in 0..conns {
-        // Two statements, not one match: `conn(i)` returns a lock guard,
-        // and a guard born in a match scrutinee lives for every arm — the
-        // second `conn(i)` inside an arm would panic as a second borrow.
-        let announced = set.conn(i).announced_sent();
-        let received = set.conn(i).samples_received();
-        match announced {
+        let conn = set.conn(i);
+        match conn.announced_sent() {
             Some(a) => check(
                 &format!("{label}: conn {i} announced == received"),
-                a == received,
+                a == conn.samples_received(),
             ),
             None => check(&format!("{label}: conn {i} announced its count"), false),
         }

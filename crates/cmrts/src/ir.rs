@@ -507,11 +507,6 @@ impl ProgramBuilder {
         self.program.validate()?;
         Ok(self.program)
     }
-
-    /// Returns the program without validating (for negative tests).
-    pub fn build_unchecked(self) -> Program {
-        self.program
-    }
 }
 
 #[cfg(test)]

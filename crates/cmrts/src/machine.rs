@@ -45,9 +45,6 @@ pub struct MachineConfig {
     pub cost: CostModel,
     /// Record a ground-truth event trace.
     pub trace: bool,
-    /// Execute node-local phases on real threads (results and clocks are
-    /// identical to the sequential engine; only wall time differs).
-    pub threaded: bool,
 }
 
 impl Default for MachineConfig {
@@ -56,7 +53,6 @@ impl Default for MachineConfig {
             nodes: 4,
             cost: CostModel::default(),
             trace: true,
-            threaded: false,
         }
     }
 }
@@ -271,11 +267,6 @@ impl Machine {
         &self.snapshots
     }
 
-    /// The sentence `{node#i} SendsMessage` used at `msg:send` points.
-    pub fn send_sentence(&self, node: usize) -> SentenceId {
-        self.send_sentences[node]
-    }
-
     /// Registers a conjunction question on every node's SAS, returning the
     /// shared id.
     pub fn register_question_all(&mut self, q: &Question) -> QuestionId {
@@ -306,11 +297,6 @@ impl Machine {
     /// Runs `f` against one node's SAS.
     pub fn with_node_sas<R>(&mut self, node: usize, f: impl FnOnce(&mut LocalSas) -> R) -> R {
         f(&mut self.nodes[node].sas)
-    }
-
-    /// A node's current virtual clock.
-    pub fn node_clock(&self, node: usize) -> u64 {
-        self.nodes[node].clock
     }
 
     /// Ticks a node has spent waiting for the control processor.
@@ -736,41 +722,22 @@ impl Machine {
         }
     }
 
-    /// Shared element-wise execution: `make_f` builds, per node, a function
-    /// from (global linear index, source elements) to the destination value.
+    /// Shared element-wise execution: `make_f` builds, from the scalars, a
+    /// function from (global linear index, source elements) to the
+    /// destination value, which runs on every node's chunks.
     fn elementwise<F, G>(&mut self, instr: &Instr, dst: ArrayId, srcs: &[ArrayId], make_f: F)
     where
-        F: Fn(&ScalarEnv<'_>) -> G + Sync,
+        F: FnOnce(&ScalarEnv<'_>) -> G,
         G: Fn(usize, &[f64]) -> f64,
     {
         let layout = self.layouts[dst.index()];
         let cost = self.config.cost;
-        // Mutate chunks node by node. Each node's chunks are disjoint, so
-        // the threaded engine runs this phase on real threads; clocks,
-        // points, and trace stay serial, making both engines bit-identical.
-        {
-            let scalars = &self.scalars;
-            let nodes = &mut self.nodes;
-            let make_f = &make_f;
-            if self.config.threaded && self.config.nodes > 1 {
-                std::thread::scope(|scope| {
-                    for (node, state) in nodes.iter_mut().enumerate() {
-                        scope.spawn(move || {
-                            let env = ScalarEnv { scalars };
-                            let f = make_f(&env);
-                            mutate_node_chunk(state, layout, dst, srcs, node, &f);
-                        });
-                    }
-                });
-            } else {
-                let env = ScalarEnv { scalars };
-                let f = make_f(&env);
-                for (node, state) in nodes.iter_mut().enumerate() {
-                    mutate_node_chunk(state, layout, dst, srcs, node, &f);
-                }
-            }
+        let f = make_f(&ScalarEnv {
+            scalars: &self.scalars,
+        });
+        for (node, state) in self.nodes.iter_mut().enumerate() {
+            mutate_node_chunk(state, layout, dst, srcs, node, &f);
         }
-        // Clocks, points, trace (serial).
         for node in 0..self.config.nodes {
             let elems = layout.elems_on(node) as u64;
             let t0 = self.nodes[node].clock;
@@ -1911,85 +1878,6 @@ mod tests {
             m.gather(out),
             vec![-1.0, -1.0, -1.0, -1.0, 4.0, 5.0, 6.0, 7.0]
         );
-    }
-
-    #[test]
-    fn threaded_engine_is_bit_identical_to_sequential() {
-        let build = || {
-            let mut b = ProgramBuilder::new("t");
-            let a = b.alloc("A", &[1000], Distribution::Block);
-            let c = b.alloc("C", &[1000], Distribution::Block);
-            let s = b.scalar("S");
-            b.simple_ncb(
-                "r",
-                &[a],
-                NodeOp::Ramp {
-                    dst: a,
-                    start: 0.5,
-                    step: 0.25,
-                },
-            );
-            b.simple_ncb(
-                "m",
-                &[a, c],
-                NodeOp::BinOp {
-                    dst: c,
-                    a: Operand::Array(a),
-                    b: Operand::Const(3.0),
-                    op: BinOpKind::Mul,
-                },
-            );
-            b.simple_ncb(
-                "sh",
-                &[c],
-                NodeOp::Shift {
-                    dst: c,
-                    src: c,
-                    offset: 5,
-                    circular: true,
-                    dim: 0,
-                },
-            );
-            b.simple_ncb(
-                "red",
-                &[c],
-                NodeOp::Reduce {
-                    kind: ReduceKind::Sum,
-                    src: c,
-                    dst: s,
-                },
-            );
-            (b.build().unwrap(), a, c)
-        };
-        let run = |threaded: bool| {
-            let (program, _a, c) = build();
-            let ns = Namespace::new();
-            let mgr = Arc::new(InstrumentationManager::new());
-            let mut m = Machine::new(
-                MachineConfig {
-                    nodes: 4,
-                    threaded,
-                    ..MachineConfig::default()
-                },
-                ns,
-                mgr,
-                program,
-            )
-            .unwrap();
-            let summary = m.run();
-            (
-                m.gather(c),
-                m.scalar("S"),
-                summary,
-                m.trace().events().len(),
-            )
-        };
-        let seq = run(false);
-        let thr = run(true);
-        assert_eq!(seq.0, thr.0, "array data identical");
-        assert_eq!(seq.1, thr.1, "scalar identical");
-        assert_eq!(seq.2, thr.2, "virtual clocks and counts identical");
-        assert_eq!(seq.3, thr.3, "trace identical");
     }
 
     #[test]

@@ -49,11 +49,12 @@
 //! order: a `SampleBatch` frame decodes straight to columns and its
 //! dictionary is interned once per frame; a loose [`DaemonMsg::Sample`]
 //! is a one-row push. The pooled drain partitions by owner — each worker
-//! fills its own columns and the set appends them after the pass — so no
-//! sample store is shared while links drain. A worker's landing columns
-//! are recycled across passes, and a link lands at most 16,384 rows a
-//! pass, so what a worker retains stays small. A row is aligned once, as it
-//! lands, with its link's offset at that moment. Readers stay columnar
+//! owns the links it drains for the pass and fills its own columns, which
+//! the set appends after the pass — so no link or sample store is shared
+//! while links drain. A worker's landing columns are recycled across
+//! passes, and a link lands at most 16,384 rows a pass, so what a worker
+//! retains stays small. A row is aligned once, as it lands, with its
+//! link's offset at that moment. Readers stay columnar
 //! (the cost bound, the per-key streams), and visit rows in merge order
 //! through [`SampleColumns::merge_walk`], a merge of each link's run;
 //! [`DaemonSet::merged_samples`] is the render edge that materializes
@@ -110,12 +111,10 @@ use pdmap::intern::{self, Symbol};
 use pdmap::interval::Interval;
 use pdmap::model::Namespace;
 use pdmap_transport::{send_wire, TcpClient, Transport, TransportConfig};
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::fmt;
 use std::net::SocketAddr;
 use std::ops::Deref;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -927,12 +926,13 @@ fn set_obs() -> &'static SetObs {
     })
 }
 
-/// One parallel-drain dispatch: the admitted connections to drain this
-/// epoch, a shared cursor, and the accumulated results.
+/// One parallel-drain dispatch: the set's connections, lent for the pass,
+/// a shared cursor, and the accumulated results.
 struct PoolEpoch {
-    /// Connections still to drain; workers claim them through `cursor` so
-    /// a slow link never blocks the others.
-    jobs: Vec<Arc<ConnCell>>,
+    /// The set's connections in index order. Workers claim indices through
+    /// `cursor`, so a slow link never blocks the others; a worker takes
+    /// connection k out while it drains it and then puts it back.
+    conns: Vec<Option<DaemonConn>>,
     cursor: usize,
     /// Workers that have not finished the current epoch.
     active: usize,
@@ -955,6 +955,8 @@ struct PoolShared {
 /// lazily at the first [`DaemonSet::pump_parallel`] with
 /// `min(connections, available_parallelism)` workers, which then live for
 /// the session: each drain pass is a condvar wakeup, not N thread spawns.
+/// A pass borrows the set's connections by value, so the one worker
+/// draining a connection owns it, and no connection needs a lock.
 struct DrainPool {
     shared: Arc<PoolShared>,
     workers: Vec<std::thread::JoinHandle<()>>,
@@ -967,7 +969,7 @@ impl DrainPool {
                 0,
                 false,
                 PoolEpoch {
-                    jobs: Vec::new(),
+                    conns: Vec::new(),
                     cursor: 0,
                     active: 0,
                     frames: 0,
@@ -1014,14 +1016,19 @@ impl DrainPool {
             let data = st.2.data.clone();
             let mut local_frames = 0usize;
             let mut local = st.2.spare.pop().unwrap_or_default();
-            while let Some(cell) = st.2.jobs.get(st.2.cursor).cloned() {
+            while st.2.cursor < st.2.conns.len() {
+                let k = st.2.cursor;
                 st.2.cursor += 1;
+                let admitted = |c: &mut DaemonConn| c.health != DaemonHealth::Quarantined;
+                let Some(mut conn) = st.2.conns[k].take_if(admitted) else {
+                    continue;
+                };
                 drop(st); // drain off-lock so workers overlap
                 if let Some(data) = data.as_deref() {
-                    let mut conn = cell.lock();
-                    local_frames += conn.drain(data, &mut local, cell.index);
+                    local_frames += conn.drain(data, &mut local, k);
                 }
                 st = lock(&shared.state);
+                st.2.conns[k] = Some(conn);
             }
             st.2.frames += local_frames;
             st.2.landed.push(local);
@@ -1032,13 +1039,15 @@ impl DrainPool {
         }
     }
 
-    /// Dispatches one drain pass over `jobs` and blocks until every job has
-    /// been drained. Returns the frames drained and each worker's landing;
-    /// hand the landings back through [`DrainPool::recycle`].
-    fn run(&self, jobs: Vec<Arc<ConnCell>>, data: Arc<DataManager>) -> (usize, Vec<Landing>) {
+    /// Dispatches one drain pass over `conns`, lent to the workers until
+    /// every admitted connection has been drained: the pass empties
+    /// `conns` and refills it in index order. Returns the frames drained
+    /// and each worker's landing; hand the landings back through
+    /// [`DrainPool::recycle`].
+    fn run(&self, conns: &mut Vec<DaemonConn>, data: Arc<DataManager>) -> (usize, Vec<Landing>) {
         set_obs().pool_drains.incr();
         let mut st = lock(&self.shared.state);
-        st.2.jobs = jobs;
+        st.2.conns.extend(conns.drain(..).map(Some));
         st.2.cursor = 0;
         st.2.frames = 0;
         st.2.landed.clear();
@@ -1055,7 +1064,8 @@ impl DrainPool {
                 .unwrap_or_else(|e| e.into_inner())
                 .0;
         }
-        st.2.jobs.clear();
+        let lent = st.2.conns.drain(..);
+        conns.extend(lent.map(|c| c.expect("a drained link is put back")));
         st.2.data = None;
         (st.2.frames, std::mem::take(&mut st.2.landed))
     }
@@ -1090,13 +1100,9 @@ impl Drop for DrainPool {
 }
 
 /// The tool side of a multi-daemon session (see the module docs).
-///
-/// Connections are individually locked so the persistent drain pool can
-/// pump them concurrently; all other access is single-threaded through
-/// `&mut self`, so the locks are uncontended outside a parallel drain.
 pub struct DaemonSet {
     data: Arc<DataManager>,
-    conns: Vec<Arc<ConnCell>>,
+    conns: Vec<DaemonConn>,
     /// Every sample landed so far, in arrival order.
     samples: SampleColumns,
     policy: SupervisorPolicy,
@@ -1113,86 +1119,6 @@ pub struct DaemonSet {
     pool: Option<DrainPool>,
     /// Per-node health assembled from streamed `Obs *` telemetry.
     health_view: FleetHealth,
-}
-
-/// One connection's cell: the lock the drain pool and the accessors share,
-/// plus the thread holding a [`ConnRef`] on it. The lock is not reentrant,
-/// so a second borrow on that thread — say, two `set.conn(i)` temporaries
-/// in one statement — would wait on itself forever; the cell turns that
-/// into an immediate panic naming the connection. A lock from another
-/// thread (a drain worker) still just waits.
-struct ConnCell {
-    index: usize,
-    addr: String,
-    /// [`thread_token`] of the thread holding a [`ConnRef`], 0 when none
-    /// does. It publishes no data, so `Relaxed` suffices: only that thread
-    /// stores its own token, and a thread sees its own stores in program
-    /// order, so a check can neither miss its own hold nor see another's.
-    holder: AtomicU64,
-    conn: Mutex<DaemonConn>,
-}
-
-/// A nonzero id of the calling thread, fixed for its life.
-fn thread_token() -> u64 {
-    static NEXT: AtomicU64 = AtomicU64::new(1);
-    thread_local!(static TOKEN: Cell<u64> = const { Cell::new(0) });
-    TOKEN.with(|t| {
-        if t.get() == 0 {
-            t.set(NEXT.fetch_add(1, Ordering::Relaxed));
-        }
-        t.get()
-    })
-}
-
-impl ConnCell {
-    fn new(index: usize, conn: DaemonConn) -> Arc<Self> {
-        Arc::new(Self {
-            index,
-            addr: conn.addr().to_string(),
-            holder: AtomicU64::new(0),
-            conn: Mutex::new(conn),
-        })
-    }
-
-    /// Locks the connection, surviving poison like [`lock`]. The set's own
-    /// locks never outlive the method that takes them, so only a
-    /// [`ConnRef`] records its thread.
-    ///
-    /// # Panics
-    /// When the calling thread holds a [`ConnRef`] on this connection.
-    fn lock(&self) -> MutexGuard<'_, DaemonConn> {
-        // Nobody holds a `ConnRef` almost always: skip the token then.
-        let holder = self.holder.load(Ordering::Relaxed);
-        if holder != 0 && holder == thread_token() {
-            panic!(
-                "connection {} ({}) is already borrowed on this thread: \
-                 drop the first `DaemonSet::conn` guard before taking another",
-                self.index, self.addr
-            );
-        }
-        lock(&self.conn)
-    }
-}
-
-/// A borrowed view of one connection — a lock guard that derefs to
-/// [`DaemonConn`], so `set.conn(i).clock()`-style call sites read exactly
-/// as they did when connections were plain fields.
-pub struct ConnRef<'a> {
-    guard: MutexGuard<'a, DaemonConn>,
-    holder: &'a AtomicU64,
-}
-
-impl Drop for ConnRef<'_> {
-    fn drop(&mut self) {
-        self.holder.store(0, Ordering::Relaxed);
-    }
-}
-
-impl Deref for ConnRef<'_> {
-    type Target = DaemonConn;
-    fn deref(&self) -> &DaemonConn {
-        &self.guard
-    }
 }
 
 impl DaemonSet {
@@ -1217,8 +1143,8 @@ impl DaemonSet {
             })
             .collect();
         let mut set = Self::over_transports(transports, data);
-        for (cell, &addr) in set.conns.iter().zip(addrs) {
-            cell.lock().reconnect = Some(Box::new(move || {
+        for (conn, &addr) in set.conns.iter_mut().zip(addrs) {
+            conn.reconnect = Some(Box::new(move || {
                 TcpClient::connect(addr, cfg) as Arc<dyn Transport>
             }));
         }
@@ -1241,12 +1167,7 @@ impl DaemonSet {
         let conns = transports
             .into_iter()
             .enumerate()
-            .map(|(i, (addr, tx))| {
-                ConnCell::new(
-                    i,
-                    DaemonConn::new(addr, tx, i % shards, LinkLedger::default()),
-                )
-            })
+            .map(|(i, (addr, tx))| DaemonConn::new(addr, tx, i % shards, LinkLedger::default()))
             .collect();
         Self {
             data,
@@ -1277,21 +1198,9 @@ impl DaemonSet {
         &self.data
     }
 
-    /// Connection `i` (a lock-guard view; hold it briefly).
-    ///
-    /// # Panics
-    /// When this thread still holds a guard on connection `i`, or on any
-    /// connection while a set method locks them all (`coverage`, say):
-    /// the lock is not reentrant, and the panic replaces a silent
-    /// self-deadlock.
-    pub fn conn(&self, i: usize) -> ConnRef<'_> {
-        let cell = &self.conns[i];
-        let guard = cell.lock();
-        cell.holder.store(thread_token(), Ordering::Relaxed);
-        ConnRef {
-            guard,
-            holder: &cell.holder,
-        }
+    /// Connection `i`.
+    pub fn conn(&self, i: usize) -> &DaemonConn {
+        &self.conns[i]
     }
 
     /// The drain-pool size, once the pool exists (after the first
@@ -1314,12 +1223,12 @@ impl DaemonSet {
     /// Installs the reconnect factory used to re-dial daemon `i` after
     /// quarantine — e.g. pointing at the new port of a restarted daemon.
     pub fn set_reconnect(&mut self, i: usize, f: ReconnectFn) {
-        self.conns[i].lock().reconnect = Some(f);
+        self.conns[i].reconnect = Some(f);
     }
 
     /// Supervisor state of daemon `i`.
     pub fn health(&self, i: usize) -> DaemonHealth {
-        self.conns[i].lock().health
+        self.conns[i].health
     }
 
     /// Installs the dialer used to adopt orphaned subtree members —
@@ -1370,10 +1279,7 @@ impl DaemonSet {
     pub fn coverage(&self) -> Coverage {
         self.conns
             .iter()
-            .map(|cell| {
-                let c = cell.lock();
-                c.coverage(c.health != DaemonHealth::Quarantined)
-            })
+            .map(|c| c.coverage(c.health != DaemonHealth::Quarantined))
             .sum()
     }
 
@@ -1391,8 +1297,7 @@ impl DaemonSet {
         let data = self.data.clone();
         let mut first_err: Option<ClockSyncError> = None;
         let mut landed = Landing::default();
-        for (i, cell) in self.conns.iter().enumerate() {
-            let mut conn = cell.lock();
+        for (i, conn) in self.conns.iter_mut().enumerate() {
             if conn.health == DaemonHealth::Quarantined {
                 continue;
             }
@@ -1428,8 +1333,7 @@ impl DaemonSet {
         let obs_stale: Vec<bool> = (0..self.conns.len())
             .map(|i| self.health_view.conn_stale(i, now, policy.degrade_after))
             .collect();
-        for (i, cell) in self.conns.iter().enumerate() {
-            let mut conn = cell.lock();
+        for (i, conn) in self.conns.iter_mut().enumerate() {
             match conn.health {
                 // Readmitted last pass; traffic (or its absence) now speaks
                 // for itself again.
@@ -1526,11 +1430,9 @@ impl DaemonSet {
         };
         let data = self.data.clone();
         let policy = self.policy;
-        // Pass 1 (short lock holds): claim the plans of newly quarantined
-        // relays.
+        // Pass 1: claim the plans of newly quarantined relays.
         let mut work = Vec::new();
-        for (i, cell) in self.conns.iter().enumerate() {
-            let mut c = cell.lock();
+        for (i, c) in self.conns.iter_mut().enumerate() {
             if c.health == DaemonHealth::Quarantined {
                 if let Some(plan) = c.link.orphans() {
                     work.push((i, c.addr().to_string(), plan));
@@ -1546,7 +1448,7 @@ impl DaemonSet {
             let mut subtree = Vec::new();
             for tc in plan {
                 subtree.push(tc.addr.clone());
-                if self.conns.iter().any(|c| c.addr == tc.addr) {
+                if self.conns.iter().any(|c| c.addr() == tc.addr) {
                     // Already a direct connection (e.g. adopted from an
                     // earlier failure, or dual-homed): never dial twice.
                     continue;
@@ -1567,7 +1469,7 @@ impl DaemonSet {
                     // seed once the orphan answers.
                     conn.quarantine(Instant::now(), &policy);
                 }
-                self.conns.push(ConnCell::new(idx, conn));
+                self.conns.push(conn);
             }
             self.reparents.push(ReparentReport {
                 daemon: i,
@@ -1583,33 +1485,25 @@ impl DaemonSet {
     /// send count in a [`DaemonMsg::Goodbye`]). Returns false if the
     /// request could not even be queued.
     pub fn shutdown(&self, i: usize) -> bool {
-        let tx = self.conns[i].lock().link.transport().clone();
-        send_wire(&*tx, &DaemonMsg::Shutdown).is_ok()
+        send_wire(&**self.conns[i].link.transport(), &DaemonMsg::Shutdown).is_ok()
     }
 
     /// Asks every admitted daemon to shut down, then pumps until each has
     /// announced its send count (or `timeout` elapses). The returned
     /// [`Coverage`] is the session's final conservation report.
     pub fn shutdown_all(&mut self, timeout: Duration) -> Coverage {
-        for cell in &self.conns {
-            // Clone the transport handle and drop the conn guard before
-            // sending: a full send queue blocks on backpressure, and that
-            // wait must never happen while holding a connection lock.
-            let tx = {
-                let conn = cell.lock();
-                (conn.health != DaemonHealth::Quarantined).then(|| conn.link.transport().clone())
-            };
-            if let Some(tx) = tx {
-                let _ = send_wire(&*tx, &DaemonMsg::Shutdown);
+        for conn in &self.conns {
+            if conn.health != DaemonHealth::Quarantined {
+                let _ = send_wire(&**conn.link.transport(), &DaemonMsg::Shutdown);
             }
         }
         let deadline = Instant::now() + timeout;
         loop {
             self.pump_parallel();
-            let all_announced = self.conns.iter().all(|c| {
-                let c = c.lock();
-                c.health == DaemonHealth::Quarantined || c.announced_sent().is_some()
-            });
+            let all_announced = self
+                .conns
+                .iter()
+                .all(|c| c.health == DaemonHealth::Quarantined || c.announced_sent().is_some());
             if all_announced || Instant::now() >= deadline {
                 break;
             }
@@ -1620,28 +1514,26 @@ impl DaemonSet {
 
     /// Drains every admitted link concurrently through the persistent
     /// drain pool — `min(connections, available_parallelism)` long-lived
-    /// workers claim connections off a shared cursor, each feeding its own
-    /// landing columns, which the set appends after the pass and hands
-    /// back for the next. The pool is built at the
+    /// workers, lent the connections for the pass, claim them off a shared
+    /// cursor, each feeding its own landing columns, which the set appends
+    /// after the pass and hands back for the next. The pool is built at the
     /// first call and reused for the session: a drain pass costs a condvar
     /// wakeup, not one thread spawn per connection. Quarantined
-    /// connections are never dispatched, and each link lands at most
+    /// connections are never drained, and each link lands at most
     /// 16,384 rows a pass. Returns frames processed.
     pub fn pump_parallel(&mut self) -> usize {
-        let jobs: Vec<Arc<ConnCell>> = self
+        if self
             .conns
             .iter()
-            .filter(|cell| cell.lock().health != DaemonHealth::Quarantined)
-            .cloned()
-            .collect();
-        if jobs.is_empty() {
+            .all(|c| c.health == DaemonHealth::Quarantined)
+        {
             return 0;
         }
         let pool = self.pool.get_or_insert_with(|| {
             let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
             DrainPool::new(self.conns.len().min(cores))
         });
-        let (frames, landed) = pool.run(jobs, self.data.clone());
+        let (frames, landed) = pool.run(&mut self.conns, self.data.clone());
         for l in &landed {
             self.absorb(l);
         }
@@ -1660,19 +1552,19 @@ impl DaemonSet {
     /// [`DaemonConn`] drain as the pool. Not for production call sites;
     /// use [`DaemonSet::pump_parallel`].
     pub fn pump_parallel_unpooled(&mut self) -> usize {
-        let data = self.data.clone();
+        let data = &self.data;
         let mut total = 0;
         let mut landed: Vec<Landing> = Vec::new();
         std::thread::scope(|s| {
             let handles: Vec<_> = self
                 .conns
-                .iter()
-                .filter(|cell| cell.lock().health != DaemonHealth::Quarantined)
-                .map(|cell| {
-                    let data = &data;
+                .iter_mut()
+                .enumerate()
+                .filter(|(_, conn)| conn.health != DaemonHealth::Quarantined)
+                .map(|(k, conn)| {
                     s.spawn(move || {
                         let mut local = Landing::default();
-                        let n = cell.lock().drain(data, &mut local, cell.index);
+                        let n = conn.drain(data, &mut local, k);
                         (n, local)
                     })
                 })
@@ -1907,6 +1799,7 @@ mod tests {
     };
     use pdmap::model::Namespace;
     use pdmap_transport::{Backend, FrameKind, PifBlob, TopologyMsg, WirePayload};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     /// An in-process fake `pdmapd`: answers clock probes with a skewed
     /// clock and lets the test send samples with the same skew — the
@@ -2205,29 +2098,14 @@ mod tests {
     }
 
     #[test]
-    fn a_second_conn_borrow_on_one_thread_panics_instead_of_hanging() {
-        let (set, _daemons) = set_with_skews(&[0]);
-        let (tx, rx) = std::sync::mpsc::channel();
-        // A helper thread, so a hang fails the test instead of stalling it.
-        let helper = std::thread::spawn(move || {
-            let twice = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                eprintln!(
-                    "{} {}",
-                    set.conn(0).samples_received(),
-                    set.conn(0).pif_imports()
-                );
-            }));
-            let msg = twice.map_err(|e| e.downcast_ref::<String>().cloned().unwrap_or_default());
-            // Once unwound, the connection is free again.
-            let _ = tx.send((msg, set.conn(0).samples_received()));
-        });
-        let (msg, received) = rx
-            .recv_timeout(Duration::from_secs(5))
-            .expect("a second borrow on one thread must panic at once, not hang");
-        helper.join().expect("the helper caught the panic");
-        let msg = msg.expect_err("the second borrow panics");
-        assert!(msg.contains("connection 0 (fake#0)"), "{msg}");
-        assert_eq!(received, 0);
+    fn two_conn_borrows_in_one_expression_read_one_link() {
+        let (mut set, daemons) = set_with_skews(&[0]);
+        daemons[0].send_sample("M", 1.0);
+        assert_eq!(set.pump_until_samples(1, Duration::from_secs(5)), 1);
+        assert_eq!(
+            (set.conn(0).samples_received(), set.conn(0).pif_imports()),
+            (1, 0)
+        );
     }
 
     #[test]
@@ -2319,6 +2197,45 @@ mod tests {
             });
             link.client
         })
+    }
+
+    #[test]
+    fn a_pass_lends_every_link_and_puts_each_back_in_place() {
+        let (mut set, daemons) = set_with_skews(&[0, 0, 0]);
+        set.set_policy(fast_policy());
+        let in_place = |set: &DaemonSet| (0..3).all(|i| set.conn(i).addr() == format!("fake#{i}"));
+        for _ in 0..fast_policy().quarantine_errors {
+            daemons[1].tx.send(FrameKind::Daemon, vec![77]).unwrap(); // unknown tag
+        }
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while set.health(1) != DaemonHealth::Quarantined && Instant::now() < deadline {
+            set.pump_parallel();
+            assert!(
+                in_place(&set),
+                "every pass puts each link back at its index"
+            );
+            set.supervise();
+            std::thread::yield_now();
+        }
+        assert_eq!(set.health(1), DaemonHealth::Quarantined);
+
+        for (i, d) in daemons.iter().enumerate() {
+            d.send_sample("M", i as f64);
+        }
+        set.pump_parallel();
+        let mut rows = set.samples().daemons().to_vec();
+        rows.sort_unstable();
+        assert_eq!(rows, [0, 2], "the quarantined link's sample stays queued");
+        assert_eq!(set.len(), 3);
+        for i in 0..3 {
+            assert_eq!(set.conn(i).addr(), format!("fake#{i}"));
+            assert_eq!(
+                set.conn(i).samples_received(),
+                u64::from(i != 1),
+                "link {i}"
+            );
+        }
+        assert_eq!(set.health(1), DaemonHealth::Quarantined);
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub use consultant::{
 };
 pub use daemon::{ClockEstimate, DaemonError, DaemonMsg, InstrLibEndpoint, LinkLedger};
 pub use daemonset::{
-    AlignedSample, ClockSyncError, ConnRef, Coverage, DaemonConn, DaemonHealth, DaemonSet, DialFn,
+    AlignedSample, ClockSyncError, Coverage, DaemonConn, DaemonHealth, DaemonSet, DialFn,
     FleetHealth, FleetPerturbation, Labelled, Merged, MergedStreams, NodeHealth, ReconnectFn,
     RecoveryReport, RecoverySummary, ReparentReport, SessionCoverage, SupervisorPolicy,
 };

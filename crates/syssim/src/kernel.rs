@@ -126,11 +126,6 @@ impl UnixSim {
         &self.ns
     }
 
-    /// The `Executes` verb (for building questions).
-    pub fn executes_verb(&self) -> VerbId {
-        self.executes
-    }
-
     /// The kernel disk-write sentence.
     pub fn disk_sentence(&self) -> SentenceId {
         self.disk_sentence

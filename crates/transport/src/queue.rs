@@ -94,16 +94,6 @@ impl BoundedQueue {
         Ok(())
     }
 
-    /// Puts a frame back at the front (a pop that could not complete). Not
-    /// subject to the capacity check — requeues must never drop.
-    pub fn requeue_front(&self, frame: Frame) {
-        let mut g = self.lock();
-        g.push_front(frame);
-        self.stats.observe_queue_depth(g.len());
-        drop(g);
-        self.not_empty.notify_one();
-    }
-
     /// Non-blocking pop.
     pub fn try_pop(&self) -> Option<Frame> {
         let popped = self.lock().pop_front();
@@ -300,16 +290,5 @@ mod tests {
         let order: Vec<u8> = out.iter().map(|f| f.payload[0]).collect();
         assert_eq!(order, vec![0, 1, 2, 3]);
         assert_eq!(q.len(), 2);
-    }
-
-    #[test]
-    fn requeue_front_preserves_order() {
-        let (q, _) = q(2, Backpressure::Block);
-        q.push(frame(1)).unwrap();
-        let f = q.try_pop().unwrap();
-        q.push(frame(2)).unwrap();
-        q.requeue_front(f);
-        assert_eq!(q.try_pop().unwrap().payload, vec![1]);
-        assert_eq!(q.try_pop().unwrap().payload, vec![2]);
     }
 }
