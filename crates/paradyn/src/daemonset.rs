@@ -48,13 +48,13 @@
 //! Every sample lands in one [`SampleColumns`] the set owns, in arrival
 //! order: a `SampleBatch` frame decodes straight to columns and its
 //! dictionary is interned once per frame; a loose [`DaemonMsg::Sample`]
-//! is a one-row push. The pooled drain partitions by owner — each worker
-//! owns the links it drains for the pass and fills its own columns, which
-//! the set appends after the pass — so no link or sample store is shared
-//! while links drain. A worker's landing columns are recycled across
-//! passes, and a link lands at most 16,384 rows a pass, so what a worker
-//! retains stays small. A row is aligned once, as it lands, with its
-//! link's offset at that moment. Readers stay columnar
+//! is a one-row push. The pooled drain partitions by owner — a pass lends
+//! each link, with landing columns of its own, to the one worker that
+//! drains it, and the set appends the landings after the pass — so no
+//! link or sample store is shared while links drain. Landing columns are
+//! recycled across passes, and a link lands at most 16,384 rows a pass,
+//! so what a landing retains stays small. A row is aligned once, as it
+//! lands, with its link's offset at that moment. Readers stay columnar
 //! (the cost bound, the per-key streams), and visit rows in merge order
 //! through [`SampleColumns::merge_walk`], a merge of each link's run;
 //! [`DaemonSet::merged_samples`] is the render edge that materializes
@@ -115,11 +115,13 @@ use std::collections::HashMap;
 use std::fmt;
 use std::net::SocketAddr;
 use std::ops::Deref;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
-/// Locks a mutex, surviving poison: a panicked drain thread must not take
-/// the whole session down with it.
+/// Locks a mutex, surviving poison. A drain's panic is caught off the
+/// lock by its worker and re-raised by [`DaemonSet::pump_parallel`] once
+/// every connection is back in the set.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|e| e.into_inner())
 }
@@ -151,8 +153,8 @@ pub struct AlignedSample {
 /// What one drain lands: its samples as columns, plus the `Obs *`
 /// telemetry rows among them as [`Symbol`]-named rows, classified while
 /// the frame's strings still exist (resolving a [`Symbol`] takes the
-/// symbol table's read lock). The drain pool recycles a worker's landing
-/// across passes, cleared with its capacity kept.
+/// symbol table's read lock). The drain pool recycles landings across
+/// passes, cleared with their capacity kept.
 #[derive(Default)]
 struct Landing {
     cols: SampleColumns,
@@ -926,173 +928,137 @@ fn set_obs() -> &'static SetObs {
     })
 }
 
-/// One parallel-drain dispatch: the set's connections, lent for the pass,
-/// a shared cursor, and the accumulated results.
-struct PoolEpoch {
-    /// The set's connections in index order. Workers claim indices through
-    /// `cursor`, so a slow link never blocks the others; a worker takes
-    /// connection k out while it drains it and then puts it back.
-    conns: Vec<Option<DaemonConn>>,
-    cursor: usize,
-    /// Workers that have not finished the current epoch.
-    active: usize,
-    frames: usize,
-    /// Each worker's own landing, appended whole when it finishes.
-    landed: Vec<Landing>,
-    /// Landings the set has absorbed, cleared for the next epoch's workers.
-    spare: Vec<Landing>,
-    data: Option<Arc<DataManager>>,
+/// One link lent to the drain pool for a pass: its index, the connection
+/// by value, a recycled landing to fill, and the data manager.
+struct Job {
+    index: usize,
+    conn: DaemonConn,
+    landing: Landing,
+    data: Arc<DataManager>,
 }
 
-struct PoolShared {
-    state: Mutex<(u64, bool, PoolEpoch)>, // (epoch, shutdown, work)
-    work_cv: Condvar,
-    done_cv: Condvar,
-}
+/// A drained job handed back with the frames its drain read, or with the
+/// drain's panic: then the landing holds the rows landed before the
+/// panic, which the link's books already count.
+type Reply = (Job, std::thread::Result<usize>);
 
 /// A persistent bounded worker pool draining daemon connections — the
 /// fleet-scale replacement for thread-per-connection scoped spawns. Built
 /// lazily at the first [`DaemonSet::pump_parallel`] with
 /// `min(connections, available_parallelism)` workers, which then live for
-/// the session: each drain pass is a condvar wakeup, not N thread spawns.
-/// A pass borrows the set's connections by value, so the one worker
-/// draining a connection owns it, and no connection needs a lock.
+/// the session. A pass sends each admitted link as a [`Job`] on one
+/// channel, the first idle worker claims it, so a slow link never blocks
+/// the others, and every job comes back as one [`Reply`] on the other.
+/// The one worker draining a connection owns it, so no connection needs
+/// a lock.
 struct DrainPool {
-    shared: Arc<PoolShared>,
+    /// `None` once the pool drops: the closed channel ends every worker.
+    jobs: Option<mpsc::Sender<Job>>,
+    replies: mpsc::Receiver<Reply>,
     workers: Vec<std::thread::JoinHandle<()>>,
+    /// Landings the set has absorbed, cleared for the next pass's jobs.
+    spare: Vec<Landing>,
 }
 
 impl DrainPool {
     fn new(size: usize) -> Self {
-        let shared = Arc::new(PoolShared {
-            state: Mutex::new((
-                0,
-                false,
-                PoolEpoch {
-                    conns: Vec::new(),
-                    cursor: 0,
-                    active: 0,
-                    frames: 0,
-                    landed: Vec::new(),
-                    spare: Vec::new(),
-                    data: None,
-                },
-            )),
-            work_cv: Condvar::new(),
-            done_cv: Condvar::new(),
-        });
+        let (jobs, queue) = mpsc::channel();
+        let (done, replies) = mpsc::channel();
+        let queue = Arc::new(Mutex::new(queue));
         let workers = (0..size.max(1))
             .map(|_| {
-                let shared = shared.clone();
+                let (queue, done) = (queue.clone(), done.clone());
                 set_obs().pool_workers.incr();
                 std::thread::Builder::new()
                     .name("pdmap-drain".into())
-                    .spawn(move || Self::worker(&shared))
+                    .spawn(move || Self::worker(&queue, &done))
                     .expect("spawn drain worker")
             })
             .collect();
-        Self { shared, workers }
+        Self {
+            jobs: Some(jobs),
+            replies,
+            workers,
+            spare: Vec::new(),
+        }
     }
 
-    fn worker(shared: &PoolShared) {
-        let mut seen_epoch = 0u64;
+    /// Claims jobs until the job channel closes: the idle worker holding
+    /// the queue's lock takes the next job and lets go of the lock before
+    /// it drains. A drain's panic goes back in the reply, so the worker
+    /// lives on.
+    fn worker(queue: &Mutex<mpsc::Receiver<Job>>, done: &mpsc::Sender<Reply>) {
         loop {
-            let mut st = lock(&shared.state);
-            while st.0 == seen_epoch && !st.1 {
-                // Timed wait as defense-in-depth: the predicate re-check
-                // every few milliseconds bounds the damage of any missed
-                // handoff on a heavily oversubscribed host at 5 ms of
-                // latency instead of a hang.
-                st = shared
-                    .work_cv
-                    .wait_timeout(st, Duration::from_millis(5))
-                    .unwrap_or_else(|e| e.into_inner())
-                    .0;
-            }
-            if st.1 {
+            let Ok(mut job) = lock(queue).recv() else {
+                return;
+            };
+            let frames = panic::catch_unwind(AssertUnwindSafe(|| {
+                job.conn.drain(&job.data, &mut job.landing, job.index)
+            }));
+            if done.send((job, frames)).is_err() {
                 return;
             }
-            seen_epoch = st.0;
-            let data = st.2.data.clone();
-            let mut local_frames = 0usize;
-            let mut local = st.2.spare.pop().unwrap_or_default();
-            while st.2.cursor < st.2.conns.len() {
-                let k = st.2.cursor;
-                st.2.cursor += 1;
-                let admitted = |c: &mut DaemonConn| c.health != DaemonHealth::Quarantined;
-                let Some(mut conn) = st.2.conns[k].take_if(admitted) else {
-                    continue;
-                };
-                drop(st); // drain off-lock so workers overlap
-                if let Some(data) = data.as_deref() {
-                    local_frames += conn.drain(data, &mut local, k);
-                }
-                st = lock(&shared.state);
-                st.2.conns[k] = Some(conn);
-            }
-            st.2.frames += local_frames;
-            st.2.landed.push(local);
-            st.2.active -= 1;
-            if st.2.active == 0 {
-                shared.done_cv.notify_all();
-            }
         }
     }
 
-    /// Dispatches one drain pass over `conns`, lent to the workers until
-    /// every admitted connection has been drained: the pass empties
-    /// `conns` and refills it in index order. Returns the frames drained
-    /// and each worker's landing; hand the landings back through
-    /// [`DrainPool::recycle`].
-    fn run(&self, conns: &mut Vec<DaemonConn>, data: Arc<DataManager>) -> (usize, Vec<Landing>) {
+    /// Drains every admitted link of `conns` once, each lent to the
+    /// workers as a job; `conns` gets every connection back in index
+    /// order. Returns the frames read, or the first panic a drain raised,
+    /// and each job's landing in link order; hand the landings back
+    /// through [`DrainPool::recycle`].
+    fn run(
+        &mut self,
+        conns: &mut Vec<DaemonConn>,
+        data: &Arc<DataManager>,
+    ) -> (std::thread::Result<usize>, Vec<Landing>) {
         set_obs().pool_drains.incr();
-        let mut st = lock(&self.shared.state);
-        st.2.conns.extend(conns.drain(..).map(Some));
-        st.2.cursor = 0;
-        st.2.frames = 0;
-        st.2.landed.clear();
-        st.2.data = Some(data);
-        st.2.active = self.workers.len();
-        st.0 += 1;
-        self.shared.work_cv.notify_all();
-        while st.2.active > 0 {
-            // Same timed re-check as the worker's wait.
-            st = self
-                .shared
-                .done_cv
-                .wait_timeout(st, Duration::from_millis(5))
-                .unwrap_or_else(|e| e.into_inner())
-                .0;
+        let jobs = self.jobs.as_ref().expect("the job channel closes on drop");
+        let mut slots: Vec<Option<DaemonConn>> = Vec::with_capacity(conns.len());
+        let mut lent = 0;
+        for (index, conn) in conns.drain(..).enumerate() {
+            if conn.health == DaemonHealth::Quarantined {
+                slots.push(Some(conn));
+                continue;
+            }
+            slots.push(None);
+            let landing = self.spare.pop().unwrap_or_default();
+            let job = Job {
+                index,
+                conn,
+                landing,
+                data: data.clone(),
+            };
+            jobs.send(job)
+                .expect("drain workers live as long as the pool");
+            lent += 1;
         }
-        let lent = st.2.conns.drain(..);
-        conns.extend(lent.map(|c| c.expect("a drained link is put back")));
-        st.2.data = None;
-        (st.2.frames, std::mem::take(&mut st.2.landed))
+        let mut frames = Ok(0);
+        let mut landed = Vec::with_capacity(lent);
+        for _ in 0..lent {
+            let (job, drained) = self.replies.recv().expect("every job gets a reply");
+            frames = frames.and_then(|total| drained.map(|n| total + n));
+            slots[job.index] = Some(job.conn);
+            landed.push((job.index, job.landing));
+        }
+        conns.extend(slots.into_iter().map(|c| c.expect("every link is back")));
+        landed.sort_unstable_by_key(|&(index, _)| index);
+        (frames, landed.into_iter().map(|(_, l)| l).collect())
     }
 
     /// Takes back a pass's landings once the set has absorbed them: each
-    /// is cleared with its capacity kept for a worker of the next pass, so
+    /// is cleared with its capacity kept for a job of the next pass, so
     /// drains land into pages already faulted in instead of fresh ones.
-    fn recycle(&self, landed: Vec<Landing>) {
-        let mut st = lock(&self.shared.state);
-        for mut l in landed {
+    fn recycle(&mut self, landed: Vec<Landing>) {
+        self.spare.extend(landed.into_iter().map(|mut l| {
             l.clear();
-            st.2.spare.push(l);
-        }
-    }
-
-    fn size(&self) -> usize {
-        self.workers.len()
+            l
+        }));
     }
 }
 
 impl Drop for DrainPool {
     fn drop(&mut self) {
-        {
-            let mut st = lock(&self.shared.state);
-            st.1 = true;
-        }
-        self.shared.work_cv.notify_all();
+        self.jobs = None;
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -1206,7 +1172,7 @@ impl DaemonSet {
     /// The drain-pool size, once the pool exists (after the first
     /// [`DaemonSet::pump_parallel`]).
     pub fn pool_size(&self) -> Option<usize> {
-        self.pool.as_ref().map(|p| p.size())
+        self.pool.as_ref().map(|p| p.workers.len())
     }
 
     /// The active supervisor thresholds.
@@ -1514,13 +1480,19 @@ impl DaemonSet {
 
     /// Drains every admitted link concurrently through the persistent
     /// drain pool — `min(connections, available_parallelism)` long-lived
-    /// workers, lent the connections for the pass, claim them off a shared
-    /// cursor, each feeding its own landing columns, which the set appends
-    /// after the pass and hands back for the next. The pool is built at the
-    /// first call and reused for the session: a drain pass costs a condvar
-    /// wakeup, not one thread spawn per connection. Quarantined
-    /// connections are never drained, and each link lands at most
-    /// 16,384 rows a pass. Returns frames processed.
+    /// workers, each claiming the next link of the pass as it goes idle
+    /// and landing it into its own columns, which the set appends after
+    /// the pass in link order and hands back for the next. The pool is
+    /// built at the first call and reused for the session: a drain pass
+    /// sends one job per link, not one thread spawn per connection.
+    /// Quarantined connections are never drained, and each link lands at
+    /// most 16,384 rows a pass. Returns frames processed.
+    ///
+    /// # Panics
+    ///
+    /// Re-raises a drain's panic once every connection is back in the set
+    /// and every landing, the panicked drain's partial one too, is
+    /// absorbed. The workers survive it.
     pub fn pump_parallel(&mut self) -> usize {
         if self
             .conns
@@ -1533,14 +1505,14 @@ impl DaemonSet {
             let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
             DrainPool::new(self.conns.len().min(cores))
         });
-        let (frames, landed) = pool.run(&mut self.conns, self.data.clone());
+        let (frames, landed) = pool.run(&mut self.conns, &self.data);
         for l in &landed {
             self.absorb(l);
         }
-        if let Some(pool) = &self.pool {
+        if let Some(pool) = &mut self.pool {
             pool.recycle(landed);
         }
-        frames
+        frames.unwrap_or_else(|payload| panic::resume_unwind(payload))
     }
 
     /// The drain strategy the persistent pool replaced — one scoped thread
@@ -1798,7 +1770,10 @@ mod tests {
         OBS_PERTURB_REPORTED, OBS_PERTURB_SPANS,
     };
     use pdmap::model::Namespace;
-    use pdmap_transport::{Backend, FrameKind, PifBlob, TopologyMsg, WirePayload};
+    use pdmap_transport::{
+        Backend, Frame, FrameKind, PifBlob, TopologyMsg, TransportError, TransportStats,
+        WirePayload,
+    };
     use std::sync::atomic::{AtomicU64, Ordering};
 
     /// An in-process fake `pdmapd`: answers clock probes with a skewed
@@ -2236,6 +2211,89 @@ mod tests {
             );
         }
         assert_eq!(set.health(1), DaemonHealth::Quarantined);
+    }
+
+    /// A tool-side transport whose second `try_recv` panics, once the
+    /// first has handed over a frame: a drain that panics mid-pass.
+    struct PanicsOnce {
+        inner: Arc<dyn Transport>,
+        calls: AtomicU64,
+    }
+
+    impl Transport for PanicsOnce {
+        fn send(&self, kind: FrameKind, payload: Vec<u8>) -> Result<(), TransportError> {
+            self.inner.send(kind, payload)
+        }
+        fn try_recv(&self) -> Result<Option<Frame>, TransportError> {
+            if self.calls.fetch_add(1, Ordering::Relaxed) == 1 {
+                panic!("injected drain panic");
+            }
+            self.inner.try_recv()
+        }
+        fn stats(&self) -> TransportStats {
+            self.inner.stats()
+        }
+        fn is_alive(&self) -> bool {
+            self.inner.is_alive()
+        }
+        fn close(&self) {
+            self.inner.close()
+        }
+        fn backend_name(&self) -> &'static str {
+            "panics-once"
+        }
+    }
+
+    #[test]
+    fn a_panicking_drain_reaches_the_caller_with_every_link_back() {
+        let cfg = TransportConfig::default();
+        let (l0, l1) = (Backend::InProc.link(&cfg), Backend::InProc.link(&cfg));
+        let panicky = Arc::new(PanicsOnce {
+            inner: l1.client,
+            calls: AtomicU64::new(0),
+        });
+        let data = Arc::new(DataManager::sharded(Namespace::new(), "CM Fortran", 2));
+        let transports: Vec<(String, Arc<dyn Transport>)> =
+            vec![("fake#0".into(), l0.client), ("fake#1".into(), panicky)];
+        let mut set = DaemonSet::over_transports(transports, data);
+        let daemons = [l0.server, l1.server].map(|tx| FakeDaemon { tx, skew_ns: 0 });
+        daemons[0].send_sample("M", 0.0);
+        daemons[1].send_sample("M", 1.0);
+        daemons[1].send_sample("M", 2.0);
+
+        // Pumped on a helper thread, so a pass that never ends fails the
+        // wait below instead of hanging the suite.
+        let (tx, rx) = mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let pumped = panic::catch_unwind(AssertUnwindSafe(|| set.pump_parallel()));
+            let _ = tx.send((set, pumped));
+        });
+        let (mut set, pumped) = rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("pump_parallel returns after a drain panicked");
+        helper.join().unwrap();
+        let payload = pumped.expect_err("the drain's panic reaches the caller");
+        assert_eq!(
+            payload.downcast_ref::<&str>(),
+            Some(&"injected drain panic")
+        );
+        assert_eq!(set.len(), 2);
+        for i in 0..2 {
+            assert_eq!(set.conn(i).addr(), format!("fake#{i}"));
+        }
+        // Link 0's sample and the one link 1 landed before its panic are in
+        // the store, in link order, as in each link's books.
+        assert_eq!(set.samples().daemons(), [0, 1]);
+        for i in 0..2 {
+            assert_eq!(set.conn(i).samples_received(), 1, "link {i}");
+            assert_eq!(set.data().shard_stats(i).samples, 1, "shard {i}");
+        }
+
+        // The workers survived: the next pass lands link 1's next sample.
+        set.pump_parallel();
+        assert_eq!(set.samples().daemons(), [0, 1, 1]);
+        assert_eq!(set.samples().values().last(), Some(&2.0));
+        assert_eq!(set.conn(1).samples_received(), 2);
     }
 
     #[test]

@@ -26,12 +26,12 @@
 //!
 //! # Filling and reading
 //!
-//! The consultant's wave search fills the cache a whole run at a time:
-//! `fill` stores the batches of one multi-focus run, and `get` — a lookup
-//! that never fills — is how the wave skips foci already measured and how
-//! `Paradyn::measure` answers a query at a searched focus without a run.
-//! [`MeasurementCache::get_or_fill`] serves one experiment at a time
-//! (`Paradyn::experiment_cached`).
+//! There is one way in: a caller runs the machine itself and `fill`
+//! stores the batches of that run, one per focus it measured; `get`, a
+//! lookup that never fills, answers from a stored batch. The consultant's
+//! wave search gets every item and fills a whole multi-focus run at a
+//! time; `Paradyn::experiment_cached` gets one experiment and fills a
+//! one-focus run; `Paradyn::measure` only gets.
 //!
 //! Every experiment answered counts exactly one hit or one miss, so
 //! `hits + misses` is the number of experiments answered and `misses` the
@@ -40,13 +40,12 @@
 //!
 //! # Concurrency
 //!
-//! The map is sharded by key hash; the read path takes one shared
-//! (read) lock on one shard — readers never block each other, and writes
-//! (one per distinct focus in a whole search) are rare. In-flight
-//! [`get_or_fill`](MeasurementCache::get_or_fill) runs are deduplicated:
-//! the first experiment to ask for a focus inserts a pending cell and runs
-//! the machine; every overlapping experiment blocks on that cell's condvar
-//! and shares the one measurement. Hits and misses are counted under the
+//! The map is sharded by key hash; a `get` takes one shared (read) lock
+//! on one shard, so readers never block each other, and writes (one per
+//! distinct focus in a whole search) are rare. A batch is stored whole,
+//! so nothing is ever in flight in the cache: two callers that miss one
+//! focus at once each run the machine, and the later `fill` replaces the
+//! earlier batch with equal values. Hits and misses are counted under the
 //! `consultant.mcache_hit` / `consultant.mcache_miss` observability
 //! counters (self-mapped through `selfmap::TOOL_COUNTERS`).
 
@@ -55,8 +54,7 @@ use pdmap::util::{FxHasher, RwLock};
 use std::collections::HashMap;
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, OnceLock};
-use std::time::Duration;
+use std::sync::{Arc, OnceLock};
 
 use crate::daemonset::Coverage;
 
@@ -97,16 +95,10 @@ pub(crate) fn answer(
         .map(|(_, r)| r.clone())
 }
 
-/// `None` while the inserting experiment's machine run is still in flight.
-struct Cell {
-    state: std::sync::Mutex<Option<MeasuredBatch>>,
-    ready: Condvar,
-}
-
 /// Point-in-time cache counters (see [`MeasurementCache::stats`]).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct McacheStats {
-    /// Experiments answered from a cached (or in-flight shared) batch.
+    /// Experiments answered from a cached batch.
     pub hits: u64,
     /// Experiments whose batch had to be measured: the first experiment
     /// at each (focus, epoch) a run filled.
@@ -132,7 +124,7 @@ const SHARDS: usize = 16;
 
 /// The sharded, read-mostly measurement cache. See the module docs.
 pub struct MeasurementCache {
-    shards: Vec<RwLock<HashMap<BatchKey, Arc<Cell>>>>,
+    shards: Vec<RwLock<HashMap<BatchKey, MeasuredBatch>>>,
     hits: AtomicU64,
     misses: AtomicU64,
     runs: AtomicU64,
@@ -155,7 +147,7 @@ impl MeasurementCache {
         }
     }
 
-    fn shard_of(&self, key: &BatchKey) -> &RwLock<HashMap<BatchKey, Arc<Cell>>> {
+    fn shard_of(&self, key: &BatchKey) -> &RwLock<HashMap<BatchKey, MeasuredBatch>> {
         // The epoch is deliberately excluded from shard selection: every
         // epoch of a focus lands in the same shard, so the insert-time
         // purge below can drop stale-epoch entries without visiting the
@@ -179,10 +171,9 @@ impl MeasurementCache {
     }
 
     /// Non-filling lookup: answers `metric` at `(focus, program, epoch)`
-    /// from the cached batch, waiting out a fill still in flight. An answer
-    /// counts one hit. `None` — nothing cached there, or a batch without
-    /// that metric — counts nothing: this lookup never counts a miss and
-    /// never runs a machine.
+    /// from the cached batch. An answer counts one hit. `None` — nothing
+    /// cached there, or a batch without that metric — counts nothing: this
+    /// lookup never counts a miss and never runs a machine.
     pub(crate) fn get(
         &self,
         metric: &str,
@@ -195,8 +186,7 @@ impl MeasurementCache {
             program,
             epoch,
         };
-        let cell = self.shard_of(&key).read().get(&key).cloned()?;
-        let found = answer(&Self::wait_ready(&cell), metric)?;
+        let found = answer(self.shard_of(&key).read().get(&key)?, metric)?;
         self.count_hits(1);
         Some(found)
     }
@@ -214,92 +204,17 @@ impl MeasurementCache {
                 program,
                 epoch,
             };
-            let cell = Arc::new(Cell {
-                state: std::sync::Mutex::new(Some(batch)),
-                ready: Condvar::new(),
-            });
             {
                 let mut g = self.shard_of(&key).write();
+                // A changed program or a bumped coverage epoch makes every
+                // old entry unreachable; drop them on the way in so a long
+                // session never accumulates stale intervals.
                 g.retain(|k, _| k.program == program && k.epoch == epoch);
-                g.insert(key, cell);
+                g.insert(key, batch);
             }
             self.count_miss();
             self.count_hits(experiments.saturating_sub(1));
         }
-    }
-
-    /// Looks up the batch for `(focus, program, epoch)`, running `fill`
-    /// (one instrumented machine run producing every metric of the batch)
-    /// exactly once per distinct key — concurrent callers for the same key
-    /// block on the in-flight run and share its result. Returns the entry
-    /// for `metric`, or `None` if the cached batch does not carry that
-    /// metric (the caller measures directly).
-    pub fn get_or_fill(
-        &self,
-        metric: &str,
-        focus: &str,
-        program: u64,
-        epoch: u64,
-        fill: impl FnOnce() -> MeasuredBatch,
-    ) -> Option<Result<Measured, RequestError>> {
-        // Fast path: shared lock only. Experiments at a focus the cache
-        // already holds never take the write lock.
-        if let Some(found) = self.get(metric, focus, program, epoch) {
-            return Some(found);
-        }
-        let key = BatchKey {
-            focus: focus.to_string(),
-            program,
-            epoch,
-        };
-        let shard = self.shard_of(&key);
-        // Slow path: race to insert the pending cell.
-        let (cell, winner) = {
-            let mut g = shard.write();
-            // A changed program or a bumped coverage epoch makes every old
-            // entry unreachable; drop them on the way in so a long session
-            // never accumulates stale intervals.
-            g.retain(|k, _| k.program == program && k.epoch == epoch);
-            match g.get(&key).cloned() {
-                Some(cell) => (cell, false),
-                None => {
-                    let cell = Arc::new(Cell {
-                        state: std::sync::Mutex::new(None),
-                        ready: Condvar::new(),
-                    });
-                    g.insert(key, cell.clone());
-                    (cell, true)
-                }
-            }
-        };
-        if !winner {
-            let batch = Self::wait_ready(&cell);
-            self.count_hits(1);
-            return answer(&batch, metric);
-        }
-        self.count_miss();
-        self.runs.fetch_add(1, Ordering::Relaxed);
-        let batch = fill();
-        {
-            let mut st = cell.state.lock().unwrap_or_else(|e| e.into_inner());
-            *st = Some(batch.clone());
-        }
-        cell.ready.notify_all();
-        answer(&batch, metric)
-    }
-
-    fn wait_ready(cell: &Cell) -> MeasuredBatch {
-        let mut st = cell.state.lock().unwrap_or_else(|e| e.into_inner());
-        while st.is_none() {
-            // Timed re-check, like the daemonset drain pool: a missed
-            // notify on an oversubscribed host costs 5 ms, not a hang.
-            st = cell
-                .ready
-                .wait_timeout(st, Duration::from_millis(5))
-                .unwrap_or_else(|e| e.into_inner())
-                .0;
-        }
-        st.clone().expect("cell filled")
     }
 
     /// Hit, miss and run counters since construction (or the last
@@ -358,16 +273,33 @@ mod tests {
         )
     }
 
+    /// One experiment served as `Paradyn::experiment_cached` serves it:
+    /// from the cache, or else by one `run` whose batch is filled in.
+    fn serve(
+        c: &MeasurementCache,
+        metric: &str,
+        focus: &str,
+        program: u64,
+        epoch: u64,
+        run: impl FnOnce() -> MeasuredBatch,
+    ) -> Option<Result<Measured, RequestError>> {
+        c.get(metric, focus, program, epoch).or_else(|| {
+            let measured = run();
+            c.fill(program, epoch, vec![(focus.into(), measured.clone(), 1)]);
+            answer(&measured, metric)
+        })
+    }
+
     #[test]
     fn second_metric_at_same_focus_is_a_hit() {
         let c = MeasurementCache::new();
         let mut runs = 0;
-        let r = c.get_or_fill("m1", "/", 7, 0, || {
+        let r = serve(&c, "m1", "/", 7, 0, || {
             runs += 1;
             batch(&[("m1", 1.0), ("m2", 2.0)])
         });
         assert_eq!(r.unwrap().unwrap().value, 1.0);
-        let r2 = c.get_or_fill("m2", "/", 7, 0, || {
+        let r2 = serve(&c, "m2", "/", 7, 0, || {
             runs += 1;
             batch(&[])
         });
@@ -415,8 +347,8 @@ mod tests {
             (4, 2, 1),
             "get counts hits only"
         );
-        // get_or_fill shares a filled batch instead of running.
-        let r = c.get_or_fill("m1", "/a", 7, 0, || unreachable!("cached"));
+        // A served experiment shares a filled batch instead of running.
+        let r = serve(&c, "m1", "/a", 7, 0, || unreachable!("cached"));
         assert_eq!(r.unwrap().unwrap().value, 1.0);
         // A fill under a new epoch purges the old epoch's batch there.
         c.fill(7, 1, vec![("/a".into(), batch(&[("m1", 9.0)]), 1)]);
@@ -428,10 +360,10 @@ mod tests {
     #[test]
     fn epoch_bump_invalidates_and_purges() {
         let c = MeasurementCache::new();
-        let _ = c.get_or_fill("m", "/", 7, 0, || batch(&[("m", 1.0)]));
+        let _ = serve(&c, "m", "/", 7, 0, || batch(&[("m", 1.0)]));
         assert_eq!(c.len(), 1);
         // Same focus, new epoch: miss, and the stale entry is purged.
-        let r = c.get_or_fill("m", "/", 7, 1, || batch(&[("m", 5.0)]));
+        let r = serve(&c, "m", "/", 7, 1, || batch(&[("m", 5.0)]));
         assert_eq!(r.unwrap().unwrap().value, 5.0);
         assert_eq!(c.stats().misses, 2, "epoch bump forces a re-measure");
         assert_eq!(c.len(), 1, "stale-epoch batch was dropped");
@@ -440,8 +372,8 @@ mod tests {
     #[test]
     fn program_hash_separates_programs() {
         let c = MeasurementCache::new();
-        let _ = c.get_or_fill("m", "/", 1, 0, || batch(&[("m", 1.0)]));
-        let r = c.get_or_fill("m", "/", 2, 0, || batch(&[("m", 9.0)]));
+        let _ = serve(&c, "m", "/", 1, 0, || batch(&[("m", 1.0)]));
+        let r = serve(&c, "m", "/", 2, 0, || batch(&[("m", 9.0)]));
         assert_eq!(r.unwrap().unwrap().value, 9.0);
         assert_eq!(c.stats().misses, 2);
     }
@@ -449,46 +381,14 @@ mod tests {
     #[test]
     fn missing_metric_in_cached_batch_returns_none() {
         let c = MeasurementCache::new();
-        let _ = c.get_or_fill("m1", "/", 7, 0, || batch(&[("m1", 1.0)]));
-        assert!(c
-            .get_or_fill("other", "/", 7, 0, || batch(&[("other", 3.0)]))
-            .is_none());
-    }
-
-    #[test]
-    fn concurrent_same_focus_shares_one_fill() {
-        let c = Arc::new(MeasurementCache::new());
-        let runs = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        std::thread::scope(|s| {
-            for i in 0..8 {
-                let c = c.clone();
-                let runs = runs.clone();
-                let metric = format!("m{}", i % 4);
-                s.spawn(move || {
-                    let r = c.get_or_fill(&metric, "/f", 7, 0, || {
-                        runs.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        // A slow fill widens the race window.
-                        std::thread::sleep(Duration::from_millis(10));
-                        batch(&[("m0", 0.0), ("m1", 1.0), ("m2", 2.0), ("m3", 3.0)])
-                    });
-                    assert!(r.unwrap().is_ok());
-                });
-            }
-        });
-        assert_eq!(
-            runs.load(std::sync::atomic::Ordering::Relaxed),
-            1,
-            "all eight experiments share one machine run"
-        );
-        let st = c.stats();
-        assert_eq!(st.hits + st.misses, 8);
-        assert_eq!(st.misses, 1);
+        let _ = serve(&c, "m1", "/", 7, 0, || batch(&[("m1", 1.0)]));
+        assert!(c.get("other", "/", 7, 0).is_none());
     }
 
     #[test]
     fn clear_resets_everything() {
         let c = MeasurementCache::new();
-        let _ = c.get_or_fill("m", "/", 7, 0, || batch(&[("m", 1.0)]));
+        let _ = serve(&c, "m", "/", 7, 0, || batch(&[("m", 1.0)]));
         c.clear();
         assert!(c.is_empty());
         assert_eq!(c.stats(), McacheStats::default());

@@ -442,11 +442,13 @@ impl Paradyn {
     }
 
     /// [`Paradyn::run_experiment`] through the content-addressed
-    /// measurement cache: the first experiment at a focus runs one machine
-    /// measuring every metric in `batch`, and every later (or concurrent)
-    /// experiment at the same `(focus, program content-hash, coverage
-    /// epoch)` shares that run. A metric outside the cached batch falls
-    /// back to an uncached run.
+    /// measurement cache: an experiment the cache holds a batch for, at
+    /// the same `(focus, program content-hash, coverage epoch)`, is
+    /// answered from it (a hit). Otherwise one machine measures every
+    /// metric in `batch` at the focus and fills the cache (a miss), and
+    /// later experiments there share that run; concurrent calls for one
+    /// focus may each run. A metric outside `batch` that the cache cannot
+    /// answer is measured by an uncached run and counts nothing.
     pub fn experiment_cached(
         &self,
         exp: &Experiment,
@@ -456,16 +458,18 @@ impl Paradyn {
             return Err(RequestError::NoProgram);
         }
         let (_, _, epoch) = self.session_stamp();
-        let program = self.program_hash.load(Ordering::SeqCst);
-        let focus_key = exp.focus.to_string();
-        match self
-            .mcache
-            .get_or_fill(&exp.metric, &focus_key, program, epoch, || {
-                Arc::new(self.run_experiment_batch(batch, &exp.focus))
-            }) {
-            Some(r) => r,
-            None => self.run_experiment(exp),
+        let program = self.program_hash();
+        let focus = exp.focus.to_string();
+        if let Some(found) = self.mcache.get(&exp.metric, &focus, program, epoch) {
+            return found;
         }
+        let Some(at) = batch.iter().position(|m| *m == exp.metric) else {
+            return self.run_experiment(exp);
+        };
+        let measured = Arc::new(self.run_experiment_batch(batch, &exp.focus));
+        let found = measured[at].1.clone();
+        self.mcache.fill(program, epoch, vec![(focus, measured, 1)]);
+        found
     }
 
     /// Hit, miss and run counters of the measurement cache.
@@ -668,6 +672,10 @@ mod tests {
         assert!(b.wall > 0.0);
         let st = t.measurement_cache_stats();
         assert_eq!((st.hits, st.misses), (1, 1), "second metric was a hit");
+        // A metric outside `metrics` runs uncached and counts nothing.
+        let p2p = t.experiment_cached(&exp("Point-to-Point Operations"), &metrics);
+        assert!(p2p.is_ok());
+        assert_eq!(t.measurement_cache_stats(), st, "no hit or miss counted");
         // A coverage change invalidates the batch: next lookup re-measures.
         t.set_session_coverage(Some(SessionCoverage {
             coverage: Coverage {

@@ -78,11 +78,7 @@ impl BoundedQueue {
                     if wait_start.is_none() && pdmap_obs::enabled() {
                         wait_start = Some(pdmap_obs::now_ns());
                     }
-                    let (guard, _timeout) = self
-                        .not_full
-                        .wait_timeout(g, Duration::from_millis(50))
-                        .unwrap_or_else(|e| e.into_inner());
-                    g = guard;
+                    g = self.not_full.wait(g).unwrap_or_else(|e| e.into_inner());
                 }
             }
         }
@@ -174,9 +170,13 @@ impl BoundedQueue {
         self.closed.load(Ordering::Acquire)
     }
 
-    /// Closes the queue: pushes fail, blocked waiters wake.
+    /// Closes the queue: pushes fail, blocked waiters wake. `closed` is
+    /// set under the queue's lock, so a waiter that found the queue open
+    /// is already waiting when the wake comes.
     pub fn close(&self) {
+        let g = self.lock();
         self.closed.store(true, Ordering::Release);
+        drop(g);
         self.not_full.notify_all();
         self.not_empty.notify_all();
     }
@@ -263,6 +263,26 @@ mod tests {
         assert_eq!(q.push(frame(2)), Err(Closed));
         // Draining still works after close.
         assert_eq!(q.drain().len(), 1);
+    }
+
+    #[test]
+    fn close_racing_a_blocking_push_always_fails_it() {
+        for round in 0..2000 {
+            let stats = Arc::new(StatsCell::default());
+            let q = Arc::new(BoundedQueue::new(1, Backpressure::Block, stats));
+            q.push(frame(0)).unwrap();
+            let (tx, rx) = std::sync::mpsc::channel();
+            let q2 = q.clone();
+            let pusher = std::thread::spawn(move || tx.send(q2.push(frame(1))));
+            q.close();
+            // A lost wake leaves the push blocked for good: the deadline
+            // fails the test instead of hanging it.
+            let pushed = rx
+                .recv_timeout(Duration::from_secs(5))
+                .unwrap_or_else(|_| panic!("round {round}: the push missed the close"));
+            assert_eq!(pushed, Err(Closed), "round {round}");
+            pusher.join().unwrap().unwrap();
+        }
     }
 
     #[test]
