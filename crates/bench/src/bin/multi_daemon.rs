@@ -29,8 +29,8 @@
 //!
 //! `--relay-fanout F` runs the fleet drill instead: an F-relay ×
 //! F-leaves-each aggregation tree (64 leaf processes at F=8, all real
-//! `pdmapd`s, batching samples), preceded by an unbatched flat baseline
-//! session over 16 direct daemons. Both sessions are driven through the
+//! `pdmapd`s, batching samples), preceded by a flat baseline session
+//! over 16 direct daemons sending one-sample batches. Both sessions are driven through the
 //! same pooled drain and audited for conservation and coverage; the JSON
 //! report carries samples/sec, frames/sec, and p99 drain latency for
 //! each, and the drill fails unless the tree drains ≥ 5× the baseline's
@@ -731,12 +731,13 @@ impl Drained {
 ///
 /// The fleet emits on its own calendar (1 ms period), so pumping while
 /// samples trickle in would time the emission schedule, not the tool.
-/// The transport acks on receipt — not on drain — so the producers run to
-/// completion unthrottled while every frame lands in the client readers'
-/// receive queues. Once the inflow quiesces, the timed passes measure what
-/// actually differs between a flat unbatched fleet and a relay tree: how
-/// much tool-side work it takes to decode, skew-correct, and store the
-/// same backlog.
+/// Frames a daemon sends the tool (server to client) are never acked:
+/// the tool's reader threads buffer each read burst as it arrives, so the
+/// producers run to completion unthrottled while the backlog lands in
+/// the readers' receive queues. Once the inflow quiesces, the timed
+/// passes measure what actually differs between a flat fleet of
+/// one-sample batches and a relay tree: how much tool-side work it takes
+/// to decode, skew-correct, and store the same backlog.
 ///
 /// `pooled` selects the drain strategy: the persistent worker pool (the
 /// subsystem under test) or the per-call scoped spawns it replaced (the
@@ -836,9 +837,10 @@ fn reap_ok(label: &str, procs: &mut Vec<DaemonProc>, check: &mut impl FnMut(&str
     procs.clear();
 }
 
-/// The fleet drill: a flat unbatched 16-daemon baseline, then an F×F
-/// relay tree (F relays, F² batching leaves), both conservation-audited,
-/// with the tree required to drain ≥ 5× the baseline's samples/sec.
+/// The fleet drill: a flat 16-daemon baseline of one-sample batches, then
+/// an F×F relay tree (F relays, F² batching leaves), both
+/// conservation-audited, with the tree required to drain ≥ 5× the
+/// baseline's samples/sec.
 fn fleet_main(opts: &Options) -> ExitCode {
     let f = opts.relay_fanout.unwrap_or(8).max(2);
     let leaves_n = f * f;
@@ -877,8 +879,8 @@ fn fleet_main(opts: &Options) -> ExitCode {
         .to_vec()
     };
 
-    // ---- Phase A: flat, unbatched, direct — the baseline ---------------
-    eprintln!("fleet: flat unbatched baseline over {FLAT_BASELINE_N} daemons");
+    // ---- Phase A: flat, one sample per batch, direct — the baseline ----
+    eprintln!("fleet: flat one-sample-batch baseline over {FLAT_BASELINE_N} daemons");
     let mut flat_procs: Vec<DaemonProc> = (0..FLAT_BASELINE_N)
         .map(|i| {
             let skew = (i as i64 - FLAT_BASELINE_N as i64 / 2) * 10_000_000;
@@ -903,8 +905,9 @@ fn fleet_main(opts: &Options) -> ExitCode {
     // from dozens of lingering processes.
     reap_ok("baseline", &mut flat_procs, &mut check);
     // `pooled: false` — the flat baseline drains the way the tool drained
-    // before the relay subsystem existed: unbatched frames, one scoped
-    // thread per connection spawned on every pass.
+    // before the relay subsystem existed: a frame per sample (each a
+    // batch of one), one scoped thread per connection spawned on every
+    // pass.
     let flat = drive(&mut set, FLAT_BASELINE_N * FLEET_SAMPLES, deadline, false);
     let flat_cov = set.shutdown_all(DEADLINE);
     conservation_audit(
@@ -1000,7 +1003,7 @@ fn fleet_main(opts: &Options) -> ExitCode {
     let speedup = tree.samples_per_sec() / flat.samples_per_sec();
     if leaves_n >= FLAT_BASELINE_N {
         check(
-            &format!("relay fleet drains >=5x the flat unbatched rate (got {speedup:.1}x)"),
+            &format!("relay fleet drains >=5x the flat baseline's rate (got {speedup:.1}x)"),
             speedup >= 5.0,
         );
     }

@@ -350,7 +350,9 @@ impl InstrLibEndpoint {
     }
 
     /// Sends a metric sample over the same channel (performance data and
-    /// mapping information share the wire, as in the paper).
+    /// mapping information share the wire, as in the paper) as a loose
+    /// [`DaemonMsg::Sample`]: it carries no batch sequence, so no handover
+    /// replays it. `pdmapd` sends its samples in sequenced batches instead.
     pub fn send_sample(&self, metric: &str, focus: &str, wall: u64, value: f64) {
         let _span = pdmap_obs::span(&daemon_obs().send);
         let _ = send_wire(

@@ -54,26 +54,7 @@ pub fn run_sampled(
     requests: &[MetricRequest],
     every_steps: usize,
 ) -> (Vec<Stream>, RunSummary) {
-    let every = every_steps.max(1);
-    let mut streams: Vec<Stream> = requests
-        .iter()
-        .map(|r| Stream {
-            metric: r.decl.name.clone(),
-            focus: r.focus.to_string(),
-            units: r.decl.units.to_string(),
-            samples: Vec::new(),
-        })
-        .collect();
-    let total_steps = machine.program().steps.len();
-    let summary = machine.run_with(|m, step| {
-        if step % every == 0 || step + 1 == total_steps {
-            let t = m.wall_clock();
-            for (s, r) in streams.iter_mut().zip(requests) {
-                s.samples.push((t, r.value(m)));
-            }
-        }
-    });
-    (streams, summary)
+    sample_run(machine, requests, |_| every_steps)
 }
 
 /// Drives a machine while sampling at an interval governed by an
@@ -93,6 +74,21 @@ pub fn run_sampled_adaptive(
     sampler: &mut pdmap_obs::AdaptiveSampler,
     mut drops: impl FnMut(&Machine) -> u64,
 ) -> (Vec<Stream>, RunSummary) {
+    sample_run(machine, requests, |m| {
+        // A backed-off sampler can return an interval near u64::MAX;
+        // saturate instead of overflowing past the end of the run.
+        usize::try_from(sampler.observe_drops(drops(m))).unwrap_or(usize::MAX)
+    })
+}
+
+/// The one sampling loop: samples every request at step 0, then
+/// `interval` steps (at least one) after each sample, and always at the
+/// last step. `interval` is asked once per sample.
+fn sample_run(
+    machine: &mut Machine,
+    requests: &[MetricRequest],
+    mut interval: impl FnMut(&Machine) -> usize,
+) -> (Vec<Stream>, RunSummary) {
     let mut streams: Vec<Stream> = requests
         .iter()
         .map(|r| Stream {
@@ -106,15 +102,12 @@ pub fn run_sampled_adaptive(
     let mut next_sample = 0usize;
     let summary = machine.run_with(|m, step| {
         if step >= next_sample || step + 1 == total_steps {
-            let interval = sampler.observe_drops(drops(m));
+            let gap = interval(m).max(1);
             let t = m.wall_clock();
             for (s, r) in streams.iter_mut().zip(requests) {
                 s.samples.push((t, r.value(m)));
             }
-            // A backed-off sampler can return an interval near u64::MAX;
-            // saturate instead of overflowing past the end of the run.
-            next_sample =
-                step.saturating_add(usize::try_from(interval).unwrap_or(usize::MAX).max(1));
+            next_sample = step.saturating_add(gap);
         }
     });
     (streams, summary)

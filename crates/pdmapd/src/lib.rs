@@ -38,13 +38,13 @@ mod upstream;
 use cmrts_sim::MachineConfig;
 use paradyn_tool::daemon::InstrLibEndpoint;
 use pdmap::model::Namespace;
-use pdmap_transport::{send_wire, BatchBuilder, PifBlob, TcpServer, Transport};
+use pdmap_transport::{send_wire, PifBlob, TcpServer, Transport};
 pub use relay::{serve_relay_until, spawn_relay, RelayConfig, RelayReport, RunningRelay};
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use upstream::Upstream;
-pub use upstream::{Running, UpstreamConfig, WATERMARK_UNKNOWN};
+pub use upstream::{Running, UpstreamConfig};
 
 /// Configuration for one daemon process (CLI flags map onto this 1:1).
 #[derive(Clone, Debug)]
@@ -57,10 +57,11 @@ pub struct DaemonConfig {
     pub period: Duration,
     /// Nodes of the simulated machine driving the workload.
     pub nodes: usize,
-    /// Samples per outgoing frame. `1` sends classic per-sample
-    /// `DaemonMsg::Sample` frames (the flat-session baseline); anything
-    /// larger accumulates `SampleBatch` frames of up to this many
-    /// samples, flushed at the batch boundary and at session end.
+    /// Rows per upward `SampleBatch` frame. Every sample joins the
+    /// session's one upward stream (see the `upstream` module) and leaves
+    /// in a sequenced, ringed batch, flushed once this many rows are
+    /// pending, at session end, and whenever a due self-snapshot is added;
+    /// `1` sends a batch of one per sample. It sizes frames, not the path.
     pub batch: u32,
 }
 
@@ -82,9 +83,11 @@ impl Default for DaemonConfig {
 pub struct ServeReport {
     /// Clock probes answered.
     pub probes_answered: u64,
-    /// Metric samples sent.
+    /// Rows flushed upward, telemetry included: the count the Goodbye
+    /// announces.
     pub samples_sent: u32,
-    /// `SampleBatch` frames sent (zero when `batch` is 1).
+    /// Upward `SampleBatch` frames a live connection accepted — one per
+    /// flush of the session's one stream, whatever `batch` is.
     pub batches_sent: u32,
     /// Instruction blocks the workload machine dispatched.
     pub workload_steps: u64,
@@ -158,12 +161,23 @@ fn parent_up(up: &mut Upstream<'_>, stop: &AtomicBool) -> bool {
 /// span dump.
 fn finish(up: Upstream<'_>, mut report: ServeReport) -> ServeReport {
     up.close();
+    let narrow = |n: u64| u32::try_from(n).unwrap_or(u32::MAX);
+    report.samples_sent = narrow(up.samples_sent);
+    report.batches_sent = narrow(up.batches_sent);
+    report.obs_samples_sent = narrow(up.obs_samples_sent);
     report.probes_answered = up.probes_answered;
     report.failovers = up.failovers;
     report.batches_replayed = up.batches_replayed;
     report.epoch = up.uplink.epoch;
     report.obs_snapshots = up.obs.map_or(0, |s| s.snapshots);
     report
+}
+
+/// Ships a due self-snapshot at once, with whatever rows are pending.
+fn ship_obs(up: &mut Upstream<'_>) {
+    if up.sample_self(Vec::new) > 0 {
+        up.flush(Vec::new());
+    }
 }
 
 /// Runs the daemon loop on the caller's thread until the session completes
@@ -219,59 +233,32 @@ pub fn serve_until(server: Arc<TcpServer>, cfg: &DaemonConfig, stop: &AtomicBool
 
     // Phase 3: performance data — periodic samples on the daemon clock,
     // interleaved with polls of the tool link so a concurrent clock_sync
-    // works. With `batch > 1`, samples accumulate into SampleBatch frames
-    // (one frame per `batch` samples plus a final partial flush) instead
-    // of one frame each — the leaf's half of the relay tree's frame
-    // economy. Every upward batch goes through the uplink, which stamps
-    // it (epoch, seq) and rings it, so a handover can resend exactly what
-    // the old parent never passed on. A stop request (flag or wire
-    // Shutdown) breaks out to the drain.
-    let endpoint = InstrLibEndpoint::over_transport(server.clone() as Arc<dyn Transport>);
-    let mut pending = BatchBuilder::default();
-    let flush_batch =
-        |pending: &mut BatchBuilder, report: &mut ServeReport, up: &mut Upstream<'_>| {
-            if !pending.is_empty() && up.uplink.send(&*server, pending.take()) {
-                report.batches_sent += 1;
-            }
-        };
-    // Health telemetry: a due self-sample ships as an ordinary
-    // SampleBatch under this daemon's obs focus. The rows count into
-    // `samples_sent`, so the Goodbye's announcement (and every relay
-    // ledger above us) stays exact with telemetry on.
-    let ship_obs = |up: &mut Upstream<'_>, report: &mut ServeReport| {
-        let mut batch = BatchBuilder::default();
-        let n = up.sample_self(&mut batch, Vec::new);
-        flush_batch(&mut batch, report, up);
-        report.samples_sent += n;
-        report.obs_samples_sent += n;
-    };
-    let mut i = 0;
-    while i < cfg.samples && !up.stopping(stop) {
-        // A dead parent ends the stream, unless a failover budget lets a
-        // new parent adopt this leaf first.
-        if !parent_up(&mut up, stop) {
+    // works. Every sample joins the session's one upward stream, flushed
+    // every `batch` rows, so each leaves in a batch the uplink stamps
+    // (epoch, seq) and rings: a handover can resend exactly what the old
+    // parent never passed on. A stop request (flag or wire Shutdown)
+    // breaks out to the drain.
+    let batch = cfg.batch.max(1) as usize;
+    for i in 0..cfg.samples {
+        // A stop or a dead parent ends the stream, unless a failover
+        // budget lets a new parent adopt this leaf first.
+        if up.stopping(stop) || !parent_up(&mut up, stop) {
             break;
         }
-        if cfg.batch > 1 {
-            pending.push(
-                "Computation Time".into(),
-                "<whole program>".into(),
-                up.now(),
-                i as f64,
-            );
-            if pending.len() >= cfg.batch as usize {
-                flush_batch(&mut pending, &mut report, &mut up);
-            }
-        } else {
-            endpoint.send_sample("Computation Time", "<whole program>", up.now(), i as f64);
+        up.pending.push(
+            "Computation Time".into(),
+            "<whole program>".into(),
+            up.now(),
+            i as f64,
+        );
+        if up.pending.len() >= batch {
+            up.flush(Vec::new());
         }
-        report.samples_sent += 1;
-        i += 1;
         up.poll();
-        ship_obs(&mut up, &mut report);
+        ship_obs(&mut up);
         std::thread::sleep(cfg.period);
     }
-    flush_batch(&mut pending, &mut report, &mut up);
+    up.flush(Vec::new());
 
     // Phase 4: linger so late probes (and probe rounds racing the final
     // sample) still get answers; a stop request skips straight to the
@@ -283,7 +270,7 @@ pub fn serve_until(server: Arc<TcpServer>, cfg: &DaemonConfig, stop: &AtomicBool
             break;
         }
         up.poll();
-        ship_obs(&mut up, &mut report);
+        ship_obs(&mut up);
         std::thread::sleep(Duration::from_millis(1));
     }
 
@@ -292,7 +279,7 @@ pub fn serve_until(server: Arc<TcpServer>, cfg: &DaemonConfig, stop: &AtomicBool
     // law. Late probes are drained first. Only a crash (dead transport)
     // leaves the loss unannounced.
     up.poll();
-    report.graceful_shutdown = up.goodbye(u64::from(report.samples_sent));
+    report.graceful_shutdown = up.goodbye();
     finish(up, report)
 }
 

@@ -38,9 +38,10 @@
 //!    [`RelayConfig::batch`] is the pending count that triggers it, not a
 //!    cap on the frame. Relayed samples stay columns end to end: a child
 //!    batch decodes to [`BatchColumns`](pdmap_transport::BatchColumns),
-//!    its dictionary is remapped into the pending [`BatchBuilder`] once
-//!    per entry and its walls re-timed in one column pass, and the flush
-//!    encodes the columns directly.
+//!    its dictionary is remapped into the upstream session's pending
+//!    [`BatchBuilder`](pdmap_transport::BatchBuilder) once per entry and
+//!    its walls re-timed in one column pass, and the flush encodes the
+//!    columns directly.
 //!
 //! Mapping information is forwarded too: dynamic allocation messages pass
 //! through verbatim, and PIF blobs, decoded like every child frame, are
@@ -49,10 +50,13 @@
 //!
 //! Toward its parent a relay is a node like a leaf: it serves the parent
 //! link with the same session code (the `upstream` module — probe
-//! replies, seeds, failover wait, self-sampling, Goodbye). What is its own
-//! is the subtree: its children, the pending builder, coverage and
-//! topology, and one place (`RelaySession::serve_parent`) where it
-//! reacts to a seed or beacon the parent link brought.
+//! replies, seeds, failover wait, self-sampling, the one upward stream
+//! and its flush, Goodbye). What is its own is the subtree: its
+//! children, when to flush and the source marks a flush carries,
+//! coverage and topology, and one place (`RelaySession::serve_parent`)
+//! where it reacts to a seed or beacon the parent link brought. A
+//! topology announcement is always preceded by a flush, so a watermark
+//! it names never counts rows still pending here.
 
 use crate::upstream::{Running, Upstream, UpstreamConfig};
 use paradyn_tool::daemon::{Arrival, ChildLink, DaemonMsg, LinkLedger};
@@ -60,8 +64,7 @@ use paradyn_tool::selfmap::{OBS_SUBTREE_LOST, OBS_SUBTREE_REPORTING, OBS_SUBTREE
 use paradyn_tool::Coverage;
 use pdmap::columns::align;
 use pdmap_transport::{
-    send_wire, BatchBuilder, SourceMark, TcpClient, TcpServer, TopoChild, TopologyMsg, Transport,
-    TransportConfig,
+    send_wire, SourceMark, TcpClient, TcpServer, TopoChild, TopologyMsg, Transport, TransportConfig,
 };
 use std::collections::HashSet;
 use std::net::SocketAddr;
@@ -117,9 +120,10 @@ pub struct RelayReport {
     pub parent_connected: bool,
     /// Children whose clock sync got its `sync_rounds` replies.
     pub children_synced: usize,
-    /// Samples forwarded upward (the count the final Goodbye announces).
+    /// Rows flushed upward, telemetry included: the count the final
+    /// Goodbye announces.
     pub samples_forwarded: u64,
-    /// Upward `SampleBatch` frames sent.
+    /// Upward `SampleBatch` frames a live connection accepted.
     pub batches_sent: u64,
     /// Parent clock probes answered.
     pub probes_answered: u64,
@@ -131,8 +135,8 @@ pub struct RelayReport {
     /// Whether the session ended with the final-flush handshake (last
     /// [`DaemonMsg::SubtreeCoverage`] + [`DaemonMsg::Goodbye`] delivered).
     pub graceful_shutdown: bool,
-    /// Health-telemetry samples enqueued on the upward stream — counted
-    /// into `samples_forwarded` by the flush that carries them (zero with
+    /// Health-telemetry rows added to the upward stream — counted into
+    /// `samples_forwarded` by the flush that carries them (zero with
     /// `obs_period: None`).
     pub obs_samples_sent: u64,
     /// Self-observation snapshots taken.
@@ -184,8 +188,6 @@ struct RelaySession<'a> {
     /// identity that survives re-parenting (topology announcements and
     /// source marks key on it).
     children: Vec<ChildLink>,
-    /// Samples rewritten onto the relay clock, awaiting the next flush.
-    pending: BatchBuilder,
     last_flush: Instant,
     /// PIF blobs already forwarded, by content.
     pifs_seen: HashSet<Vec<u8>>,
@@ -207,7 +209,6 @@ impl<'a> RelaySession<'a> {
             cfg,
             report: RelayReport::default(),
             children: Vec::new(),
-            pending: BatchBuilder::default(),
             last_flush: Instant::now(),
             pifs_seen: HashSet::new(),
             last_coverage: None,
@@ -298,26 +299,25 @@ impl<'a> RelaySession<'a> {
 
     /// Announces this relay's live child set (and their delivery marks)
     /// upward, iff membership or epoch changed since the last send — the
-    /// parent's dial list should this relay die.
+    /// parent's dial list should this relay die. Every pending row is
+    /// flushed first: a mark counts the rows folded here, and a parent
+    /// that adopts a child from this announcement credits them as
+    /// delivered, so none may still be waiting in this relay.
     fn announce_topology(&mut self, force: bool) {
-        let live: Vec<&ChildLink> = self
-            .children
-            .iter()
-            .filter(|c| !c.is_subtree_adopted())
-            .collect();
-        if live.is_empty() {
+        let addrs: Vec<String> = self.live().map(|c| c.addr().to_string()).collect();
+        if addrs.is_empty() {
             return;
         }
-        let addrs: Vec<String> = live.iter().map(|c| c.addr().to_string()).collect();
         let key = (self.up.uplink.epoch, addrs);
         if !force && self.last_topology.as_ref() == Some(&key) {
             return;
         }
+        self.flush(true);
         let msg = TopologyMsg {
             epoch: self.up.uplink.epoch,
             origin: self.up.addr.clone(),
-            children: live
-                .iter()
+            children: self
+                .live()
                 .map(|c| {
                     let (watermark, received) = c.watermark();
                     TopoChild {
@@ -333,10 +333,15 @@ impl<'a> RelaySession<'a> {
         }
     }
 
+    /// The children whose subtree has not been adopted away.
+    fn live(&self) -> impl Iterator<Item = &ChildLink> {
+        self.children.iter().filter(|c| !c.is_subtree_adopted())
+    }
+
     /// Whether the link to the parent is up. When it died — the relay's
     /// own failover — pause upward sends (children keep streaming into
-    /// `pending`) and wait for a new parent to dial in and seed a replay
-    /// (see [`Upstream::orphaned`]): true again once re-adopted.
+    /// the pending batch) and wait for a new parent to dial in and seed a
+    /// replay (see [`Upstream::orphaned`]): true again once re-adopted.
     fn parent_up(&mut self, stop: &AtomicBool) -> bool {
         if self.up.server.is_alive() {
             return true;
@@ -387,13 +392,16 @@ impl<'a> RelaySession<'a> {
     fn land(&mut self, i: usize, arrival: Arrival) {
         let offset = self.children[i].clock().offset_ns;
         match arrival {
-            Arrival::Batch(batch) => self.pending.append(batch, |wall| align(wall, offset)),
+            Arrival::Batch(batch) => self.up.pending.append(batch, |wall| align(wall, offset)),
             Arrival::Msg(DaemonMsg::Sample {
                 metric,
                 focus,
                 wall,
                 value,
-            }) => self.pending.push(metric, focus, align(wall, offset), value),
+            }) => self
+                .up
+                .pending
+                .push(metric, focus, align(wall, offset), value),
             Arrival::Msg(mapping) => {
                 let _ = send_wire(self.up.server as &dyn Transport, &mapping);
             }
@@ -424,27 +432,19 @@ impl<'a> RelaySession<'a> {
         self.report.samples_lost = cov.samples_lost;
     }
 
-    /// Flushes every pending sample upward as one sequenced
-    /// [`SampleBatch`] frame once `batch` samples are pending (or a
-    /// partial batch has waited `flush_interval`, or `force`), stamped
-    /// with cumulative per-child source marks so the parent can seed
-    /// exact adoptions if this relay dies. The uplink rings the columns
-    /// for handover replay; `samples_forwarded` counts them as announced
-    /// whether or not this send landed — a failed send is either replayed
-    /// (no loss) or becomes visible loss at the parent.
+    /// Flushes the upward stream ([`Upstream::flush`]) once `batch` rows
+    /// are pending (or a partial batch has waited `flush_interval`, or
+    /// `force`), stamped with cumulative per-child source marks so the
+    /// parent can seed exact adoptions if this relay dies.
     fn flush(&mut self, force: bool) {
-        let due = self.pending.len() >= self.cfg.batch.max(1) as usize
-            || (!self.pending.is_empty()
-                && (force || self.last_flush.elapsed() >= self.cfg.flush_interval));
+        let pending = self.up.pending.len();
+        let due = pending >= self.cfg.batch.max(1) as usize
+            || (pending > 0 && (force || self.last_flush.elapsed() >= self.cfg.flush_interval));
         if !due {
             return;
         }
-        let mut batch = self.pending.take();
-        let n = batch.len() as u64;
-        batch.sources = self
-            .children
-            .iter()
-            .filter(|c| !c.is_subtree_adopted())
+        let sources = self
+            .live()
             .map(|c| {
                 let (through_seq, samples) = c.watermark();
                 SourceMark {
@@ -454,22 +454,19 @@ impl<'a> RelaySession<'a> {
                 }
             })
             .collect();
-        if self.up.uplink.send(self.up.server, batch) {
-            self.report.batches_sent += 1;
-        }
-        self.report.samples_forwarded += n;
+        self.up.flush(sources);
         self.last_flush = Instant::now();
     }
 
-    /// If an obs period has elapsed, enqueues this relay's own telemetry
-    /// plus its subtree rollup on `pending` ([`Upstream::sample_self`]) —
-    /// the interior node's health folded into the same upward stream as
-    /// its children's. Stamps are already on the relay clock (no
-    /// rewrite), and the ordinary [`RelaySession::flush`] counts the rows
-    /// into `samples_forwarded`, keeping conservation exact.
+    /// If an obs period has elapsed, adds this relay's own telemetry plus
+    /// its subtree rollup to the upward stream ([`Upstream::sample_self`])
+    /// — the interior node's health folded into the same stream as its
+    /// children's. Stamps are already on the relay clock (no rewrite), and
+    /// the ordinary [`RelaySession::flush`] counts the rows into
+    /// `samples_forwarded`, keeping conservation exact.
     fn sample_self(&mut self) {
         let children = &self.children;
-        let n = self.up.sample_self(&mut self.pending, || {
+        self.up.sample_self(|| {
             let cov = coverage(children);
             vec![
                 (OBS_SUBTREE_REPORTING.into(), cov.nodes_reporting as f64),
@@ -477,7 +474,6 @@ impl<'a> RelaySession<'a> {
                 (OBS_SUBTREE_LOST.into(), cov.samples_lost as f64),
             ]
         });
-        self.report.obs_samples_sent += u64::from(n);
     }
 }
 
@@ -502,6 +498,9 @@ fn finish(mut s: RelaySession<'_>) -> RelayReport {
         s.report.replays_suppressed += c.replays_suppressed();
     }
     s.up.close();
+    s.report.samples_forwarded = s.up.samples_sent;
+    s.report.batches_sent = s.up.batches_sent;
+    s.report.obs_samples_sent = s.up.obs_samples_sent;
     s.report.probes_answered = s.up.probes_answered;
     s.report.failovers = s.up.failovers;
     s.report.batches_replayed = s.up.batches_replayed;
@@ -619,14 +618,14 @@ pub fn serve_relay_until(
     s.serve_parent();
     s.flush(true);
     s.report_coverage(true);
-    s.report.graceful_shutdown = s.up.goodbye(s.report.samples_forwarded);
+    s.report.graceful_shutdown = s.up.goodbye();
     finish(s)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pdmap_transport::{BatchColumns, Frame, FrameKind, PifBlob, WirePayload};
+    use pdmap_transport::{BatchBuilder, BatchColumns, Frame, FrameKind, PifBlob, WirePayload};
 
     #[test]
     fn undecodable_child_frames_are_counted_not_folded() {
@@ -661,13 +660,13 @@ mod tests {
         feed(&mut s, &corrupt);
         assert_eq!(s.report.decode_errors, 1);
         assert_eq!(s.children[0].samples_received(), 0, "nothing folded");
-        assert!(s.pending.is_empty());
+        assert!(s.up.pending.is_empty());
         // An undecodable Daemon frame counts too; a good batch still folds.
         feed(&mut s, &Frame::data(FrameKind::Daemon, vec![0xFF]));
         assert_eq!(s.report.decode_errors, 2);
         feed(&mut s, &good);
         assert_eq!(s.children[0].samples_received(), 2);
-        assert_eq!(s.pending.len(), 2);
+        assert_eq!(s.up.pending.len(), 2);
         assert_eq!(s.report.decode_errors, 2);
         // A PIF blob is decoded before it is forwarded: a truncated one is
         // counted and never reaches the parent; a good one is forwarded.

@@ -6,8 +6,16 @@
 //! channel, it serves its parent with this module's [`Upstream`]: one
 //! wait for the parent, one poll of the parent link in every phase
 //! (probe replies from the skewed clock, a remembered Shutdown, seeds,
-//! beacons handed to the caller), the uplink, the self-sampler, the
-//! failover wait, the Goodbye and the span dump.
+//! beacons handed to the caller), the node's one upward stream, the
+//! self-sampler, the failover wait, the Goodbye and the span dump.
+//!
+//! **One upward stream.** Every row a node sends its parent — a leaf's
+//! samples, a relay's re-timed child rows, either node's telemetry —
+//! joins the session's pending [`BatchBuilder`] and leaves through
+//! [`Upstream::flush`], which stamps, rings and sends it as one
+//! `SampleBatch` and counts its rows; the Goodbye announces that count.
+//! The callers only decide when to flush: a leaf every `batch` rows, a
+//! relay at its threshold or interval.
 //!
 //! **Failover.** The [`Uplink`] stamps a monotonic topology **epoch** and
 //! batch **sequence** into every upward batch and keeps a bounded
@@ -30,8 +38,8 @@ use crate::selfobs::SelfSampler;
 use paradyn_tool::daemon::{is_beacon, DaemonMsg};
 use paradyn_tool::selfmap::obs_focus;
 use pdmap_transport::{
-    send_wire, BatchBuilder, BatchColumns, FrameKind, TcpClient, TcpServer, TopoChild, TopologyMsg,
-    Transport, TransportConfig, WirePayload,
+    send_wire, BatchBuilder, BatchColumns, FrameKind, SourceMark, TcpClient, TcpServer, TopoChild,
+    TopologyMsg, Transport, TransportConfig, WirePayload,
 };
 use std::collections::VecDeque;
 use std::net::SocketAddr;
@@ -39,12 +47,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// Watermark value meaning "the adopter has no history for this node —
-/// replay from your own delivered watermark". No sender in this workspace
-/// seeds it: a parent seeds exact marks, and a standby seeds the delivered
-/// watermark the orphan's own beacon carried.
-pub const WATERMARK_UNKNOWN: u64 = u64::MAX;
 
 /// The settings of a node's link to its parent, shared by leaves and
 /// relays (the CLI flags of both modes map onto these 1:1).
@@ -162,19 +164,12 @@ impl Uplink {
     }
 
     /// Replays the ring suffix past `watermark` to the (new) parent,
-    /// re-stamped with a freshly bumped epoch and re-encoded.
-    /// [`WATERMARK_UNKNOWN`] falls back to our own delivered watermark —
-    /// conservative: never a duplicate, at worst a labeled loss of the
-    /// in-flight window. Returns the number of batches replayed.
+    /// re-stamped with a freshly bumped epoch and re-encoded. Returns the
+    /// number of batches replayed.
     pub fn replay(&mut self, server: &dyn Transport, watermark: u64) -> u64 {
-        let from = if watermark == WATERMARK_UNKNOWN {
-            self.delivered_seq
-        } else {
-            watermark
-        };
         self.epoch += 1;
         let mut replayed = 0u64;
-        for b in self.ring.iter_mut().filter(|b| b.seq > from) {
+        for b in self.ring.iter_mut().filter(|b| b.seq > watermark) {
             b.epoch = self.epoch;
             if send_wire(server, &*b).is_ok() {
                 replayed += 1;
@@ -240,6 +235,14 @@ pub(crate) struct Upstream<'a> {
     pub addr: String,
     /// Upward batch sequencing, the topology epoch, and the replay ring.
     pub uplink: Uplink,
+    /// Rows awaiting the next [`Upstream::flush`].
+    pub pending: BatchBuilder,
+    /// Rows flushed upward: the count the Goodbye announces.
+    pub samples_sent: u64,
+    /// Flushed batches a live connection accepted.
+    pub batches_sent: u64,
+    /// Telemetry rows [`Upstream::sample_self`] appended.
+    pub obs_samples_sent: u64,
     /// The node's role in its telemetry focus (`daemon` or `relay`).
     role: &'static str,
     /// Periodic self-sampling, from the first [`Upstream::sample_self`].
@@ -265,6 +268,10 @@ impl<'a> Upstream<'a> {
             role,
             obs: None,
             uplink: Uplink::new(cfg.replay_ring),
+            pending: BatchBuilder::default(),
+            samples_sent: 0,
+            batches_sent: 0,
+            obs_samples_sent: 0,
             shutdown: false,
             probes_answered: 0,
             failovers: 0,
@@ -378,15 +385,11 @@ impl<'a> Upstream<'a> {
     }
 
     /// When a self-observation period has elapsed, appends this node's
-    /// telemetry rows — its registry's, then `extra`'s — to `into`,
-    /// stamped now under its obs focus; returns how many. The first call
-    /// starts the sampler, so its null-span calibration runs once the node
-    /// streams, not while a fleet of processes is still starting up.
-    pub fn sample_self(
-        &mut self,
-        into: &mut BatchBuilder,
-        extra: impl FnOnce() -> Vec<(String, f64)>,
-    ) -> u32 {
+    /// telemetry rows — its registry's, then `extra`'s — to the pending
+    /// batch, stamped now under its obs focus; returns how many. The first
+    /// call starts the sampler, so its null-span calibration runs once the
+    /// node streams, not while a fleet of processes is still starting up.
+    pub fn sample_self(&mut self, extra: impl FnOnce() -> Vec<(String, f64)>) -> u32 {
         let Some(period) = self.cfg.obs_period else {
             return 0;
         };
@@ -400,16 +403,36 @@ impl<'a> Upstream<'a> {
         let wall = daemon_now(self.cfg.skew_ns);
         let n = rows.len() as u32;
         for (metric, value) in rows {
-            into.push(metric, sampler.focus().to_string(), wall, value);
+            self.pending
+                .push(metric, sampler.focus().to_string(), wall, value);
         }
+        self.obs_samples_sent += u64::from(n);
         n
     }
 
-    /// Sends the final [`DaemonMsg::Goodbye`] announcing the session's
-    /// upward send count, so the parent can close the conservation law
-    /// (`announced == received + lost`). Returns whether it was accepted.
-    pub fn goodbye(&self, samples_sent: u64) -> bool {
-        let samples_sent = u32::try_from(samples_sent).unwrap_or(u32::MAX);
+    /// Sends every pending row upward as one batch carrying `sources`:
+    /// the uplink stamps and rings it, so a handover can replay it. The
+    /// rows count as sent whether or not this send landed — a failed send
+    /// is either replayed or becomes visible loss at the parent. Nothing
+    /// pending sends nothing.
+    pub fn flush(&mut self, sources: Vec<SourceMark>) {
+        if self.pending.is_empty() {
+            return;
+        }
+        let mut batch = self.pending.take();
+        batch.sources = sources;
+        self.samples_sent += batch.len() as u64;
+        if self.uplink.send(self.server, batch) {
+            self.batches_sent += 1;
+        }
+    }
+
+    /// Sends the final [`DaemonMsg::Goodbye`] announcing the rows flushed
+    /// upward, so the parent can close the conservation law
+    /// (`announced == received + lost`); call it after the last flush.
+    /// Returns whether it was accepted.
+    pub fn goodbye(&self) -> bool {
+        let samples_sent = u32::try_from(self.samples_sent).unwrap_or(u32::MAX);
         send_wire(
             self.server as &dyn Transport,
             &DaemonMsg::Goodbye { samples_sent },
@@ -569,22 +592,6 @@ mod tests {
         assert_eq!(up.replay(&*a, 4), 1);
         let got = recv_all(&b);
         assert_eq!((got[0].epoch, got[0].seq), (2, 5));
-    }
-
-    #[test]
-    fn unknown_watermark_replays_from_own_delivered_mark() {
-        let (a, b) = InProcEnd::pair(&TransportConfig::default());
-        let mut up = Uplink::new(8);
-        up.send(&*a, batch(1, 0.0));
-        a.close();
-        up.send(&*a, batch(1, 1.0)); // undelivered
-        drop(b);
-        let (c, d) = InProcEnd::pair(&TransportConfig::default());
-        let replayed = up.replay(&*c, WATERMARK_UNKNOWN);
-        assert_eq!(replayed, 1, "only the undelivered suffix — never a dup");
-        let got = recv_all(&d);
-        assert_eq!((got[0].seq, got[0].value[0]), (2, 1.0));
-        assert_eq!(up.delivered_samples, 2);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Relay failover end to end: re-parenting orphaned subtrees with exact
 //! conservation through topology changes.
 //!
-//! Four drills, one per adoption path (no double count, no silent gap,
-//! through any topology change):
+//! Six drills, one per adoption path or gap (no double count, no silent
+//! gap, through any topology change):
 //!
 //! * **Grandchild adoption.** In a 3-level tree (leaves → mid relays →
 //!   root relay → tool), SIGKILL one mid relay. The root adopts the dead
@@ -23,6 +23,12 @@
 //!   on an uplink, then a watermark-seeded replay: the sequence watermark
 //!   suppresses every transport-level duplicate, the replay fills every
 //!   partition-dropped batch, and the session closes conserved.
+//! * **A batch of one.** A leaf at the default `batch` sends every sample
+//!   as a sequenced, ringed batch of one, so the tail a dead relay never
+//!   flushed is replayed to the tool that adopts the leaf.
+//! * **Flush before announce.** A relay that dies before it flushes on
+//!   its own still delivered every row its topology announcement
+//!   counted, so the adopter's prior-delivery credit is never a gap.
 
 use paradyn_tool::daemon::DaemonMsg;
 use paradyn_tool::{DaemonSet, DataManager, SupervisorPolicy};
@@ -421,8 +427,8 @@ fn seeded_partition_window_heals_by_replay_without_duplicates() {
     );
 
     // Handover: replay the whole ring under a bumped epoch, as a node
-    // seeded with WATERMARK_UNKNOWN would in the worst case. The receiver
-    // keeps exactly the batches the partition ate and suppresses the rest.
+    // seeded with watermark 0 does. The receiver keeps exactly the
+    // batches the partition ate and suppresses the rest.
     for b in &ring {
         let mut again = b.clone();
         again.epoch = 1;
@@ -454,4 +460,139 @@ fn seeded_partition_window_heals_by_replay_without_duplicates() {
     let cov = set.coverage();
     assert_eq!(cov.samples_lost, 0);
     assert!(cov.is_complete());
+}
+
+/// A leaf at the default `batch` of one row per upward batch, with a
+/// failover budget. Its linger outlasts the relay it is about to lose:
+/// were its Goodbye to reach the relay first, the relay would flush its
+/// whole subtree and exit.
+fn batch_of_one_leaf(samples: u32) -> RunningDaemon {
+    spawn(DaemonConfig {
+        upstream: UpstreamConfig {
+            linger: Duration::from_secs(3),
+            failover_timeout: Duration::from_secs(10),
+            ..UpstreamConfig::default()
+        },
+        samples,
+        period: Duration::from_millis(1),
+        ..DaemonConfig::default()
+    })
+    .expect("bind leaf")
+}
+
+/// A relay over `child` whose interval never elapses in a test: it
+/// flushes once `batch` rows are pending, or when it announces, which it
+/// does once `sync_rounds` probe replies synced the child.
+fn slow_relay(child: SocketAddr, batch: u32, sync_rounds: u32) -> RunningRelay {
+    spawn_relay(RelayConfig {
+        upstream: UpstreamConfig {
+            linger: Duration::from_secs(20),
+            ..UpstreamConfig::default()
+        },
+        children: vec![child],
+        batch,
+        flush_interval: Duration::from_secs(60),
+        sync_rounds,
+        child_transport: fast_transport(),
+        ..RelayConfig::default()
+    })
+    .expect("bind relay")
+}
+
+/// The tool over `relay`, adopting the orphans of a dead relay.
+fn adopting_tool(relay: &RunningRelay) -> DaemonSet {
+    let mut set = tool_over(&[relay.addr], 2);
+    set.set_policy(SupervisorPolicy {
+        adopt_orphans: true,
+        ..fast_policy()
+    });
+    set.clock_sync(4, Duration::from_secs(15)).expect("sync");
+    set
+}
+
+/// Pumps `set` until `done` holds; panics after 25 s.
+fn pump_until(set: &mut DaemonSet, what: &str, done: impl Fn(&DaemonSet) -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(25);
+    while !done(set) {
+        assert!(Instant::now() < deadline, "timed out waiting: {what}");
+        set.supervise();
+        set.pump_parallel();
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
+/// SIGKILLs `relay`, lets the tool adopt its one leaf as connection 1,
+/// and waits for the leaf's own Goodbye there. Returns the leaf's values
+/// as they landed at the tool and its announced count.
+fn kill_relay_and_adopt(set: &mut DaemonSet, relay: RunningRelay) -> (Vec<u64>, u64) {
+    let _ = relay.kill();
+    pump_until(set, "the leaf's Goodbye on an adopted link", |set| {
+        set.reparents().len() == 1 && set.len() == 2 && set.conn(1).announced_sent().is_some()
+    });
+    set.shutdown_all(Duration::from_secs(15));
+    let values = set.samples().values().iter().map(|&v| v as u64).collect();
+    (values, set.conn(1).announced_sent().expect("Goodbye"))
+}
+
+#[test]
+fn a_batch_of_one_leaf_replays_the_tail_a_dead_relay_never_flushed() {
+    let leaf = batch_of_one_leaf(40);
+    // One probe reply ends the child sync, so at most a few rows are
+    // pending when the relay announces (and flushes). After that it
+    // flushes every 16 rows: the tool holds 32 and more once two such
+    // flushes landed, and the tail after them waits for a flush that
+    // never comes.
+    let relay = slow_relay(leaf.addr, 16, 1);
+    let mut set = adopting_tool(&relay);
+    pump_until(&mut set, "32 of the leaf's rows at the tool", |set| {
+        set.conn(0).samples_received() >= 32
+    });
+
+    let (mut values, sent) = kill_relay_and_adopt(&mut set, relay);
+    assert_eq!(sent, 40);
+    assert_eq!(
+        set.conn(1).samples_lost(),
+        0,
+        "the adopted leaf replayed the tail: nothing lost"
+    );
+    values.sort_unstable();
+    assert_eq!(
+        values,
+        (0..40).collect::<Vec<u64>>(),
+        "each value landed exactly once"
+    );
+    let rep = leaf.join().expect("leaf report");
+    assert_eq!(rep.failovers, 1, "the leaf was adopted once");
+    assert!(rep.batches_replayed > 0, "the tail came from the ring");
+    assert_eq!(rep.samples_sent, 40);
+}
+
+#[test]
+fn a_relay_announces_no_row_it_has_not_delivered() {
+    let leaf = batch_of_one_leaf(40);
+    // The relay never flushes on its own: only its announcement can. A
+    // reply waits for a leaf poll (one per sample), so eight of them
+    // leave rows pending when the sync ends and the relay announces.
+    let relay = slow_relay(leaf.addr, 1_000, 8);
+    let mut set = adopting_tool(&relay);
+    pump_until(&mut set, "the relay's announcement", |set| {
+        set.conn(0).topology().is_some()
+    });
+    let counted = set.conn(0).topology().expect("announcement").children[0].received;
+    assert!(counted > 0, "rows were pending when the relay announced");
+
+    let (values, sent) = kill_relay_and_adopt(&mut set, relay);
+    assert_eq!(sent, 40);
+    let distinct: std::collections::HashSet<_> = values.iter().copied().collect();
+    assert_eq!(values.len(), distinct.len(), "no value landed twice");
+    assert_eq!(
+        values.len() as u64 + set.conn(1).samples_lost(),
+        sent,
+        "every value the leaf announced landed once or is counted lost"
+    );
+    assert!(
+        set.conn(0).samples_received() >= counted,
+        "the relay delivered every row its announcement counted"
+    );
+    leaf.join().expect("leaf report");
 }

@@ -196,11 +196,7 @@ impl Frame {
 
     /// Appends the encoded frame to `out`.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        let t0 = if pdmap_obs::enabled() {
-            Some(pdmap_obs::now_ns())
-        } else {
-            None
-        };
+        let t0 = crate::obs::clock();
         out.extend_from_slice(&self.header());
         out.extend_from_slice(&self.payload);
         if let Some(t0) = t0 {
@@ -220,11 +216,7 @@ impl Frame {
     /// Decodes one frame from the front of `buf`, returning it and the
     /// number of bytes consumed.
     pub fn decode(buf: &[u8]) -> Result<(Frame, usize), FrameError> {
-        let t0 = if pdmap_obs::enabled() {
-            Some(pdmap_obs::now_ns())
-        } else {
-            None
-        };
+        let t0 = crate::obs::clock();
         if buf.len() < HEADER_LEN {
             return Err(FrameError::Truncated);
         }
@@ -269,11 +261,7 @@ impl Frame {
         }
         // Decode timing starts once the header has arrived, so blocking for
         // an idle link does not pollute the histogram.
-        let t0 = if pdmap_obs::enabled() {
-            Some(pdmap_obs::now_ns())
-        } else {
-            None
-        };
+        let t0 = crate::obs::clock();
         if header[0..2] != MAGIC {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,

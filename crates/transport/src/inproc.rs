@@ -7,9 +7,10 @@
 
 use crate::config::TransportConfig;
 use crate::frame::{Frame, FrameKind};
+use crate::obs;
 use crate::queue::BoundedQueue;
-use crate::stats::{StatsCell, TransportStats};
-use crate::{Transport, TransportError};
+use crate::stats::{FrameTally, StatsCell, TransportStats};
+use crate::{Backend, Transport, TransportError};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -64,53 +65,22 @@ impl Transport for InProcEnd {
         if !self.open.load(Ordering::Acquire) {
             return Err(TransportError::Closed);
         }
-        let t0 = if pdmap_obs::enabled() {
-            Some(pdmap_obs::now_ns())
-        } else {
-            None
-        };
+        let t0 = obs::clock();
         let mut frame = Frame::data(kind, payload);
         frame.seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let bytes = frame.encoded_len();
-        let batched = if kind == FrameKind::SampleBatch {
-            crate::wire::SampleBatch::peek_count(&frame.payload).unwrap_or(0) as u64
-        } else {
-            0
-        };
+        let tally = FrameTally::of(&frame);
         self.out.push(frame).map_err(|_| TransportError::Closed)?;
-        self.stats.on_send(bytes);
-        if batched > 0 {
-            self.stats.on_batched_samples_sent(batched);
-        }
-        if let Some(t0) = t0 {
-            let o = crate::obs::obs();
-            let dur = pdmap_obs::now_ns().saturating_sub(t0);
-            pdmap_obs::record_span(&o.inproc_send, t0, dur);
-            o.send_ns[kind.to_u8() as usize].record(dur);
-        }
+        self.stats.on_frame_sent(tally);
+        obs::sent(Backend::InProc, kind, t0);
         Ok(())
     }
 
     fn try_recv(&self) -> Result<Option<Frame>, TransportError> {
-        let t0 = if pdmap_obs::enabled() {
-            Some(pdmap_obs::now_ns())
-        } else {
-            None
-        };
+        let t0 = obs::clock();
         match self.inc.try_pop() {
             Some(f) => {
-                self.stats.on_recv(f.encoded_len());
-                if f.kind == FrameKind::SampleBatch {
-                    if let Some(n) = crate::wire::SampleBatch::peek_count(&f.payload) {
-                        self.stats.on_batched_samples_received(n as u64);
-                    }
-                }
-                if let Some(t0) = t0 {
-                    let o = crate::obs::obs();
-                    let dur = pdmap_obs::now_ns().saturating_sub(t0);
-                    pdmap_obs::record_span(&o.inproc_deliver, t0, dur);
-                    o.recv_ns[f.kind.to_u8() as usize].record(dur);
-                }
+                self.stats.on_frame_received(FrameTally::of(&f));
+                obs::delivered(Backend::InProc, f.kind, t0);
                 Ok(Some(f))
             }
             None if !self.open.load(Ordering::Acquire) => Err(TransportError::Closed),

@@ -6,6 +6,7 @@
 //! lock-free recording cost (and a single relaxed load when recording is
 //! disabled).
 
+use crate::backend::Backend;
 use crate::frame::FrameKind;
 use pdmap_obs::{Counter, Histogram, SpanSite};
 use std::sync::{Arc, OnceLock};
@@ -51,4 +52,40 @@ pub(crate) fn obs() -> &'static TransportObs {
             .map(|k| pdmap_obs::histogram(&format!("transport.recv_ns.{}", k.name()))),
         auth_failures: pdmap_obs::counter("transport.auth_failures"),
     })
+}
+
+/// Starts timing one transport call: the start stamp while recording is
+/// on, else `None`, and the call records nothing.
+pub(crate) fn clock() -> Option<u64> {
+    pdmap_obs::enabled().then(pdmap_obs::now_ns)
+}
+
+/// Records a send of a `kind` frame over `backend`, timed from `t0` (see
+/// [`clock`]): its span and its latency in `transport.send_ns.<kind>`.
+pub(crate) fn sent(backend: Backend, kind: FrameKind, t0: Option<u64>) {
+    let Some(t0) = t0 else { return };
+    let o = obs();
+    let site = match backend {
+        Backend::InProc => &o.inproc_send,
+        Backend::Tcp => &o.tcp_send,
+    };
+    record(site, &o.send_ns[kind.to_u8() as usize], t0);
+}
+
+/// Records the delivery of a `kind` frame over `backend`, timed from `t0`
+/// (see [`clock`]): its span and its latency in `transport.recv_ns.<kind>`.
+pub(crate) fn delivered(backend: Backend, kind: FrameKind, t0: Option<u64>) {
+    let Some(t0) = t0 else { return };
+    let o = obs();
+    let site = match backend {
+        Backend::InProc => &o.inproc_deliver,
+        Backend::Tcp => &o.tcp_deliver,
+    };
+    record(site, &o.recv_ns[kind.to_u8() as usize], t0);
+}
+
+fn record(site: &SpanSite, latency: &Histogram, t0: u64) {
+    let dur = pdmap_obs::now_ns().saturating_sub(t0);
+    pdmap_obs::record_span(site, t0, dur);
+    latency.record(dur);
 }

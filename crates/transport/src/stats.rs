@@ -5,7 +5,32 @@
 //! [`TransportStats`], whose rows ([`TRANSPORT_ROWS`]) the tool layer
 //! exports as its Figure-9-style "Transport" metric level.
 
+use crate::frame::{Frame, FrameKind};
+use crate::wire::SampleBatch;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// What one data frame adds to a transport's counters: its encoded bytes
+/// and, for a [`SampleBatch`] frame, the samples it carries.
+#[derive(Clone, Copy, Debug)]
+pub struct FrameTally {
+    bytes: u64,
+    samples: u64,
+}
+
+impl FrameTally {
+    /// The tally of `frame`; a batch whose count cannot be read carries
+    /// no samples.
+    pub fn of(frame: &Frame) -> Self {
+        let samples = match frame.kind {
+            FrameKind::SampleBatch => SampleBatch::peek_count(&frame.payload).unwrap_or(0),
+            _ => 0,
+        };
+        FrameTally {
+            bytes: frame.encoded_len() as u64,
+            samples: samples as u64,
+        }
+    }
+}
 
 /// Shared atomic counters updated by the transport hot paths.
 #[derive(Debug, Default)]
@@ -30,17 +55,20 @@ pub struct StatsCell {
 }
 
 impl StatsCell {
-    /// Records a sent data frame of `bytes` encoded bytes.
-    pub fn on_send(&self, bytes: usize) {
+    /// Records a data frame accepted for delivery.
+    pub fn on_frame_sent(&self, t: FrameTally) {
         self.frames_sent.fetch_add(1, Ordering::Relaxed);
-        self.bytes_sent.fetch_add(bytes as u64, Ordering::Relaxed);
+        self.bytes_sent.fetch_add(t.bytes, Ordering::Relaxed);
+        self.samples_batched_sent
+            .fetch_add(t.samples, Ordering::Relaxed);
     }
 
-    /// Records a received data frame of `bytes` encoded bytes.
-    pub fn on_recv(&self, bytes: usize) {
+    /// Records a data frame delivered to the receiving application.
+    pub fn on_frame_received(&self, t: FrameTally) {
         self.frames_received.fetch_add(1, Ordering::Relaxed);
-        self.bytes_received
-            .fetch_add(bytes as u64, Ordering::Relaxed);
+        self.bytes_received.fetch_add(t.bytes, Ordering::Relaxed);
+        self.samples_batched_received
+            .fetch_add(t.samples, Ordering::Relaxed);
     }
 
     /// Records `n` dropped frames (backpressure policy or link failure).
@@ -86,17 +114,6 @@ impl StatsCell {
     /// Records a peer rejected by the authenticated Hello handshake.
     pub fn on_auth_failure(&self) {
         self.auth_failures.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records `n` samples leaving in a [`crate::wire::SampleBatch`] frame.
-    pub fn on_batched_samples_sent(&self, n: u64) {
-        self.samples_batched_sent.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Records `n` samples arriving in a [`crate::wire::SampleBatch`] frame.
-    pub fn on_batched_samples_received(&self, n: u64) {
-        self.samples_batched_received
-            .fetch_add(n, Ordering::Relaxed);
     }
 
     /// Records one socket write call.
@@ -302,12 +319,16 @@ impl TransportStats {
 mod tests {
     use super::*;
 
+    fn tally(bytes: u64, samples: u64) -> FrameTally {
+        FrameTally { bytes, samples }
+    }
+
     #[test]
     fn snapshot_reflects_counters() {
         let c = StatsCell::default();
-        c.on_send(100);
-        c.on_send(20);
-        c.on_recv(100);
+        c.on_frame_sent(tally(100, 0));
+        c.on_frame_sent(tally(20, 0));
+        c.on_frame_received(tally(100, 0));
         c.on_drop(3);
         c.on_retry();
         c.on_reconnect();
@@ -334,11 +355,25 @@ mod tests {
     #[test]
     fn batched_sample_counters_accumulate() {
         let c = StatsCell::default();
-        c.on_batched_samples_sent(64);
-        c.on_batched_samples_sent(3);
-        c.on_batched_samples_received(64);
+        c.on_frame_sent(tally(700, 64));
+        c.on_frame_sent(tally(60, 3));
+        c.on_frame_received(tally(700, 64));
         let s = c.snapshot();
         assert_eq!(s.samples_batched_sent, 67);
         assert_eq!(s.samples_batched_received, 64);
+    }
+
+    #[test]
+    fn a_frame_tallies_its_bytes_and_its_batch_count() {
+        let mut rows = crate::wire::BatchBuilder::default();
+        for i in 0..5 {
+            rows.push("m".into(), "f".into(), i, 1.0);
+        }
+        let batch = crate::WirePayload::to_frame(&rows.take());
+        let t = FrameTally::of(&batch);
+        assert_eq!((t.bytes, t.samples), (batch.encoded_len() as u64, 5));
+        let other = Frame::data(FrameKind::Daemon, vec![5; 9]);
+        let t = FrameTally::of(&other);
+        assert_eq!((t.bytes, t.samples), (other.encoded_len() as u64, 0));
     }
 }

@@ -57,9 +57,10 @@
 
 use crate::config::{auth_tag, ct_eq, splitmix64, TransportConfig};
 use crate::frame::{Frame, FrameKind, HEADER_LEN};
+use crate::obs;
 use crate::queue::BoundedQueue;
-use crate::stats::{StatsCell, TransportStats};
-use crate::{Transport, TransportError};
+use crate::stats::{FrameTally, StatsCell, TransportStats};
+use crate::{Backend, Transport, TransportError};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader, IoSlice, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -475,7 +476,10 @@ fn reader_loop(shared: &ClientShared) {
     let mut seen_gen = 0u64;
     let mut burst = Vec::new();
     loop {
-        // Wait for a fresh connection generation.
+        // Wait for a fresh connection generation. Both ways out — a
+        // generation `establish` publishes and `stop` — change what this
+        // loop checks under the `conn` lock before they notify, so the
+        // wait needs no timer.
         let stream = {
             let mut slot = lock(&shared.conn);
             loop {
@@ -488,7 +492,7 @@ fn reader_loop(shared: &ClientShared) {
                         break s.try_clone().expect("clone TCP stream");
                     }
                 }
-                slot = wait_for(&shared.conn_cv, slot, Duration::from_millis(50));
+                slot = shared.conn_cv.wait(slot).unwrap_or_else(|e| e.into_inner());
             }
         };
         // Read until the connection is lost, handing frames over a read
@@ -508,12 +512,7 @@ fn reader_loop(shared: &ClientShared) {
                 }
                 FrameKind::Hello => {}
                 _ => {
-                    shared.stats.on_recv(frame.encoded_len());
-                    if frame.kind == FrameKind::SampleBatch {
-                        if let Some(n) = crate::wire::SampleBatch::peek_count(&frame.payload) {
-                            shared.stats.on_batched_samples_received(n as u64);
-                        }
-                    }
+                    shared.stats.on_frame_received(FrameTally::of(&frame));
                     burst.push(frame);
                 }
             }
@@ -525,6 +524,17 @@ fn reader_loop(shared: &ClientShared) {
         lock(&shared.inflight).lost = seen_gen;
         shared.settled.notify_all();
     }
+}
+
+/// Hands the application the oldest frame a reader delivered to `inbox`,
+/// timing the delivery — both ends' `try_recv`.
+fn pop_inbox(inbox: &Mutex<VecDeque<Frame>>) -> Result<Option<Frame>, TransportError> {
+    let t0 = obs::clock();
+    let frame = lock(inbox).pop_front();
+    if let Some(f) = &frame {
+        obs::delivered(Backend::Tcp, f.kind, t0);
+    }
+    Ok(frame)
 }
 
 /// Hands a consumed read burst to the application.
@@ -541,52 +551,19 @@ impl Transport for TcpClient {
         if sh.closing() {
             return Err(TransportError::Closed);
         }
-        let t0 = if pdmap_obs::enabled() {
-            Some(pdmap_obs::now_ns())
-        } else {
-            None
-        };
+        let t0 = obs::clock();
         // The writer stamps the sequence as it takes the frame, so the
         // wire order and the sequence order are one.
         let frame = Frame::data(kind, payload);
-        let bytes = frame.encoded_len();
-        let batched = if kind == FrameKind::SampleBatch {
-            crate::wire::SampleBatch::peek_count(&frame.payload).unwrap_or(0) as u64
-        } else {
-            0
-        };
+        let tally = FrameTally::of(&frame);
         sh.queue.push(frame).map_err(|_| TransportError::Closed)?;
-        sh.stats.on_send(bytes);
-        if batched > 0 {
-            sh.stats.on_batched_samples_sent(batched);
-        }
-        if let Some(t0) = t0 {
-            let o = crate::obs::obs();
-            let dur = pdmap_obs::now_ns().saturating_sub(t0);
-            pdmap_obs::record_span(&o.tcp_send, t0, dur);
-            o.send_ns[kind.to_u8() as usize].record(dur);
-        }
+        sh.stats.on_frame_sent(tally);
+        obs::sent(Backend::Tcp, kind, t0);
         Ok(())
     }
 
     fn try_recv(&self) -> Result<Option<Frame>, TransportError> {
-        let t0 = if pdmap_obs::enabled() {
-            Some(pdmap_obs::now_ns())
-        } else {
-            None
-        };
-        match lock(&self.shared.recv).pop_front() {
-            Some(f) => {
-                if let Some(t0) = t0 {
-                    let o = crate::obs::obs();
-                    let dur = pdmap_obs::now_ns().saturating_sub(t0);
-                    pdmap_obs::record_span(&o.tcp_deliver, t0, dur);
-                    o.recv_ns[f.kind.to_u8() as usize].record(dur);
-                }
-                Ok(Some(f))
-            }
-            None => Ok(None),
-        }
+        pop_inbox(&self.shared.recv)
     }
 
     fn stats(&self) -> TransportStats {
@@ -1058,12 +1035,7 @@ fn conn_loop(stream: TcpStream, handle: &Arc<ConnHandle>, shared: &Arc<ServerSha
                     }
                 };
                 if fresh {
-                    shared.stats.on_recv(frame.encoded_len());
-                    if frame.kind == FrameKind::SampleBatch {
-                        if let Some(n) = crate::wire::SampleBatch::peek_count(&frame.payload) {
-                            shared.stats.on_batched_samples_received(n as u64);
-                        }
-                    }
+                    shared.stats.on_frame_received(FrameTally::of(&frame));
                     burst.push(frame);
                 } else {
                     shared.stats.on_duplicate();
@@ -1101,19 +1073,10 @@ impl Transport for TcpServer {
         if self.shared.closed.load(Ordering::Acquire) {
             return Err(TransportError::Closed);
         }
-        let t0 = if pdmap_obs::enabled() {
-            Some(pdmap_obs::now_ns())
-        } else {
-            None
-        };
+        let t0 = obs::clock();
         let mut frame = Frame::data(kind, payload);
         frame.seq = self.shared.next_seq.fetch_add(1, Ordering::Relaxed);
-        let bytes = frame.encoded_len();
-        let batched = if kind == FrameKind::SampleBatch {
-            crate::wire::SampleBatch::peek_count(&frame.payload)
-        } else {
-            None
-        };
+        let tally = FrameTally::of(&frame);
         let conns = lock(&self.shared.conns).clone();
         let mut queued = false;
         for (i, c) in conns.iter().enumerate() {
@@ -1126,37 +1089,13 @@ impl Transport for TcpServer {
                 TransportError::Io("no live connections".into())
             });
         }
-        self.shared.stats.on_send(bytes);
-        if let Some(n) = batched {
-            self.shared.stats.on_batched_samples_sent(n as u64);
-        }
-        if let Some(t0) = t0 {
-            let o = crate::obs::obs();
-            let dur = pdmap_obs::now_ns().saturating_sub(t0);
-            pdmap_obs::record_span(&o.tcp_send, t0, dur);
-            o.send_ns[kind.to_u8() as usize].record(dur);
-        }
+        self.shared.stats.on_frame_sent(tally);
+        obs::sent(Backend::Tcp, kind, t0);
         Ok(())
     }
 
     fn try_recv(&self) -> Result<Option<Frame>, TransportError> {
-        let t0 = if pdmap_obs::enabled() {
-            Some(pdmap_obs::now_ns())
-        } else {
-            None
-        };
-        match lock(&self.shared.recv).pop_front() {
-            Some(f) => {
-                if let Some(t0) = t0 {
-                    let o = crate::obs::obs();
-                    let dur = pdmap_obs::now_ns().saturating_sub(t0);
-                    pdmap_obs::record_span(&o.tcp_deliver, t0, dur);
-                    o.recv_ns[f.kind.to_u8() as usize].record(dur);
-                }
-                Ok(Some(f))
-            }
-            None => Ok(None),
-        }
+        pop_inbox(&self.shared.recv)
     }
 
     fn stats(&self) -> TransportStats {
