@@ -16,12 +16,14 @@
 //! `--chaos` runs the fault drill instead of the steady-state session:
 //! SIGKILL one of the N daemons mid-stream, assert the supervisor reports
 //! `Coverage { nodes_reporting: N-1 }` (loss labeled, never a silent
-//! zero), respawn a replacement on a fresh port, and assert readmission
-//! back to N/N. `--fault-plan` additionally wraps every tool→daemon link
-//! in a seeded [`FaultInjector`]; the report carries the injector's
-//! conservation check. `--secret` makes every daemon require the
-//! passphrase at handshake. Exits nonzero on uncovered loss — samples
-//! that vanished without showing up in `samples_lost`.
+//! zero), retry the dead address for 1 s and assert no `supervise` pass
+//! stalls on it (`max_supervise_ms` < 500), respawn a replacement on a
+//! fresh port, and assert readmission back to N/N. `--fault-plan`
+//! additionally wraps every tool→daemon link in a seeded
+//! [`FaultInjector`]; the report carries the injector's conservation
+//! check. `--secret` makes every daemon require the passphrase at
+//! handshake. Exits nonzero on uncovered loss — samples that vanished
+//! without showing up in `samples_lost`.
 //!
 //! ```sh
 //! cargo run -p pdmap-bench --release --bin multi_daemon -- --relay-fanout 8
@@ -598,18 +600,34 @@ fn chaos_main(opts: &Options) -> ExitCode {
     // verdict to a *different decided* answer.
     let (flips_to_unknown, audit_ok) = verdict_drill(n, set.session_coverage(), &mut check);
 
+    // Retries of the still-dead daemon must not stall the session: with
+    // its reconnect factory pointed at the dead address, time every
+    // `supervise` of a 1 s pump-and-supervise window.
+    let redial = |addr: SocketAddr| -> paradyn_tool::ReconnectFn {
+        let secret = secret.map(str::to_owned);
+        Box::new(move || TcpClient::connect(addr, chaos_transport(secret.as_deref())) as _)
+    };
+    set.set_reconnect(victim, redial(dead.addr));
+    let window_end = Instant::now() + Duration::from_secs(1);
+    let mut max_supervise = Duration::ZERO;
+    while Instant::now() < window_end {
+        set.pump_parallel();
+        let t = Instant::now();
+        set.supervise();
+        max_supervise = max_supervise.max(t.elapsed());
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let max_supervise_ms = max_supervise.as_secs_f64() * 1e3;
+    check(
+        &format!("no supervise pass stalls on the dead daemon ({max_supervise_ms:.1} ms)"),
+        max_supervise_ms < 500.0,
+    );
+
     // Respawn on a fresh port and point the victim's reconnect factory at it.
     let replacement = spawn_daemon(&bin, victim as i64 * 10_000_000, 2000, 60_000, secret);
     let new_addr = replacement.addr;
     eprintln!("chaos: respawned replacement at {new_addr}");
-    let secret_owned = secret.map(str::to_owned);
-    set.set_reconnect(
-        victim,
-        Box::new(move || {
-            TcpClient::connect(new_addr, chaos_transport(secret_owned.as_deref()))
-                as Arc<dyn Transport>
-        }),
-    );
+    set.set_reconnect(victim, redial(new_addr));
     procs[victim] = Some(replacement);
     while set.health(victim) == DaemonHealth::Quarantined && Instant::now() < deadline {
         set.pump_parallel();
@@ -664,7 +682,7 @@ fn chaos_main(opts: &Options) -> ExitCode {
     check("fault injector conservation law", conservation_ok);
 
     println!(
-        r#"{{"chaos":true,"daemons":{n},"coverage_during":"{}/{}","coverage_after":"{}/{}","samples_lost":{},"recoveries":{},"fault_plan":"{}","faults_injected":{faults_injected},"conservation_ok":{conservation_ok},"verdict_flips_to_unknown":{flips_to_unknown},"verdict_audit_ok":{audit_ok},"elapsed_ms":{},"ok":{ok}}}"#,
+        r#"{{"chaos":true,"daemons":{n},"coverage_during":"{}/{}","coverage_after":"{}/{}","samples_lost":{},"recoveries":{},"fault_plan":"{}","faults_injected":{faults_injected},"conservation_ok":{conservation_ok},"verdict_flips_to_unknown":{flips_to_unknown},"verdict_audit_ok":{audit_ok},"max_supervise_ms":{max_supervise_ms:.1},"elapsed_ms":{},"ok":{ok}}}"#,
         cov_during.nodes_reporting,
         cov_during.nodes_total,
         cov_after.nodes_reporting,
@@ -737,12 +755,9 @@ impl Drained {
 /// the readers' receive queues. Once the inflow quiesces, the timed
 /// passes measure what actually differs between a flat fleet of
 /// one-sample batches and a relay tree: how much tool-side work it takes
-/// to decode, skew-correct, and store the same backlog.
-///
-/// `pooled` selects the drain strategy: the persistent worker pool (the
-/// subsystem under test) or the per-call scoped spawns it replaced (the
-/// baseline's contemporary).
-fn drive(set: &mut DaemonSet, want: usize, deadline: Instant, pooled: bool) -> Drained {
+/// to decode, skew-correct, and store the same backlog. Both drain through
+/// the one pooled `pump_parallel`.
+fn drive(set: &mut DaemonSet, want: usize, deadline: Instant) -> Drained {
     let received = |set: &DaemonSet| -> u64 {
         (0..set.len())
             .map(|i| set.conn(i).transport_stats().frames_received)
@@ -767,11 +782,7 @@ fn drive(set: &mut DaemonSet, want: usize, deadline: Instant, pooled: bool) -> D
     let mut frames = 0usize;
     while set.samples().len() < want && Instant::now() < deadline {
         let t = Instant::now();
-        let got = if pooled {
-            set.pump_parallel()
-        } else {
-            set.pump_parallel_unpooled()
-        };
+        let got = set.pump_parallel();
         if got > 0 {
             frames += got;
             durs.push(t.elapsed().as_nanos() as u64);
@@ -899,16 +910,15 @@ fn fleet_main(opts: &Options) -> ExitCode {
         kill_all(&mut flat_procs);
         return ExitCode::FAILURE;
     }
+    set.pump_parallel(); // warm the drain pool off the timed path
+
     // The daemons finish their budget, flush the Goodbye, and exit on their
     // own; reaping them *before* the timed drain leaves the box quiet, so
     // the measurement is the tool's drain cost, not scheduler crosstalk
-    // from dozens of lingering processes.
+    // from dozens of lingering processes. The baseline drains a frame per
+    // sample (each a batch of one) through the same pool as the tree.
     reap_ok("baseline", &mut flat_procs, &mut check);
-    // `pooled: false` — the flat baseline drains the way the tool drained
-    // before the relay subsystem existed: a frame per sample (each a
-    // batch of one), one scoped thread per connection spawned on every
-    // pass.
-    let flat = drive(&mut set, FLAT_BASELINE_N * FLEET_SAMPLES, deadline, false);
+    let flat = drive(&mut set, FLAT_BASELINE_N * FLEET_SAMPLES, deadline);
     let flat_cov = set.shutdown_all(DEADLINE);
     conservation_audit(
         "baseline",
@@ -972,19 +982,20 @@ fn fleet_main(opts: &Options) -> ExitCode {
     // Warm the drain pool while production is still in flight: the first
     // `pump_parallel` of a session spawns the worker threads, and that
     // one-time setup must not be billed to the first timed drain pass.
-    set.pump_parallel();
+    // Pump until every relay has told us how many leaves it stands for
+    // (the tool's coverage is then tree-aware): a relay reports once its
+    // children are synced and their mapping information forwarded, so
+    // the timed drain below lands sample batches only.
+    while set.coverage().nodes_total < leaves_n && Instant::now() < deadline {
+        set.pump_parallel();
+        std::thread::sleep(Duration::from_millis(2));
+    }
     // Same quiet-box discipline as the baseline: the leaves drain into the
     // relays and exit, the relays flush the aggregate upward and exit, and
     // only then does the timed drain run against the buffered backlog.
     reap_ok("tree-leaves", &mut leaf_procs, &mut check);
     reap_ok("tree-relays", &mut relay_procs, &mut check);
-    let tree = drive(&mut set, leaves_n * FLEET_SAMPLES, deadline, true);
-    // The subtree reports make the tool's coverage tree-aware: wait until
-    // every relay has told us how many leaves it stands for.
-    while set.coverage().nodes_total < leaves_n && Instant::now() < deadline {
-        set.pump_parallel();
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    let tree = drive(&mut set, leaves_n * FLEET_SAMPLES, deadline);
     let tree_cov = set.shutdown_all(DEADLINE);
     conservation_audit("tree", &set, f, leaves_n, &tree_cov, &mut check);
     check(
@@ -1358,7 +1369,7 @@ fn health_session(
     }
     set.pump_parallel(); // warm the drain pool off the timed path
     reap_ok(label, &mut procs, check);
-    let drained = drive(&mut set, HEALTH_N * HEALTH_SAMPLES, deadline, true);
+    let drained = drive(&mut set, HEALTH_N * HEALTH_SAMPLES, deadline);
     let cov = set.shutdown_all(DEADLINE);
     conservation_audit(label, &set, HEALTH_N, HEALTH_N, &cov, check);
     check(

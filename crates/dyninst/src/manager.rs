@@ -21,8 +21,9 @@
 //!
 //! An instrumented point does not walk its snippets one by one. Every
 //! insertion or removal rebuilds the point's *plan* (one sort of the point's
-//! snippets; [`InstrumentationManager::insert_all`] rebuilds each touched
-//! point once per batch), and `execute` runs the plan, which visits only
+//! snippets; [`InstrumentationManager::insert_all`] and
+//! [`InstrumentationManager::remove_all`] rebuild each touched point once
+//! per batch), and `execute` runs the plan, which visits only
 //! the snippets whose guard can hold. The plan is a sequence of stages in
 //! `(priority, id)` order:
 //!
@@ -363,16 +364,30 @@ impl InstrumentationManager {
     /// Removes a previously inserted snippet. Returns `true` if it was
     /// still present.
     pub fn remove(&self, handle: SnippetHandle) -> bool {
+        self.remove_all([handle]) == 1
+    }
+
+    /// Removes a batch of previously inserted snippets under one write
+    /// lock; each touched point's plan is rebuilt once. Returns how many
+    /// were still present.
+    pub fn remove_all(&self, handles: impl IntoIterator<Item = SnippetHandle>) -> usize {
+        let mut batch: Vec<(PointId, u64)> = handles.into_iter().map(|h| (h.point, h.id)).collect();
+        batch.sort_unstable();
         let mut slots = self.slots.write();
-        let Some(slot) = slots.get_mut(handle.point.index()) else {
-            return false;
-        };
-        let Some(pos) = slot.entries.iter().position(|e| e.id == handle.id) else {
-            return false;
-        };
-        slot.entries.remove(pos);
-        slot.rebuild();
-        true
+        let mut removed = 0;
+        for run in batch.chunk_by(|a, b| a.0 == b.0) {
+            let Some(slot) = slots.get_mut(run[0].0.index()) else {
+                continue;
+            };
+            let before = slot.entries.len();
+            slot.entries
+                .retain(|e| run.binary_search_by_key(&e.id, |&(_, id)| id).is_err());
+            if slot.entries.len() < before {
+                removed += before - slot.entries.len();
+                slot.rebuild();
+            }
+        }
+        removed
     }
 
     /// Enables or disables every snippet at one point without removing it.
@@ -524,6 +539,62 @@ mod tests {
         m.execute(p, &mut ctx);
         assert_eq!(m.primitives().read_counter(c), 1, "removed snippet is gone");
         assert!(!m.remove(h), "double remove reports absence");
+    }
+
+    #[test]
+    fn removing_a_batch_matches_removing_one_at_a_time() {
+        // Two managers install the same two requests over three points;
+        // one removes the first request as a batch, the other snippet by
+        // snippet.
+        let build = || {
+            let m = InstrumentationManager::new();
+            let points: [PointId; 3] = std::array::from_fn(|i| m.point(&format!("p{i}")));
+            let c: Vec<_> = (0..4).map(|_| m.primitives().new_counter()).collect();
+            let t = m.primitives().new_timer();
+            let request = |counter, delta| {
+                let mut batch = Vec::new();
+                for (k, &p) in points.iter().enumerate() {
+                    let on_node = Pred::NodeIs(k as u32 % 2);
+                    let bump = vec![Op::IncrCounter(counter, delta)];
+                    batch.push((p, Snippet::new(bump.clone()), 0));
+                    batch.push((p, Snippet::guarded(vec![on_node], bump), -5));
+                    batch.push((p, Snippet::new(vec![Op::IncrCounter(c[3], 1)]), 5));
+                }
+                batch.push((points[0], Snippet::new(vec![Op::StartProcessTimer(t)]), -10));
+                batch.push((points[2], Snippet::new(vec![Op::StopProcessTimer(t)]), 10));
+                m.insert_all(batch)
+            };
+            let first = request(c[0], 1);
+            request(c[1], 10);
+            (m, points, c, t, first)
+        };
+        let (batched, points, c, t, first) = build();
+        let (single, _, _, _, one_by_one) = build();
+        assert_eq!(batched.remove_all(first.iter().copied()), first.len());
+        for h in one_by_one {
+            assert!(single.remove(h));
+        }
+        assert_eq!(batched.remove_all(first), 0, "already gone");
+        let counts = |m: &InstrumentationManager| points.map(|p| m.snippet_count(p));
+        assert_eq!(counts(&batched), [4, 3, 4], "the kept request's snippets");
+        assert_eq!(counts(&batched), counts(&single));
+        // The next execution of every point, on both nodes, moves the same
+        // primitives the same way.
+        let values = |m: &InstrumentationManager| {
+            let mut now = 0;
+            for node in 0..2 {
+                for p in points {
+                    now += 5;
+                    m.execute(p, &mut ExecCtx::basic(node, now));
+                }
+            }
+            let prims = m.primitives();
+            let counters: Vec<i64> = c.iter().map(|&c| prims.read_counter(c)).collect();
+            (counters, prims.read_timer(t, now), prims.timer_running(t))
+        };
+        let want = values(&batched);
+        assert_eq!(want.0, [0, 90, 0, 6]);
+        assert_eq!(values(&single), want);
     }
 
     #[test]

@@ -61,9 +61,7 @@ impl MetricInstance {
         if !self.installed {
             return;
         }
-        for h in self.handles.drain(..) {
-            mgr.remove(h);
-        }
+        mgr.remove_all(self.handles.drain(..));
         self.installed = false;
     }
 

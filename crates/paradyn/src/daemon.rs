@@ -21,9 +21,9 @@
 //! one [`ChildLink`] and keeps its books in one [`LinkLedger`]: clock
 //! offset, conservation counts across lives, replay watermark, source
 //! marks, subtree report, topology and the adoption seed. The probe
-//! exchange, the decode and fold of every frame, the frames held while a
-//! clock sync is in flight, and the conservation, dedup and adoption rules
-//! are one piece of code at every level of the tree.
+//! exchange and its pacing, the decode and fold of every frame, the frames
+//! held while a clock sync is in flight, and the conservation, dedup and
+//! adoption rules are one piece of code at every level of the tree.
 
 use crate::daemonset::Coverage;
 use cmrts_sim::machine::{ArrayAllocInfo, MappingSink};
@@ -37,6 +37,7 @@ use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 /// Span sites for the daemon channel, interned once (see `pdmap-obs`).
 pub(crate) struct DaemonObs {
@@ -701,20 +702,28 @@ pub enum Arrival {
 /// [`ChildLink::recv`] decodes a frame, folds it into the books and
 /// returns one [`Arrival`] to land or forward.
 ///
-/// **Clock sync.** A sync runs from the first [`ChildLink::probe`] to
+/// **Clock sync.** A sync runs from [`ChildLink::start_sync`] to
 /// [`ChildLink::end_sync`]: each reply folds into its minimum-RTT estimate
 /// and every other frame is held, so nothing lands on a clock about to be
 /// replaced. The held frames are read first once the sync ends, timed with
-/// its estimate (or the old one, if no probe was answered). How many
-/// probes, how long to wait and when to end is the parent's loop.
+/// its estimate (or the old one, if no probe was answered). Both parents
+/// pace it the same way: each [`ChildLink::pace_sync`] sends the next of
+/// the sync's probes once the last was answered or ran out of patience,
+/// and says when the sync may end. The parent only decides how often to
+/// call it: the tool's `clock_sync` and adoption until every link's sync
+/// ends, a readmission once per supervision pass, a relay once per pump.
 pub struct ChildLink {
     tx: Arc<dyn Transport>,
     addr: String,
     ledger: LinkLedger,
-    /// The probe in flight: `(token, t0 on the parent's clock)`.
-    probe: Option<(u64, u64)>,
     /// The sync in flight: the estimate its replies have built so far.
     sync: Option<ClockEstimate>,
+    /// Probes the sync in flight has yet to send.
+    probes_left: u32,
+    /// How long each probe waits for its reply.
+    patience: Duration,
+    /// The probe in flight: `(token, t0 on the parent's clock)`.
+    probe: Option<(u64, u64)>,
     /// Held frames: the first `released` an ended sync let go, then those
     /// the sync in flight holds.
     held: VecDeque<Frame>,
@@ -736,14 +745,16 @@ impl DerefMut for ChildLink {
 
 impl ChildLink {
     /// A link to the child at `addr` over `tx`, keeping its books in
-    /// `ledger`. Until a probe starts a sync, frames land as they arrive.
+    /// `ledger`. Until a sync starts, frames land as they arrive.
     pub fn new(addr: impl Into<String>, tx: Arc<dyn Transport>, ledger: LinkLedger) -> Self {
         Self {
             tx,
             addr: addr.into(),
             ledger,
-            probe: None,
             sync: None,
+            probes_left: 0,
+            patience: Duration::ZERO,
+            probe: None,
             held: VecDeque::new(),
             released: 0,
         }
@@ -774,35 +785,40 @@ impl ChildLink {
         self.sync.is_some()
     }
 
-    /// Probe replies the sync in flight has folded in.
-    pub fn sync_replies(&self) -> u32 {
-        self.sync.map_or(0, |est| est.rounds)
+    /// Starts a clock sync of `rounds` probes (at least one), each waiting
+    /// up to `patience` for its reply; [`ChildLink::pace_sync`] sends them.
+    /// Until [`ChildLink::end_sync`], the link holds every frame but the
+    /// replies.
+    pub fn start_sync(&mut self, rounds: u32, patience: Duration) {
+        self.sync = Some(ClockEstimate::default());
+        self.probes_left = rounds.max(1);
+        self.patience = patience;
     }
 
-    /// Frames held by the sync in flight, or released and not read yet.
-    pub fn held(&self) -> usize {
-        self.held.len()
-    }
-
-    /// Sends one clock probe stamped `now` on the parent's clock, replacing
-    /// any probe still unanswered; the first starts a sync, and the link
-    /// holds every frame but the replies until [`ChildLink::end_sync`].
-    /// False when the probe could not be queued.
-    pub fn probe(&mut self, now: u64) -> bool {
-        self.sync.get_or_insert_with(ClockEstimate::default);
+    /// Paces the sync in flight at `now` on the parent's clock: sends the
+    /// next probe, stamped `now`, once the last one was answered or has
+    /// waited its patience. True once the sync may end — its probes are
+    /// spent, or its link is dead — and false while a probe is out, or
+    /// when no sync is in flight.
+    pub fn pace_sync(&mut self, now: u64) -> bool {
+        if self.sync.is_none() || !self.tx.is_alive() {
+            return self.sync.is_some();
+        }
+        let waited = |(_, t0): (u64, u64)| Duration::from_nanos(now.saturating_sub(t0));
+        if self.probe.map(waited).is_some_and(|w| w < self.patience) {
+            return false;
+        }
+        if self.probes_left == 0 {
+            return true;
+        }
+        self.probes_left -= 1;
         let token = PROBE_TOKENS.fetch_add(1, Ordering::Relaxed);
         let probe = DaemonMsg::ClockProbe {
             token,
             t_tool_ns: now,
         };
-        let sent = send_wire(&*self.tx, &probe).is_ok();
-        self.probe = sent.then_some((token, now));
-        sent
-    }
-
-    /// True while the last probe awaits its reply.
-    pub fn awaiting_reply(&self) -> bool {
-        self.probe.is_some()
+        self.probe = send_wire(&*self.tx, &probe).is_ok().then_some((token, now));
+        false
     }
 
     /// Ends the sync in flight and releases what it held. When at least

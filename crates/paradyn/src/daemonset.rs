@@ -29,11 +29,15 @@
 //! `aligned = wall − offset` ([`pdmap::columns::align`]) as it lands.
 //!
 //! Each connection reads its daemon through a [`ChildLink`], as a relay
-//! reads each child, so both parents follow one hold rule: a frame that
-//! arrives while its link's sync is in flight lands when the sync ends,
-//! timed with that sync's estimate (a failed sync lands it with the
-//! estimate the link already had). A readmitted daemon's first samples
-//! land on its new clock, and no row is re-timed after it lands.
+//! reads each child, so both parents follow one hold rule and one pacing.
+//! A frame that arrives while its link's sync is in flight lands when the
+//! sync ends, timed with that sync's estimate (a failed sync lands it with
+//! the estimate the link already had). A readmitted daemon's first samples
+//! land on its new clock, and no row is re-timed after it lands. Every
+//! sync is paced by [`ChildLink::pace_sync`]: a probe at a time, each
+//! waiting up to its round timeout, until the probes are spent or the link
+//! dies. `clock_sync` starts every admitted link's sync and steps them
+//! together, so every link's first probe goes out before any link's second.
 //!
 //! # Shards
 //!
@@ -81,12 +85,16 @@
 //! [`DaemonSet::supervise`] drives the transitions from heartbeat age,
 //! decode-error rate and clock-sync failures (thresholds in
 //! [`SupervisorPolicy`]). Quarantined daemons are excluded from pumping
-//! and retried with capped exponential backoff + jitter; a successful
-//! retry re-dials (via the connection's reconnect factory), re-syncs the
-//! clock, relies on the data manager's content-hash dedup to absorb the
-//! re-shipped PIF, and logs a [`RecoveryReport`] with the sample-sequence
-//! gap. Every transition bumps a `daemonset.*` counter so the tool's
-//! self-mapping (`selfmap`) can display its own failure handling.
+//! and retried with capped exponential backoff + jitter. A retry re-dials
+//! (via the connection's reconnect factory) and starts the clock re-sync,
+//! which each later supervision pass steps once, so no pass waits on a
+//! probe and a daemon that stays dead never stalls the session. A sync
+//! that installs an estimate readmits the daemon, relies on the data
+//! manager's content-hash dedup to absorb the re-shipped PIF, and logs a
+//! [`RecoveryReport`] with the sample-sequence gap; one that does not
+//! closes the fresh link and backs off. Every transition bumps a
+//! `daemonset.*` counter so the tool's self-mapping (`selfmap`) can
+//! display its own failure handling.
 //!
 //! Loss is *accounted*, never silent: [`Coverage`] labels every merged
 //! result with how many nodes actually reported and a lower bound on the
@@ -246,9 +254,11 @@ pub struct SupervisorPolicy {
     /// Backoff schedule for readmission retries (capped exponential with
     /// deterministic jitter — the transport's own reconnect curve).
     pub retry: pdmap_transport::ReconnectPolicy,
-    /// Clock-probe rounds a readmission retry must complete.
+    /// Clock probes a readmission's (or an adoption's) sync sends; the
+    /// daemon is readmitted once the sync ends with at least one answered.
     pub retry_sync_rounds: u32,
-    /// Budget for those rounds; an unanswered retry fails and backs off.
+    /// How long each of those probes waits for its reply. A sync none of
+    /// whose probes is answered fails, and the retry backs off.
     pub retry_sync_timeout: Duration,
     /// When true, quarantining a connection that announced a topology (a
     /// relay) re-parents its orphaned children: the supervisor dials each
@@ -663,6 +673,9 @@ pub struct DaemonConn {
     retry_attempt: u32,
     next_retry: Option<Instant>,
     reconnect: Option<ReconnectFn>,
+    /// The loss of the life the last re-dial ended, reported once the
+    /// readmission's sync succeeds.
+    gap: Option<u64>,
 }
 
 impl Deref for DaemonConn {
@@ -685,6 +698,7 @@ impl DaemonConn {
             retry_attempt: 0,
             next_retry: None,
             reconnect: None,
+            gap: None,
         }
     }
 
@@ -722,6 +736,34 @@ impl DaemonConn {
         self.retry_attempt = 0;
         self.next_retry = Some(now + policy.retry.delay_for(0));
         set_obs().quarantine.incr();
+    }
+
+    /// Starts a readmission once the quarantined link's retry is due: ends
+    /// the dead life (its announced loss joins the ledger's ended lives and
+    /// is kept for the recovery report), re-dials through the reconnect
+    /// factory and starts the fresh link's sync. An adopted child whose
+    /// first sync failed is paid its seed once this one completes; the
+    /// daemon re-ships its PIF on reconnect, and the data manager's
+    /// content-hash dedup absorbs the duplicate. False when none started.
+    fn redial_if_due(&mut self, now: Instant, policy: &SupervisorPolicy) -> bool {
+        // A re-parented relay must not be re-dialed: its old children now
+        // report directly, and a restarted relay re-attaching them would
+        // double every sample.
+        if self.is_subtree_adopted() || self.next_retry.is_some_and(|t| now < t) {
+            return false;
+        }
+        set_obs().retry.incr();
+        let Some(factory) = self.reconnect.as_ref() else {
+            // No way back; keep backing off so we don't spin.
+            self.retry_attempt = self.retry_attempt.saturating_add(1);
+            self.next_retry = Some(now + policy.retry.delay_for(self.retry_attempt));
+            return false;
+        };
+        self.gap = self.link.redial(factory());
+        self.errors_at_life_start = self.decode_errors.len();
+        let (rounds, patience) = (policy.retry_sync_rounds, policy.retry_sync_timeout);
+        self.link.start_sync(rounds, patience);
+        true
     }
 
     /// Decode errors in the current life (since connect or readmission).
@@ -863,33 +905,26 @@ impl DaemonConn {
         }
     }
 
-    /// The tool's clock sync of this link: `rounds` probes, each waiting up
-    /// to `timeout` for its reply, completing once one reply arrived. Then
-    /// the frames the link held land on the new estimate (the old one if no
-    /// reply came); an adopted child's seed carries the set's `epoch`.
-    fn sync(
+    /// One step of this link's sync in flight: reads what is queued (a
+    /// reply folds into the sync, the rest is held) and paces the probes
+    /// ([`ChildLink::pace_sync`]). Once the sync may end, it ends, paying an
+    /// adopted child's seed with the set's `epoch`, and what it held lands
+    /// on the new estimate (the old one if no probe was answered).
+    /// `Some(installed)` once it ended, `None` while it is in flight.
+    fn step_sync(
         &mut self,
         data: &DataManager,
         out: &mut Landing,
         index: usize,
-        rounds: u32,
-        timeout: Duration,
         epoch: u64,
-    ) -> bool {
-        for _ in 0..rounds.max(1) {
-            if !self.link.probe(pdmap_obs::now_ns()) {
-                continue;
-            }
-            let deadline = Instant::now() + timeout;
-            while self.link.awaiting_reply() && Instant::now() < deadline {
-                if self.drain(data, out, index) == 0 {
-                    std::thread::yield_now();
-                }
-            }
+    ) -> Option<bool> {
+        self.drain(data, out, index);
+        if !self.link.pace_sync(pdmap_obs::now_ns()) {
+            return None;
         }
         let synced = self.link.end_sync(epoch, "tool");
-        while self.link.held() > 0 && self.drain(data, out, index) > 0 {}
-        synced
+        self.drain(data, out, index);
+        Some(synced)
     }
 }
 
@@ -1249,9 +1284,12 @@ impl DaemonSet {
             .sum()
     }
 
-    /// Runs `rounds` probe rounds against every admitted daemon, keeping
-    /// each daemon's minimum-RTT estimate. `timeout` bounds each round; a
-    /// daemon that never answers is quarantined (scheduled for retry) and
+    /// Syncs every admitted daemon's clock with `rounds` probes, keeping
+    /// each daemon's minimum-RTT estimate. The links sync together, paced
+    /// as a relay paces its children ([`ChildLink::pace_sync`]): every
+    /// link's first probe goes out before any link's second, and each
+    /// probe waits up to `timeout` for its reply. A daemon that answers
+    /// none is quarantined (scheduled for retry) and the first to fail is
     /// reported in the returned error — the *other* daemons still get
     /// their estimates, so the set stays usable around the failure.
     ///
@@ -1260,34 +1298,51 @@ impl DaemonSet {
     /// rows a caller drains before the set's first `clock_sync` keep
     /// offset 0, so sync before pumping.
     pub fn clock_sync(&mut self, rounds: u32, timeout: Duration) -> Result<(), ClockSyncError> {
-        let data = self.data.clone();
-        let mut first_err: Option<ClockSyncError> = None;
-        let mut landed = Landing::default();
-        for (i, conn) in self.conns.iter_mut().enumerate() {
-            if conn.health == DaemonHealth::Quarantined {
-                continue;
-            }
-            if !conn.sync(&data, &mut landed, i, rounds, timeout, self.epoch) {
-                conn.quarantine(Instant::now(), &self.policy);
-                if first_err.is_none() {
-                    first_err = Some(ClockSyncError {
-                        daemon: i,
-                        addr: conn.addr().to_string(),
-                    });
-                }
+        for conn in &mut self.conns {
+            if conn.health != DaemonHealth::Quarantined {
+                conn.link.start_sync(rounds, timeout);
             }
         }
-        self.absorb(&landed);
-        match first_err {
-            Some(e) => Err(e),
+        match self.finish_syncs().first() {
+            Some(&i) => Err(ClockSyncError {
+                daemon: i,
+                addr: self.conns[i].addr().to_string(),
+            }),
             None => Ok(()),
         }
     }
 
+    /// Paces the syncs in flight on admitted links together, one step per
+    /// link a pass, until every one has ended. A link whose sync installed
+    /// no estimate is quarantined; returns those links in the order they
+    /// failed. A readmission's sync is left to [`DaemonSet::supervise`].
+    fn finish_syncs(&mut self) -> Vec<usize> {
+        let data = self.data.clone();
+        let mut landed = Landing::default();
+        let mut failed = Vec::new();
+        let syncing = |c: &DaemonConn| c.health != DaemonHealth::Quarantined && c.syncing();
+        while self.conns.iter().any(syncing) {
+            for (i, conn) in self.conns.iter_mut().enumerate() {
+                if syncing(conn) && conn.step_sync(&data, &mut landed, i, self.epoch) == Some(false)
+                {
+                    conn.quarantine(Instant::now(), &self.policy);
+                    failed.push(i);
+                }
+            }
+            std::thread::yield_now();
+        }
+        self.absorb(&landed);
+        failed
+    }
+
     /// One supervision pass: drives every connection's state machine (see
-    /// the module docs) and attempts due readmission retries. Call it from
-    /// the same loop that pumps; it is cheap when nothing is wrong.
-    /// Returns the post-pass [`Coverage`].
+    /// the module docs) and paces readmissions. A due retry re-dials and
+    /// starts the link's sync; this pass and the next each take one step
+    /// of it ([`ChildLink::pace_sync`]: `retry_sync_rounds` probes, each
+    /// waiting up to `retry_sync_timeout`), so no pass waits on a probe.
+    /// The link stays quarantined until its sync installs an estimate.
+    /// Call it from the same loop that pumps; it is cheap when nothing is
+    /// wrong. Returns the post-pass [`Coverage`].
     pub fn supervise(&mut self) -> Coverage {
         let now = Instant::now();
         let policy = self.policy;
@@ -1329,49 +1384,30 @@ impl DaemonSet {
                     }
                 }
                 DaemonHealth::Quarantined => {
-                    // A re-parented relay must not be re-dialed: its old
-                    // children now report directly, and a restarted relay
-                    // re-attaching them would double every sample.
-                    if conn.is_subtree_adopted() {
+                    // A readmission takes one step of its sync a pass.
+                    if !conn.syncing() && !conn.redial_if_due(now, &policy) {
                         continue;
                     }
-                    if !conn.next_retry.map(|t| now >= t).unwrap_or(true) {
-                        continue;
-                    }
-                    set_obs().retry.incr();
-                    let Some(factory) = conn.reconnect.as_ref() else {
-                        // No way back; keep backing off so we don't spin.
-                        conn.retry_attempt = conn.retry_attempt.saturating_add(1);
-                        conn.next_retry = Some(now + policy.retry.delay_for(conn.retry_attempt));
-                        continue;
-                    };
-                    // End the dead life (its announced loss joins the
-                    // ledger's ended lives), then start a fresh one over a
-                    // fresh link; an adopted child whose first sync failed
-                    // is paid its seed once this one completes. The daemon
-                    // re-ships its PIF on reconnect; the data manager's
-                    // content-hash dedup absorbs the duplicate.
-                    let fresh = factory();
-                    let gap = conn.link.redial(fresh);
-                    conn.errors_at_life_start = conn.decode_errors.len();
-                    let (rounds, timeout) = (policy.retry_sync_rounds, policy.retry_sync_timeout);
-                    if conn.sync(&data, &mut landed, i, rounds, timeout, self.epoch) {
-                        conn.health = DaemonHealth::Recovered;
-                        conn.last_frame = now;
-                        let attempts = conn.retry_attempt;
-                        conn.retry_attempt = 0;
-                        conn.next_retry = None;
-                        set_obs().recovered.incr();
-                        self.recoveries.push(RecoveryReport {
-                            daemon: i,
-                            addr: conn.addr().to_string(),
-                            attempts,
-                            gap,
-                        });
-                    } else {
-                        conn.link.transport().close();
-                        conn.retry_attempt = conn.retry_attempt.saturating_add(1);
-                        conn.next_retry = Some(now + policy.retry.delay_for(conn.retry_attempt));
+                    match conn.step_sync(&data, &mut landed, i, self.epoch) {
+                        None => {}
+                        Some(true) => {
+                            conn.health = DaemonHealth::Recovered;
+                            conn.last_frame = now;
+                            conn.next_retry = None;
+                            set_obs().recovered.incr();
+                            self.recoveries.push(RecoveryReport {
+                                daemon: i,
+                                addr: conn.addr().to_string(),
+                                attempts: std::mem::take(&mut conn.retry_attempt),
+                                gap: conn.gap,
+                            });
+                        }
+                        Some(false) => {
+                            conn.link.transport().close();
+                            conn.retry_attempt = conn.retry_attempt.saturating_add(1);
+                            conn.next_retry =
+                                Some(now + policy.retry.delay_for(conn.retry_attempt));
+                        }
                     }
                 }
             }
@@ -1386,15 +1422,15 @@ impl DaemonSet {
     /// Re-parents every newly quarantined relay's orphaned subtree: each
     /// child in the relay's [`LinkLedger::orphans`] plan is dialed
     /// directly, clock-synced, and seeded with the exact replay watermark
-    /// this set already folded in. The orphan replays its ring suffix past
-    /// the seed; anything the dead relay managed to forward arrives twice
-    /// and is suppressed by the new link's watermark — no double count, no
-    /// silent gap.
+    /// this set already folded in. The orphans sync together, paced as
+    /// [`DaemonSet::clock_sync`] paces its links. The orphan replays its
+    /// ring suffix past the seed; anything the dead relay managed to
+    /// forward arrives twice and is suppressed by the new link's watermark
+    /// — no double count, no silent gap.
     fn adopt_orphans(&mut self) {
         let Some(dialer) = self.dialer.clone() else {
             return;
         };
-        let data = self.data.clone();
         let policy = self.policy;
         // Pass 1: claim the plans of newly quarantined relays.
         let mut work = Vec::new();
@@ -1405,9 +1441,8 @@ impl DaemonSet {
                 }
             }
         }
-        let shards = data.shard_count();
+        let shards = self.data.shard_count();
         let (rounds, timeout) = (policy.retry_sync_rounds, policy.retry_sync_timeout);
-        let mut landed = Landing::default();
         for (i, addr, plan) in work {
             self.epoch += 1;
             set_obs().reparent.incr();
@@ -1428,13 +1463,8 @@ impl DaemonSet {
                 let mut conn = DaemonConn::new(tc.addr, dialer(sock), idx % shards, ledger);
                 conn.health = DaemonHealth::Recovered;
                 conn.reconnect = Some(Box::new(move || d(sock)));
+                conn.link.start_sync(rounds, timeout);
                 set_obs().adopted.incr();
-                if !conn.sync(&data, &mut landed, idx, rounds, timeout, self.epoch) {
-                    // Keep the connection (and its owed seed): the
-                    // ordinary retry machinery readmits it and pays the
-                    // seed once the orphan answers.
-                    conn.quarantine(Instant::now(), &policy);
-                }
                 self.conns.push(conn);
             }
             self.reparents.push(ReparentReport {
@@ -1444,7 +1474,10 @@ impl DaemonSet {
                 epoch: self.epoch,
             });
         }
-        self.absorb(&landed);
+        // An orphan that answers no probe is quarantined with its owed seed:
+        // the ordinary retry machinery readmits it and pays the seed once
+        // the orphan answers.
+        self.finish_syncs();
     }
 
     /// Asks daemon `i` to shut down gracefully (drain, then announce its
@@ -1463,18 +1496,11 @@ impl DaemonSet {
                 let _ = send_wire(&**conn.link.transport(), &DaemonMsg::Shutdown);
             }
         }
-        let deadline = Instant::now() + timeout;
-        loop {
-            self.pump_parallel();
-            let all_announced = self
-                .conns
+        self.pump_until(timeout, |set| {
+            set.conns
                 .iter()
-                .all(|c| c.health == DaemonHealth::Quarantined || c.announced_sent().is_some());
-            if all_announced || Instant::now() >= deadline {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(1));
-        }
+                .all(|c| c.health == DaemonHealth::Quarantined || c.announced_sent().is_some())
+        });
         self.coverage()
     }
 
@@ -1515,44 +1541,6 @@ impl DaemonSet {
         frames.unwrap_or_else(|payload| panic::resume_unwind(payload))
     }
 
-    /// The drain strategy the persistent pool replaced — one scoped thread
-    /// per admitted connection, spawned fresh on every call — kept as the
-    /// measured reference: the fleet drill's flat baseline drains through
-    /// this path, so its headline ratio compares the relay/batch/pool
-    /// subsystem against the architecture it superseded rather than
-    /// against a strawman. Each thread lands through the same
-    /// [`DaemonConn`] drain as the pool. Not for production call sites;
-    /// use [`DaemonSet::pump_parallel`].
-    pub fn pump_parallel_unpooled(&mut self) -> usize {
-        let data = &self.data;
-        let mut total = 0;
-        let mut landed: Vec<Landing> = Vec::new();
-        std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .conns
-                .iter_mut()
-                .enumerate()
-                .filter(|(_, conn)| conn.health != DaemonHealth::Quarantined)
-                .map(|(k, conn)| {
-                    s.spawn(move || {
-                        let mut local = Landing::default();
-                        let n = conn.drain(data, &mut local, k);
-                        (n, local)
-                    })
-                })
-                .collect();
-            for h in handles {
-                let (n, local) = h.join().expect("pump thread panicked");
-                total += n;
-                landed.push(local);
-            }
-        });
-        for l in &landed {
-            self.absorb(l);
-        }
-        total
-    }
-
     /// Appends one drain's landing to the session: its columns to the
     /// sample store, its telemetry rows to the fleet-health view.
     fn absorb(&mut self, landed: &Landing) {
@@ -1567,17 +1555,26 @@ impl DaemonSet {
     /// through the pooled parallel path, so a large fleet never serializes
     /// on one thread. Returns the session's sample total.
     pub fn pump_until_samples(&mut self, want: usize, timeout: Duration) -> usize {
+        self.pump_until(timeout, |set| set.samples.len() >= want);
+        self.samples.len()
+    }
+
+    /// Pumps every admitted link ([`DaemonSet::pump_parallel`]) until `done`
+    /// holds or `timeout` elapses. No link can wake it, so it polls: after
+    /// a pass that read nothing it yields, up to 64 times in a row, then
+    /// sleeps 200 µs a pass until frames flow again.
+    fn pump_until(&mut self, timeout: Duration, done: impl Fn(&Self) -> bool) {
         let deadline = Instant::now() + timeout;
-        let mut spins = 0u32;
+        let mut idle = 0u32;
         loop {
             let got = self.pump_parallel();
-            if self.samples.len() >= want || Instant::now() >= deadline {
-                return self.samples.len();
+            if done(self) || Instant::now() >= deadline {
+                return;
             }
             if got > 0 {
-                spins = 0;
-            } else if spins < 64 {
-                spins += 1;
+                idle = 0;
+            } else if idle < 64 {
+                idle += 1;
                 std::thread::yield_now();
             } else {
                 std::thread::sleep(Duration::from_micros(200));
@@ -1883,6 +1880,70 @@ mod tests {
                 est.offset_ns,
                 est.rtt_ns
             );
+        }
+    }
+
+    /// A tool-side transport that logs which link sent each frame.
+    struct Logged {
+        inner: Arc<dyn Transport>,
+        link: usize,
+        sends: Arc<Mutex<Vec<usize>>>,
+    }
+
+    impl Transport for Logged {
+        fn send(&self, kind: FrameKind, payload: Vec<u8>) -> Result<(), TransportError> {
+            lock(&self.sends).push(self.link);
+            self.inner.send(kind, payload)
+        }
+        fn try_recv(&self) -> Result<Option<Frame>, TransportError> {
+            self.inner.try_recv()
+        }
+        fn stats(&self) -> TransportStats {
+            self.inner.stats()
+        }
+        fn is_alive(&self) -> bool {
+            self.inner.is_alive()
+        }
+        fn close(&self) {
+            self.inner.close()
+        }
+        fn backend_name(&self) -> &'static str {
+            "logged"
+        }
+    }
+
+    #[test]
+    fn clock_sync_sends_every_links_first_probe_before_any_second() {
+        let sends = Arc::new(Mutex::new(Vec::new()));
+        let mut transports: Vec<(String, Arc<dyn Transport>)> = Vec::new();
+        let mut daemons = Vec::new();
+        for link in 0..3 {
+            let l = Backend::InProc.link(&TransportConfig::default());
+            let inner = l.client;
+            let sends = sends.clone();
+            transports.push((
+                format!("fake#{link}"),
+                Arc::new(Logged { inner, link, sends }),
+            ));
+            daemons.push(FakeDaemon {
+                tx: l.server,
+                skew_ns: 0,
+            });
+        }
+        let data = Arc::new(DataManager::sharded(Namespace::new(), "CM Fortran", 3));
+        let mut set = DaemonSet::over_transports(transports, data);
+        sync(&mut set, &daemons);
+        let sends = lock(&sends).clone();
+        assert_eq!(sends.len(), 15, "five probes a link: {sends:?}");
+        let mut first = sends[..3].to_vec();
+        first.sort_unstable();
+        assert_eq!(
+            first,
+            [0, 1, 2],
+            "every link's first probe goes out before any link's second: {sends:?}"
+        );
+        for i in 0..3 {
+            assert_eq!(set.conn(i).clock().rounds, 5, "link {i}");
         }
     }
 
@@ -2415,6 +2476,65 @@ mod tests {
             est.offset_ns,
             est.rtt_ns
         );
+    }
+
+    #[test]
+    fn a_readmission_that_is_never_answered_stalls_no_supervise_pass() {
+        let (mut set, daemons) = set_with_skews(&[0]);
+        sync(&mut set, &daemons);
+        set.set_policy(SupervisorPolicy {
+            retry_sync_rounds: 2,
+            retry_sync_timeout: Duration::from_secs(1),
+            ..fast_policy()
+        });
+        daemons[0].tx.close();
+        supervise_until(&mut set, |s| s.health(0) == DaemonHealth::Quarantined);
+        assert_eq!(set.health(0), DaemonHealth::Quarantined);
+
+        // The restart takes the link but never answers a probe.
+        let dials = Arc::new(AtomicU64::new(0));
+        let restarts: Arc<Mutex<Vec<Arc<dyn Transport>>>> = Arc::default();
+        let (d, r) = (dials.clone(), restarts.clone());
+        set.set_reconnect(
+            0,
+            Box::new(move || {
+                d.fetch_add(1, Ordering::Relaxed);
+                let link = Backend::InProc.link(&TransportConfig::default());
+                lock(&r).push(link.server);
+                link.client
+            }),
+        );
+
+        // The pass that dials returns at once, the sync still in flight.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let took = loop {
+            assert!(Instant::now() < deadline, "the retry never came due");
+            let t = Instant::now();
+            set.supervise();
+            if dials.load(Ordering::Relaxed) > 0 {
+                break t.elapsed();
+            }
+            std::thread::yield_now();
+        };
+        let dialed = Instant::now();
+        assert!(
+            took < Duration::from_millis(500),
+            "the dialing pass took {took:?}"
+        );
+        assert!(set.conn(0).syncing(), "the sync is left to later passes");
+        assert_eq!(set.health(0), DaemonHealth::Quarantined);
+
+        // Later passes pace it: two probes of a second each, then the sync
+        // fails, the fresh link is closed and the retry backs off.
+        supervise_until(&mut set, |s| !s.conn(0).syncing());
+        assert!(!set.conn(0).syncing(), "the sync ended");
+        assert!(dialed.elapsed() >= Duration::from_millis(1_900));
+        assert_eq!(set.health(0), DaemonHealth::Quarantined);
+        assert!(set.recoveries().is_empty());
+        assert!(!set.conn(0).transport().is_alive());
+        assert_eq!(set.conns[0].retry_attempt, 1);
+        assert!(set.conns[0].next_retry.is_some());
+        assert_eq!(dials.load(Ordering::Relaxed), 1);
     }
 
     #[test]

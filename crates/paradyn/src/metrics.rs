@@ -293,9 +293,7 @@ impl MappingInstrumentation {
         if !self.installed {
             return;
         }
-        for h in self.handles.drain(..) {
-            mgr.remove(h);
-        }
+        mgr.remove_all(self.handles.drain(..));
         self.installed = false;
     }
 

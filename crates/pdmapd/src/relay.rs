@@ -11,11 +11,14 @@
 //! Three invariants make the tree transparent to the analyses upstream:
 //!
 //! 1. **Transitive clock alignment.** The relay reads each child through
-//!    a [`ChildLink`], the type the tool reads each daemon through. It
-//!    probes the child with [`DaemonMsg::ClockProbe`]s stamped from its
-//!    *own reported clock* (the skewed clock it answers its parent's
-//!    probes with), keeps the minimum-RTT offset, and holds the child's
-//!    frames until that sync ends, so none lands on an unknown clock.
+//!    a [`ChildLink`], the type the tool reads each daemon through, and
+//!    paces its clock sync the same way: [`RelayConfig::sync_rounds`]
+//!    [`DaemonMsg::ClockProbe`]s, each waiting up to
+//!    [`RelayConfig::sync_timeout`] for its reply, stamped from the
+//!    relay's *own reported clock* (the skewed clock it answers its
+//!    parent's probes with). It keeps the minimum-RTT offset and holds the
+//!    child's frames until that sync ends, so none lands on an unknown
+//!    clock.
 //!    Every forwarded sample's wall stamp is moved by the offset
 //!    ([`pdmap::columns::align`]), so it lands on the relay's reported
 //!    clock — and the parent's ordinary sync of the relay completes the
@@ -87,10 +90,13 @@ pub struct RelayConfig {
     /// Flush a partial batch after this long, so a trickle of samples
     /// never waits for a full frame.
     pub flush_interval: Duration,
-    /// Clock-probe replies that end a child's sync (its frames wait).
+    /// Clock probes a child's sync sends, each waiting up to
+    /// `sync_timeout` for its reply; the sync ends once they are spent or
+    /// the child's link dies, and the child's frames wait until then.
     pub sync_rounds: u32,
-    /// Bound on the whole child sync phase (a sync still in flight carries
-    /// on into the stream phase) and on each drain-for-goodbye wait during
+    /// How long each child clock probe waits for its reply; also the bound
+    /// on the whole child sync phase (a sync still in flight carries on
+    /// into the stream phase) and on each drain-for-goodbye wait during
     /// shutdown.
     pub sync_timeout: Duration,
     /// Transport tuning for the child dials (liveness timeout, reconnect
@@ -118,7 +124,8 @@ impl Default for RelayConfig {
 pub struct RelayReport {
     /// Whether a parent connected before the timeout.
     pub parent_connected: bool,
-    /// Children whose clock sync got its `sync_rounds` replies.
+    /// Children whose clock sync installed an estimate (at least one of
+    /// its `sync_rounds` probes answered).
     pub children_synced: usize,
     /// Rows flushed upward, telemetry included: the count the final
     /// Goodbye announces.
@@ -234,12 +241,13 @@ impl<'a> RelaySession<'a> {
     }
 
     /// Dials the child at `addr`, keeping its books in `ledger`, and
-    /// starts its clock sync with a first probe from the relay's reported
-    /// clock — the reference that makes alignment transitive.
+    /// starts its clock sync, whose probes [`RelaySession::pump_children`]
+    /// stamps from the relay's reported clock — the reference that makes
+    /// alignment transitive.
     fn dial(&mut self, addr: SocketAddr, ledger: LinkLedger) {
         let tx = TcpClient::connect(addr, self.tcfg);
         let mut child = ChildLink::new(addr.to_string(), tx, ledger);
-        child.probe(self.up.now());
+        child.start_sync(self.cfg.sync_rounds, self.cfg.sync_timeout);
         self.children.push(child);
     }
 
@@ -359,29 +367,23 @@ impl<'a> RelaySession<'a> {
     }
 
     /// Pumps every child once: lands what its link reads (a sync in flight
-    /// holds it) and drives its sync one step, the relay's budget: a probe
-    /// at a time until `sync_rounds` replied, or until the link died.
+    /// holds it) and paces its sync ([`ChildLink::pace_sync`]) one step:
+    /// `sync_rounds` probes, each waiting up to `sync_timeout`, cut short
+    /// if the link dies. A sync that ends lands what it held in this pump.
     fn pump_children(&mut self) {
-        let budget = self.cfg.sync_rounds.max(1);
         for i in 0..self.children.len() {
             loop {
                 while let Ok(Some(arrival)) = self.children[i].recv(|| self.up.now()) {
                     self.land(i, arrival);
                 }
                 let child = &mut self.children[i];
-                let alive = child.transport().is_alive();
-                if !child.syncing() || (alive && child.awaiting_reply()) {
-                    break;
-                }
-                let replies = child.sync_replies();
-                if alive && replies < budget {
-                    child.probe(self.up.now());
+                if !child.pace_sync(self.up.now()) {
                     break;
                 }
                 // An adopted child's watermark seed goes out the moment its
                 // clock is aligned: its ring replay lands before live traffic.
-                child.end_sync(self.up.uplink.epoch, &self.up.addr);
-                self.report.children_synced += usize::from(replies >= budget);
+                let synced = child.end_sync(self.up.uplink.epoch, &self.up.addr);
+                self.report.children_synced += usize::from(synced);
             }
         }
     }
@@ -681,6 +683,63 @@ mod tests {
         assert_eq!(s.report.decode_errors, 3);
         // Every rejection is counted as the tool counts its own.
         assert!(codec() >= before + 3, "daemon.error.codec moved by each");
+    }
+
+    #[test]
+    fn a_child_that_answers_no_probe_ends_its_sync_and_lands_what_it_held() {
+        let server = TcpServer::bind("127.0.0.1:0").expect("bind");
+        let cfg = RelayConfig {
+            sync_rounds: 2,
+            sync_timeout: Duration::from_millis(300),
+            ..RelayConfig::default()
+        };
+        let mut s = RelaySession::new(&server, &cfg);
+        // The child takes the relay's dial and answers nothing; once the
+        // first probe arrives it sends a batch, which the sync must hold.
+        let child = TcpServer::bind("127.0.0.1:0").expect("bind child");
+        s.dial(child.local_addr(), LinkLedger::default());
+        let mut rows = BatchBuilder::default();
+        rows.push("m".into(), "f".into(), 10, 1.0);
+        rows.push("m".into(), "f".into(), 20, 2.0);
+        let mut batch = Some(
+            BatchColumns {
+                seq: 1,
+                ..rows.take()
+            }
+            .to_frame(),
+        );
+        let mut probes = 0;
+        let read_probes = |probes: &mut usize| {
+            while let Ok(Some(f)) = child.try_recv() {
+                let probe = matches!(DaemonMsg::from_frame(&f), Ok(DaemonMsg::ClockProbe { .. }));
+                *probes += usize::from(probe);
+            }
+        };
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while s.children[0].syncing() {
+            assert!(Instant::now() < deadline, "the sync never ended");
+            s.pump_children();
+            read_probes(&mut probes);
+            if probes > 0 {
+                if let Some(f) = batch.take() {
+                    child.send(f.kind, f.payload).expect("send batch");
+                }
+            }
+            if s.children[0].syncing() {
+                assert!(s.up.pending.is_empty(), "a sync in flight holds the batch");
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        while s.up.pending.len() < 2 || probes < 2 {
+            assert!(Instant::now() < deadline, "the held batch never landed");
+            s.pump_children();
+            read_probes(&mut probes);
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert_eq!(probes, 2, "sync_rounds probes, no more");
+        assert_eq!(s.up.pending.len(), 2, "the held batch lands");
+        assert_eq!(s.children[0].clock().rounds, 0, "no estimate");
+        assert_eq!(s.report.children_synced, 0);
     }
 
     /// Receives frames on `t` until `done` holds for one, returning every
