@@ -40,19 +40,21 @@
 //!
 //! # Concurrency
 //!
-//! The map is sharded by key hash; a `get` takes one shared (read) lock
-//! on one shard, so readers never block each other, and writes (one per
-//! distinct focus in a whole search) are rare. A batch is stored whole,
-//! so nothing is ever in flight in the cache: two callers that miss one
-//! focus at once each run the machine, and the later `fill` replaces the
-//! earlier batch with equal values. Hits and misses are counted under the
-//! `consultant.mcache_hit` / `consultant.mcache_miss` observability
-//! counters (self-mapped through `selfmap::TOOL_COUNTERS`).
+//! One `RwLock` guards the one map. The traffic is light: `get`s come from
+//! the searching thread (the wave's first step, `Paradyn::measure` and
+//! `Paradyn::experiment_cached`) and take the shared (read) lock, and one
+//! `fill` per machine run — a few dozen in a whole search, from at most
+//! `available_parallelism` wave workers — takes the write lock once for
+//! every focus of its run. A batch is stored whole, so nothing is ever in
+//! flight in the cache: two callers that miss one focus at once each run
+//! the machine, and the later `fill` replaces the earlier batch with equal
+//! values. Hits and misses are counted under the `consultant.mcache_hit` /
+//! `consultant.mcache_miss` observability counters (self-mapped through
+//! `selfmap::TOOL_COUNTERS`).
 
 use crate::metrics::RequestError;
-use pdmap::util::{FxHasher, RwLock};
+use pdmap::util::RwLock;
 use std::collections::HashMap;
-use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -120,11 +122,9 @@ fn obs() -> &'static McacheObs {
     })
 }
 
-const SHARDS: usize = 16;
-
-/// The sharded, read-mostly measurement cache. See the module docs.
+/// The read-mostly measurement cache. See the module docs.
 pub struct MeasurementCache {
-    shards: Vec<RwLock<HashMap<BatchKey, MeasuredBatch>>>,
+    map: RwLock<HashMap<BatchKey, MeasuredBatch>>,
     hits: AtomicU64,
     misses: AtomicU64,
     runs: AtomicU64,
@@ -140,22 +140,11 @@ impl MeasurementCache {
     /// An empty cache.
     pub fn new() -> Self {
         Self {
-            shards: (0..SHARDS).map(|_| RwLock::new(HashMap::new())).collect(),
+            map: RwLock::new(HashMap::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             runs: AtomicU64::new(0),
         }
-    }
-
-    fn shard_of(&self, key: &BatchKey) -> &RwLock<HashMap<BatchKey, MeasuredBatch>> {
-        // The epoch is deliberately excluded from shard selection: every
-        // epoch of a focus lands in the same shard, so the insert-time
-        // purge below can drop stale-epoch entries without visiting the
-        // other shards.
-        let mut h = FxHasher::default();
-        h.write(key.focus.as_bytes());
-        h.write_u64(key.program);
-        &self.shards[(h.finish() as usize) % SHARDS]
     }
 
     /// Counts `n` experiments answered from a batch already measured.
@@ -186,7 +175,7 @@ impl MeasurementCache {
             program,
             epoch,
         };
-        let found = answer(self.shard_of(&key).read().get(&key)?, metric)?;
+        let found = answer(self.map.read().get(&key)?, metric)?;
         self.count_hits(1);
         Some(found)
     }
@@ -198,20 +187,18 @@ impl MeasurementCache {
     /// experiments and one hit for each of the others, which share the run.
     pub(crate) fn fill(&self, program: u64, epoch: u64, run: Vec<(String, MeasuredBatch, u64)>) {
         self.runs.fetch_add(1, Ordering::Relaxed);
+        let mut map = self.map.write();
+        // A changed program or a bumped coverage epoch makes every old
+        // entry unreachable; drop them on the way in so a long session
+        // never accumulates stale intervals.
+        map.retain(|k, _| k.program == program && k.epoch == epoch);
         for (focus, batch, experiments) in run {
             let key = BatchKey {
                 focus,
                 program,
                 epoch,
             };
-            {
-                let mut g = self.shard_of(&key).write();
-                // A changed program or a bumped coverage epoch makes every
-                // old entry unreachable; drop them on the way in so a long
-                // session never accumulates stale intervals.
-                g.retain(|k, _| k.program == program && k.epoch == epoch);
-                g.insert(key, batch);
-            }
+            map.insert(key, batch);
             self.count_miss();
             self.count_hits(experiments.saturating_sub(1));
         }
@@ -232,9 +219,7 @@ impl MeasurementCache {
     /// Drops every entry and zeroes the counters (bench hygiene between
     /// repetitions; sessions never need this — the epoch does the work).
     pub fn clear(&self) {
-        for s in &self.shards {
-            s.write().clear();
-        }
+        self.map.write().clear();
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
         self.runs.store(0, Ordering::Relaxed);
@@ -242,7 +227,7 @@ impl MeasurementCache {
 
     /// Number of cached batches (distinct foci × epochs × programs).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.map.read().len()
     }
 
     /// True when nothing is cached.

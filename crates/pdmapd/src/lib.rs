@@ -138,25 +138,6 @@ pub(crate) fn daemon_now(skew_ns: i64) -> u64 {
     (pdmap_obs::now_ns() as i64 + CLOCK_BASE_NS as i64 + skew_ns).max(0) as u64
 }
 
-/// Whether the link to the tool is up. When it died mid-session, pause
-/// upward sends, keep answering whoever dials in, and wait for an
-/// adoption seed (see [`Upstream::orphaned`]): `true` again once the
-/// handover completed and the session can resume on the new link.
-fn parent_up(up: &mut Upstream<'_>, stop: &AtomicBool) -> bool {
-    if up.server.is_alive() {
-        return true;
-    }
-    let Some(mut wait) = up.orphaned() else {
-        return false;
-    };
-    while up.keep_waiting(&mut wait, stop) {
-        if up.poll().seeded {
-            return true;
-        }
-    }
-    false
-}
-
 /// Copies the parent session's counts into the report and writes the
 /// span dump.
 fn finish(up: Upstream<'_>, mut report: ServeReport) -> ServeReport {
@@ -189,6 +170,12 @@ fn ship_obs(up: &mut Upstream<'_>) {
 /// drains late probes, sends its final-flush `DaemonMsg::Goodbye`, and
 /// returns; a torn-down transport (crash) makes it return without the
 /// Goodbye.
+///
+/// With a [`UpstreamConfig::failover_timeout`], a parent that dies in the
+/// sample loop or the linger is waited for where it died: the poll each
+/// phase makes steps the session's one failover wait, the leaf samples
+/// nothing and no phase ends while it is orphaned, and a lost parent
+/// ends every phase.
 pub fn serve_until(server: Arc<TcpServer>, cfg: &DaemonConfig, stop: &AtomicBool) -> ServeReport {
     let mut up = Upstream::new(&server, &cfg.upstream, "daemon");
     let mut report = ServeReport::default();
@@ -236,23 +223,24 @@ pub fn serve_until(server: Arc<TcpServer>, cfg: &DaemonConfig, stop: &AtomicBool
     // works. Every sample joins the session's one upward stream, flushed
     // every `batch` rows, so each leaves in a batch the uplink stamps
     // (epoch, seq) and rings: a handover can resend exactly what the old
-    // parent never passed on. A stop request (flag or wire Shutdown)
+    // parent never passed on. The polls step the failover wait too: an
+    // orphaned leaf samples nothing until a seed adopts it, and a lost
+    // parent ends the stream. A stop request (flag or wire Shutdown)
     // breaks out to the drain.
     let batch = cfg.batch.max(1) as usize;
-    for i in 0..cfg.samples {
-        // A stop or a dead parent ends the stream, unless a failover
-        // budget lets a new parent adopt this leaf first.
-        if up.stopping(stop) || !parent_up(&mut up, stop) {
-            break;
-        }
-        up.pending.push(
-            "Computation Time".into(),
-            "<whole program>".into(),
-            up.now(),
-            i as f64,
-        );
-        if up.pending.len() >= batch {
-            up.flush(Vec::new());
+    let mut i = 0;
+    while !up.phase_over(i == cfg.samples || up.stopping(stop), stop) {
+        if !up.orphaned() {
+            up.pending.push(
+                "Computation Time".into(),
+                "<whole program>".into(),
+                up.now(),
+                f64::from(i),
+            );
+            i += 1;
+            if up.pending.len() >= batch {
+                up.flush(Vec::new());
+            }
         }
         up.poll();
         ship_obs(&mut up);
@@ -262,13 +250,11 @@ pub fn serve_until(server: Arc<TcpServer>, cfg: &DaemonConfig, stop: &AtomicBool
 
     // Phase 4: linger so late probes (and probe rounds racing the final
     // sample) still get answers; a stop request skips straight to the
-    // final flush. A parent death here still gets the failover window, so
-    // the final Goodbye can close the ledger on the new link.
+    // final flush. A parent death here still gets the failover window:
+    // the linger outlasts the wait, so the final Goodbye can close the
+    // ledger on the new link.
     let linger_until = Instant::now() + cfg.upstream.linger;
-    while Instant::now() < linger_until && !up.stopping(stop) {
-        if !parent_up(&mut up, stop) {
-            break;
-        }
+    while !up.phase_over(Instant::now() >= linger_until || up.stopping(stop), stop) {
         up.poll();
         ship_obs(&mut up);
         std::thread::sleep(Duration::from_millis(1));
@@ -277,7 +263,8 @@ pub fn serve_until(server: Arc<TcpServer>, cfg: &DaemonConfig, stop: &AtomicBool
     // Phase 5: the final flush — graceful on request *and* at the natural
     // end of the session, so the tool can always close the conservation
     // law. Late probes are drained first. Only a crash (dead transport)
-    // leaves the loss unannounced.
+    // leaves the loss unannounced. A leaf stopped while orphaned keeps
+    // its pending rows: no parent seeded it to receive them.
     up.poll();
     report.graceful_shutdown = up.goodbye();
     finish(up, report)

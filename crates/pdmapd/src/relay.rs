@@ -60,6 +60,14 @@
 //! where it reacts to a seed or beacon the parent link brought. A
 //! topology announcement is always preceded by a flush, so a watermark
 //! it names never counts rows still pending here.
+//!
+//! The failover wait is the session's too: `serve_parent` polls the
+//! parent link in every phase — sync, stream, drain, linger — and that
+//! poll steps the one wait. So the relay waits for adoption in whichever
+//! phase its parent dies, and meanwhile pumps its children, holds their
+//! rows pending, and in its stream phase still adopts its dead child
+//! relays' children. It announces no topology until a seed, which
+//! re-sends topology and coverage.
 
 use crate::upstream::{Running, Upstream, UpstreamConfig};
 use paradyn_tool::daemon::{Arrival, ChildLink, DaemonMsg, LinkLedger};
@@ -224,7 +232,8 @@ impl<'a> RelaySession<'a> {
         }
     }
 
-    /// Polls the parent link ([`Upstream::poll`]) in any phase and reacts:
+    /// Polls the parent link ([`Upstream::poll`], which also steps the
+    /// failover wait) in any phase and reacts:
     /// adopts each beaconing orphan, and after a seed re-sends the
     /// topology and the coverage, which the new parent lacks (unchanged
     /// coverage would never be re-sent otherwise). True after a seed.
@@ -310,10 +319,11 @@ impl<'a> RelaySession<'a> {
     /// parent's dial list should this relay die. Every pending row is
     /// flushed first: a mark counts the rows folded here, and a parent
     /// that adopts a child from this announcement credits them as
-    /// delivered, so none may still be waiting in this relay.
+    /// delivered, so none may still be waiting in this relay. An orphaned
+    /// relay cannot flush, so it announces nothing until a seed.
     fn announce_topology(&mut self, force: bool) {
         let addrs: Vec<String> = self.live().map(|c| c.addr().to_string()).collect();
-        if addrs.is_empty() {
+        if addrs.is_empty() || self.up.orphaned() {
             return;
         }
         let key = (self.up.uplink.epoch, addrs);
@@ -344,26 +354,6 @@ impl<'a> RelaySession<'a> {
     /// The children whose subtree has not been adopted away.
     fn live(&self) -> impl Iterator<Item = &ChildLink> {
         self.children.iter().filter(|c| !c.is_subtree_adopted())
-    }
-
-    /// Whether the link to the parent is up. When it died — the relay's
-    /// own failover — pause upward sends (children keep streaming into
-    /// the pending batch) and wait for a new parent to dial in and seed a
-    /// replay (see [`Upstream::orphaned`]): true again once re-adopted.
-    fn parent_up(&mut self, stop: &AtomicBool) -> bool {
-        if self.up.server.is_alive() {
-            return true;
-        }
-        let Some(mut wait) = self.up.orphaned() else {
-            return false;
-        };
-        while self.up.keep_waiting(&mut wait, stop) {
-            if self.serve_parent() {
-                return true;
-            }
-            self.pump_children();
-        }
-        false
     }
 
     /// Pumps every child once: lands what its link reads (a sync in flight
@@ -541,7 +531,8 @@ pub fn serve_relay_until(
         s.serve_parent();
         s.pump_children();
         let all = s.children.iter().all(|c| !c.syncing());
-        if all || Instant::now() >= sync_deadline || s.up.stopping(stop) {
+        let over = all || Instant::now() >= sync_deadline || s.up.stopping(stop);
+        if s.up.phase_over(over, stop) {
             break;
         }
         std::thread::sleep(Duration::from_micros(500));
@@ -553,12 +544,13 @@ pub fn serve_relay_until(
     // probes, resend coverage when the subtree changes, until every child
     // is done (Goodbye, dark, or re-parented) or a shutdown is requested.
     // Children adopted mid-stream sync here; a dead child relay with a
-    // known topology gets its subtree adopted; an upstream death enters
-    // the failover wait instead of ending the session (when budgeted),
-    // and a seed — in the wait or here, when an adopter dials in before
-    // this relay noticed its parent died — re-sends coverage and topology
-    // from `serve_parent`. A standby relay (no children yet) keeps
-    // serving until told to stop.
+    // known topology gets its subtree adopted, also while this relay is
+    // orphaned. An upstream death starts the failover wait (when
+    // budgeted): the loop goes on, holding its rows pending, and does not
+    // end until a seed adopts the relay or the parent is lost. A seed —
+    // in the wait, or before this relay noticed its parent died —
+    // re-sends coverage and topology from `serve_parent`. A standby relay
+    // (no children yet) keeps serving until told to stop.
     loop {
         s.serve_parent();
         s.pump_children();
@@ -566,13 +558,8 @@ pub fn serve_relay_until(
         s.sample_self();
         s.flush(false);
         s.report_coverage(false);
-        if s.up.stopping(stop) {
-            break;
-        }
-        if !s.parent_up(stop) {
-            break;
-        }
-        if !s.children.is_empty() && s.children.iter().all(done) {
+        let finished = !s.children.is_empty() && s.children.iter().all(done);
+        if s.up.phase_over(finished || s.up.stopping(stop), stop) {
             break;
         }
         std::thread::sleep(Duration::from_micros(500));
@@ -580,10 +567,14 @@ pub fn serve_relay_until(
 
     // Phase 3: drain. Forward the shutdown downward if we are stopping
     // early, then give children until the sync timeout to flush and say
-    // Goodbye — their conservation counts feed our final coverage.
+    // Goodbye — their conservation counts feed our final coverage. A
+    // parent that dies now is waited for as in the stream phase.
     if !server.is_alive() {
         // Parent tore the link down (our SIGKILL shape): nothing to flush
-        // to; report what happened and leave the loss unannounced.
+        // to; report what happened and leave the loss unannounced. The
+        // link is what counts here, not the wait: a killed relay with a
+        // budget is orphaned, not lost, and its children must stay
+        // running for their adopters rather than be sent Shutdown.
         return finish(s);
     }
     for c in &s.children {
@@ -592,7 +583,10 @@ pub fn serve_relay_until(
         }
     }
     let drain_deadline = Instant::now() + cfg.sync_timeout;
-    while !s.children.iter().all(done) && Instant::now() < drain_deadline {
+    while !s.up.phase_over(
+        s.children.iter().all(done) || Instant::now() >= drain_deadline,
+        stop,
+    ) {
         s.serve_parent();
         s.pump_children();
         s.flush(false);
@@ -608,12 +602,17 @@ pub fn serve_relay_until(
     s.flush(true);
 
     // Phase 4: linger so parent probe rounds racing the end still get
-    // answers — a stop request skips straight on — then the final flush:
-    // last batch, final coverage, Goodbye announcing the forwarded count —
-    // in that order, so the parent's conservation check sees a complete
-    // ledger.
+    // answers — a stop request skips straight on, and a parent death here
+    // starts the failover wait, which the linger outlasts, so a relay
+    // adopted now still says Goodbye to its new parent — then the final
+    // flush: last batch, final coverage, Goodbye announcing the forwarded
+    // count — in that order, so the parent's conservation check sees a
+    // complete ledger.
     let linger_until = Instant::now() + cfg.upstream.linger;
-    while Instant::now() < linger_until && server.is_alive() && !s.up.stopping(stop) {
+    while !s
+        .up
+        .phase_over(Instant::now() >= linger_until || s.up.stopping(stop), stop)
+    {
         s.serve_parent();
         std::thread::sleep(Duration::from_millis(1));
     }

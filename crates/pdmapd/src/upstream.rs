@@ -20,18 +20,31 @@
 //! **Failover.** The [`Uplink`] stamps a monotonic topology **epoch** and
 //! batch **sequence** into every upward batch and keeps a bounded
 //! **replay ring** of recent batches. When the upstream link dies, the
-//! node pauses upward sends and waits to be adopted: a new parent (the
-//! tool's supervisor, the dead parent's parent, or a standby relay from
+//! node is **orphaned**: it waits to be adopted. A new parent (the tool's
+//! supervisor, the dead parent's parent, or a standby relay from
 //! `--parent`) dials the node's listen socket, completes the usual clock
 //! sync, and sends a [`TopologyMsg`] **watermark seed** naming the node
 //! and the highest batch sequence it has already folded in. The node
 //! bumps its epoch and replays exactly the ring suffix past the watermark
-//! — no double count, no silent gap. A seed is applied in whatever phase
-//! it arrives: a fast adopter can dial in before the node notices its old
-//! parent died. When nobody adopts the node within half its failover
-//! budget, it **beacons** each standby parent in turn: a short-lived dial
-//! carrying its own address and delivered watermark, inviting the standby
-//! to dial back and adopt it.
+//! — no double count, no silent gap. When nobody adopts the node within
+//! half its failover budget, it **beacons** each standby parent in turn:
+//! a short-lived dial carrying its own address and delivered watermark,
+//! inviting the standby to dial back and adopt it.
+//!
+//! The wait is a state of the session, not a loop of its own: the
+//! [`Upstream::poll`] that every phase of either node kind makes steps
+//! it. A poll that finds the parent link dead starts the wait, or loses
+//! the parent at once when there is no failover budget. Later polls
+//! beacon the next standby when it is due and lose the parent once the
+//! budget is spent. A seed ends the wait; it is applied in whatever phase
+//! it arrives, since a fast adopter can dial in before the node notices
+//! its old parent died. [`Upstream::phase_over`] holds every phase loop
+//! to one rule: none ends while the node is orphaned, unless it is
+//! stopping, and each ends once the parent is lost. While orphaned,
+//! [`Upstream::flush`] keeps rows pending and [`Upstream::sample_self`]
+//! takes no snapshot, so the adopter receives the rows under fresh
+//! sequences, and a relay announces no topology whose watermarks would
+//! count rows still pending.
 
 use crate::daemon_now;
 use crate::selfobs::SelfSampler;
@@ -218,11 +231,10 @@ pub(crate) struct Polled {
 }
 
 /// The clock of one failover wait: its budget, and when to beacon which
-/// standby (see [`Upstream::orphaned`]).
-pub(crate) struct FailoverWait {
+/// standby (see [`Upstream::poll`]).
+struct FailoverWait {
     deadline: Instant,
     next_beacon: Instant,
-    spacing: Duration,
     standby: usize,
 }
 
@@ -249,6 +261,10 @@ pub(crate) struct Upstream<'a> {
     pub obs: Option<SelfSampler>,
     /// A wire-level [`DaemonMsg::Shutdown`] arrived from the parent.
     shutdown: bool,
+    /// The failover wait in flight (see [`Upstream::orphaned`]).
+    wait: Option<FailoverWait>,
+    /// The parent is gone for good (see [`Upstream::lost`]).
+    lost: bool,
     /// Clock probes answered.
     pub probes_answered: u64,
     /// Seeds applied: handovers to a new parent.
@@ -273,6 +289,8 @@ impl<'a> Upstream<'a> {
             batches_sent: 0,
             obs_samples_sent: 0,
             shutdown: false,
+            wait: None,
+            lost: false,
             probes_answered: 0,
             failovers: 0,
             batches_replayed: 0,
@@ -305,12 +323,31 @@ impl<'a> Upstream<'a> {
         self.shutdown || stop.load(Ordering::Acquire)
     }
 
-    /// Drains the parent link: answers clock probes from the node's
-    /// reported clock, remembers a Shutdown, and applies a watermark seed
-    /// that names this node (replays the ring past it and counts the
-    /// handover). Beacons are returned for the caller to act on;
-    /// everything else inbound is parent→node control this node does not
-    /// consume, and is dropped.
+    /// Whether a failover wait is in flight: the parent link died and no
+    /// seed has adopted the node yet.
+    pub fn orphaned(&self) -> bool {
+        self.wait.is_some()
+    }
+
+    /// Whether the parent is gone for good: its link died with no failover
+    /// budget, or the budget was spent before a seed arrived.
+    pub fn lost(&self) -> bool {
+        self.lost
+    }
+
+    /// Whether a phase loop ends, its own work being `done`: always once
+    /// the parent is lost; otherwise when `done`, but not while a failover
+    /// wait is in flight, unless the node is stopping.
+    pub fn phase_over(&self, done: bool, stop: &AtomicBool) -> bool {
+        self.lost() || (done && (!self.orphaned() || self.stopping(stop)))
+    }
+
+    /// Drains the parent link, then steps the failover wait. Answers clock
+    /// probes from the node's reported clock, remembers a Shutdown, and
+    /// applies a watermark seed that names this node (replays the ring
+    /// past it, counts the handover and ends the wait). Beacons are
+    /// returned for the caller to act on; everything else inbound is
+    /// parent→node control this node does not consume, and is dropped.
     pub fn poll(&mut self) -> Polled {
         let mut polled = Polled::default();
         while let Ok(Some(frame)) = self.server.try_recv() {
@@ -323,6 +360,7 @@ impl<'a> Upstream<'a> {
                 } else if let Some(tc) = msg.children.iter().find(|c| c.addr == self.addr) {
                     self.batches_replayed += self.uplink.replay(self.server, tc.watermark);
                     self.failovers += 1;
+                    self.wait = None;
                     polled.seeded = true;
                 }
                 continue;
@@ -342,46 +380,43 @@ impl<'a> Upstream<'a> {
                 _ => {}
             }
         }
+        self.step_wait();
         polled
     }
 
-    /// Starts the failover wait after the parent link died: `None` when
-    /// failover is off. The node then polls until a seed adopts it, for
-    /// as long as [`Upstream::keep_waiting`] says.
-    pub fn orphaned(&self) -> Option<FailoverWait> {
+    /// One step of the failover wait. A dead parent link starts it — or,
+    /// with no failover budget, loses the parent at once. In flight, it
+    /// beacons the next standby once that is due and loses the parent once
+    /// the budget is spent. The standbys are beaconed one at a time,
+    /// spaced across the second half of the budget — two standbys adopting
+    /// the same orphan would each fold its stream upward and double count
+    /// the subtree.
+    fn step_wait(&mut self) {
+        let now = Instant::now();
         let budget = self.cfg.failover_timeout;
-        if budget.is_zero() {
-            return None;
-        }
-        let start = Instant::now();
-        Some(FailoverWait {
-            deadline: start + budget,
-            next_beacon: start + budget / 2,
-            spacing: budget / (2 * self.cfg.parents.len().max(1) as u32),
-            standby: 0,
-        })
-    }
-
-    /// Paces one round of the failover wait: sleeps a millisecond, then
-    /// beacons the next standby once it is due. The standbys are beaconed
-    /// one at a time, spaced across the second half of the budget — two
-    /// standbys adopting the same orphan would each fold its stream
-    /// upward and double count the subtree. False once the budget is
-    /// spent or the node is stopping.
-    pub fn keep_waiting(&mut self, wait: &mut FailoverWait, stop: &AtomicBool) -> bool {
-        std::thread::sleep(Duration::from_millis(1));
-        if Instant::now() >= wait.deadline || self.stopping(stop) {
-            return false;
-        }
-        if let Some(&standby) = self.cfg.parents.get(wait.standby) {
-            if Instant::now() >= wait.next_beacon {
-                let tcfg = self.cfg.dial_transport(TransportConfig::default());
-                send_beacon(standby, &self.uplink.beacon_msg(&self.addr), tcfg);
-                wait.standby += 1;
-                wait.next_beacon += wait.spacing;
+        match &mut self.wait {
+            None if self.lost || self.server.is_alive() => {}
+            None if budget.is_zero() => self.lost = true,
+            None => {
+                self.wait = Some(FailoverWait {
+                    deadline: now + budget,
+                    next_beacon: now + budget / 2,
+                    standby: 0,
+                });
             }
+            Some(wait) if now >= wait.deadline => {
+                self.wait = None;
+                self.lost = true;
+            }
+            Some(wait) if now >= wait.next_beacon && wait.standby < self.cfg.parents.len() => {
+                let tcfg = self.cfg.dial_transport(TransportConfig::default());
+                let beacon = self.uplink.beacon_msg(&self.addr);
+                send_beacon(self.cfg.parents[wait.standby], &beacon, tcfg);
+                wait.standby += 1;
+                wait.next_beacon += budget / (2 * self.cfg.parents.len() as u32);
+            }
+            Some(_) => {}
         }
-        true
     }
 
     /// When a self-observation period has elapsed, appends this node's
@@ -389,8 +424,9 @@ impl<'a> Upstream<'a> {
     /// batch, stamped now under its obs focus; returns how many. The first
     /// call starts the sampler, so its null-span calibration runs once the
     /// node streams, not while a fleet of processes is still starting up.
+    /// An orphaned node takes no snapshot.
     pub fn sample_self(&mut self, extra: impl FnOnce() -> Vec<(String, f64)>) -> u32 {
-        let Some(period) = self.cfg.obs_period else {
+        let Some(period) = self.cfg.obs_period.filter(|_| !self.orphaned()) else {
             return 0;
         };
         let sampler = self
@@ -414,9 +450,10 @@ impl<'a> Upstream<'a> {
     /// the uplink stamps and rings it, so a handover can replay it. The
     /// rows count as sent whether or not this send landed — a failed send
     /// is either replayed or becomes visible loss at the parent. Nothing
-    /// pending sends nothing.
+    /// pending sends nothing, and an orphaned node keeps its rows pending
+    /// for the parent that adopts it.
     pub fn flush(&mut self, sources: Vec<SourceMark>) {
-        if self.pending.is_empty() {
+        if self.pending.is_empty() || self.orphaned() {
             return;
         }
         let mut batch = self.pending.take();
@@ -604,6 +641,143 @@ mod tests {
         assert_eq!(up.ring.len(), 4);
         assert_eq!(up.ring.front().unwrap().seq, 17);
         assert_eq!(up.ring.front().unwrap().value, vec![16.0]);
+    }
+
+    /// Waits for `done` with a 10 s deadline, naming `what` on a timeout.
+    fn wait_for(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting: {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// A parent dialed into `server`, once the server counts its link.
+    fn dial_parent(server: &TcpServer) -> Arc<TcpClient> {
+        let parent = TcpClient::connect(server.local_addr(), TransportConfig::default());
+        wait_for("the parent's link", || server.connections() == 1);
+        parent
+    }
+
+    /// Closes `parent` and waits until `server` counts no link.
+    fn lose_parent(server: &TcpServer, parent: &TcpClient) {
+        parent.close();
+        wait_for("the link's death", || server.connections() == 0);
+    }
+
+    /// Receives on `t` until a frame of `kind` arrives; panics after 10 s.
+    fn recv_kind(t: &dyn Transport, kind: FrameKind) -> pdmap_transport::Frame {
+        let mut got = None;
+        wait_for("a frame", || {
+            while let Ok(Some(f)) = t.try_recv() {
+                if f.kind == kind {
+                    got = Some(f);
+                    return true;
+                }
+            }
+            false
+        });
+        got.expect("frame")
+    }
+
+    #[test]
+    fn without_a_budget_a_dead_link_loses_the_parent_at_the_next_poll() {
+        let server = TcpServer::bind("127.0.0.1:0").expect("bind");
+        let cfg = UpstreamConfig::default();
+        let mut up = Upstream::new(&server, &cfg, "daemon");
+        let parent = dial_parent(&server);
+        up.poll();
+        assert!(!up.orphaned() && !up.lost());
+        lose_parent(&server, &parent);
+        up.poll();
+        assert!(up.lost(), "no budget: the parent is lost at once");
+        assert!(!up.orphaned());
+        assert!(up.phase_over(false, &AtomicBool::new(false)));
+    }
+
+    #[test]
+    fn an_orphan_keeps_its_rows_until_a_seed_replays_past_the_watermark() {
+        let server = TcpServer::bind("127.0.0.1:0").expect("bind");
+        let cfg = UpstreamConfig {
+            failover_timeout: Duration::from_secs(60),
+            ..UpstreamConfig::default()
+        };
+        let mut up = Upstream::new(&server, &cfg, "daemon");
+        let row = |up: &mut Upstream<'_>, tag: f64| {
+            up.pending.push("m".into(), "f".into(), 1_000, tag);
+            up.flush(Vec::new());
+        };
+        let first = dial_parent(&server);
+        row(&mut up, 1.0);
+        row(&mut up, 2.0);
+        assert_eq!(up.uplink.delivered_seq, 2);
+        lose_parent(&server, &first);
+        up.poll();
+        assert!(up.orphaned() && !up.lost());
+        row(&mut up, 3.0);
+        assert_eq!(up.pending.len(), 1, "an orphan keeps its rows pending");
+        assert_eq!(up.uplink.seq, 2, "and stamps no sequence");
+        assert_eq!(up.samples_sent, 2);
+        let stop = AtomicBool::new(false);
+        assert!(!up.phase_over(true, &stop), "no phase ends while orphaned");
+        stop.store(true, Ordering::Release);
+        assert!(up.phase_over(true, &stop), "a stop ends the phase");
+
+        // A new parent has folded through seq 1 and seeds this node.
+        let second = dial_parent(&server);
+        let seed = TopologyMsg {
+            epoch: 1,
+            origin: "tool".into(),
+            children: vec![TopoChild {
+                addr: up.addr.clone(),
+                watermark: 1,
+                received: 1,
+            }],
+        };
+        send_wire(&*second as &dyn Transport, &seed).expect("send seed");
+        wait_for("the seed", || {
+            up.poll();
+            !up.orphaned()
+        });
+        assert_eq!((up.failovers, up.batches_replayed), (1, 1));
+        let replayed =
+            BatchColumns::from_frame(&recv_kind(&*second, FrameKind::SampleBatch)).unwrap();
+        assert_eq!((replayed.epoch, replayed.seq), (1, 2), "seq 2 replayed");
+        assert_eq!(replayed.value, vec![2.0]);
+        // The kept row leaves on the next flush, to the new parent.
+        up.flush(Vec::new());
+        assert_eq!((up.uplink.seq, up.samples_sent), (3, 3));
+        let kept = BatchColumns::from_frame(&recv_kind(&*second, FrameKind::SampleBatch)).unwrap();
+        assert_eq!(kept.seq, 3);
+        assert_eq!(kept.value, vec![3.0]);
+    }
+
+    #[test]
+    fn a_spent_budget_beacons_the_standby_and_loses_the_parent() {
+        let server = TcpServer::bind("127.0.0.1:0").expect("bind");
+        let standby = TcpServer::bind("127.0.0.1:0").expect("bind standby");
+        let budget = Duration::from_millis(200);
+        let cfg = UpstreamConfig {
+            failover_timeout: budget,
+            parents: vec![standby.local_addr()],
+            ..UpstreamConfig::default()
+        };
+        let mut up = Upstream::new(&server, &cfg, "daemon");
+        let parent = dial_parent(&server);
+        lose_parent(&server, &parent);
+        let t0 = Instant::now();
+        up.poll();
+        assert!(up.orphaned());
+        wait_for("the spent budget", || {
+            up.poll();
+            up.lost()
+        });
+        assert!(t0.elapsed() >= budget, "the wait lasted its budget");
+        assert!(!up.orphaned(), "a lost parent ends the wait");
+        // Half-way through, the wait beaconed its one standby.
+        let beacon = TopologyMsg::from_frame(&recv_kind(&*standby, FrameKind::Topology)).unwrap();
+        assert!(is_beacon(&beacon));
+        assert_eq!(beacon.origin, up.addr);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Relay failover end to end: re-parenting orphaned subtrees with exact
 //! conservation through topology changes.
 //!
-//! Six drills, one per adoption path or gap (no double count, no silent
+//! Eight drills, one per adoption path or gap (no double count, no silent
 //! gap, through any topology change):
 //!
 //! * **Grandchild adoption.** In a 3-level tree (leaves → mid relays →
@@ -29,13 +29,17 @@
 //! * **Flush before announce.** A relay that dies before it flushes on
 //!   its own still delivered every row its topology announcement
 //!   counted, so the adopter's prior-delivery credit is never a gap.
+//! * **A wait past the stream phase.** A relay whose parent dies while it
+//!   lingers waits for adoption there too, and the tool adopts it.
+//! * **Adoption while orphaned.** A relay waiting for its own adopter
+//!   still adopts the leaf of a child relay that died meanwhile.
 
 use paradyn_tool::daemon::DaemonMsg;
 use paradyn_tool::{DaemonSet, DataManager, SupervisorPolicy};
 use pdmap::model::Namespace;
 use pdmap_transport::{
-    send_wire, BatchSample, FaultInjector, FaultPlan, InProcEnd, ReconnectPolicy, SampleBatch,
-    Transport, TransportConfig,
+    send_wire, BatchSample, FaultInjector, FaultPlan, FrameKind, InProcEnd, ReconnectPolicy,
+    SampleBatch, TcpClient, Transport, TransportConfig,
 };
 use pdmapd::{
     spawn, spawn_relay, DaemonConfig, RelayConfig, RunningDaemon, RunningRelay, UpstreamConfig,
@@ -595,4 +599,106 @@ fn a_relay_announces_no_row_it_has_not_delivered() {
         "the relay delivered every row its announcement counted"
     );
     leaf.join().expect("leaf report");
+}
+
+#[test]
+fn a_relay_whose_parent_dies_while_it_lingers_is_adopted() {
+    let leaf = spawn(DaemonConfig {
+        upstream: UpstreamConfig {
+            linger: Duration::from_millis(300),
+            ..UpstreamConfig::default()
+        },
+        samples: 10,
+        period: Duration::from_millis(1),
+        ..DaemonConfig::default()
+    })
+    .expect("bind leaf");
+    // The mid relay's threshold and interval never trip: it announces
+    // (and flushes) once the leaf's first probe reply synced it, and the
+    // rest of its rows wait for the flush that follows its drain.
+    let mid = spawn_relay(RelayConfig {
+        upstream: UpstreamConfig {
+            linger: Duration::from_secs(20),
+            failover_timeout: Duration::from_secs(10),
+            ..UpstreamConfig::default()
+        },
+        children: vec![leaf.addr],
+        batch: 1_000,
+        flush_interval: Duration::from_secs(60),
+        sync_rounds: 1,
+        child_transport: fast_transport(),
+        ..RelayConfig::default()
+    })
+    .expect("bind mid relay");
+    let root = relay_over(vec![mid.addr], 0);
+    let mut set = adopting_tool(&root);
+    pump_until(&mut set, "the leaf's 10 samples at the tool", |set| {
+        set.conn(0).samples_received() >= 10
+    });
+
+    // The tail reached the tool, so the mid relay's subtree is done and
+    // the mid relay is past its stream phase. Its parent dies now.
+    let _ = root.kill();
+    // A relay announces its topology on every seed: the adopter's link
+    // carries one only once the mid relay was seeded.
+    pump_until(&mut set, "the mid relay adopted and seeded", |set| {
+        set.reparents().len() == 1 && set.len() == 2 && set.conn(1).topology().is_some()
+    });
+
+    let cov = set.shutdown_all(Duration::from_secs(15));
+    assert_eq!((cov.nodes_reporting, cov.nodes_total), (1, 1));
+    assert_eq!(cov.samples_lost, 0, "nothing lost across the handover");
+    assert_eq!(set.conn(1).announced_sent(), Some(10));
+    let mid_rep = mid.join().expect("mid report");
+    assert_eq!(mid_rep.failovers, 1, "the mid relay was seeded once");
+    assert!(mid_rep.graceful_shutdown);
+    assert!(leaf.join().expect("leaf report").graceful_shutdown);
+}
+
+#[test]
+fn an_orphaned_relay_still_adopts_its_dead_child_relays_leaf() {
+    let leaf = failover_leaf(0, Vec::new());
+    let lower = relay_over(vec![leaf.addr], 0);
+    let upper = spawn_relay(RelayConfig {
+        upstream: UpstreamConfig {
+            failover_timeout: Duration::from_secs(5),
+            ..UpstreamConfig::default()
+        },
+        children: vec![lower.addr],
+        batch: 16,
+        flush_interval: Duration::from_millis(2),
+        child_transport: fast_transport(),
+        ..RelayConfig::default()
+    })
+    .expect("bind upper relay");
+    // A bare parent: it answers nothing and only watches the stream.
+    let parent = TcpClient::connect(upper.addr, TransportConfig::default());
+    // The lower relay sends its topology before its second batch, and the
+    // upper relay never splits a batch it folds across two of its own, so
+    // once two batches reach the parent the upper relay holds that
+    // topology.
+    let deadline = Instant::now() + Duration::from_secs(25);
+    let mut batches = 0;
+    while batches < 2 {
+        match parent.try_recv() {
+            Ok(Some(f)) => batches += usize::from(f.kind == FrameKind::SampleBatch),
+            _ => {
+                assert!(Instant::now() < deadline, "no batches reached the parent");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+    }
+
+    // The upper relay is orphaned; then its child relay dies too.
+    parent.close();
+    let _ = lower.kill();
+    // Nobody adopts the upper relay: it ends once its budget is spent.
+    let rep = upper.join().expect("upper report");
+    assert_eq!(
+        rep.children_adopted, 1,
+        "the orphaned relay adopted its dead child relay's leaf"
+    );
+    leaf.stop();
+    let leaf_rep = leaf.join().expect("leaf report");
+    assert_eq!(leaf_rep.failovers, 1, "the leaf was adopted once");
 }
